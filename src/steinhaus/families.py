@@ -232,7 +232,8 @@ def normalize_level(level) -> str:
 
 def _prediction(level: str, n: int, value: int, seqs, status: str = "theorem") -> LevelPrediction:
     members = tuple(sorted(seqs, key=str))
-    assert len(set(members)) == len(members)
+    if len(set(members)) != len(members):
+        raise ValueError(f"predicted level {level} at n={n} lists a generator twice")
     return LevelPrediction(level, n, value, members, status)
 
 

@@ -1,11 +1,20 @@
 """Exhaustive enumeration of triangle weights over all 2^n generators.
 
-The engine packs one generator per integer lane and evolves whole blocks of
-triangles at once with vectorized shift-XOR rows, accumulating popcounts.
-Work splits into contiguous lane ranges (one per worker) whose histograms
-merge by elementwise addition, so results are identical for any worker count
-or chunk size. A second pass collects the generators at requested weights in
-ascending packed order, capped to bound memory.
+The difference operator is linear over GF(2), so the triangle of
+x = (hi << k) | lo, packed row after row into an n(n+1)/2-bit vector, is
+T(hi << k) XOR T(lo). The engine tabulates T(lo) for every k-bit low half as
+W = ceil(n(n+1)/128) uint64 word rows, built from the unit-vector triangles
+by k doubling XORs. Generators then come in blocks of 2^k consecutive lanes,
+one block per high half: each word row is XORed with the matching word of
+T(hi << k), popcounted and summed, which gives the block's weights in
+W XOR/popcount passes instead of n row steps. T(hi << k) is updated from the
+previous block, so memory stays O(W * 2^k) for every n.
+
+Work splits into contiguous ranges of blocks (one per worker, run on at most
+one thread per available core) whose histograms merge by elementwise
+addition, so results are identical for any worker count or block width. A
+second pass collects the generators at requested weights in ascending packed
+order, capped to bound memory.
 """
 
 from __future__ import annotations
@@ -21,8 +30,10 @@ from .bitseq import BitSeq
 DEFAULT_CEILING = 30
 CEILING_ENV = "STEINHAUS_MAX_N"
 DEFAULT_MEMBER_CAP = 4096
-_HARD_LIMIT = 40  # lanes are 64-bit at most; 2^40 is already days of work
-_CHUNK = 1 << 20
+_HARD_LIMIT = 40  # 2^40 generators is already days of work
+_BLOCK_BITS = 16  # k: lanes per block 2^k; the (W, 2^k) table stays cache-sized
+_THREADED_LANES = 1 << 14  # below this many lanes, threads cost more than they save
+_WORD_MASK = (1 << 64) - 1
 
 
 class CeilingExceeded(ValueError):
@@ -48,19 +59,59 @@ def _check_size(n: int, force: bool) -> None:
         )
 
 
-def _dtype(n: int):
-    return np.uint32 if n <= 31 else np.uint64
+def _unit_triangle(n: int, j: int) -> int:
+    """Triangle of the j-th unit vector of length n, rows packed one after another."""
+    row, packed, offset = 1 << j, 0, 0
+    for m in range(n, 0, -1):
+        packed |= row << offset
+        offset += m
+        row = (row ^ row >> 1) & ((1 << (m - 1)) - 1)
+    return packed
 
 
-def _lane_weights(vals: np.ndarray, n: int) -> np.ndarray:
-    """Triangle weight of every lane, as uint16."""
-    dt = vals.dtype.type
-    cur = vals
-    acc = np.bitwise_count(cur).astype(np.uint16)
-    for m in range(n - 1, 0, -1):
-        cur = (cur ^ (cur >> dt(1))) & dt((1 << m) - 1)
-        acc += np.bitwise_count(cur)
-    return acc
+class _Kernel:
+    """Weights of all generators of length n, one block of 2^k lanes at a time.
+
+    Block ``hi`` holds the generators (hi << k) | lo for lo < 2^k, in order.
+    Only the first ``bits`` packed triangle bits count: all n(n+1)/2 of them
+    give the triangle weight, the first 3n-3 the weight of the top three rows.
+    """
+
+    def __init__(self, n: int, bits: int | None = None) -> None:
+        if bits is None:
+            bits = n * (n + 1) // 2
+        self.n = n
+        self.k = k = min(n, _BLOCK_BITS)
+        self.blocks = 1 << (n - k)
+        units = [_unit_triangle(n, j) & ((1 << bits) - 1) for j in range(n)]
+        rows = np.array([[t >> (64 * i) & _WORD_MASK for i in range(-(-bits // 64))]
+                         for t in units], dtype=np.uint64)
+        self.table = np.zeros((rows.shape[1], 1 << k), dtype=np.uint64)
+        for j in range(k):
+            self.table[:, 1 << j:2 << j] = self.table[:, :1 << j] ^ rows[j, :, None]
+        self._high = rows[k:]
+        # hi ^ (hi - 1) has exactly bits 0..ctz(hi) set, so by linearity
+        # T(hi << k) = T((hi - 1) << k) ^ _steps[ctz(hi)].
+        self._steps = np.bitwise_xor.accumulate(self._high, axis=0)
+
+    def weights(self, start: int, stop: int):
+        """Yield (first lane, uint16 weight per lane) for blocks start..stop-1, ascending."""
+        lanes = self.table.shape[1]
+        buf = np.empty(lanes, dtype=np.uint64)
+        count = np.empty(lanes, dtype=np.uint8)
+        high = np.zeros(len(self.table), dtype=np.uint64)
+        for j, row in enumerate(self._high):
+            if start >> j & 1:
+                high ^= row
+        for hi in range(start, stop):
+            if hi > start:
+                high ^= self._steps[(hi & -hi).bit_length() - 1]
+            acc = np.zeros(lanes, dtype=np.uint16)
+            for row, word in zip(self.table, high):
+                np.bitwise_xor(row, word, out=buf)
+                np.bitwise_count(buf, out=count)
+                acc += count
+            yield hi << self.k, acc
 
 
 def _lane_rot_r(vals: np.ndarray, n: int) -> np.ndarray:
@@ -92,50 +143,36 @@ def _lane_reverse(vals: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _chunks(start: int, stop: int):
-    pos = start
-    while pos < stop:
-        yield pos, min(pos + _CHUNK, stop)
-        pos = stop if pos + _CHUNK >= stop else pos + _CHUNK
-
-
-def _lane_range(n: int, lo: int, hi: int) -> np.ndarray:
-    dt = _dtype(n)
-    return np.arange(hi - lo, dtype=dt) + dt(lo)
-
-
-def _hist_range(n: int, lo: int, hi: int) -> np.ndarray:
-    size = n * (n + 1) // 2 + 1
+def _hist_range(kernel: _Kernel, start: int, stop: int) -> np.ndarray:
+    size = kernel.n * (kernel.n + 1) // 2 + 1
     hist = np.zeros(size, dtype=np.int64)
-    for a, b in _chunks(lo, hi):
-        w = _lane_weights(_lane_range(n, a, b), n)
+    for _, w in kernel.weights(start, stop):
         hist += np.bincount(w, minlength=size)
     return hist
 
 
-def _reduced_hist_range(n: int, lo: int, hi: int) -> np.ndarray:
+def _reduced_hist_range(kernel: _Kernel, start: int, stop: int) -> np.ndarray:
+    n = kernel.n
     size = n * (n + 1) // 2 + 1
     hist = np.zeros(size, dtype=np.int64)
-    for a, b in _chunks(lo, hi):
-        vals = _lane_range(n, a, b)
+    for first, w in kernel.weights(start, stop):
+        vals = np.arange(first, first + w.size, dtype=np.uint64)
         rev = _lane_reverse(vals, n)
         six = np.stack([vals, _lane_rot_r(vals, n), _lane_rot_l(vals, n),
                         rev, _lane_rot_r(rev, n), _lane_rot_l(rev, n)])
         keep = vals == six.min(axis=0)
         kept = np.sort(six[:, keep], axis=0)
         sizes = 1 + np.count_nonzero(np.diff(kept, axis=0), axis=0)
-        np.add.at(hist, _lane_weights(vals[keep], n), sizes)
+        np.add.at(hist, w[keep], sizes)
     return hist
 
 
-def _collect_range(n: int, lo: int, hi: int, wanted: np.ndarray, cap: int):
-    """Per-weight (values, exact count) for lanes in [lo, hi); values capped."""
+def _collect_range(kernel: _Kernel, start: int, stop: int, wanted: np.ndarray, cap: int):
+    """Per-weight (values, exact count) for blocks in [start, stop); values capped."""
     found: dict[int, tuple[list[int], int]] = {}
-    for a, b in _chunks(lo, hi):
-        vals = _lane_range(n, a, b)
-        w = _lane_weights(vals, n)
-        mask = wanted[w]
-        for v, wt in zip(vals[mask].tolist(), w[mask].tolist()):
+    for first, w in kernel.weights(start, stop):
+        lanes = np.flatnonzero(wanted[w])
+        for v, wt in zip((lanes + first).tolist(), w[lanes].tolist()):
             values, count = found.setdefault(wt, ([], 0))
             if count < cap:
                 values.append(v)
@@ -143,33 +180,49 @@ def _collect_range(n: int, lo: int, hi: int, wanted: np.ndarray, cap: int):
     return found
 
 
-def _splits(n: int, workers: int) -> list[tuple[int, int]]:
-    total = 1 << n
-    parts = max(1, min(workers, total))
-    edges = [total * i // parts for i in range(parts + 1)]
-    return [(edges[i], edges[i + 1]) for i in range(parts)]
+def _cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
 
 
 def _resolve_workers(workers: int | None) -> int:
     if workers is None:
-        return os.cpu_count() or 1
+        return _cores()
     if workers < 1:
         raise ValueError("worker count must be positive")
     return workers
 
 
-def _map_ranges(fn, parts: list[tuple[int, int]]) -> list:
-    """Apply fn to every range, in order. Threads only pay off on real work;
-    small jobs run serially with identical split/merge semantics."""
-    if len(parts) == 1 or parts[-1][1] < (1 << 14):
-        return [fn(p) for p in parts]
-    with ThreadPoolExecutor(max_workers=len(parts)) as pool:
-        return list(pool.map(fn, parts))
+def _plan(n: int, blocks: int, workers: int | None) -> tuple[list[tuple[int, int]], int]:
+    """Contiguous block ranges, one per worker, and the threads that run them.
+
+    Threads never exceed the cores this process may use, whatever ``workers``
+    asks for; small jobs run serially with the same split and merge.
+    """
+    parts = max(1, min(_resolve_workers(workers), blocks))
+    edges = [blocks * i // parts for i in range(parts + 1)]
+    threads = min(parts, _cores()) if (1 << n) >= _THREADED_LANES else 1
+    return list(zip(edges, edges[1:])), threads
+
+
+def _run(n: int, workers: int | None, range_fn, *args) -> list:
+    """range_fn(kernel, start, stop, *args) for every planned range, in range order."""
+    kernel = _Kernel(n)
+    parts, threads = _plan(n, kernel.blocks, workers)
+
+    def task(part):
+        return range_fn(kernel, *part, *args)
+
+    if threads == 1:
+        return [task(p) for p in parts]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(task, parts))
 
 
 def _run_hist(n: int, workers: int | None, range_fn) -> np.ndarray:
-    parts = _splits(n, _resolve_workers(workers))
-    pieces = _map_ranges(lambda p: range_fn(n, *p), parts)
+    pieces = _run(n, workers, range_fn)
     total = pieces[0]
     for piece in pieces[1:]:
         total += piece
@@ -181,8 +234,7 @@ def _run_collect(n: int, weights, cap: int, workers: int | None) -> dict[int, tu
     wanted = np.zeros(size, dtype=bool)
     for w in weights:
         wanted[w] = True
-    parts = _splits(n, _resolve_workers(workers))
-    results = _map_ranges(lambda p: _collect_range(n, *p, wanted, cap), parts)
+    results = _run(n, workers, _collect_range, wanted, cap)
     merged: dict[int, tuple[list[int], int]] = {w: ([], 0) for w in weights}
     for part in results:  # ranges are ascending, so concatenation stays sorted
         for wt, (values, count) in part.items():
@@ -270,7 +322,9 @@ def _level_sets(n: int, indices, spectrum: WeightSpectrum, cap: int,
     out = []
     for i, w in zip(indices, targets):
         values, count = got[w]
-        assert count == spectrum.counts[w]
+        if count != spectrum.counts[w]:
+            raise ValueError(f"spectrum disagrees with enumeration at n={n}: weight {w} "
+                             f"has {count} generators, spectrum says {spectrum.counts[w]}")
         out.append(LevelSet(i, w, _to_seqs(n, values), count, count > len(values)))
     return out
 

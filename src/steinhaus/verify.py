@@ -32,9 +32,7 @@ from .spectrum import (
     DEFAULT_MEMBER_CAP,
     WeightSpectrum,
     _check_size,
-    _chunks,
-    _dtype,
-    _lane_range,
+    _Kernel,
     enumeration_ceiling,
     find_weight,
     full_spectrum,
@@ -332,21 +330,20 @@ def verify_family_weights(n: int) -> CheckRecord:
 
 
 def _s3_scan(n: int):
-    """Exhaustive max of the three-row weight, plus its attaining lanes."""
-    dt = _dtype(n)
+    """Exhaustive max of the three-row weight, plus its attaining lanes.
+
+    The top three rows are the first 3n-3 packed triangle bits, so the weight
+    kernel restricted to those bits gives s3 for a whole block at once.
+    """
+    kernel = _Kernel(n, bits=3 * n - 3)
     best = 0
     arg: list[int] = []
-    for lo, hi in _chunks(0, 1 << n):
-        vals = _lane_range(n, lo, hi)
-        d1 = (vals ^ (vals >> dt(1))) & dt((1 << (n - 1)) - 1)
-        d2 = (d1 ^ (d1 >> dt(1))) & dt((1 << (n - 2)) - 1)
-        s = (np.bitwise_count(vals).astype(np.uint16)
-             + np.bitwise_count(d1) + np.bitwise_count(d2))
+    for first, s in kernel.weights(0, kernel.blocks):
         top = int(s.max())
         if top > best:
             best, arg = top, []
         if top == best:
-            arg.extend(vals[s == best].tolist())
+            arg.extend((np.flatnonzero(s == best) + first).tolist())
     return best, arg
 
 

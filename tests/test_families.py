@@ -15,6 +15,7 @@ from steinhaus import (
     rot_r,
     triangle_weight,
 )
+from steinhaus import families as families_mod
 
 
 def seq(tag, n):
@@ -277,3 +278,8 @@ class TestPredictedLevel:
                 assert len(set(p.members)) == len(p.members)
                 assert all(m.n == n for m in p.members)
                 assert p.members  # nonempty
+
+    def test_duplicate_members_rejected(self):
+        x = BitSeq.from_string("0110")
+        with pytest.raises(ValueError, match="lists a generator twice"):
+            families_mod._prediction("m-1", 4, 6, [x, BitSeq.from_string("1001"), x])

@@ -6,6 +6,7 @@ import pytest
 from steinhaus import (
     BitSeq,
     CeilingExceeded,
+    WeightSpectrum,
     enumeration_ceiling,
     find_weight,
     full_spectrum,
@@ -19,9 +20,15 @@ from steinhaus import (
     triangle_weight,
 )
 from steinhaus import spectrum as spectrum_mod
-from steinhaus.spectrum import _lane_range, _lane_reverse, _lane_rot_l, _lane_rot_r, _lane_weights
+from steinhaus.spectrum import _cores, _Kernel, _lane_reverse, _lane_rot_l, _lane_rot_r, _plan
 
 from conftest import all_seqs
+
+
+def kernel_weights(n):
+    """Weights of every generator of length n, in packed order, from the block kernel."""
+    kernel = _Kernel(n)
+    return np.concatenate([w for _, w in kernel.weights(0, kernel.blocks)])
 
 
 def brute_histogram(n):
@@ -84,10 +91,13 @@ class TestReducedSpectrum:
 class TestLanePrimitives:
     """The vector engine must agree with the scalar reference implementations."""
 
-    def test_weights_rotations_and_reversal(self):
+    def test_weights_rotations_and_reversal(self, monkeypatch):
         for n in range(1, 13):
-            vals = _lane_range(n, 0, 1 << n)
-            got_w = _lane_weights(vals, n)
+            vals = np.arange(1 << n, dtype=np.uint64)
+            got_w = kernel_weights(n)
+            with monkeypatch.context() as m:  # many blocks: T(hi << k) steps between them
+                m.setattr(spectrum_mod, "_BLOCK_BITS", 3)
+                assert np.array_equal(kernel_weights(n), got_w)
             got_r = _lane_rot_r(vals, n)
             got_l = _lane_rot_l(vals, n)
             got_i = _lane_reverse(vals, n)
@@ -100,12 +110,25 @@ class TestLanePrimitives:
 
     def test_weight_invariance_under_all_symmetries_to_14(self):
         for n in (13, 14):
-            vals = _lane_range(n, 0, 1 << n)
-            w = _lane_weights(vals, n)
+            vals = np.arange(1 << n, dtype=np.uint64)
+            w = kernel_weights(n)
             rev = _lane_reverse(vals, n)
             for image in (_lane_rot_r(vals, n), _lane_rot_l(vals, n), rev,
                           _lane_rot_r(rev, n), _lane_rot_l(rev, n)):
-                assert np.array_equal(_lane_weights(image, n), w)
+                assert np.array_equal(w[image], w)
+
+    @pytest.mark.parametrize("n", [33, 40])
+    def test_sampled_blocks_beyond_32_bits(self, n, rng):
+        kernel = _Kernel(n)
+        words = -(-n * (n + 1) // 128)
+        assert kernel.table.shape == (words, 1 << kernel.k)
+        assert kernel._steps.shape == (n - kernel.k, words)
+        starts = [0, kernel.blocks - 3] + [rng.randrange(kernel.blocks - 2) for _ in range(3)]
+        for start in starts:
+            for first, w in kernel.weights(start, start + 3):  # also steps between blocks
+                assert w.shape == (1 << kernel.k,)
+                for lo in [0, w.size - 1] + [rng.randrange(w.size) for _ in range(20)]:
+                    assert int(w[lo]) == triangle_weight(BitSeq(n, first + lo))
 
 
 class TestLevelSets:
@@ -165,6 +188,13 @@ class TestLevelSets:
             level_sets_high(4, 6)
         with pytest.raises(ValueError):
             level_sets_low(4, 0)
+
+    def test_mismatched_spectrum_rejected(self):
+        good = full_spectrum(6)
+        counts = list(good.counts)
+        counts[good.levels[1]] += 1
+        with pytest.raises(ValueError, match="disagrees with enumeration"):
+            level_sets_low(6, 1, spectrum=WeightSpectrum(6, tuple(counts)))
 
     def test_member_cap_and_truncation(self):
         levels = level_sets_low(10, 1, cap=2)
@@ -227,9 +257,22 @@ class TestDeterminism:
     def test_chunk_size_immaterial(self, monkeypatch):
         base = full_spectrum(9)
         members = find_weight(9, 13)
-        monkeypatch.setattr(spectrum_mod, "_CHUNK", 37)
-        assert full_spectrum(9) == base
-        assert find_weight(9, 13) == members
+        big = full_spectrum(14)
+        monkeypatch.setattr(spectrum_mod, "_BLOCK_BITS", 3)
+        for workers in (1, 3):  # 64 blocks of 8 lanes, ragged three-way split
+            assert full_spectrum(9, workers=workers) == base
+            assert find_weight(9, 13, workers=workers) == members
+        assert full_spectrum(14, workers=3) == big  # threaded, 2048 blocks
+
+    def test_thread_plan_is_clamped(self):
+        parts, threads = _plan(26, 1 << 10, 100000)
+        assert len(parts) == 1 << 10
+        assert parts[0] == (0, 1) and parts[-1] == (1023, 1024)
+        assert 1 <= threads <= _cores()
+        parts, threads = _plan(26, 1 << 10, 3)
+        assert parts == [(0, 341), (341, 682), (682, 1024)]
+        assert threads == min(3, _cores())
+        assert _plan(10, 1, 100000) == ([(0, 1)], 1)
 
     def test_truncated_capture_deterministic(self):
         base = level_sets_low(9, 2, cap=3, workers=1)
