@@ -23,8 +23,7 @@ from .families import (
 from .spectrum import (
     LevelSet,
     full_spectrum,
-    level_sets_high,
-    level_sets_low,
+    level_sets,
     symmetry_reduced_spectrum,
 )
 from .symmetry import orbit
@@ -105,15 +104,16 @@ def cmd_spectrum(ns: argparse.Namespace) -> int:
 
 
 def cmd_levels(ns: argparse.Namespace) -> int:
-    if (ns.low is not None and ns.low < 0) or (ns.high is not None and ns.high < 0):
-        raise ValueError("level counts must be nonnegative")
-    spec = full_spectrum(ns.n, workers=ns.workers, force=ns.force)
-    low_k = min(3, spec.m) if ns.low is None else ns.low
-    high_k = min(2, spec.m + 1) if ns.high is None else ns.high
-    low = level_sets_low(ns.n, low_k, workers=ns.workers, spectrum=spec) \
-        if low_k else []
-    high = level_sets_high(ns.n, high_k, workers=ns.workers, spectrum=spec) \
-        if high_k else []
+    low_k = 3 if ns.low is None else ns.low
+    high_k = 2 if ns.high is None else ns.high
+    sweep = level_sets(ns.n, low_k, high_k, workers=ns.workers, force=ns.force)
+    m = sweep.spectrum.m  # the defaults clamp to the ladder, explicit counts may not
+    if ns.low is not None and ns.low > m:
+        raise ValueError(f"k={ns.low} exceeds the top level m={m} for n={ns.n}")
+    if ns.high is not None and ns.high > m + 1:
+        raise ValueError(f"k={ns.high} exceeds the ladder height for n={ns.n}")
+    low_k, high_k = min(low_k, m), min(high_k, m + 1)
+    low, high = sweep.low, sweep.high
     payload = {"n": ns.n,
                "low": [_level_payload(ls) for ls in low],
                "high": [_level_payload(ls) for ls in high]}
@@ -121,7 +121,7 @@ def cmd_levels(ns: argparse.Namespace) -> int:
         _emit(_document("levels", {"n": ns.n, "low": low_k, "high": high_k},
                         payload))
     else:
-        for ls in list(low) + list(high):
+        for ls in low + high:
             mark = " (truncated)" if ls.truncated else ""
             print(f"W_{ls.index}: weight {ls.weight}, {ls.count} generators{mark}")
             print("  " + " ".join(_texts(ls.members)))

@@ -10,11 +10,17 @@ T(hi << k), popcounted and summed, which gives the block's weights in
 W XOR/popcount passes instead of n row steps. T(hi << k) is updated from the
 previous block, so memory stays O(W * 2^k) for every n.
 
-Work splits into contiguous ranges of blocks (one per worker, run on at most
-one thread per available core) whose histograms merge by elementwise
-addition, so results are identical for any worker count or block width. A
-second pass collects the generators at requested weights in ascending packed
-order, capped to bound memory.
+One sweep gives both the histogram and the members of chosen weights. Each
+block's ``bincount`` adds to a running histogram; a rule then names the
+weights wanted so far (the few smallest and largest weights seen, plus any
+fixed weights), and only blocks holding a wanted weight are scanned for its
+lanes, kept in ascending packed order and capped to bound memory. Work
+splits into contiguous ranges of blocks (one per worker, run on at most one
+thread per available core). Ranges merge by adding histograms, applying the
+rule again and concatenating members in range order, so results are
+identical for any worker count or block width. Every sweep checks that the
+histogram totals 2^n and that the lanes scanned at each collected weight
+match its count.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,7 +50,15 @@ class CeilingExceeded(ValueError):
 def enumeration_ceiling() -> int:
     """Current size guard: STEINHAUS_MAX_N if set, else the default of 30."""
     raw = os.environ.get(CEILING_ENV)
-    return int(raw) if raw else DEFAULT_CEILING
+    if not raw:
+        return DEFAULT_CEILING
+    try:
+        ceiling = int(raw)
+    except ValueError:
+        raise CeilingExceeded(f"{CEILING_ENV}={raw!r} is not an integer") from None
+    if ceiling < 1:
+        raise CeilingExceeded(f"{CEILING_ENV}={ceiling} must be at least 1")
+    return ceiling
 
 
 def _check_size(n: int, force: bool) -> None:
@@ -143,12 +158,58 @@ def _lane_reverse(vals: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _hist_range(kernel: _Kernel, start: int, stop: int) -> np.ndarray:
-    size = kernel.n * (kernel.n + 1) // 2 + 1
+class _Wanted(NamedTuple):
+    """Weights a sweep collects members of, read off a histogram: the
+    ``smallest`` least and the ``largest`` greatest weights that occur in it,
+    plus every weight marked in ``fixed``."""
+
+    smallest: int
+    largest: int
+    fixed: np.ndarray  # bool per weight 0..n(n+1)/2
+
+    def any(self) -> bool:
+        return bool(self.smallest or self.largest or self.fixed.any())
+
+    def of(self, hist: np.ndarray) -> np.ndarray:
+        wanted = self.fixed.copy()
+        if self.smallest or self.largest:
+            seen = np.flatnonzero(hist)
+            wanted[seen[:self.smallest]] = True
+            wanted[seen[max(len(seen) - self.largest, 0):]] = True
+        return wanted
+
+
+def _sweep_range(kernel: _Kernel, start: int, stop: int, rule: _Wanted, cap: int):
+    """Histogram of blocks [start, stop), and for each weight the rule still
+    wants after the last block: its first ``cap`` lanes and the lanes scanned.
+
+    The weights seen so far only grow, so a weight the rule wants at the end
+    was wanted since the first block that held it, and one it drops never
+    comes back. Lanes are scanned only in blocks that hold a wanted weight.
+    """
+    size = len(rule.fixed)
     hist = np.zeros(size, dtype=np.int64)
-    for _, w in kernel.weights(start, stop):
-        hist += np.bincount(w, minlength=size)
-    return hist
+    found: dict[int, tuple[list[int], int]] = {}
+    collect = rule.any()
+    for first, w in kernel.weights(start, stop):
+        h = np.bincount(w, minlength=size)
+        hist += h
+        if not collect:
+            continue
+        wanted = rule.of(hist)
+        for wt in [wt for wt in found if not wanted[wt]]:
+            del found[wt]
+        hits = np.flatnonzero(wanted & (h > 0))
+        if not hits.size:
+            continue
+        lanes = np.flatnonzero(wanted[w])
+        lane_w = w[lanes]
+        for wt in hits.tolist():
+            picked = lanes[lane_w == wt]
+            values, count = found.get(wt, ([], 0))
+            values.extend((picked[:cap - len(values)] + first).tolist())
+            found[wt] = (values, count + picked.size)
+    return hist, found
 
 
 def _reduced_hist_range(kernel: _Kernel, start: int, stop: int) -> np.ndarray:
@@ -165,19 +226,6 @@ def _reduced_hist_range(kernel: _Kernel, start: int, stop: int) -> np.ndarray:
         sizes = 1 + np.count_nonzero(np.diff(kept, axis=0), axis=0)
         np.add.at(hist, w[keep], sizes)
     return hist
-
-
-def _collect_range(kernel: _Kernel, start: int, stop: int, wanted: np.ndarray, cap: int):
-    """Per-weight (values, exact count) for blocks in [start, stop); values capped."""
-    found: dict[int, tuple[list[int], int]] = {}
-    for first, w in kernel.weights(start, stop):
-        lanes = np.flatnonzero(wanted[w])
-        for v, wt in zip((lanes + first).tolist(), w[lanes].tolist()):
-            values, count = found.setdefault(wt, ([], 0))
-            if count < cap:
-                values.append(v)
-            found[wt] = (values, count + 1)
-    return found
 
 
 def _cores() -> int:
@@ -221,28 +269,35 @@ def _run(n: int, workers: int | None, range_fn, *args) -> list:
         return list(pool.map(task, parts))
 
 
-def _run_hist(n: int, workers: int | None, range_fn) -> np.ndarray:
-    pieces = _run(n, workers, range_fn)
+def _merge_hist(n: int, pieces: list[np.ndarray]) -> np.ndarray:
     total = pieces[0]
     for piece in pieces[1:]:
         total += piece
+    if int(total.sum()) != 1 << n:
+        raise ValueError(f"histogram of n={n} counts {int(total.sum())} generators, "
+                         f"not 2^{n}")
     return total
 
 
-def _run_collect(n: int, weights, cap: int, workers: int | None) -> dict[int, tuple[list[int], int]]:
-    size = n * (n + 1) // 2 + 1
-    wanted = np.zeros(size, dtype=bool)
-    for w in weights:
-        wanted[w] = True
-    results = _run(n, workers, _collect_range, wanted, cap)
-    merged: dict[int, tuple[list[int], int]] = {w: ([], 0) for w in weights}
-    for part in results:  # ranges are ascending, so concatenation stays sorted
-        for wt, (values, count) in part.items():
-            acc_values, acc_count = merged[wt]
-            room = cap - len(acc_values)
-            acc_values.extend(values[:room])
-            merged[wt] = (acc_values, acc_count + count)
-    return merged
+def _enumerate(n: int, rule: _Wanted, cap: int, workers: int | None):
+    """One sweep over all 2^n generators: the histogram, and per weight the
+    rule wants from it, the first ``cap`` members in packed order and the count."""
+    parts = _run(n, workers, _sweep_range, rule, cap)
+    hist = _merge_hist(n, [h for h, _ in parts])
+    found: dict[int, tuple[list[int], int]] = {}
+    for wt in np.flatnonzero(rule.of(hist)).tolist():
+        values: list[int] = []
+        count = 0
+        for _, part in parts:  # ranges ascend, so concatenation stays sorted
+            got, scanned = part.get(wt, ([], 0))
+            values.extend(got[:cap - len(values)])
+            count += scanned
+        if count != hist[wt]:
+            raise ValueError(f"member scan disagrees with the histogram at n={n}: "
+                             f"weight {wt} has {count} generators scanned, "
+                             f"{int(hist[wt])} counted")
+        found[wt] = (values, count)
+    return hist, found
 
 
 @dataclass(frozen=True)
@@ -298,8 +353,7 @@ def _to_seqs(n: int, values: list[int]) -> tuple[BitSeq, ...]:
 
 def full_spectrum(n: int, *, workers: int | None = None, force: bool = False) -> WeightSpectrum:
     """Exact weight histogram by direct enumeration of every generator."""
-    _check_size(n, force)
-    return WeightSpectrum(n, tuple(_run_hist(n, workers, _hist_range).tolist()))
+    return level_sets(n, 0, 0, workers=workers, force=force).spectrum
 
 
 def symmetry_reduced_spectrum(n: int, *, workers: int | None = None,
@@ -311,67 +365,117 @@ def symmetry_reduced_spectrum(n: int, *, workers: int | None = None,
     identical to ``full_spectrum`` because weight is symmetry-invariant.
     """
     _check_size(n, force)
-    return WeightSpectrum(n, tuple(_run_hist(n, workers, _reduced_hist_range).tolist()))
+    hist = _merge_hist(n, _run(n, workers, _reduced_hist_range))
+    return WeightSpectrum(n, tuple(hist.tolist()))
 
 
-def _level_sets(n: int, indices, spectrum: WeightSpectrum, cap: int,
-                workers: int | None) -> list[LevelSet]:
-    levels = spectrum.levels
-    targets = [levels[i] for i in indices]
-    got = _run_collect(n, sorted(set(targets)), cap, workers)
+@dataclass(frozen=True)
+class LevelSweep:
+    """What one enumeration of all 2^n generators found (see ``level_sets``)."""
+
+    spectrum: WeightSpectrum
+    low: list[LevelSet]  # W_0, W_1, ... upward
+    high: list[LevelSet]  # W_m, W_{m-1}, ... downward
+    slices: dict[int, WeightSlice]  # requested weight -> its generators
+
+
+def level_sets(n: int, low: int, high: int, *, weights=(),
+               cap: int = DEFAULT_MEMBER_CAP, workers: int | None = None,
+               force: bool = False) -> LevelSweep:
+    """Histogram, both ends of the ladder and exact-weight slices in one sweep.
+
+    ``low`` asks for W_0 .. W_low (none if 0), ``high`` for the ``high``
+    levels from W_m down; both are clamped to the ladder, whose height is
+    known only after the sweep. ``weights`` asks for the generators at each
+    of those exact weights. Members are the first ``cap`` in packed order.
+    """
+    if low < 0 or high < 0:
+        raise ValueError("level counts must be nonnegative")
+    _check_size(n, force)
+    top = n * (n + 1) // 2
+    targets = sorted(set(weights))
+    for w in targets:
+        if not 0 <= w <= top:
+            raise ValueError(f"weight {w} impossible for size {n}")
+    fixed = np.zeros(top + 1, dtype=bool)
+    fixed[targets] = True
+    hist, found = _enumerate(n, _Wanted(low + 1 if low else 0, high, fixed), cap, workers)
+    spectrum = WeightSpectrum(n, tuple(hist.tolist()))
+    slices = {w: WeightSlice(n, w, _to_seqs(n, values), count, count > len(values))
+              for w, (values, count) in found.items()}
+    m = spectrum.m
+    return LevelSweep(
+        spectrum,
+        [_level(i, slices[spectrum.levels[i]]) for i in range(min(low, m) + 1)] if low else [],
+        [_level(m - off, slices[spectrum.levels[m - off]]) for off in range(min(high, m + 1))],
+        {w: slices[w] for w in targets})
+
+
+def _level(index: int, piece: WeightSlice) -> LevelSet:
+    return LevelSet(index, piece.weight, piece.members, piece.count, piece.truncated)
+
+
+def _given_levels(n: int, indices, spectrum: WeightSpectrum, cap: int,
+                  workers: int | None, force: bool) -> list[LevelSet]:
+    """Level sets at ladder ``indices`` of a precomputed spectrum, checked against it."""
+    targets = [spectrum.levels[i] for i in indices]
+    slices = level_sets(n, 0, 0, weights=targets, cap=cap, workers=workers,
+                        force=force).slices
     out = []
     for i, w in zip(indices, targets):
-        values, count = got[w]
-        if count != spectrum.counts[w]:
+        got = slices[w]
+        if got.count != spectrum.counts[w]:
             raise ValueError(f"spectrum disagrees with enumeration at n={n}: weight {w} "
-                             f"has {count} generators, spectrum says {spectrum.counts[w]}")
-        out.append(LevelSet(i, w, _to_seqs(n, values), count, count > len(values)))
+                             f"has {got.count} generators, spectrum says {spectrum.counts[w]}")
+        out.append(_level(i, got))
     return out
 
 
 def level_sets_low(n: int, k: int, *, cap: int = DEFAULT_MEMBER_CAP,
                    workers: int | None = None, force: bool = False,
                    spectrum: WeightSpectrum | None = None) -> list[LevelSet]:
-    """Level sets W_0 .. W_k with members, via a second collection pass.
+    """Level sets W_0 .. W_k with members, from one sweep.
 
-    Pass a precomputed ``spectrum`` for the same n to skip the histogram pass.
+    With a precomputed ``spectrum`` for the same n, the sweep collects its
+    levels as fixed weights and checks their counts against it.
     """
     if k < 1:
         raise ValueError("need at least one level")
+    sets = None
     if spectrum is None:
-        spectrum = full_spectrum(n, workers=workers, force=force)
+        sweep = level_sets(n, k, 0, cap=cap, workers=workers, force=force)
+        spectrum, sets = sweep.spectrum, sweep.low
     if k > spectrum.m:
         raise ValueError(f"k={k} exceeds the top level m={spectrum.m} for n={n}")
-    return _level_sets(n, range(k + 1), spectrum, cap, workers)
+    if sets is None:
+        sets = _given_levels(n, range(k + 1), spectrum, cap, workers, force)
+    return sets
 
 
 def level_sets_high(n: int, k: int, *, cap: int = DEFAULT_MEMBER_CAP,
                     workers: int | None = None, force: bool = False,
                     spectrum: WeightSpectrum | None = None) -> list[LevelSet]:
-    """Level sets W_m, W_{m-1}, ... down k levels, with members."""
+    """Level sets W_m, W_{m-1}, ... down k levels, with members, from one sweep."""
     if k < 1:
         raise ValueError("need at least one level")
+    sets = None
     if spectrum is None:
-        spectrum = full_spectrum(n, workers=workers, force=force)
+        sweep = level_sets(n, 0, k, cap=cap, workers=workers, force=force)
+        spectrum, sets = sweep.spectrum, sweep.high
     if k > spectrum.m + 1:
         raise ValueError(f"k={k} exceeds the ladder height for n={n}")
-    indices = [spectrum.m - off for off in range(k)]
-    return _level_sets(n, indices, spectrum, cap, workers)
+    if sets is None:
+        sets = _given_levels(n, [spectrum.m - off for off in range(k)], spectrum,
+                             cap, workers, force)
+    return sets
 
 
 def members_at_weights(n: int, weights, *, cap: int = DEFAULT_MEMBER_CAP,
                        workers: int | None = None,
                        force: bool = False) -> dict[int, WeightSlice]:
-    """One collection pass returning the generators at each requested weight."""
-    _check_size(n, force)
-    targets = sorted(set(weights))
-    top = n * (n + 1) // 2
-    for w in targets:
-        if not 0 <= w <= top:
-            raise ValueError(f"weight {w} impossible for size {n}")
-    got = _run_collect(n, targets, cap, workers)
-    return {w: WeightSlice(n, w, _to_seqs(n, values), count, count > len(values))
-            for w, (values, count) in got.items()}
+    """One sweep returning the generators at each requested weight."""
+    return level_sets(n, 0, 0, weights=weights, cap=cap, workers=workers,
+                      force=force).slices
 
 
 def find_weight(n: int, w: int, *, cap: int = DEFAULT_MEMBER_CAP,

@@ -29,19 +29,20 @@ from .families import (
     predicted_triangle_weight,
 )
 from .spectrum import (
-    DEFAULT_MEMBER_CAP,
+    CeilingExceeded,
+    WeightSlice,
     WeightSpectrum,
     _check_size,
     _Kernel,
     enumeration_ceiling,
-    find_weight,
-    full_spectrum,
-    members_at_weights,
+    level_sets,
 )
 from .symmetry import orbit
 from .triangle import triangle_weight
 
 S3_CEILING = 20
+_GOLDEN_SLICE_SIZES = range(4, 9)  # rows of weight_slice_floor_3n_over_2.txt
+_WEIGHT_2N3_SIZES = (10, 14)
 
 PER_N_CHECKS = (
     "level-1",
@@ -160,6 +161,7 @@ def _top_summary_fixture() -> dict[int, tuple[int, int, int]]:
 class _EnumData:
     spectrum: WeightSpectrum
     sets: dict[int, tuple[frozenset[BitSeq], int]]  # ladder index -> (members, count)
+    slices: dict[int, WeightSlice]  # the exact weights the spot checks read
 
     def at(self, index: int) -> tuple[int, frozenset[BitSeq], int]:
         members, count = self.sets[index]
@@ -167,15 +169,14 @@ class _EnumData:
 
 
 def _enum_data(n: int, workers: int | None) -> _EnumData:
-    spectrum = full_spectrum(n, workers=workers)
-    m = spectrum.m
-    indices = sorted({i for i in (0, 1, 2, 3) if i <= m} | {m, max(m - 1, 0)})
-    slices = members_at_weights(n, {spectrum.levels[i] for i in indices},
-                                workers=workers)
-    sets = {i: (frozenset(slices[spectrum.levels[i]].members),
-                slices[spectrum.levels[i]].count)
-            for i in indices}
-    return _EnumData(spectrum, sets)
+    """Levels 0..3, m-1 and m (clamped to the ladder) plus the spot checks'
+    exact-weight slices, all from one enumeration of size n."""
+    weights = [2 * n - 3] if n in _WEIGHT_2N3_SIZES else []
+    if n in _GOLDEN_SLICE_SIZES:
+        weights.append(_level_fixture("weight_slice_floor_3n_over_2.txt")[(n, "-")][0])
+    sweep = level_sets(n, 3, 2, weights=weights, workers=workers)
+    sets = {ls.index: (frozenset(ls.members), ls.count) for ls in sweep.low + sweep.high}
+    return _EnumData(sweep.spectrum, sets, sweep.slices)
 
 
 def _set_witness(observed_w: int, observed: frozenset[BitSeq],
@@ -404,10 +405,10 @@ def _golden_level2(n: int, data: _EnumData, t0: float) -> CheckRecord:
                           observed_count, w_exp, set_exp)
 
 
-def _golden_weight_slice(n: int, workers: int | None, t0: float) -> CheckRecord:
+def _golden_weight_slice(n: int, data: _EnumData, t0: float) -> CheckRecord:
     fixture = _level_fixture("weight_slice_floor_3n_over_2.txt")
     w, set_exp = fixture[(n, "-")]
-    got = find_weight(n, w, workers=workers)
+    got = data.slices[w]
     observed = frozenset(got.members)
     if observed != set_exp or got.count != len(set_exp):
         witness = _set_witness(w, observed, w, set_exp)
@@ -466,9 +467,9 @@ def _golden_second_sets(n: int, data: _EnumData, t0: float) -> CheckRecord:
                           observed_count, w_exp, set_exp)
 
 
-def _weight_2n3(n: int, workers: int | None, t0: float) -> CheckRecord:
+def _weight_2n3(n: int, data: _EnumData, t0: float) -> CheckRecord:
     w = 2 * n - 3
-    got = find_weight(n, w, workers=workers)
+    got = data.slices[w]
     if n == 10:
         expected = frozenset(BitSeq.from_string(s) for s in _WEIGHT17_AT_10)
         observed = frozenset(got.members)
@@ -524,9 +525,9 @@ def _per_n_records(n: int, workers: int | None, s3_ceiling: int) -> list[CheckRe
     records.append(verify_s3(n, ceiling=s3_ceiling))
 
     t0 = time.perf_counter()
-    if 4 <= n <= 8:
+    if n in _GOLDEN_SLICE_SIZES:
         records.append(_golden_level2(n, data, t0))
-        records.append(_golden_weight_slice(n, workers, time.perf_counter()))
+        records.append(_golden_weight_slice(n, data, time.perf_counter()))
     else:
         records.append(_skip("golden-level-2", n, "stored rows cover 4 <= n <= 8", t0))
         records.append(_skip("golden-weight-slice", n,
@@ -546,8 +547,8 @@ def _per_n_records(n: int, workers: int | None, s3_ceiling: int) -> list[CheckRe
         records.append(_skip("golden-second-max-sets", n,
                              "stored rows cover n in {11, 12}", t0))
     t0 = time.perf_counter()
-    if n in (10, 14):
-        records.append(_weight_2n3(n, workers, t0))
+    if n in _WEIGHT_2N3_SIZES:
+        records.append(_weight_2n3(n, data, t0))
     else:
         records.append(_skip("weight-2n-3", n,
                              "spot check defined for n in {10, 14}", t0))
@@ -563,7 +564,7 @@ def verify_all(n_min: int, n_max: int, *, workers: int | None = None,
         raise ValueError("sizes start at 1")
     ceiling = enumeration_ceiling()
     if n_max > ceiling:
-        raise ValueError(f"n_max={n_max} exceeds the enumeration ceiling {ceiling}")
+        raise CeilingExceeded(f"n_max={n_max} exceeds the enumeration ceiling {ceiling}")
     records = verify_small_n(workers=workers)
     for n in range(n_min, n_max + 1):
         records.extend(_per_n_records(n, workers, s3_ceiling))

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from steinhaus import BitSeq, CheckRecord, VerificationReport, Witness
-from steinhaus import cli
+import steinhaus
+from steinhaus import BitSeq, CeilingExceeded, CheckRecord, VerificationReport, Witness
+from steinhaus import cli, verify_all
 
 
 def run(capsys, *argv):
@@ -116,6 +121,22 @@ class TestLevels:
         assert a == b
 
 
+    def test_defaults_clamp_to_short_ladders(self, capsys):
+        code, doc = run_json(capsys, "levels", "1", "--format", "json")
+        assert code == 0
+        assert doc["args"] == {"n": 1, "low": 1, "high": 2}
+        assert [ls["index"] for ls in doc["payload"]["low"]] == [0, 1]
+        assert [ls["index"] for ls in doc["payload"]["high"]] == [1, 0]
+
+    def test_levels_beyond_the_ladder_exit_2(self, capsys):
+        code, _, err = run(capsys, "levels", "4", "--low", "5")
+        assert code == 2 and "k=5 exceeds the top level m=4 for n=4" in err
+        code, _, err = run(capsys, "levels", "4", "--high", "6")
+        assert code == 2 and "k=6 exceeds the ladder height for n=4" in err
+        code, _, err = run(capsys, "levels", "4", "--low", "-1")
+        assert code == 2 and "nonnegative" in err
+
+
 class TestOrbit:
     def test_members_and_canonical(self, capsys):
         code, doc = run_json(capsys, "orbit", "0001000000", "--format", "json")
@@ -195,6 +216,39 @@ class TestVerify:
     def test_range_error_exit_2(self, capsys):
         code, _, err = run(capsys, "verify", "--from", "6", "--to", "5")
         assert code == 2 and "empty range" in err
+
+
+    def test_ceiling_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("STEINHAUS_MAX_N", "8")
+        with pytest.raises(CeilingExceeded):
+            verify_all(4, 9)
+        code, _, err = run(capsys, "verify", "--from", "4", "--to", "9")
+        assert code == 2 and "exceeds the enumeration ceiling 8" in err
+
+    @pytest.mark.parametrize("raw", ["abc", "-5"])
+    def test_bad_ceiling_variable_exit_2(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("STEINHAUS_MAX_N", raw)
+        for argv in (("verify", "--from", "4", "--to", "4"), ("levels", "4"),
+                     ("spectrum", "4")):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "" and "STEINHAUS_MAX_N" in err
+
+
+class TestOptimizedInterpreter:
+    """Self-checks raise errors rather than assert, so ``python -O`` changes nothing."""
+
+    @pytest.mark.parametrize("argv", [
+        ("levels", "10", "--format", "json"),
+        ("verify", "--from", "4", "--to", "8"),
+    ])
+    def test_same_output_under_dash_o(self, argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(steinhaus.__file__).parents[1]))
+        env.pop("STEINHAUS_MAX_N", None)
+        runs = [subprocess.run([sys.executable, *flags, "-m", "steinhaus.cli", *argv],
+                               capture_output=True, text=True, env=env, timeout=120)
+                for flags in ([], ["-O"])]
+        assert runs[0].returncode == 0 and runs[0].stdout
+        assert (runs[1].returncode, runs[1].stdout) == (runs[0].returncode, runs[0].stdout)
 
 
 class TestParser:

@@ -1,4 +1,5 @@
 from collections import Counter
+from functools import cache
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from steinhaus import (
     find_weight,
     full_spectrum,
     invert_i,
+    level_sets,
     level_sets_high,
     level_sets_low,
     members_at_weights,
@@ -29,6 +31,12 @@ def kernel_weights(n):
     """Weights of every generator of length n, in packed order, from the block kernel."""
     kernel = _Kernel(n)
     return np.concatenate([w for _, w in kernel.weights(0, kernel.blocks)])
+
+
+@cache
+def scalar_weights(n):
+    """Independent oracle: the streamed pure-int weight of every generator, in packed order."""
+    return tuple(triangle_weight(x) for x in all_seqs(n))
 
 
 def brute_histogram(n):
@@ -77,6 +85,14 @@ class TestFullSpectrum:
         assert full_spectrum(9, force=True).total == 512
         monkeypatch.setenv("STEINHAUS_MAX_N", "32")
         assert enumeration_ceiling() == 32
+
+    @pytest.mark.parametrize("raw", ["abc", "8.5", "0", "-5"])
+    def test_env_ceiling_rejects_non_positive_or_garbage(self, monkeypatch, raw):
+        monkeypatch.setenv("STEINHAUS_MAX_N", raw)
+        with pytest.raises(CeilingExceeded, match="STEINHAUS_MAX_N"):
+            enumeration_ceiling()
+        with pytest.raises(CeilingExceeded, match="STEINHAUS_MAX_N"):
+            full_spectrum(4)
 
 
 class TestReducedSpectrum:
@@ -214,6 +230,77 @@ class TestLevelSets:
                     assert rot_r(x) in members
                     assert rot_l(x) in members
                     assert invert_i(x) in members
+
+
+class TestOneSweep:
+    """Histogram, both ladder ends and fixed-weight slices from a single sweep."""
+
+    @staticmethod
+    def expected(n, low, high, weights, cap):
+        ws = scalar_weights(n)
+        levels = sorted(set(ws))
+        m = len(levels) - 1
+
+        def members(w):
+            lanes = [v for v, wv in enumerate(ws) if wv == w]
+            first = sorted((BitSeq(n, v) for v in lanes[:cap]), key=str)
+            return w, tuple(first), len(lanes), len(lanes) > cap
+
+        low_sets = [(i, *members(levels[i])) for i in range(min(low, m) + 1)] if low else []
+        high_sets = [(m - off, *members(levels[m - off])) for off in range(min(high, m + 1))]
+        return (Counter(ws), low_sets, high_sets, {w: members(w) for w in weights})
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_matches_scalar_oracle(self, monkeypatch, workers):
+        # 8-lane blocks: a part that does not start at lane 0 sees other
+        # weights first, so its local ends differ from the global ones.
+        monkeypatch.setattr(spectrum_mod, "_BLOCK_BITS", 3)
+        for n in range(1, 13):
+            ws = scalar_weights(n)
+            common = Counter(ws).most_common(1)[0][0]
+            absent = next((w for w in range(n * (n + 1) // 2 + 1) if w not in set(ws)), 0)
+            weights = sorted({common, absent, max(ws)})
+            for cap in (1, 2):
+                for low, high in ((3, 2), (5, 4), (0, 1), (1, 6)):
+                    got = level_sets(n, low, high, weights=weights, cap=cap, workers=workers)
+                    hist, low_sets, high_sets, slices = self.expected(n, low, high, weights, cap)
+                    assert {w: c for w, c in enumerate(got.spectrum.counts) if c} == hist
+                    for sets, want in ((got.low, low_sets), (got.high, high_sets)):
+                        assert [(ls.index, ls.weight, ls.members, ls.count, ls.truncated)
+                                for ls in sets] == want
+                    assert {w: (s.weight, s.members, s.count, s.truncated)
+                            for w, s in got.slices.items()} == slices
+
+    def test_negative_counts_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            level_sets(5, -1, 2)
+        with pytest.raises(ValueError, match="nonnegative"):
+            level_sets(5, 3, -1)
+
+    def test_lost_lane_breaks_histogram_total(self, monkeypatch):
+        weights = _Kernel.weights
+
+        def skip_first_lane(self, start, stop):
+            for first, w in weights(self, start, stop):
+                yield first + 1, w[1:]
+
+        monkeypatch.setattr(_Kernel, "weights", skip_first_lane)
+        for call in (lambda: full_spectrum(9), lambda: level_sets(9, 3, 2),
+                     lambda: symmetry_reduced_spectrum(9)):
+            with pytest.raises(ValueError, match=r"counts 511 generators, not 2\^9"):
+                call()
+
+    def test_missed_block_breaks_member_count(self, monkeypatch):
+        wanted = spectrum_mod._Wanted.of
+        calls = []
+
+        def blind_first_block(self, hist):  # as if a wanted weight dropped out and came back
+            calls.append(None)
+            return wanted(self, hist) & (len(calls) > 1)
+
+        monkeypatch.setattr(spectrum_mod._Wanted, "of", blind_first_block)
+        with pytest.raises(ValueError, match="member scan disagrees with the histogram"):
+            level_sets(6, 3, 2, workers=1)
 
 
 class TestFindWeight:

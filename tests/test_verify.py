@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from steinhaus import (
@@ -13,6 +15,7 @@ from steinhaus import (
     verify_s3,
     verify_small_n,
 )
+from steinhaus import spectrum as spectrum_mod
 from steinhaus import verify as verify_mod
 from steinhaus.families import LevelPrediction
 from steinhaus.verify import PER_N_CHECKS
@@ -179,6 +182,20 @@ class TestVerifyAll:
             verify_all(6, 5)
         with pytest.raises(ValueError):
             verify_all(1, 99)
+
+    def test_one_enumeration_per_size(self, monkeypatch):
+        built = []
+        init = spectrum_mod._Kernel.__init__
+
+        def counting_init(self, n, bits=None):
+            built.append((n, bits))
+            init(self, n, bits)
+
+        monkeypatch.setattr(spectrum_mod._Kernel, "__init__", counting_init)
+        assert verify_all(5, 14).ok
+        full = Counter(n for n, bits in built if bits is None)
+        assert full == Counter(range(1, 15))  # sizes 1..4 come from the small-n ladder
+        assert sorted(n for n, bits in built if bits is not None) == list(range(5, 15))
 
     def test_exit_code_precedence(self):
         witness = Witness(BitSeq.from_string("101"), 4, 5)
