@@ -22,6 +22,7 @@ from .families import (
 )
 from .spectrum import (
     LevelSet,
+    _check_levels,
     full_spectrum,
     level_sets,
     symmetry_reduced_spectrum,
@@ -107,11 +108,8 @@ def cmd_levels(ns: argparse.Namespace) -> int:
     low_k = 3 if ns.low is None else ns.low
     high_k = 2 if ns.high is None else ns.high
     sweep = level_sets(ns.n, low_k, high_k, workers=ns.workers, force=ns.force)
-    m = sweep.spectrum.m  # the defaults clamp to the ladder, explicit counts may not
-    if ns.low is not None and ns.low > m:
-        raise ValueError(f"k={ns.low} exceeds the top level m={m} for n={ns.n}")
-    if ns.high is not None and ns.high > m + 1:
-        raise ValueError(f"k={ns.high} exceeds the ladder height for n={ns.n}")
+    _check_levels(sweep.spectrum, ns.low or 0, ns.high or 0)  # the defaults clamp
+    m = sweep.spectrum.m
     low_k, high_k = min(low_k, m), min(high_k, m + 1)
     low, high = sweep.low, sweep.high
     payload = {"n": ns.n,

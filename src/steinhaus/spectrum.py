@@ -202,13 +202,18 @@ def _sweep_range(kernel: _Kernel, start: int, stop: int, rule: _Wanted, cap: int
         hits = np.flatnonzero(wanted & (h > 0))
         if not hits.size:
             continue
+        # Group the wanted lanes by weight in one stable sort, so packed
+        # order holds within each weight and the scan stays O(2^k) per block
+        # however many weights are wanted.
         lanes = np.flatnonzero(wanted[w])
+        lanes = lanes[np.argsort(w[lanes], kind="stable")]
         lane_w = w[lanes]
-        for wt in hits.tolist():
-            picked = lanes[lane_w == wt]
+        starts = np.searchsorted(lane_w, hits, side="left").tolist()
+        stops = np.searchsorted(lane_w, hits, side="right").tolist()
+        for wt, a, b in zip(hits.tolist(), starts, stops):
             values, count = found.get(wt, ([], 0))
-            values.extend((picked[:cap - len(values)] + first).tolist())
-            found[wt] = (values, count + picked.size)
+            values.extend((lanes[a:min(b, a + cap - len(values))] + first).tolist())
+            found[wt] = (values, count + b - a)
     return hist, found
 
 
@@ -348,7 +353,10 @@ class WeightSlice:
 
 
 def _to_seqs(n: int, values: list[int]) -> tuple[BitSeq, ...]:
-    return tuple(sorted((BitSeq(n, v) for v in values), key=str))
+    """Generators sorted by text; x_0 leads the text, so that is the numeric
+    order of the bit-reversed packed values."""
+    order = np.argsort(_lane_reverse(np.array(values, dtype=np.uint64), n), kind="stable")
+    return tuple(BitSeq(n, values[i]) for i in order.tolist())
 
 
 def full_spectrum(n: int, *, workers: int | None = None, force: bool = False) -> WeightSpectrum:
@@ -391,6 +399,8 @@ def level_sets(n: int, low: int, high: int, *, weights=(),
     """
     if low < 0 or high < 0:
         raise ValueError("level counts must be nonnegative")
+    if cap < 0:
+        raise ValueError("member cap must be nonnegative")
     _check_size(n, force)
     top = n * (n + 1) // 2
     targets = sorted(set(weights))
@@ -415,20 +425,26 @@ def _level(index: int, piece: WeightSlice) -> LevelSet:
     return LevelSet(index, piece.weight, piece.members, piece.count, piece.truncated)
 
 
-def _given_levels(n: int, indices, spectrum: WeightSpectrum, cap: int,
-                  workers: int | None, force: bool) -> list[LevelSet]:
-    """Level sets at ladder ``indices`` of a precomputed spectrum, checked against it."""
-    targets = [spectrum.levels[i] for i in indices]
-    slices = level_sets(n, 0, 0, weights=targets, cap=cap, workers=workers,
-                        force=force).slices
-    out = []
-    for i, w in zip(indices, targets):
-        got = slices[w]
-        if got.count != spectrum.counts[w]:
-            raise ValueError(f"spectrum disagrees with enumeration at n={n}: weight {w} "
-                             f"has {got.count} generators, spectrum says {spectrum.counts[w]}")
-        out.append(_level(i, got))
-    return out
+def _check_levels(spectrum: WeightSpectrum, low: int, high: int) -> None:
+    """Explicit level counts must fit the ladder; ``level_sets`` only clamps them."""
+    m = spectrum.m
+    if low > m:
+        raise ValueError(f"k={low} exceeds the top level m={m} for n={spectrum.n}")
+    if high > m + 1:
+        raise ValueError(f"k={high} exceeds the ladder height for n={spectrum.n}")
+
+
+def _checked_sweep(n: int, low: int, high: int, cap: int, workers: int | None,
+                   force: bool, spectrum: WeightSpectrum | None) -> LevelSweep:
+    """``level_sets`` with its level counts checked, and its histogram
+    checked against a precomputed ``spectrum`` if one is given."""
+    if max(low, high) < 1:
+        raise ValueError("need at least one level")
+    sweep = level_sets(n, low, high, cap=cap, workers=workers, force=force)
+    if spectrum is not None and spectrum.counts != sweep.spectrum.counts:
+        raise ValueError(f"spectrum disagrees with enumeration at n={n}")
+    _check_levels(sweep.spectrum, low, high)
+    return sweep
 
 
 def level_sets_low(n: int, k: int, *, cap: int = DEFAULT_MEMBER_CAP,
@@ -436,38 +452,16 @@ def level_sets_low(n: int, k: int, *, cap: int = DEFAULT_MEMBER_CAP,
                    spectrum: WeightSpectrum | None = None) -> list[LevelSet]:
     """Level sets W_0 .. W_k with members, from one sweep.
 
-    With a precomputed ``spectrum`` for the same n, the sweep collects its
-    levels as fixed weights and checks their counts against it.
+    A precomputed ``spectrum`` for the same n is checked against the sweep.
     """
-    if k < 1:
-        raise ValueError("need at least one level")
-    sets = None
-    if spectrum is None:
-        sweep = level_sets(n, k, 0, cap=cap, workers=workers, force=force)
-        spectrum, sets = sweep.spectrum, sweep.low
-    if k > spectrum.m:
-        raise ValueError(f"k={k} exceeds the top level m={spectrum.m} for n={n}")
-    if sets is None:
-        sets = _given_levels(n, range(k + 1), spectrum, cap, workers, force)
-    return sets
+    return _checked_sweep(n, k, 0, cap, workers, force, spectrum).low
 
 
 def level_sets_high(n: int, k: int, *, cap: int = DEFAULT_MEMBER_CAP,
                     workers: int | None = None, force: bool = False,
                     spectrum: WeightSpectrum | None = None) -> list[LevelSet]:
     """Level sets W_m, W_{m-1}, ... down k levels, with members, from one sweep."""
-    if k < 1:
-        raise ValueError("need at least one level")
-    sets = None
-    if spectrum is None:
-        sweep = level_sets(n, 0, k, cap=cap, workers=workers, force=force)
-        spectrum, sets = sweep.spectrum, sweep.high
-    if k > spectrum.m + 1:
-        raise ValueError(f"k={k} exceeds the ladder height for n={n}")
-    if sets is None:
-        sets = _given_levels(n, [spectrum.m - off for off in range(k)], spectrum,
-                             cap, workers, force)
-    return sets
+    return _checked_sweep(n, 0, k, cap, workers, force, spectrum).high
 
 
 def members_at_weights(n: int, weights, *, cap: int = DEFAULT_MEMBER_CAP,

@@ -162,21 +162,25 @@ class _EnumData:
     spectrum: WeightSpectrum
     sets: dict[int, tuple[frozenset[BitSeq], int]]  # ladder index -> (members, count)
     slices: dict[int, WeightSlice]  # the exact weights the spot checks read
+    golden_slice: tuple[int, frozenset[BitSeq]] | None  # expected golden-weight-slice row
 
     def at(self, index: int) -> tuple[int, frozenset[BitSeq], int]:
         members, count = self.sets[index]
         return self.spectrum.levels[index], members, count
 
 
-def _enum_data(n: int, workers: int | None) -> _EnumData:
-    """Levels 0..3, m-1 and m (clamped to the ladder) plus the spot checks'
-    exact-weight slices, all from one enumeration of size n."""
-    weights = [2 * n - 3] if n in _WEIGHT_2N3_SIZES else []
-    if n in _GOLDEN_SLICE_SIZES:
-        weights.append(_level_fixture("weight_slice_floor_3n_over_2.txt")[(n, "-")][0])
+def _enum_data(n: int, workers: int | None, spot_checks: bool = False) -> _EnumData:
+    """Levels 0..3, m-1 and m (clamped to the ladder), plus with ``spot_checks``
+    the exact-weight slices those checks read, all from one enumeration of size n."""
+    weights, golden = [], None
+    if spot_checks and n in _WEIGHT_2N3_SIZES:
+        weights.append(2 * n - 3)
+    if spot_checks and n in _GOLDEN_SLICE_SIZES:
+        golden = _level_fixture("weight_slice_floor_3n_over_2.txt")[(n, "-")]
+        weights.append(golden[0])
     sweep = level_sets(n, 3, 2, weights=weights, workers=workers)
     sets = {ls.index: (frozenset(ls.members), ls.count) for ls in sweep.low + sweep.high}
-    return _EnumData(sweep.spectrum, sets, sweep.slices)
+    return _EnumData(sweep.spectrum, sets, sweep.slices, golden)
 
 
 def _set_witness(observed_w: int, observed: frozenset[BitSeq],
@@ -406,8 +410,7 @@ def _golden_level2(n: int, data: _EnumData, t0: float) -> CheckRecord:
 
 
 def _golden_weight_slice(n: int, data: _EnumData, t0: float) -> CheckRecord:
-    fixture = _level_fixture("weight_slice_floor_3n_over_2.txt")
-    w, set_exp = fixture[(n, "-")]
+    w, set_exp = data.golden_slice
     got = data.slices[w]
     observed = frozenset(got.members)
     if observed != set_exp or got.count != len(set_exp):
@@ -506,7 +509,7 @@ def _skip(check: str, n: int, reason: str, t0: float) -> CheckRecord:
 
 
 def _per_n_records(n: int, workers: int | None, s3_ceiling: int) -> list[CheckRecord]:
-    data = _enum_data(n, workers)
+    data = _enum_data(n, workers, spot_checks=True)
     records = []
     for token in ("1", "2", "3", "m"):
         records.append(verify_level(n, token, data=data))

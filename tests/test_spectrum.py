@@ -212,6 +212,15 @@ class TestLevelSets:
         with pytest.raises(ValueError, match="disagrees with enumeration"):
             level_sets_low(6, 1, spectrum=WeightSpectrum(6, tuple(counts)))
 
+    def test_matching_spectrum_gives_the_same_sets(self):
+        spec = full_spectrum(9)
+        assert level_sets_low(9, 3, spectrum=spec) == level_sets_low(9, 3)
+        assert level_sets_high(9, 2, spectrum=spec) == level_sets_high(9, 2)
+        counts = list(spec.counts)
+        counts[spec.levels[-1]] += 1
+        with pytest.raises(ValueError, match="disagrees with enumeration"):
+            level_sets_high(9, 1, spectrum=WeightSpectrum(9, tuple(counts)))
+
     def test_member_cap_and_truncation(self):
         levels = level_sets_low(10, 1, cap=2)
         w1 = levels[1]
@@ -276,6 +285,20 @@ class TestOneSweep:
             level_sets(5, -1, 2)
         with pytest.raises(ValueError, match="nonnegative"):
             level_sets(5, 3, -1)
+
+    def test_negative_cap_rejected(self):
+        for call in (lambda: level_sets(5, 3, 2, cap=-1),
+                     lambda: level_sets_low(5, 1, cap=-1),
+                     lambda: members_at_weights(5, [3], cap=-1),
+                     lambda: find_weight(5, 3, cap=-1)):
+            with pytest.raises(ValueError, match="cap must be nonnegative"):
+                call()
+
+    def test_cap_zero_keeps_counts_only(self):
+        got = level_sets(8, 3, 2, weights=[10], cap=0)
+        for piece in got.low + got.high + list(got.slices.values()):
+            assert piece.members == () and piece.truncated == (piece.count > 0)
+            assert piece.count == got.spectrum.count(piece.weight)
 
     def test_lost_lane_breaks_histogram_total(self, monkeypatch):
         weights = _Kernel.weights
