@@ -20,7 +20,8 @@ thread per available core). Ranges merge by adding histograms, applying the
 rule again and concatenating members in range order, so results are
 identical for any worker count or block width. Every sweep checks that the
 histogram totals 2^n and that the lanes scanned at each collected weight
-match its count.
+match its count. ``three_row_max`` runs the same kernel over the top three
+rows only.
 """
 
 from __future__ import annotations
@@ -375,6 +376,26 @@ def symmetry_reduced_spectrum(n: int, *, workers: int | None = None,
     _check_size(n, force)
     hist = _merge_hist(n, _run(n, workers, _reduced_hist_range))
     return WeightSpectrum(n, tuple(hist.tolist()))
+
+
+def three_row_max(n: int) -> tuple[int, list[int]]:
+    """Exhaustive max of s3, the weight of the top three rows, and the packed
+    generators attaining it, ascending.
+
+    For n >= 2 the top three rows are the first 3n-3 packed triangle bits, so
+    the weight kernel restricted to those bits gives s3 for a block at once.
+    """
+    _check_size(n, False)
+    kernel = _Kernel(n, bits=max(3 * n - 3, 1))  # n = 1 has one row of one bit
+    best = 0
+    arg: list[int] = []
+    for first, s in kernel.weights(0, kernel.blocks):
+        top = int(s.max())
+        if top > best:
+            best, arg = top, []
+        if top == best:
+            arg.extend((np.flatnonzero(s == best) + first).tolist())
+    return best, arg
 
 
 @dataclass(frozen=True)

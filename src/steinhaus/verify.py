@@ -6,15 +6,21 @@ terminal status. Failures always carry a witness generator whose re-evaluated
 weight reproduces the reported observation. Conjecture checks report
 ``conjecture-confirmed`` / ``conjecture-refuted`` instead of pass/fail, so a
 counterexample surfaces as a finding rather than aborting the run.
+
+The per-size checks of ``verify_all`` are one table, ``_CHECKS``: a row names
+a check, the sizes it applies to, its skip reason, how it runs on the size's
+one shared enumeration and any exact weight it reads there. The ``_timed``
+decorator stamps each check's wall time on the record it returns.
 """
 
 from __future__ import annotations
 
+import functools
 import time
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 from importlib import resources
-
-import numpy as np
+from typing import NamedTuple
 
 from .bitseq import BitSeq
 from .families import (
@@ -32,35 +38,14 @@ from .spectrum import (
     CeilingExceeded,
     WeightSlice,
     WeightSpectrum,
-    _check_size,
-    _Kernel,
     enumeration_ceiling,
     level_sets,
+    three_row_max,
 )
 from .symmetry import orbit
 from .triangle import triangle_weight
 
 S3_CEILING = 20
-_GOLDEN_SLICE_SIZES = range(4, 9)  # rows of weight_slice_floor_3n_over_2.txt
-_WEIGHT_2N3_SIZES = (10, 14)
-
-PER_N_CHECKS = (
-    "level-1",
-    "level-2",
-    "level-3",
-    "level-m",
-    "level-m-1",
-    "conjecture",
-    "family-weights",
-    "unit-vector-bound",
-    "s3-bound",
-    "golden-level-2",
-    "golden-weight-slice",
-    "golden-top-levels",
-    "golden-second-max-members",
-    "golden-second-max-sets",
-    "weight-2n-3",
-)
 
 # Equality sets of the three-row weight bound s3 <= 2n-2 at n = 4 and 5.
 _S3_EQUALITY = {
@@ -128,12 +113,12 @@ class VerificationReport:
 # ---------------------------------------------------------------------------
 # fixtures
 
-def _fixture_rows(name: str):
+@functools.cache
+def _fixture_rows(name: str) -> tuple[tuple[str, ...], ...]:
     text = (resources.files(__package__) / "fixtures" / name).read_text()
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            yield line.split()
+    lines = (line.strip() for line in text.splitlines())
+    return tuple(tuple(line.split()) for line in lines
+                 if line and not line.startswith("#"))
 
 
 def _level_fixture(name: str) -> dict[tuple[int, str], tuple[int, frozenset[BitSeq]]]:
@@ -154,6 +139,10 @@ def _top_summary_fixture() -> dict[int, tuple[int, int, int]]:
             for n, m, w, c in _fixture_rows("top_level_summary.txt")}
 
 
+def _golden_slice(n: int) -> tuple[int, frozenset[BitSeq]]:
+    return _level_fixture("weight_slice_floor_3n_over_2.txt")[(n, "-")]
+
+
 # ---------------------------------------------------------------------------
 # shared per-n enumeration data
 
@@ -161,39 +150,41 @@ def _top_summary_fixture() -> dict[int, tuple[int, int, int]]:
 class _EnumData:
     spectrum: WeightSpectrum
     sets: dict[int, tuple[frozenset[BitSeq], int]]  # ladder index -> (members, count)
-    slices: dict[int, WeightSlice]  # the exact weights the spot checks read
-    golden_slice: tuple[int, frozenset[BitSeq]] | None  # expected golden-weight-slice row
+    slices: dict[int, WeightSlice]  # the exact weights the checks asked for
 
     def at(self, index: int) -> tuple[int, frozenset[BitSeq], int]:
         members, count = self.sets[index]
         return self.spectrum.levels[index], members, count
 
 
-def _enum_data(n: int, workers: int | None, spot_checks: bool = False) -> _EnumData:
-    """Levels 0..3, m-1 and m (clamped to the ladder), plus with ``spot_checks``
-    the exact-weight slices those checks read, all from one enumeration of size n."""
-    weights, golden = [], None
-    if spot_checks and n in _WEIGHT_2N3_SIZES:
-        weights.append(2 * n - 3)
-    if spot_checks and n in _GOLDEN_SLICE_SIZES:
-        golden = _level_fixture("weight_slice_floor_3n_over_2.txt")[(n, "-")]
-        weights.append(golden[0])
+def _enum_data(n: int, workers: int | None, weights=()) -> _EnumData:
+    """Levels 0..3, m-1 and m (clamped to the ladder) and the generators of
+    each exact weight in ``weights``, all from one enumeration of size n."""
     sweep = level_sets(n, 3, 2, weights=weights, workers=workers)
     sets = {ls.index: (frozenset(ls.members), ls.count) for ls in sweep.low + sweep.high}
-    return _EnumData(sweep.spectrum, sets, sweep.slices, golden)
+    return _EnumData(sweep.spectrum, sets, sweep.slices)
+
+
+def _timed(check):
+    """Stamp the wall time of each call on the record the check returns."""
+    @functools.wraps(check)
+    def timed(*args, **kwargs) -> CheckRecord:
+        t0 = time.perf_counter()
+        record = check(*args, **kwargs)
+        return replace(record, elapsed=time.perf_counter() - t0)
+    return timed
 
 
 def _set_witness(observed_w: int, observed: frozenset[BitSeq],
                  predicted_w: int, predicted: frozenset[BitSeq]) -> Witness:
-    diff = sorted(observed ^ predicted, key=str) or sorted(observed | predicted, key=str)
-    x = diff[0]
+    x = min(observed ^ predicted or observed | predicted, key=str)
     return Witness(x, triangle_weight(x), predicted_w)
 
 
-def _compare_level(check: str, n: int, t0: float, observed_w: int,
+def _compare_level(check: str, n: int, observed_w: int,
                    observed: frozenset[BitSeq], observed_count: int,
                    predicted_w: int, predicted: frozenset[BitSeq],
-                   conjecture: bool = False, note: str = "") -> CheckRecord:
+                   conjecture: bool = False) -> CheckRecord:
     ok_status = "conjecture-confirmed" if conjecture else "pass"
     bad_status = "conjecture-refuted" if conjecture else "fail"
     if observed_w != predicted_w:
@@ -201,32 +192,29 @@ def _compare_level(check: str, n: int, t0: float, observed_w: int,
         witness = Witness(pick[0], observed_w, predicted_w) if pick else \
             _set_witness(observed_w, observed, predicted_w, predicted)
         detail = f"weight {observed_w} observed, {predicted_w} predicted"
-        return CheckRecord(check, n, bad_status, detail, witness,
-                           time.perf_counter() - t0)
+        return CheckRecord(check, n, bad_status, detail, witness)
     if observed != predicted or observed_count != len(predicted):
         witness = _set_witness(observed_w, observed, predicted_w, predicted)
         detail = (f"member set mismatch at weight {predicted_w}: "
                   f"{observed_count} observed vs {len(predicted)} predicted")
-        return CheckRecord(check, n, bad_status, detail, witness,
-                           time.perf_counter() - t0)
-    detail = f"weight {predicted_w}, {len(predicted)} generators{note}"
-    return CheckRecord(check, n, ok_status, detail, None, time.perf_counter() - t0)
+        return CheckRecord(check, n, bad_status, detail, witness)
+    return CheckRecord(check, n, ok_status,
+                       f"weight {predicted_w}, {len(predicted)} generators")
 
 
 # ---------------------------------------------------------------------------
 # individual checks
 
+@_timed
 def verify_level(n: int, level, *, workers: int | None = None,
                  data: _EnumData | None = None) -> CheckRecord:
     """Compare one predicted ladder level (weight and set) with enumeration."""
     token = normalize_level(level)
     check = f"level-{token}"
-    t0 = time.perf_counter()
     try:
         prediction = predicted_level(token, n)
     except UncoveredLevelError as exc:
-        return CheckRecord(check, n, "skipped", str(exc),
-                           elapsed=time.perf_counter() - t0)
+        return CheckRecord(check, n, "skipped", str(exc))
     if data is None:
         data = _enum_data(n, workers)
     m = data.spectrum.m
@@ -235,58 +223,45 @@ def verify_level(n: int, level, *, workers: int | None = None,
         pick = sorted(data.sets[m][0], key=str)[0]
         return CheckRecord(check, n, "fail",
                            f"ladder has levels 0..{m}, level {token} undefined",
-                           Witness(pick, data.spectrum.levels[m], prediction.value),
-                           time.perf_counter() - t0)
-    observed_w, observed, observed_count = data.at(index)
-    return _compare_level(check, n, t0, observed_w, observed, observed_count,
-                          prediction.value, prediction.member_set,
+                           Witness(pick, data.spectrum.levels[m], prediction.value))
+    return _compare_level(check, n, *data.at(index), prediction.value,
+                          prediction.member_set,
                           conjecture=prediction.status == "conjecture")
+
+
+@_timed
+def _small_n_ladder(n: int, workers: int | None) -> CheckRecord:
+    fixture = _level_fixture("small_n_levels.txt")
+    expected = {lvl: row for (nn, lvl), row in fixture.items() if nn == n}
+    data = _enum_data(n, workers)
+    spectrum = data.spectrum
+    bad = None
+    if spectrum.m != len(expected):
+        bad = f"ladder height {spectrum.m} observed, {len(expected)} expected"
+    elif spectrum.counts[0] != 1:
+        bad = f"{spectrum.counts[0]} generators of weight 0"
+    if bad is not None:
+        pick = sorted(data.sets[spectrum.m][0], key=str)[0]
+        return CheckRecord("small-n-ladder", n, "fail", bad,
+                           Witness(pick, triangle_weight(pick), -1))
+    for i in range(1, spectrum.m + 1):
+        record = _compare_level("small-n-ladder", n, *data.at(i), *expected[str(i)])
+        if record.status != "pass":
+            return record
+    return CheckRecord("small-n-ladder", n, "pass", f"all {spectrum.m} levels match")
 
 
 def verify_small_n(*, workers: int | None = None) -> list[CheckRecord]:
     """Full-ladder equality for n in {1, 2, 3, 4} against the stored ladders."""
-    fixture = _level_fixture("small_n_levels.txt")
-    records = []
-    for n in (1, 2, 3, 4):
-        t0 = time.perf_counter()
-        expected = {lvl: fixture[(nn, lvl)] for nn, lvl in fixture if nn == n}
-        data = _enum_data(n, workers)
-        spectrum = data.spectrum
-        bad = None
-        if spectrum.m != len(expected):
-            bad = f"ladder height {spectrum.m} observed, {len(expected)} expected"
-        elif spectrum.counts[0] != 1:
-            bad = f"{spectrum.counts[0]} generators of weight 0"
-        if bad is None:
-            for i in range(1, spectrum.m + 1):
-                w_exp, set_exp = expected[str(i)]
-                observed_w, observed, observed_count = data.at(i)
-                rec = _compare_level("small-n-ladder", n, t0, observed_w, observed,
-                                     observed_count, w_exp, set_exp)
-                if rec.status != "pass":
-                    records.append(rec)
-                    break
-            else:
-                records.append(CheckRecord(
-                    "small-n-ladder", n, "pass",
-                    f"all {spectrum.m} levels match", None,
-                    time.perf_counter() - t0))
-            continue
-        pick = sorted(data.sets[spectrum.m][0], key=str)[0]
-        records.append(CheckRecord(
-            "small-n-ladder", n, "fail", bad,
-            Witness(pick, triangle_weight(pick), -1), time.perf_counter() - t0))
-    return records
+    return [_small_n_ladder(n, workers) for n in (1, 2, 3, 4)]
 
 
+@_timed
 def verify_ek(n: int) -> CheckRecord:
     """Unit-vector weights: exact table values for 9 <= n <= 15 and the
     2n-3 lower bound (strict for even n) for every central k."""
-    t0 = time.perf_counter()
     if n < 9:
-        return CheckRecord("unit-vector-bound", n, "skipped",
-                           "bound applies for n >= 9",
-                           elapsed=time.perf_counter() - t0)
+        return CheckRecord("unit-vector-bound", n, "skipped", "bound applies for n >= 9")
     table = _unit_vector_fixture()
     bound = 2 * n - 3
     checked = 0
@@ -297,21 +272,20 @@ def verify_ek(n: int) -> CheckRecord:
         if expected is not None and w != expected:
             return CheckRecord("unit-vector-bound", n, "fail",
                                f"e{k}: weight {w} observed, table says {expected}",
-                               Witness(x, w, expected), time.perf_counter() - t0)
+                               Witness(x, w, expected))
         if w < bound or (n % 2 == 0 and w == bound):
             strict = " (strict)" if n % 2 == 0 else ""
             return CheckRecord("unit-vector-bound", n, "fail",
                                f"e{k}: weight {w} violates bound {bound}{strict}",
-                               Witness(x, w, bound), time.perf_counter() - t0)
+                               Witness(x, w, bound))
         checked += 1
     return CheckRecord("unit-vector-bound", n, "pass",
-                       f"{checked} unit vectors satisfy the bound", None,
-                       time.perf_counter() - t0)
+                       f"{checked} unit vectors satisfy the bound")
 
 
+@_timed
 def verify_family_weights(n: int) -> CheckRecord:
     """Every closed-form family weight at this length against direct computation."""
-    t0 = time.perf_counter()
     checked = 0
     for f in all_families(n):
         try:
@@ -323,49 +297,24 @@ def verify_family_weights(n: int) -> CheckRecord:
         if w != predicted:
             return CheckRecord("family-weights", n, "fail",
                                f"{f}: weight {w} observed, formula gives {predicted}",
-                               Witness(x, w, predicted), time.perf_counter() - t0)
+                               Witness(x, w, predicted))
         checked += 1
     if not checked:
-        return CheckRecord("family-weights", n, "skipped",
-                           "no closed forms at this length",
-                           elapsed=time.perf_counter() - t0)
-    return CheckRecord("family-weights", n, "pass",
-                       f"{checked} closed forms match", None,
-                       time.perf_counter() - t0)
+        return CheckRecord("family-weights", n, "skipped", "no closed forms at this length")
+    return CheckRecord("family-weights", n, "pass", f"{checked} closed forms match")
 
 
-def _s3_scan(n: int):
-    """Exhaustive max of the three-row weight, plus its attaining lanes.
-
-    The top three rows are the first 3n-3 packed triangle bits, so the weight
-    kernel restricted to those bits gives s3 for a whole block at once.
-    """
-    kernel = _Kernel(n, bits=3 * n - 3)
-    best = 0
-    arg: list[int] = []
-    for first, s in kernel.weights(0, kernel.blocks):
-        top = int(s.max())
-        if top > best:
-            best, arg = top, []
-        if top == best:
-            arg.extend((np.flatnonzero(s == best) + first).tolist())
-    return best, arg
-
-
+@_timed
 def verify_s3(n: int, *, ceiling: int = S3_CEILING) -> CheckRecord:
     """Exhaustive bound s3(x) <= 2n-2, with exact equality sets at n in {4, 5}."""
-    t0 = time.perf_counter()
     if not 4 <= n <= ceiling:
-        return CheckRecord("s3-bound", n, "skipped",
-                           f"checked for 4 <= n <= {ceiling}",
-                           elapsed=time.perf_counter() - t0)
-    best, arg = _s3_scan(n)
+        return CheckRecord("s3-bound", n, "skipped", f"checked for 4 <= n <= {ceiling}")
+    best, arg = three_row_max(n)
     bound = 2 * n - 2
     if best > bound:
-        x = BitSeq(n, arg[0])
         return CheckRecord("s3-bound", n, "fail",
                            f"max three-row weight {best} exceeds {bound}",
-                           Witness(x, best, bound), time.perf_counter() - t0)
+                           Witness(BitSeq(n, arg[0]), best, bound))
     detail = f"max three-row weight {best} <= {bound}"
     if n in _S3_EQUALITY:
         expected = frozenset(BitSeq.from_string(s) for s in _S3_EQUALITY[n])
@@ -376,55 +325,57 @@ def verify_s3(n: int, *, ceiling: int = S3_CEILING) -> CheckRecord:
                 "s3-bound", n, "fail",
                 f"equality set mismatch: {len(observed)} at {best} observed, "
                 f"{len(expected)} at {bound} expected",
-                Witness(diff, best, bound), time.perf_counter() - t0)
+                Witness(diff, best, bound))
         detail += f"; equality set of size {len(expected)} matches"
-    return CheckRecord("s3-bound", n, "pass", detail, None,
-                       time.perf_counter() - t0)
+    return CheckRecord("s3-bound", n, "pass", detail)
 
 
+_CONJECTURE_RANGE = "conjecture applies for n >= 11 with n == 0,2 (mod 3)"
+
+
+def _conjectured(n: int) -> bool:
+    """Sizes where level m-1 is conjectured (see ``_CONJECTURE_RANGE``)."""
+    return n >= 11 and n % 3 != 1
+
+
+@_timed
 def check_conjecture(n: int, *, workers: int | None = None,
                      data: _EnumData | None = None) -> CheckRecord:
     """Test whether level m-1 equals the conjectured set at weight ceil(n^2/3)."""
-    if n < 11 or n % 3 == 1:
-        raise ValueError("conjecture applies for n >= 11 with n == 0,2 (mod 3)")
-    _check_size(n, False)
-    t0 = time.perf_counter()
-    prediction = predicted_level("m-1", n)
+    if not _conjectured(n):
+        raise ValueError(_CONJECTURE_RANGE)
     if data is None:
         data = _enum_data(n, workers)
-    observed_w, observed, observed_count = data.at(data.spectrum.m - 1)
-    return _compare_level("conjecture", n, t0, observed_w, observed,
-                          observed_count, prediction.value,
-                          prediction.member_set, conjecture=True)
+    prediction = predicted_level("m-1", n)
+    return _compare_level("conjecture", n, *data.at(data.spectrum.m - 1),
+                          prediction.value, prediction.member_set, conjecture=True)
 
 
 # ---------------------------------------------------------------------------
 # golden-table checks
 
-def _golden_level2(n: int, data: _EnumData, t0: float) -> CheckRecord:
-    fixture = _level_fixture("second_level_sets.txt")
-    w_exp, set_exp = fixture[(n, "2")]
-    observed_w, observed, observed_count = data.at(2)
-    return _compare_level("golden-level-2", n, t0, observed_w, observed,
-                          observed_count, w_exp, set_exp)
+@_timed
+def _golden_level2(n: int, data: _EnumData) -> CheckRecord:
+    return _compare_level("golden-level-2", n, *data.at(2),
+                          *_level_fixture("second_level_sets.txt")[(n, "2")])
 
 
-def _golden_weight_slice(n: int, data: _EnumData, t0: float) -> CheckRecord:
-    w, set_exp = data.golden_slice
+@_timed
+def _golden_weight_slice(n: int, data: _EnumData) -> CheckRecord:
+    w, set_exp = _golden_slice(n)
     got = data.slices[w]
     observed = frozenset(got.members)
     if observed != set_exp or got.count != len(set_exp):
-        witness = _set_witness(w, observed, w, set_exp)
         return CheckRecord("golden-weight-slice", n, "fail",
                            f"{got.count} generators at weight {w} observed, "
                            f"{len(set_exp)} expected",
-                           witness, time.perf_counter() - t0)
+                           _set_witness(w, observed, w, set_exp))
     return CheckRecord("golden-weight-slice", n, "pass",
-                       f"{got.count} generators at weight {w}", None,
-                       time.perf_counter() - t0)
+                       f"{got.count} generators at weight {w}")
 
 
-def _golden_top(n: int, data: _EnumData, t0: float) -> CheckRecord:
+@_timed
+def _golden_top(n: int, data: _EnumData) -> CheckRecord:
     m_exp, w_exp, count_exp = _top_summary_fixture()[n]
     spectrum = data.spectrum
     observed_w, observed, observed_count = data.at(spectrum.m - 1)
@@ -434,14 +385,12 @@ def _golden_top(n: int, data: _EnumData, t0: float) -> CheckRecord:
         return CheckRecord("golden-top-levels", n, "fail",
                            f"(m, w, count) = {observed_triple} observed, "
                            f"({m_exp}, {w_exp}, {count_exp}) expected",
-                           Witness(pick, observed_w, w_exp),
-                           time.perf_counter() - t0)
-    return CheckRecord("golden-top-levels", n, "pass",
-                       f"(m, w, count) = {observed_triple}", None,
-                       time.perf_counter() - t0)
+                           Witness(pick, observed_w, w_exp))
+    return CheckRecord("golden-top-levels", n, "pass", f"(m, w, count) = {observed_triple}")
 
 
-def _golden_second_members(n: int, data: _EnumData, t0: float) -> CheckRecord:
+@_timed
+def _golden_second_members(n: int, data: _EnumData) -> CheckRecord:
     _, set_exp = _level_fixture("second_largest_members.txt")[(n, "m-1")]
     _, _, count_exp = _top_summary_fixture()[n]
     observed_w, observed, observed_count = data.at(data.spectrum.m - 1)
@@ -451,115 +400,103 @@ def _golden_second_members(n: int, data: _EnumData, t0: float) -> CheckRecord:
         return CheckRecord("golden-second-max-members", n, "fail",
                            f"{observed_count} members observed, {count_exp} expected; "
                            f"{len(missing)} listed members missing",
-                           Witness(witness_seq, triangle_weight(witness_seq), observed_w),
-                           time.perf_counter() - t0)
-    note = ""
-    extras = sorted(observed - set_exp, key=str)
-    if extras:
-        note = ("; enumeration found members beyond the stored list: "
-                + " ".join(map(str, extras)))
+                           Witness(witness_seq, triangle_weight(witness_seq), observed_w))
+    extras = " ".join(map(str, sorted(observed - set_exp, key=str)))
+    note = f"; enumeration found members beyond the stored list: {extras}" if extras else ""
     return CheckRecord("golden-second-max-members", n, "pass",
-                       f"all {len(set_exp)} listed members present{note}", None,
-                       time.perf_counter() - t0)
+                       f"all {len(set_exp)} listed members present{note}")
 
 
-def _golden_second_sets(n: int, data: _EnumData, t0: float) -> CheckRecord:
-    w_exp, set_exp = _level_fixture("second_largest_sets_11_12.txt")[(n, "m-1")]
-    observed_w, observed, observed_count = data.at(data.spectrum.m - 1)
-    return _compare_level("golden-second-max-sets", n, t0, observed_w, observed,
-                          observed_count, w_exp, set_exp)
+@_timed
+def _golden_second_sets(n: int, data: _EnumData) -> CheckRecord:
+    return _compare_level("golden-second-max-sets", n, *data.at(data.spectrum.m - 1),
+                          *_level_fixture("second_largest_sets_11_12.txt")[(n, "m-1")])
 
 
-def _weight_2n3(n: int, data: _EnumData, t0: float) -> CheckRecord:
+@_timed
+def _weight_2n3(n: int, data: _EnumData) -> CheckRecord:
     w = 2 * n - 3
     got = data.slices[w]
     if n == 10:
         expected = frozenset(BitSeq.from_string(s) for s in _WEIGHT17_AT_10)
         observed = frozenset(got.members)
         if got.count != 6 or observed != expected:
-            witness = _set_witness(w, observed, w, expected)
             return CheckRecord("weight-2n-3", n, "fail",
                                f"{got.count} generators at weight {w} observed, "
                                "the known orbit of 6 expected",
-                               witness, time.perf_counter() - t0)
+                               _set_witness(w, observed, w, expected))
         if frozenset(orbit(got.members[0]).members) != expected:
             return CheckRecord("weight-2n-3", n, "fail",
                                "the six generators do not form a single orbit",
-                               Witness(got.members[0], w, w),
-                               time.perf_counter() - t0)
+                               Witness(got.members[0], w, w))
         return CheckRecord("weight-2n-3", n, "pass",
-                           f"exactly 6 generators at weight {w}, one orbit",
-                           None, time.perf_counter() - t0)
+                           f"exactly 6 generators at weight {w}, one orbit")
     if got.count != 0:
-        x = got.members[0]
         return CheckRecord("weight-2n-3", n, "fail",
                            f"{got.count} generators at weight {w} observed, 0 expected",
-                           Witness(x, w, w), time.perf_counter() - t0)
-    return CheckRecord("weight-2n-3", n, "pass",
-                       f"no generator has weight {w}", None,
-                       time.perf_counter() - t0)
+                           Witness(got.members[0], w, w))
+    return CheckRecord("weight-2n-3", n, "pass", f"no generator has weight {w}")
 
 
 # ---------------------------------------------------------------------------
 # the full ladder
 
-def _skip(check: str, n: int, reason: str, t0: float) -> CheckRecord:
-    return CheckRecord(check, n, "skipped", reason,
-                       elapsed=time.perf_counter() - t0)
+class _Check(NamedTuple):
+    """A per-size check, run where ``applies(n)`` and skipped with ``skip``
+    elsewhere; ``weight(n)`` is an exact weight whose generators it reads."""
+
+    name: str
+    applies: Callable[[int], bool]
+    skip: str
+    run: Callable[[int, _EnumData], CheckRecord]
+    weight: Callable[[int], int] | None = None
 
 
-def _per_n_records(n: int, workers: int | None, s3_ceiling: int) -> list[CheckRecord]:
-    data = _enum_data(n, workers, spot_checks=True)
-    records = []
-    for token in ("1", "2", "3", "m"):
-        records.append(verify_level(n, token, data=data))
-    t0 = time.perf_counter()
-    if n >= 11 and n % 3 != 1:
-        records.append(_skip("level-m-1", n,
-                             "conjectured range; evaluated by the conjecture check", t0))
-        records.append(check_conjecture(n, data=data))
-    else:
-        records.append(verify_level(n, "m-1", data=data))
-        records.append(_skip("conjecture", n,
-                             "conjecture applies for n >= 11 with n == 0,2 (mod 3)",
-                             time.perf_counter()))
-    records.append(verify_family_weights(n))
-    records.append(verify_ek(n))
-    records.append(verify_s3(n, ceiling=s3_ceiling))
-
-    t0 = time.perf_counter()
-    if n in _GOLDEN_SLICE_SIZES:
-        records.append(_golden_level2(n, data, t0))
-        records.append(_golden_weight_slice(n, data, time.perf_counter()))
-    else:
-        records.append(_skip("golden-level-2", n, "stored rows cover 4 <= n <= 8", t0))
-        records.append(_skip("golden-weight-slice", n,
-                             "stored rows cover 4 <= n <= 8", time.perf_counter()))
-    t0 = time.perf_counter()
-    if 4 <= n <= 9:
-        records.append(_golden_top(n, data, t0))
-        records.append(_golden_second_members(n, data, time.perf_counter()))
-    else:
-        records.append(_skip("golden-top-levels", n, "stored rows cover 4 <= n <= 9", t0))
-        records.append(_skip("golden-second-max-members", n,
-                             "stored rows cover 4 <= n <= 9", time.perf_counter()))
-    t0 = time.perf_counter()
-    if n in (11, 12):
-        records.append(_golden_second_sets(n, data, t0))
-    else:
-        records.append(_skip("golden-second-max-sets", n,
-                             "stored rows cover n in {11, 12}", t0))
-    t0 = time.perf_counter()
-    if n in _WEIGHT_2N3_SIZES:
-        records.append(_weight_2n3(n, data, t0))
-    else:
-        records.append(_skip("weight-2n-3", n,
-                             "spot check defined for n in {10, 14}", t0))
-    return records
+def _every(n: int) -> bool:
+    return True
 
 
-def verify_all(n_min: int, n_max: int, *, workers: int | None = None,
-               s3_ceiling: int = S3_CEILING) -> VerificationReport:
+# Public checks are called by their global names, so a wrapper installed on
+# the module (a tracer, a test double) sees the calls made from this table.
+_CHECKS = (
+    _Check("level-1", _every, "", lambda n, d: verify_level(n, "1", data=d)),
+    _Check("level-2", _every, "", lambda n, d: verify_level(n, "2", data=d)),
+    _Check("level-3", _every, "", lambda n, d: verify_level(n, "3", data=d)),
+    _Check("level-m", _every, "", lambda n, d: verify_level(n, "m", data=d)),
+    _Check("level-m-1", lambda n: not _conjectured(n),
+           "conjectured range; evaluated by the conjecture check",
+           lambda n, d: verify_level(n, "m-1", data=d)),
+    _Check("conjecture", _conjectured, _CONJECTURE_RANGE,
+           lambda n, d: check_conjecture(n, data=d)),
+    _Check("family-weights", _every, "", lambda n, d: verify_family_weights(n)),
+    _Check("unit-vector-bound", _every, "", lambda n, d: verify_ek(n)),
+    _Check("s3-bound", _every, "", lambda n, d: verify_s3(n)),
+    _Check("golden-level-2", lambda n: 4 <= n <= 8, "stored rows cover 4 <= n <= 8",
+           _golden_level2),
+    _Check("golden-weight-slice", lambda n: 4 <= n <= 8, "stored rows cover 4 <= n <= 8",
+           _golden_weight_slice, lambda n: _golden_slice(n)[0]),
+    _Check("golden-top-levels", lambda n: 4 <= n <= 9, "stored rows cover 4 <= n <= 9",
+           _golden_top),
+    _Check("golden-second-max-members", lambda n: 4 <= n <= 9,
+           "stored rows cover 4 <= n <= 9", _golden_second_members),
+    _Check("golden-second-max-sets", lambda n: n in (11, 12),
+           "stored rows cover n in {11, 12}", _golden_second_sets),
+    _Check("weight-2n-3", lambda n: n in (10, 14), "spot check defined for n in {10, 14}",
+           _weight_2n3, lambda n: 2 * n - 3),
+)
+
+PER_N_CHECKS = tuple(c.name for c in _CHECKS)
+
+
+def _per_n_records(n: int, workers: int | None) -> list[CheckRecord]:
+    skipped = [CheckRecord(c.name, n, "skipped", c.skip) for c in _CHECKS if not c.applies(n)]
+    run = [c for c in _CHECKS if c.applies(n)]
+    data = _enum_data(n, workers, [c.weight(n) for c in run if c.weight])
+    return skipped + [c.run(n, data) for c in run]
+
+
+def verify_all(n_min: int, n_max: int, *,
+               workers: int | None = None) -> VerificationReport:
     """Run the small-n ladder once plus every applicable check for each n."""
     if n_min > n_max:
         raise ValueError("empty range")
@@ -570,6 +507,6 @@ def verify_all(n_min: int, n_max: int, *, workers: int | None = None,
         raise CeilingExceeded(f"n_max={n_max} exceeds the enumeration ceiling {ceiling}")
     records = verify_small_n(workers=workers)
     for n in range(n_min, n_max + 1):
-        records.extend(_per_n_records(n, workers, s3_ceiling))
+        records.extend(_per_n_records(n, workers))
     records.sort(key=lambda r: (r.n, r.check))
     return VerificationReport(n_min, n_max, tuple(records))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -212,6 +213,14 @@ class TestVerify:
         monkeypatch.setattr(cli, "verify_all", lambda a, b, workers=None: fake)
         code, _, _ = run(capsys, "verify")
         assert code == 1
+
+    def test_text_output_pinned(self, capsys):
+        """The text report of a passing range is fixed byte for byte."""
+        code, out, _ = run(capsys, "verify", "--from", "4", "--to", "16")
+        assert code == 0
+        assert len(out.splitlines()) == 200
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "82bcfe93b11901a29be4a58374b4c81985cc19e29081d23c826cd8b38f4fb102")
 
     def test_range_error_exit_2(self, capsys):
         code, _, err = run(capsys, "verify", "--from", "6", "--to", "5")

@@ -18,7 +18,9 @@ from steinhaus import (
     members_at_weights,
     rot_l,
     rot_r,
+    s3,
     symmetry_reduced_spectrum,
+    three_row_max,
     triangle_weight,
 )
 from steinhaus import spectrum as spectrum_mod
@@ -324,6 +326,23 @@ class TestOneSweep:
         monkeypatch.setattr(spectrum_mod._Wanted, "of", blind_first_block)
         with pytest.raises(ValueError, match="member scan disagrees with the histogram"):
             level_sets(6, 3, 2, workers=1)
+
+
+class TestThreeRowMax:
+    @pytest.mark.parametrize("block_bits", [16, 3])
+    def test_matches_scalar_oracle(self, monkeypatch, block_bits):
+        monkeypatch.setattr(spectrum_mod, "_BLOCK_BITS", block_bits)
+        for n in range(1, 12):
+            # below length 3 every row is among the top three
+            top = {v: (s3 if n >= 3 else triangle_weight)(BitSeq(n, v)) for v in range(1 << n)}
+            best = max(top.values())
+            assert three_row_max(n) == (best, [v for v in range(1 << n) if top[v] == best])
+
+    def test_ceiling(self):
+        with pytest.raises(CeilingExceeded):
+            three_row_max(41)
+        with pytest.raises(ValueError):
+            three_row_max(0)
 
 
 class TestFindWeight:

@@ -1,9 +1,11 @@
+import inspect
 from collections import Counter
 
 import pytest
 
 from steinhaus import (
     BitSeq,
+    CeilingExceeded,
     CheckRecord,
     VerificationReport,
     Witness,
@@ -11,6 +13,7 @@ from steinhaus import (
     triangle_weight,
     verify_all,
     verify_ek,
+    verify_family_weights,
     verify_level,
     verify_s3,
     verify_small_n,
@@ -121,6 +124,10 @@ class TestConjecture:
         with pytest.raises(ValueError):
             check_conjecture(n)
 
+    def test_size_beyond_the_engine_is_a_ceiling_error(self):
+        with pytest.raises(CeilingExceeded):
+            check_conjecture(200)
+
     def test_refutation_is_a_status_not_an_error(self, monkeypatch):
         real = verify_mod.predicted_level
 
@@ -205,3 +212,35 @@ class TestVerifyAll:
         assert VerificationReport(5, 5, (ok,)).exit_code == 0
         assert VerificationReport(5, 5, (ok, refuted)).exit_code == 3
         assert VerificationReport(5, 5, (ok, refuted, fail)).exit_code == 1
+
+
+class TestTimedChecks:
+    def test_records_carry_their_time(self):
+        records = [verify_level(8, 2), verify_s3(6), check_conjecture(11), *verify_small_n()]
+        assert all(r.elapsed > 0 for r in records)
+
+    def test_records_from_the_ladder_carry_their_time(self):
+        ran = [r for r in verify_all(9, 11).records if r.status != "skipped"]
+        assert ran and all(r.elapsed > 0 for r in ran)
+
+    @pytest.mark.parametrize("check", [verify_level, verify_small_n, verify_ek,
+                                       verify_family_weights, verify_s3, check_conjecture])
+    def test_wrapped_checks_keep_their_names(self, check):
+        assert inspect.isfunction(check)
+        assert check.__module__ == "steinhaus.verify"
+        assert getattr(verify_mod, check.__name__) is check
+
+
+class TestCheckTable:
+    def test_rows_call_checks_by_module_name(self, monkeypatch):
+        calls = Counter()
+        for name in ("verify_level", "check_conjecture", "verify_family_weights",
+                     "verify_ek", "verify_s3"):
+            def counted(*args, _real=getattr(verify_mod, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(verify_mod, name, counted)
+        assert verify_all(10, 11).ok
+        # n = 10 checks level m-1 directly; at n = 11 the conjecture check does.
+        assert calls == {"verify_level": 9, "check_conjecture": 1,
+                         "verify_family_weights": 2, "verify_ek": 2, "verify_s3": 2}
