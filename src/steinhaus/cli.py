@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .bitseq import BitSeq
+from .bitseq import MAX_LEN, BitSeq
 from .families import (
     NoClosedFormError,
     all_families,
@@ -142,6 +142,8 @@ def cmd_orbit(ns: argparse.Namespace) -> int:
 
 
 def cmd_families(ns: argparse.Namespace) -> int:
+    if not 1 <= ns.n <= MAX_LEN:
+        raise ValueError(f"families need 1 <= n <= {MAX_LEN}, got n={ns.n}")
     rows = []
     for f in all_families(ns.n):
         x = family_seq(f, ns.n)
@@ -175,7 +177,7 @@ def _witness_payload(record) -> dict | None:
 
 
 def cmd_verify(ns: argparse.Namespace) -> int:
-    report = verify_all(ns.start, ns.end, workers=ns.workers)
+    report = verify_all(ns.start, ns.end, workers=ns.workers, force=ns.force)
     statuses = sorted({r.status for r in report.records})
     counts = {status: sum(r.status == status for r in report.records)
               for status in statuses}
@@ -232,7 +234,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="K levels down from W_m (0 to skip; default 2, clamped)")
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--force", action="store_true")
+    p.add_argument("--force", action="store_true",
+                   help="bypass the enumeration ceiling")
     p.set_defaults(func=cmd_levels)
 
     p = sub.add_parser("orbit", help="symmetry orbit and canonical representative")
@@ -241,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("families", help="named families at one length, with predictions")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=int, help=f"length, 1 to {MAX_LEN}")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_families)
 
@@ -250,6 +253,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="end", type=int, default=12)
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
+    p.add_argument("--force", action="store_true",
+                   help="bypass the enumeration ceiling")
     p.set_defaults(func=cmd_verify)
     return parser
 

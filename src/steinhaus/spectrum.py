@@ -2,13 +2,18 @@
 
 The difference operator is linear over GF(2), so the triangle of
 x = (hi << k) | lo, packed row after row into an n(n+1)/2-bit vector, is
-T(hi << k) XOR T(lo). The engine tabulates T(lo) for every k-bit low half as
-W = ceil(n(n+1)/128) uint64 word rows, built from the unit-vector triangles
-by k doubling XORs. Generators then come in blocks of 2^k consecutive lanes,
-one block per high half: each word row is XORed with the matching word of
-T(hi << k), popcounted and summed, which gives the block's weights in
-W XOR/popcount passes instead of n row steps. T(hi << k) is updated from the
-previous block, so memory stays O(W * 2^k) for every n.
+T(hi << k) XOR T(lo). Entry (r, c) of the triangle depends only on
+x_c..x_{c+r}, which splits its bits into three classes. Lo-only bits
+(c + r < k) form the triangle of lo; their weight is tabulated once for every
+k-bit low half. Hi-only bits (c >= k) form the triangle of hi; their weight
+is one number per block. Only the k(n-k) mixed bits (c < k <= c + r) are
+tabulated as T(lo) for every low half, packed densely into ceil(k(n-k)/64)
+uint64 word rows built from the unit-vector triangles by k doubling XORs.
+Generators come in blocks of 2^k consecutive lanes, one block per high half:
+the block's weights are the lo-only weights plus the hi-only weight plus,
+per mixed word row, an XOR with the matching word of T(hi << k) and a
+popcount. T(hi << k) is updated from the previous block, so memory stays
+O(2^k) per table word for every n.
 
 One sweep gives both the histogram and the members of chosen weights. Each
 block's ``bincount`` adds to a running histogram; a rule then names the
@@ -26,6 +31,9 @@ rows only.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -85,12 +93,31 @@ def _unit_triangle(n: int, j: int) -> int:
     return packed
 
 
+def _dense(values: list[int], positions: list[int]) -> np.ndarray:
+    """Row i: the bits of values[i] at ``positions``, packed densely into uint64 words."""
+    words = -(-len(positions) // 64)
+    width = max(positions, default=-1) + 1
+    rows = []
+    for value in values:
+        text = bin(value)[:1:-1].ljust(width, "0")  # text[p] is bit p
+        packed = int("".join([text[p] for p in positions])[::-1] or "0", 2)
+        rows.append([packed >> (64 * w) & _WORD_MASK for w in range(words)])
+    return np.array(rows, dtype=np.uint64).reshape(len(values), words)
+
+
 class _Kernel:
     """Weights of all generators of length n, one block of 2^k lanes at a time.
 
     Block ``hi`` holds the generators (hi << k) | lo for lo < 2^k, in order.
     Only the first ``bits`` packed triangle bits count: all n(n+1)/2 of them
     give the triangle weight, the first 3n-3 the weight of the top three rows.
+
+    Each bit falls in one of three classes, read off the unit triangles: set
+    by some low unit only (lo-only), by some high unit only (hi-only), or by
+    both (mixed). The lo-only weight of every lane is tabulated once in
+    ``base``; the hi-only weight is one number per block; only the mixed bits,
+    k(n-k) of them for the full triangle, go through the XOR table, packed
+    densely into the uint64 word rows of ``table``.
     """
 
     def __init__(self, n: int, bits: int | None = None) -> None:
@@ -100,30 +127,51 @@ class _Kernel:
         self.k = k = min(n, _BLOCK_BITS)
         self.blocks = 1 << (n - k)
         units = [_unit_triangle(n, j) & ((1 << bits) - 1) for j in range(n)]
-        rows = np.array([[t >> (64 * i) & _WORD_MASK for i in range(-(-bits // 64))]
-                         for t in units], dtype=np.uint64)
-        self.table = np.zeros((rows.shape[1], 1 << k), dtype=np.uint64)
+        lo = functools.reduce(operator.or_, units[:k], 0)
+        hi = functools.reduce(operator.or_, units[k:], 0)
+        lo_only = [i for i in range(bits) if (lo & ~hi) >> i & 1]
+        mixed = [i for i in range(bits) if (lo & hi) >> i & 1]
+        # One table: the lo-only bits in the first words, padded with bit
+        # ``bits`` (always clear), then the mixed bits. High units have no lo-only bit.
+        split = -(-len(lo_only) // 64)
+        rows = _dense(units, lo_only + [bits] * (64 * split - len(lo_only)) + mixed)
+        table = np.zeros((rows.shape[1], 1 << k), dtype=np.uint64)  # column lo: T(lo)
         for j in range(k):
-            self.table[:, 1 << j:2 << j] = self.table[:, :1 << j] ^ rows[j, :, None]
-        self._high = rows[k:]
+            table[:, 1 << j:2 << j] = table[:, :1 << j] ^ rows[j, :, None]
+        self.base = np.bitwise_count(table[:split]).sum(axis=0, dtype=np.uint16)
+        self.table = table[split:]
+        self._high = rows[k:, split:]
+        self._hi_only = [t & hi & ~lo for t in units[k:]]
         # hi ^ (hi - 1) has exactly bits 0..ctz(hi) set, so by linearity
-        # T(hi << k) = T((hi - 1) << k) ^ _steps[ctz(hi)].
+        # T(hi << k) is T((hi - 1) << k) XOR the high units 0..ctz(hi):
+        # _steps holds those prefix XORs on the mixed bits, _hi_steps on the hi-only bits.
         self._steps = np.bitwise_xor.accumulate(self._high, axis=0)
+        self._hi_steps = list(itertools.accumulate(self._hi_only, operator.xor))
+
+    def _highs(self, start: int, stop: int):
+        """Yield (hi, T(hi << k) on the mixed bits as words, its hi-only weight)
+        for blocks start..stop-1, ascending. The words array is updated in place."""
+        mixed = np.zeros(len(self.table), dtype=np.uint64)
+        only = 0
+        for j, (row, unit) in enumerate(zip(self._high, self._hi_only)):
+            if start >> j & 1:
+                mixed ^= row
+                only ^= unit
+        for hi in range(start, stop):
+            if hi > start:
+                j = (hi & -hi).bit_length() - 1
+                mixed ^= self._steps[j]
+                only ^= self._hi_steps[j]
+            yield hi, mixed, only.bit_count()
 
     def weights(self, start: int, stop: int):
         """Yield (first lane, uint16 weight per lane) for blocks start..stop-1, ascending."""
-        lanes = self.table.shape[1]
+        lanes = self.base.size
         buf = np.empty(lanes, dtype=np.uint64)
         count = np.empty(lanes, dtype=np.uint8)
-        high = np.zeros(len(self.table), dtype=np.uint64)
-        for j, row in enumerate(self._high):
-            if start >> j & 1:
-                high ^= row
-        for hi in range(start, stop):
-            if hi > start:
-                high ^= self._steps[(hi & -hi).bit_length() - 1]
-            acc = np.zeros(lanes, dtype=np.uint16)
-            for row, word in zip(self.table, high):
+        for hi, mixed, hi_weight in self._highs(start, stop):
+            acc = self.base + np.uint16(hi_weight)
+            for row, word in zip(self.table, mixed):
                 np.bitwise_xor(row, word, out=buf)
                 np.bitwise_count(buf, out=count)
                 acc += count
@@ -378,14 +426,14 @@ def symmetry_reduced_spectrum(n: int, *, workers: int | None = None,
     return WeightSpectrum(n, tuple(hist.tolist()))
 
 
-def three_row_max(n: int) -> tuple[int, list[int]]:
+def three_row_max(n: int, *, force: bool = False) -> tuple[int, list[int]]:
     """Exhaustive max of s3, the weight of the top three rows, and the packed
     generators attaining it, ascending.
 
     For n >= 2 the top three rows are the first 3n-3 packed triangle bits, so
     the weight kernel restricted to those bits gives s3 for a block at once.
     """
-    _check_size(n, False)
+    _check_size(n, force)
     kernel = _Kernel(n, bits=max(3 * n - 3, 1))  # n = 1 has one row of one bit
     best = 0
     arg: list[int] = []

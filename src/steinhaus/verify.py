@@ -157,10 +157,10 @@ class _EnumData:
         return self.spectrum.levels[index], members, count
 
 
-def _enum_data(n: int, workers: int | None, weights=()) -> _EnumData:
+def _enum_data(n: int, workers: int | None, weights=(), force: bool = False) -> _EnumData:
     """Levels 0..3, m-1 and m (clamped to the ladder) and the generators of
     each exact weight in ``weights``, all from one enumeration of size n."""
-    sweep = level_sets(n, 3, 2, weights=weights, workers=workers)
+    sweep = level_sets(n, 3, 2, weights=weights, workers=workers, force=force)
     sets = {ls.index: (frozenset(ls.members), ls.count) for ls in sweep.low + sweep.high}
     return _EnumData(sweep.spectrum, sets, sweep.slices)
 
@@ -306,10 +306,13 @@ def verify_family_weights(n: int) -> CheckRecord:
 
 @_timed
 def verify_s3(n: int, *, ceiling: int = S3_CEILING) -> CheckRecord:
-    """Exhaustive bound s3(x) <= 2n-2, with exact equality sets at n in {4, 5}."""
+    """Exhaustive bound s3(x) <= 2n-2, with exact equality sets at n in {4, 5}.
+
+    ``ceiling`` bounds the sizes scanned, in place of the enumeration ceiling.
+    """
     if not 4 <= n <= ceiling:
         return CheckRecord("s3-bound", n, "skipped", f"checked for 4 <= n <= {ceiling}")
-    best, arg = three_row_max(n)
+    best, arg = three_row_max(n, force=True)
     bound = 2 * n - 2
     if best > bound:
         return CheckRecord("s3-bound", n, "fail",
@@ -488,25 +491,28 @@ _CHECKS = (
 PER_N_CHECKS = tuple(c.name for c in _CHECKS)
 
 
-def _per_n_records(n: int, workers: int | None) -> list[CheckRecord]:
+def _per_n_records(n: int, workers: int | None, force: bool) -> list[CheckRecord]:
     skipped = [CheckRecord(c.name, n, "skipped", c.skip) for c in _CHECKS if not c.applies(n)]
     run = [c for c in _CHECKS if c.applies(n)]
-    data = _enum_data(n, workers, [c.weight(n) for c in run if c.weight])
+    data = _enum_data(n, workers, [c.weight(n) for c in run if c.weight], force)
     return skipped + [c.run(n, data) for c in run]
 
 
-def verify_all(n_min: int, n_max: int, *,
-               workers: int | None = None) -> VerificationReport:
-    """Run the small-n ladder once plus every applicable check for each n."""
+def verify_all(n_min: int, n_max: int, *, workers: int | None = None,
+               force: bool = False) -> VerificationReport:
+    """Run the small-n ladder once plus every applicable check for each n.
+
+    Sizes above the enumeration ceiling need ``force`` (CLI ``--force``).
+    """
     if n_min > n_max:
         raise ValueError("empty range")
     if n_min < 1:
         raise ValueError("sizes start at 1")
     ceiling = enumeration_ceiling()
-    if n_max > ceiling:
+    if n_max > ceiling and not force:
         raise CeilingExceeded(f"n_max={n_max} exceeds the enumeration ceiling {ceiling}")
     records = verify_small_n(workers=workers)
     for n in range(n_min, n_max + 1):
-        records.extend(_per_n_records(n, workers))
+        records.extend(_per_n_records(n, workers, force))
     records.sort(key=lambda r: (r.n, r.check))
     return VerificationReport(n_min, n_max, tuple(records))

@@ -172,6 +172,12 @@ class TestFamilies:
         assert code == 0
         assert "u7" in out and "NO" not in out
 
+    @pytest.mark.parametrize("n", ["0", "-3", "129"])
+    def test_size_out_of_range_exit_2(self, capsys, n):
+        code, out, err = run(capsys, "families", n)
+        assert code == 2 and out == ""
+        assert f"families need 1 <= n <= 128, got n={n}" in err
+
 
 class TestVerify:
     def test_small_range_passes(self, capsys):
@@ -197,7 +203,7 @@ class TestVerify:
             CheckRecord("conjecture", 11, "conjecture-refuted", "boom", witness),
             CheckRecord("level-1", 11, "pass", "ok"),
         ))
-        monkeypatch.setattr(cli, "verify_all", lambda a, b, workers=None: fake)
+        monkeypatch.setattr(cli, "verify_all", lambda a, b, workers=None, force=False: fake)
         code, doc = run_json(capsys, "verify", "--from", "11", "--to", "11",
                              "--format", "json")
         assert code == 3
@@ -210,7 +216,7 @@ class TestVerify:
             CheckRecord("level-1", 4, "fail", "boom", witness),
             CheckRecord("conjecture", 4, "conjecture-refuted", "boom", witness),
         ))
-        monkeypatch.setattr(cli, "verify_all", lambda a, b, workers=None: fake)
+        monkeypatch.setattr(cli, "verify_all", lambda a, b, workers=None, force=False: fake)
         code, _, _ = run(capsys, "verify")
         assert code == 1
 
@@ -233,6 +239,20 @@ class TestVerify:
             verify_all(4, 9)
         code, _, err = run(capsys, "verify", "--from", "4", "--to", "9")
         assert code == 2 and "exceeds the enumeration ceiling 8" in err
+
+    def test_default_ceiling_exit_2_without_force(self, capsys, monkeypatch):
+        monkeypatch.delenv("STEINHAUS_MAX_N", raising=False)
+        code, out, err = run(capsys, "verify", "--from", "31", "--to", "31")
+        assert code == 2 and out == ""
+        assert "n_max=31 exceeds the enumeration ceiling 30" in err
+
+    def test_force_passes_the_ceiling(self, capsys, monkeypatch):
+        monkeypatch.delenv("STEINHAUS_MAX_N", raising=False)
+        expected = run(capsys, "verify", "--from", "9", "--to", "9")
+        monkeypatch.setenv("STEINHAUS_MAX_N", "8")
+        assert run(capsys, "verify", "--from", "9", "--to", "9", "--force") == expected
+        assert expected[0] == 0
+        assert verify_all(9, 9, force=True).exit_code == 0
 
     @pytest.mark.parametrize("raw", ["abc", "-5"])
     def test_bad_ceiling_variable_exit_2(self, capsys, monkeypatch, raw):

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 from functools import cache
 
@@ -138,7 +139,7 @@ class TestLanePrimitives:
     @pytest.mark.parametrize("n", [33, 40])
     def test_sampled_blocks_beyond_32_bits(self, n, rng):
         kernel = _Kernel(n)
-        words = -(-n * (n + 1) // 128)
+        words = -(-kernel.k * (n - kernel.k) // 64)  # only the mixed bits are tabulated
         assert kernel.table.shape == (words, 1 << kernel.k)
         assert kernel._steps.shape == (n - kernel.k, words)
         starts = [0, kernel.blocks - 3] + [rng.randrange(kernel.blocks - 2) for _ in range(3)]
@@ -147,6 +148,72 @@ class TestLanePrimitives:
                 assert w.shape == (1 << kernel.k,)
                 for lo in [0, w.size - 1] + [rng.randrange(w.size) for _ in range(20)]:
                     assert int(w[lo]) == triangle_weight(BitSeq(n, first + lo))
+
+
+class TestKernelSplit:
+    """Lo-only bits come from ``base``, hi-only bits from one number per block,
+    and only the k(n-k) mixed bits from the XOR table; each against the scalar oracle."""
+
+    @staticmethod
+    def lanes(size, rng):
+        return [0, 1, size - 1] + [rng.randrange(size) for _ in range(40)]
+
+    def test_base_is_the_low_half_weight(self, rng):
+        kernel = _Kernel(20)
+        k = kernel.k
+        assert k == 16 and kernel.base.dtype == np.uint16 and kernel.base.shape == (1 << k,)
+        for lo in self.lanes(1 << k, rng):
+            assert int(kernel.base[lo]) == triangle_weight(BitSeq(k, lo))
+
+    @pytest.mark.parametrize("n", [17, 20, 24])
+    def test_block_scalar_is_the_high_half_weight(self, n):
+        kernel = _Kernel(n)
+        k = kernel.k
+        for start in (0, 1, kernel.blocks // 2 - 1):
+            stop = min(start + 16, kernel.blocks)
+            his = [(hi, weight) for hi, _, weight in kernel._highs(start, stop)]
+            assert [hi for hi, _ in his] == list(range(start, stop))
+            for hi, weight in his:
+                assert weight == triangle_weight(BitSeq(n - k, hi))
+
+    @pytest.mark.parametrize("n", [17, 18, 19, 20])
+    def test_sampled_lanes_match_the_scalar_weight(self, n, rng):
+        kernel = _Kernel(n)
+        k = kernel.k
+        assert kernel.table.shape == (-(-k * (n - k) // 64), 1 << k)
+        for first, w in kernel.weights(0, kernel.blocks):
+            for lo in self.lanes(w.size, rng):
+                assert int(w[lo]) == triangle_weight(BitSeq(n, first + lo))
+
+    @pytest.mark.parametrize("n", [17, 18, 19, 20])
+    def test_sampled_lanes_of_the_top_three_rows_match_s3(self, n, rng):
+        kernel = _Kernel(n, bits=3 * n - 3)
+        for first, w in kernel.weights(0, kernel.blocks):
+            for lo in self.lanes(w.size, rng):
+                assert int(w[lo]) == s3(BitSeq(n, first + lo))
+
+    def test_small_sizes_are_the_base_alone(self):
+        kernel = _Kernel(12)
+        assert kernel.table.shape == (0, 1 << 12)
+        (first, w), = kernel.weights(0, 1)
+        assert first == 0 and np.array_equal(w, kernel.base)
+        assert w is not kernel.base
+
+    # SHA-256 of repr(full_spectrum(n).counts), recorded from the one-table
+    # kernel that tabulated every packed bit; several 2^16-lane blocks each.
+    GOLDEN = {
+        17: "c3ada221a6cc70b54815b0f45f4c86c74806625901a938635846725b12237314",
+        18: "c7c0863ca51829a6ebdb66a45e34b3b72674237d14006fa6cf9862dd77b9cd7e",
+        19: "3718ba3df20c8bd40ca3be4ead0e22d9f883752eb3b9e74eaebfbf700f56523c",
+        20: "9a2198b0a7f7cafcc58f2daa4cff5408186a89a9fd41df1fad0bfbc327648ae8",
+        21: "60dee6cf3a9f70afb828b078fb51af6cdb913095de88764373399db46b397c15",
+        22: "f5f763fa42cfb181f37f9f84b75ae7b88baa4c9041f8837f4367068955254656",
+    }
+
+    @pytest.mark.parametrize("n", sorted(GOLDEN))
+    def test_multi_block_spectra_pinned(self, n):
+        counts = full_spectrum(n).counts
+        assert hashlib.sha256(repr(counts).encode()).hexdigest() == self.GOLDEN[n]
 
 
 class TestLevelSets:
@@ -341,6 +408,8 @@ class TestThreeRowMax:
     def test_ceiling(self):
         with pytest.raises(CeilingExceeded):
             three_row_max(41)
+        with pytest.raises(CeilingExceeded):
+            three_row_max(41, force=True)
         with pytest.raises(ValueError):
             three_row_max(0)
 
