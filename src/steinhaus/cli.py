@@ -221,7 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--reduced", action="store_true",
-                   help="enumerate orbit representatives only (same output)")
+                   help="count each symmetry orbit once: a cross-check, not faster")
     p.add_argument("--force", action="store_true",
                    help="bypass the enumeration ceiling")
     p.set_defaults(func=cmd_spectrum)

@@ -41,6 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import symmetry
 from .bitseq import BitSeq
 
 DEFAULT_CEILING = 30
@@ -105,6 +106,14 @@ def _dense(values: list[int], positions: list[int]) -> np.ndarray:
     return np.array(rows, dtype=np.uint64).reshape(len(values), words)
 
 
+def _span(rows: np.ndarray) -> np.ndarray:
+    """Column lo: the XOR of rows[j] over the bits j set in lo, by len(rows) doubling XORs."""
+    table = np.zeros((rows.shape[1], 1 << len(rows)), dtype=np.uint64)
+    for j, row in enumerate(rows):
+        table[:, 1 << j:2 << j] = table[:, :1 << j] ^ row[:, None]
+    return table
+
+
 class _Kernel:
     """Weights of all generators of length n, one block of 2^k lanes at a time.
 
@@ -135,9 +144,7 @@ class _Kernel:
         # ``bits`` (always clear), then the mixed bits. High units have no lo-only bit.
         split = -(-len(lo_only) // 64)
         rows = _dense(units, lo_only + [bits] * (64 * split - len(lo_only)) + mixed)
-        table = np.zeros((rows.shape[1], 1 << k), dtype=np.uint64)  # column lo: T(lo)
-        for j in range(k):
-            table[:, 1 << j:2 << j] = table[:, :1 << j] ^ rows[j, :, None]
+        table = _span(rows[:k])  # column lo: T(lo)
         self.base = np.bitwise_count(table[:split]).sum(axis=0, dtype=np.uint16)
         self.table = table[split:]
         self._high = rows[k:, split:]
@@ -178,33 +185,21 @@ class _Kernel:
             yield hi << self.k, acc
 
 
-def _lane_rot_r(vals: np.ndarray, n: int) -> np.ndarray:
-    dt = vals.dtype.type
-    cur = vals
-    out = np.zeros_like(vals)
-    for j in range(n):
-        m = n - j
-        out |= ((cur >> dt(m - 1)) & dt(1)) << dt(j)
-        cur = (cur ^ (cur >> dt(1))) & dt((1 << (m - 1)) - 1)
-    return out
+class _Images:
+    """The five ``symmetry.images`` of lanes. Each map g is GF(2)-linear, so g((hi << k) | lo)
+    is g(lo), tabulated from the low unit vectors, XOR the images of the high units set in hi."""
 
+    def __init__(self, n: int) -> None:
+        self.k = k = min(n, _BLOCK_BITS)
+        units = np.array([[y.bits for y in symmetry.images(BitSeq(n, 1 << j))]
+                          for j in range(n)], dtype=np.uint64)  # row j: unit vector j
+        self.table, self._high = _span(units[:k]), units[k:]
 
-def _lane_rot_l(vals: np.ndarray, n: int) -> np.ndarray:
-    dt = vals.dtype.type
-    cur = vals
-    out = np.zeros_like(vals)
-    for k in range(n):
-        out |= (cur & dt(1)) << dt(n - 1 - k)
-        cur = (cur ^ (cur >> dt(1))) & dt((1 << (n - 1 - k)) - 1)
-    return out
-
-
-def _lane_reverse(vals: np.ndarray, n: int) -> np.ndarray:
-    dt = vals.dtype.type
-    out = np.zeros_like(vals)
-    for j in range(n):
-        out |= ((vals >> dt(j)) & dt(1)) << dt(n - 1 - j)
-    return out
+    def of(self, first: int, size: int) -> np.ndarray:
+        """Images of lanes first .. first + size - 1, all in one block; one row per map."""
+        hi, lo = divmod(first, 1 << self.k)
+        high = np.bitwise_xor.reduce(self._high[(hi >> np.arange(len(self._high))) & 1 == 1])
+        return self.table[:, lo:lo + size] ^ high[:, None]
 
 
 class _Wanted(NamedTuple):
@@ -266,15 +261,13 @@ def _sweep_range(kernel: _Kernel, start: int, stop: int, rule: _Wanted, cap: int
     return hist, found
 
 
-def _reduced_hist_range(kernel: _Kernel, start: int, stop: int) -> np.ndarray:
+def _reduced_hist_range(kernel: _Kernel, start: int, stop: int, images: _Images) -> np.ndarray:
+    """Histogram of blocks [start, stop), adding each orbit's size at its least member."""
     n = kernel.n
-    size = n * (n + 1) // 2 + 1
-    hist = np.zeros(size, dtype=np.int64)
+    hist = np.zeros(n * (n + 1) // 2 + 1, dtype=np.int64)
     for first, w in kernel.weights(start, stop):
         vals = np.arange(first, first + w.size, dtype=np.uint64)
-        rev = _lane_reverse(vals, n)
-        six = np.stack([vals, _lane_rot_r(vals, n), _lane_rot_l(vals, n),
-                        rev, _lane_rot_r(rev, n), _lane_rot_l(rev, n)])
+        six = np.vstack([vals, images.of(first, w.size)])
         keep = vals == six.min(axis=0)
         kept = np.sort(six[:, keep], axis=0)
         sizes = 1 + np.count_nonzero(np.diff(kept, axis=0), axis=0)
@@ -402,10 +395,10 @@ class WeightSlice:
 
 
 def _to_seqs(n: int, values: list[int]) -> tuple[BitSeq, ...]:
-    """Generators sorted by text; x_0 leads the text, so that is the numeric
-    order of the bit-reversed packed values."""
-    order = np.argsort(_lane_reverse(np.array(values, dtype=np.uint64), n), kind="stable")
-    return tuple(BitSeq(n, values[i]) for i in order.tolist())
+    """Generators sorted by text; x_0 leads the text, which is the packed value's
+    binary text reversed (with bit n set, so that the '0b1' prefix is cut off)."""
+    top = 1 << n
+    return tuple(BitSeq(n, v) for v in sorted(values, key=lambda v: bin(v | top)[:2:-1]))
 
 
 def full_spectrum(n: int, *, workers: int | None = None, force: bool = False) -> WeightSpectrum:
@@ -415,14 +408,14 @@ def full_spectrum(n: int, *, workers: int | None = None, force: bool = False) ->
 
 def symmetry_reduced_spectrum(n: int, *, workers: int | None = None,
                               force: bool = False) -> WeightSpectrum:
-    """Same histogram, enumerating one orbit representative and adding orbit sizes.
+    """Same histogram, counting each symmetry orbit once: a cross-check, not a speed-up.
 
-    A lane contributes only if it is the smallest packed value in its orbit;
-    the histogram then gains the orbit's size at that weight. Output is
+    It sweeps all 2^n lanes; a lane counts only if it is the least packed value
+    in its orbit, and then adds the orbit's size at its weight. Output is
     identical to ``full_spectrum`` because weight is symmetry-invariant.
     """
     _check_size(n, force)
-    hist = _merge_hist(n, _run(n, workers, _reduced_hist_range))
+    hist = _merge_hist(n, _run(n, workers, _reduced_hist_range, _Images(n)))
     return WeightSpectrum(n, tuple(hist.tolist()))
 
 

@@ -68,13 +68,17 @@ class Orbit:
         return len(self.members)
 
 
+def images(x: BitSeq) -> tuple[BitSeq, ...]:
+    """x under the five symmetries other than the identity: r(x), l(x), i(x), r(i(x)), l(i(x))."""
+    ix = invert_i(x)
+    return rot_r(x), rot_l(x), ix, rot_r(ix), rot_l(ix)
+
+
 def orbit(x: BitSeq) -> Orbit:
-    """The set {x, r(x), l(x), i(x), r(i(x)), l(i(x))}, deduplicated."""
+    """The set {x} and its five ``images``, deduplicated."""
     if x.n == 0:
         raise ValueError("empty sequence has no orbit")
-    ix = invert_i(x)
-    members = {x, rot_r(x), rot_l(x), ix, rot_r(ix), rot_l(ix)}
-    return Orbit(tuple(sorted(members, key=str)))
+    return Orbit(tuple(sorted({x, *images(x)}, key=str)))
 
 
 def canonical(x: BitSeq) -> BitSeq:

@@ -17,6 +17,7 @@ from steinhaus import (
     level_sets_high,
     level_sets_low,
     members_at_weights,
+    orbit,
     rot_l,
     rot_r,
     s3,
@@ -25,7 +26,7 @@ from steinhaus import (
     triangle_weight,
 )
 from steinhaus import spectrum as spectrum_mod
-from steinhaus.spectrum import _cores, _Kernel, _lane_reverse, _lane_rot_l, _lane_rot_r, _plan
+from steinhaus.spectrum import _cores, _Images, _Kernel, _plan
 
 from conftest import all_seqs
 
@@ -34,6 +35,17 @@ def kernel_weights(n):
     """Weights of every generator of length n, in packed order, from the block kernel."""
     kernel = _Kernel(n)
     return np.concatenate([w for _, w in kernel.weights(0, kernel.blocks)])
+
+
+def table_images(n):
+    """Images of every generator of length n under the five symmetry tables, in
+    packed order, one row per map, read off block by block."""
+    kernel, images = _Kernel(n), _Images(n)
+    return np.hstack([images.of(first, w.size) for first, w in kernel.weights(0, kernel.blocks)])
+
+
+# Independent oracle for the tables' rows: the scalar maps, composed here.
+SCALAR_MAPS = (rot_r, rot_l, invert_i, lambda x: rot_r(invert_i(x)), lambda x: rot_l(invert_i(x)))
 
 
 @cache
@@ -106,34 +118,50 @@ class TestReducedSpectrum:
     def test_agrees_under_workers(self):
         assert symmetry_reduced_spectrum(10, workers=3) == full_spectrum(10)
 
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_agrees_across_blocks(self, monkeypatch, workers):
+        # 8-lane blocks: every image takes the XOR of the high columns set in hi.
+        expected = [full_spectrum(n) for n in range(1, 14)]
+        monkeypatch.setattr(spectrum_mod, "_BLOCK_BITS", 3)
+        for n, spec in enumerate(expected, start=1):
+            assert symmetry_reduced_spectrum(n, workers=workers) == spec
+
 
 class TestLanePrimitives:
     """The vector engine must agree with the scalar reference implementations."""
 
     def test_weights_rotations_and_reversal(self, monkeypatch):
         for n in range(1, 13):
-            vals = np.arange(1 << n, dtype=np.uint64)
             got_w = kernel_weights(n)
+            got_g = [table_images(n)]
             with monkeypatch.context() as m:  # many blocks: T(hi << k) steps between them
                 m.setattr(spectrum_mod, "_BLOCK_BITS", 3)
                 assert np.array_equal(kernel_weights(n), got_w)
-            got_r = _lane_rot_r(vals, n)
-            got_l = _lane_rot_l(vals, n)
-            got_i = _lane_reverse(vals, n)
+                got_g.append(table_images(n))  # and g(hi << k) XORs the high columns
             for v in range(1 << n):
                 x = BitSeq(n, v)
                 assert int(got_w[v]) == triangle_weight(x)
-                assert int(got_r[v]) == rot_r(x).bits
-                assert int(got_l[v]) == rot_l(x).bits
-                assert int(got_i[v]) == invert_i(x).bits
+                want = [g(x).bits for g in SCALAR_MAPS]
+                for images in got_g:
+                    assert images[:, v].tolist() == want
+
+    @pytest.mark.parametrize("block_bits", [16, 3])
+    def test_images_of_part_of_a_block(self, monkeypatch, block_bits):
+        # a block the kernel reports short, starting past its first lane
+        monkeypatch.setattr(spectrum_mod, "_BLOCK_BITS", block_bits)
+        n = 9
+        images = _Images(n)
+        for first, size in ((1, 7), (5, 2), (8 * 37 + 3, 4), (511, 1)):
+            got = images.of(first, size)
+            assert got.shape == (5, size)
+            for lane in range(size):
+                x = BitSeq(n, first + lane)
+                assert got[:, lane].tolist() == [g(x).bits for g in SCALAR_MAPS]
 
     def test_weight_invariance_under_all_symmetries_to_14(self):
         for n in (13, 14):
-            vals = np.arange(1 << n, dtype=np.uint64)
             w = kernel_weights(n)
-            rev = _lane_reverse(vals, n)
-            for image in (_lane_rot_r(vals, n), _lane_rot_l(vals, n), rev,
-                          _lane_rot_r(rev, n), _lane_rot_l(rev, n)):
+            for image in table_images(n):
                 assert np.array_equal(w[image], w)
 
     @pytest.mark.parametrize("n", [33, 40])
@@ -297,6 +325,18 @@ class TestLevelSets:
         # capped members are the first in packed order: 1000000000 packs
         # lowest (bit 0 set? no: '1000000000' has x_0=1 -> value 1)
         assert {str(m) for m in w1.members} == {"1000000000", "0000000001"}
+
+    def test_untruncated_levels_are_unions_of_orbits(self):
+        for n in range(4, 15):
+            sweep = level_sets(n, 3, 2)
+            for piece in sweep.low + sweep.high:
+                if piece.truncated:
+                    continue
+                rest = set(piece.members)
+                while rest:
+                    members = set(orbit(next(iter(rest))).members)
+                    assert members <= rest, (n, piece.index)
+                    rest -= members
 
     def test_closed_under_symmetries(self):
         for n in range(1, 13):

@@ -106,6 +106,16 @@ class TestMaps:
                 for y in (rot_r(x), rot_l(x), ix, rot_r(ix), rot_l(ix)):
                     assert triangle_weight(y) == w
 
+    def test_burnside_orbit_count(self):
+        # The orbit count is the mean number of fixed points over the group,
+        # which holds only if the six maps are closed (e.g. i∘r = l∘i).
+        group = (lambda x: x, rot_r, rot_l, invert_i,
+                 lambda x: rot_r(invert_i(x)), lambda x: rot_l(invert_i(x)))
+        for n in range(1, 11):
+            seqs = list(all_seqs(n))
+            fixed = sum(g(x) == x for g in group for x in seqs)
+            assert 6 * len({canonical(x) for x in seqs}) == fixed, n
+
 
 class TestOrbit:
     def test_all_ones_class(self):
