@@ -25,8 +25,8 @@ thread per available core). Ranges merge by adding histograms, applying the
 rule again and concatenating members in range order, so results are
 identical for any worker count or block width. Every sweep checks that the
 histogram totals 2^n and that the lanes scanned at each collected weight
-match its count. ``three_row_max`` runs the same kernel over the top three
-rows only.
+match its count. ``three_row_max`` is one more such sweep, of the kernel
+over the top three rows only, with the same self-checks and thread fan-out.
 """
 
 from __future__ import annotations
@@ -302,10 +302,9 @@ def _plan(n: int, blocks: int, workers: int | None) -> tuple[list[tuple[int, int
     return list(zip(edges, edges[1:])), threads
 
 
-def _run(n: int, workers: int | None, range_fn, *args) -> list:
+def _run(kernel: _Kernel, workers: int | None, range_fn, *args) -> list:
     """range_fn(kernel, start, stop, *args) for every planned range, in range order."""
-    kernel = _Kernel(n)
-    parts, threads = _plan(n, kernel.blocks, workers)
+    parts, threads = _plan(kernel.n, kernel.blocks, workers)
 
     def task(part):
         return range_fn(kernel, *part, *args)
@@ -326,10 +325,11 @@ def _merge_hist(n: int, pieces: list[np.ndarray]) -> np.ndarray:
     return total
 
 
-def _enumerate(n: int, rule: _Wanted, cap: int, workers: int | None):
+def _enumerate(kernel: _Kernel, rule: _Wanted, cap: int, workers: int | None):
     """One sweep over all 2^n generators: the histogram, and per weight the
     rule wants from it, the first ``cap`` members in packed order and the count."""
-    parts = _run(n, workers, _sweep_range, rule, cap)
+    n = kernel.n
+    parts = _run(kernel, workers, _sweep_range, rule, cap)
     hist = _merge_hist(n, [h for h, _ in parts])
     found: dict[int, tuple[list[int], int]] = {}
     for wt in np.flatnonzero(rule.of(hist)).tolist():
@@ -415,7 +415,7 @@ def symmetry_reduced_spectrum(n: int, *, workers: int | None = None,
     identical to ``full_spectrum`` because weight is symmetry-invariant.
     """
     _check_size(n, force)
-    hist = _merge_hist(n, _run(n, workers, _reduced_hist_range, _Images(n)))
+    hist = _merge_hist(n, _run(_Kernel(n), workers, _reduced_hist_range, _Images(n)))
     return WeightSpectrum(n, tuple(hist.tolist()))
 
 
@@ -424,18 +424,14 @@ def three_row_max(n: int, *, force: bool = False) -> tuple[int, list[int]]:
     generators attaining it, ascending.
 
     For n >= 2 the top three rows are the first 3n-3 packed triangle bits, so
-    the weight kernel restricted to those bits gives s3 for a block at once.
+    this is one more sweep of the weight kernel restricted to those bits,
+    collecting every member of the largest weight, with the same self-checks.
     """
     _check_size(n, force)
-    kernel = _Kernel(n, bits=max(3 * n - 3, 1))  # n = 1 has one row of one bit
-    best = 0
-    arg: list[int] = []
-    for first, s in kernel.weights(0, kernel.blocks):
-        top = int(s.max())
-        if top > best:
-            best, arg = top, []
-        if top == best:
-            arg.extend((np.flatnonzero(s == best) + first).tolist())
+    bits = max(3 * n - 3, 1)  # n = 1 has one row of one bit
+    _, found = _enumerate(_Kernel(n, bits), _Wanted(0, 1, np.zeros(bits + 1, dtype=bool)),
+                          cap=1 << n, workers=None)
+    [(best, (arg, _))] = found.items()
     return best, arg
 
 
@@ -471,15 +467,17 @@ def level_sets(n: int, low: int, high: int, *, weights=(),
             raise ValueError(f"weight {w} impossible for size {n}")
     fixed = np.zeros(top + 1, dtype=bool)
     fixed[targets] = True
-    hist, found = _enumerate(n, _Wanted(low + 1 if low else 0, high, fixed), cap, workers)
+    hist, found = _enumerate(_Kernel(n), _Wanted(low + 1 if low else 0, high, fixed),
+                             cap, workers)
     spectrum = WeightSpectrum(n, tuple(hist.tolist()))
     slices = {w: WeightSlice(n, w, _to_seqs(n, values), count, count > len(values))
               for w, (values, count) in found.items()}
-    m = spectrum.m
+    levels = spectrum.levels  # a property that rebuilds the tuple on each access
+    m = len(levels) - 1
     return LevelSweep(
         spectrum,
-        [_level(i, slices[spectrum.levels[i]]) for i in range(min(low, m) + 1)] if low else [],
-        [_level(m - off, slices[spectrum.levels[m - off]]) for off in range(min(high, m + 1))],
+        [_level(i, slices[levels[i]]) for i in range(min(low, m) + 1)] if low else [],
+        [_level(m - off, slices[levels[m - off]]) for off in range(min(high, m + 1))],
         {w: slices[w] for w in targets})
 
 

@@ -9,7 +9,11 @@ counterexample surfaces as a finding rather than aborting the run.
 
 The per-size checks of ``verify_all`` are one table, ``_CHECKS``: a row names
 a check, the sizes it applies to, its skip reason, how it runs on the size's
-one shared enumeration and any exact weight it reads there. The ``_timed``
+one ``LevelSweep`` and any exact weight it reads there. Checks read levels by
+their offset from an end of the ladder: W_1..W_3 are ``sweep.low[1..3]``, and
+W_m and W_{m-1} are ``sweep.high[0]`` and ``sweep.high[1]``, so only a ladder
+too short for a level and the stored top-level summary need the height m. The
+small-n ladder (n <= 4) sweeps the whole ladder instead. The ``_timed``
 decorator stamps each check's wall time on the record it returns.
 """
 
@@ -36,8 +40,8 @@ from .families import (
 )
 from .spectrum import (
     CeilingExceeded,
-    WeightSlice,
-    WeightSpectrum,
+    LevelSet,
+    LevelSweep,
     enumeration_ceiling,
     level_sets,
     three_row_max,
@@ -144,25 +148,12 @@ def _golden_slice(n: int) -> tuple[int, frozenset[BitSeq]]:
 
 
 # ---------------------------------------------------------------------------
-# shared per-n enumeration data
+# shared per-n enumeration
 
-@dataclass(frozen=True)
-class _EnumData:
-    spectrum: WeightSpectrum
-    sets: dict[int, tuple[frozenset[BitSeq], int]]  # ladder index -> (members, count)
-    slices: dict[int, WeightSlice]  # the exact weights the checks asked for
-
-    def at(self, index: int) -> tuple[int, frozenset[BitSeq], int]:
-        members, count = self.sets[index]
-        return self.spectrum.levels[index], members, count
-
-
-def _enum_data(n: int, workers: int | None, weights=(), force: bool = False) -> _EnumData:
+def _enum_data(n: int, workers: int | None, weights=(), force: bool = False) -> LevelSweep:
     """Levels 0..3, m-1 and m (clamped to the ladder) and the generators of
     each exact weight in ``weights``, all from one enumeration of size n."""
-    sweep = level_sets(n, 3, 2, weights=weights, workers=workers, force=force)
-    sets = {ls.index: (frozenset(ls.members), ls.count) for ls in sweep.low + sweep.high}
-    return _EnumData(sweep.spectrum, sets, sweep.slices)
+    return level_sets(n, 3, 2, weights=weights, workers=workers, force=force)
 
 
 def _timed(check):
@@ -181,22 +172,22 @@ def _set_witness(observed_w: int, observed: frozenset[BitSeq],
     return Witness(x, triangle_weight(x), predicted_w)
 
 
-def _compare_level(check: str, n: int, observed_w: int,
-                   observed: frozenset[BitSeq], observed_count: int,
+def _compare_level(check: str, n: int, level: LevelSet,
                    predicted_w: int, predicted: frozenset[BitSeq],
                    conjecture: bool = False) -> CheckRecord:
     ok_status = "conjecture-confirmed" if conjecture else "pass"
     bad_status = "conjecture-refuted" if conjecture else "fail"
+    observed_w, observed = level.weight, frozenset(level.members)
     if observed_w != predicted_w:
         pick = sorted(observed, key=str)
         witness = Witness(pick[0], observed_w, predicted_w) if pick else \
             _set_witness(observed_w, observed, predicted_w, predicted)
         detail = f"weight {observed_w} observed, {predicted_w} predicted"
         return CheckRecord(check, n, bad_status, detail, witness)
-    if observed != predicted or observed_count != len(predicted):
+    if observed != predicted or level.count != len(predicted):
         witness = _set_witness(observed_w, observed, predicted_w, predicted)
         detail = (f"member set mismatch at weight {predicted_w}: "
-                  f"{observed_count} observed vs {len(predicted)} predicted")
+                  f"{level.count} observed vs {len(predicted)} predicted")
         return CheckRecord(check, n, bad_status, detail, witness)
     return CheckRecord(check, n, ok_status,
                        f"weight {predicted_w}, {len(predicted)} generators")
@@ -207,7 +198,7 @@ def _compare_level(check: str, n: int, observed_w: int,
 
 @_timed
 def verify_level(n: int, level, *, workers: int | None = None,
-                 data: _EnumData | None = None) -> CheckRecord:
+                 data: LevelSweep | None = None) -> CheckRecord:
     """Compare one predicted ladder level (weight and set) with enumeration."""
     token = normalize_level(level)
     check = f"level-{token}"
@@ -217,15 +208,15 @@ def verify_level(n: int, level, *, workers: int | None = None,
         return CheckRecord(check, n, "skipped", str(exc))
     if data is None:
         data = _enum_data(n, workers)
-    m = data.spectrum.m
-    index = {"1": 1, "2": 2, "3": 3, "m": m, "m-1": m - 1}[token]
-    if not 0 <= index <= m:
-        pick = sorted(data.sets[m][0], key=str)[0]
+    end, offset = {"1": (data.low, 1), "2": (data.low, 2), "3": (data.low, 3),
+                   "m": (data.high, 0), "m-1": (data.high, 1)}[token]
+    if offset >= len(end):
+        top = data.high[0]
+        pick = sorted(top.members, key=str)[0]
         return CheckRecord(check, n, "fail",
-                           f"ladder has levels 0..{m}, level {token} undefined",
-                           Witness(pick, data.spectrum.levels[m], prediction.value))
-    return _compare_level(check, n, *data.at(index), prediction.value,
-                          prediction.member_set,
+                           f"ladder has levels 0..{top.index}, level {token} undefined",
+                           Witness(pick, top.weight, prediction.value))
+    return _compare_level(check, n, end[offset], prediction.value, prediction.member_set,
                           conjecture=prediction.status == "conjecture")
 
 
@@ -233,19 +224,19 @@ def verify_level(n: int, level, *, workers: int | None = None,
 def _small_n_ladder(n: int, workers: int | None) -> CheckRecord:
     fixture = _level_fixture("small_n_levels.txt")
     expected = {lvl: row for (nn, lvl), row in fixture.items() if nn == n}
-    data = _enum_data(n, workers)
-    spectrum = data.spectrum
+    sweep = level_sets(n, n * (n + 1) // 2, 0, workers=workers)  # the whole ladder
+    spectrum = sweep.spectrum
     bad = None
     if spectrum.m != len(expected):
         bad = f"ladder height {spectrum.m} observed, {len(expected)} expected"
     elif spectrum.counts[0] != 1:
         bad = f"{spectrum.counts[0]} generators of weight 0"
     if bad is not None:
-        pick = sorted(data.sets[spectrum.m][0], key=str)[0]
+        pick = sorted(sweep.low[-1].members, key=str)[0]  # a generator of W_m
         return CheckRecord("small-n-ladder", n, "fail", bad,
                            Witness(pick, triangle_weight(pick), -1))
-    for i in range(1, spectrum.m + 1):
-        record = _compare_level("small-n-ladder", n, *data.at(i), *expected[str(i)])
+    for level in sweep.low[1:]:
+        record = _compare_level("small-n-ladder", n, level, *expected[str(level.index)])
         if record.status != "pass":
             return record
     return CheckRecord("small-n-ladder", n, "pass", f"all {spectrum.m} levels match")
@@ -343,14 +334,14 @@ def _conjectured(n: int) -> bool:
 
 @_timed
 def check_conjecture(n: int, *, workers: int | None = None,
-                     data: _EnumData | None = None) -> CheckRecord:
+                     data: LevelSweep | None = None) -> CheckRecord:
     """Test whether level m-1 equals the conjectured set at weight ceil(n^2/3)."""
     if not _conjectured(n):
         raise ValueError(_CONJECTURE_RANGE)
     if data is None:
         data = _enum_data(n, workers)
     prediction = predicted_level("m-1", n)
-    return _compare_level("conjecture", n, *data.at(data.spectrum.m - 1),
+    return _compare_level("conjecture", n, data.high[1],
                           prediction.value, prediction.member_set, conjecture=True)
 
 
@@ -358,13 +349,13 @@ def check_conjecture(n: int, *, workers: int | None = None,
 # golden-table checks
 
 @_timed
-def _golden_level2(n: int, data: _EnumData) -> CheckRecord:
-    return _compare_level("golden-level-2", n, *data.at(2),
+def _golden_level2(n: int, data: LevelSweep) -> CheckRecord:
+    return _compare_level("golden-level-2", n, data.low[2],
                           *_level_fixture("second_level_sets.txt")[(n, "2")])
 
 
 @_timed
-def _golden_weight_slice(n: int, data: _EnumData) -> CheckRecord:
+def _golden_weight_slice(n: int, data: LevelSweep) -> CheckRecord:
     w, set_exp = _golden_slice(n)
     got = data.slices[w]
     observed = frozenset(got.members)
@@ -378,32 +369,32 @@ def _golden_weight_slice(n: int, data: _EnumData) -> CheckRecord:
 
 
 @_timed
-def _golden_top(n: int, data: _EnumData) -> CheckRecord:
+def _golden_top(n: int, data: LevelSweep) -> CheckRecord:
     m_exp, w_exp, count_exp = _top_summary_fixture()[n]
-    spectrum = data.spectrum
-    observed_w, observed, observed_count = data.at(spectrum.m - 1)
-    observed_triple = (spectrum.m, observed_w, observed_count)
+    second = data.high[1]
+    observed_triple = (data.high[0].index, second.weight, second.count)
     if observed_triple != (m_exp, w_exp, count_exp):
-        pick = sorted(observed, key=str)[0]
+        pick = sorted(second.members, key=str)[0]
         return CheckRecord("golden-top-levels", n, "fail",
                            f"(m, w, count) = {observed_triple} observed, "
                            f"({m_exp}, {w_exp}, {count_exp}) expected",
-                           Witness(pick, observed_w, w_exp))
+                           Witness(pick, second.weight, w_exp))
     return CheckRecord("golden-top-levels", n, "pass", f"(m, w, count) = {observed_triple}")
 
 
 @_timed
-def _golden_second_members(n: int, data: _EnumData) -> CheckRecord:
+def _golden_second_members(n: int, data: LevelSweep) -> CheckRecord:
     _, set_exp = _level_fixture("second_largest_members.txt")[(n, "m-1")]
     _, _, count_exp = _top_summary_fixture()[n]
-    observed_w, observed, observed_count = data.at(data.spectrum.m - 1)
+    second = data.high[1]
+    observed = frozenset(second.members)
     missing = set_exp - observed
-    if missing or observed_count != count_exp:
+    if missing or second.count != count_exp:
         witness_seq = sorted(missing or observed ^ set_exp or observed, key=str)[0]
         return CheckRecord("golden-second-max-members", n, "fail",
-                           f"{observed_count} members observed, {count_exp} expected; "
+                           f"{second.count} members observed, {count_exp} expected; "
                            f"{len(missing)} listed members missing",
-                           Witness(witness_seq, triangle_weight(witness_seq), observed_w))
+                           Witness(witness_seq, triangle_weight(witness_seq), second.weight))
     extras = " ".join(map(str, sorted(observed - set_exp, key=str)))
     note = f"; enumeration found members beyond the stored list: {extras}" if extras else ""
     return CheckRecord("golden-second-max-members", n, "pass",
@@ -411,13 +402,13 @@ def _golden_second_members(n: int, data: _EnumData) -> CheckRecord:
 
 
 @_timed
-def _golden_second_sets(n: int, data: _EnumData) -> CheckRecord:
-    return _compare_level("golden-second-max-sets", n, *data.at(data.spectrum.m - 1),
+def _golden_second_sets(n: int, data: LevelSweep) -> CheckRecord:
+    return _compare_level("golden-second-max-sets", n, data.high[1],
                           *_level_fixture("second_largest_sets_11_12.txt")[(n, "m-1")])
 
 
 @_timed
-def _weight_2n3(n: int, data: _EnumData) -> CheckRecord:
+def _weight_2n3(n: int, data: LevelSweep) -> CheckRecord:
     w = 2 * n - 3
     got = data.slices[w]
     if n == 10:
@@ -451,7 +442,7 @@ class _Check(NamedTuple):
     name: str
     applies: Callable[[int], bool]
     skip: str
-    run: Callable[[int, _EnumData], CheckRecord]
+    run: Callable[[int, LevelSweep], CheckRecord]
     weight: Callable[[int], int] | None = None
 
 

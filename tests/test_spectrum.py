@@ -418,7 +418,7 @@ class TestOneSweep:
 
         monkeypatch.setattr(_Kernel, "weights", skip_first_lane)
         for call in (lambda: full_spectrum(9), lambda: level_sets(9, 3, 2),
-                     lambda: symmetry_reduced_spectrum(9)):
+                     lambda: symmetry_reduced_spectrum(9), lambda: three_row_max(9)):
             with pytest.raises(ValueError, match=r"counts 511 generators, not 2\^9"):
                 call()
 
@@ -431,8 +431,10 @@ class TestOneSweep:
             return wanted(self, hist) & (len(calls) > 1)
 
         monkeypatch.setattr(spectrum_mod._Wanted, "of", blind_first_block)
-        with pytest.raises(ValueError, match="member scan disagrees with the histogram"):
-            level_sets(6, 3, 2, workers=1)
+        for call in (lambda: level_sets(6, 3, 2, workers=1), lambda: three_row_max(6)):
+            calls.clear()
+            with pytest.raises(ValueError, match="member scan disagrees with the histogram"):
+                call()
 
 
 class TestThreeRowMax:

@@ -10,6 +10,7 @@ from steinhaus import (
     VerificationReport,
     Witness,
     check_conjecture,
+    level_sets,
     triangle_weight,
     verify_all,
     verify_ek,
@@ -79,6 +80,13 @@ class TestVerifyLevel:
         record = verify_level(8, 2)
         assert record.status == "fail"
         assert "member set mismatch" in record.detail
+        assert triangle_weight(record.witness.sequence) == record.witness.observed
+
+    def test_level_beyond_a_short_ladder_fails_with_sound_witness(self):
+        record = verify_level(8, "3", data=level_sets(2, 3, 2))
+        assert record.status == "fail"
+        assert record.detail == "ladder has levels 0..1, level 3 undefined"
+        assert record.witness == Witness(BitSeq.from_string("01"), 2, 13)
         assert triangle_weight(record.witness.sequence) == record.witness.observed
 
 
