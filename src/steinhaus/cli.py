@@ -15,6 +15,7 @@ import sys
 
 from .bitseq import MAX_LEN, BitSeq
 from .families import (
+    FamilyRangeError,
     NoClosedFormError,
     all_families,
     family_seq,
@@ -150,7 +151,7 @@ def cmd_families(ns: argparse.Namespace) -> int:
         actual = triangle_weight(x)
         try:
             predicted = predicted_triangle_weight(f, ns.n)
-        except (NoClosedFormError, ValueError):
+        except (NoClosedFormError, FamilyRangeError):
             predicted = None
         rows.append({"family": str(f), "sequence": str(x),
                      "predicted": predicted, "actual": actual,

@@ -3,10 +3,14 @@
 Seven groups of sequences are constructible by tag: the all-ones class (a),
 the period-2 class (b), the period-4 class (c), the period-3 maximizers (z),
 the period-3 near-maximizers (u for lengths divisible by 3, v for lengths
-congruent to 2 mod 3), and the unit vectors (e). For each, the exact triangle
-weight is known in closed form on a stated range of lengths, as are the
-bottom of the weight ladder (levels 1-3) and its top (the maximum level and
-the one below it).
+congruent to 2 mod 3), and the unit vectors (e). Groups a to v are one table,
+``_GROUPS``: each states its least length n, the residue of n mod 3 it
+requires (if any), and its members in tag order as (head, pattern, tail)
+words. Member i at length n is its head, then its periodic pattern repeated
+to fill the middle, then its tail. Unit vector e_k has a single one at
+position k. For each family, the exact triangle weight is known in closed
+form on a stated range of lengths, as are the bottom of the weight ladder
+(levels 1-3) and its top (the maximum level and the one below it).
 """
 
 from __future__ import annotations
@@ -28,7 +32,21 @@ class UncoveredLevelError(ValueError):
     """No closed-form description of this level exists at this length."""
 
 
-_GROUP_SIZES = {"a": 3, "b": 6, "c": 6, "z": 3, "u": 9, "v": 6}
+# group -> (least n, required n mod 3 or None, members in tag order as
+# (head, pattern, tail) words).
+_GROUPS: dict[str, tuple[int, int | None, tuple[tuple[str, str, str], ...]]] = {
+    "a": (1, None, (("", "1", ""), ("1", "0", ""), ("", "0", "1"))),
+    "b": (2, None, (("", "10", ""), ("01", "0", ""), ("", "0", "11"),
+                    ("", "01", ""), ("11", "0", ""), ("", "0", "10"))),
+    "c": (3, None, (("", "0011", ""), ("101", "0", ""), ("", "0", "100"),
+                    ("", "1100", ""), ("001", "0", ""), ("", "0", "101"))),
+    "z": (2, None, (("", "110", ""), ("", "011", ""), ("", "101", ""))),
+    "u": (12, 0, (("", "100", ""), ("0", "011", ""), ("", "110", "1"),
+                  ("", "001", ""), ("1", "110", ""), ("", "101", "0"),
+                  ("", "010", ""), ("0", "101", ""), ("", "011", "0"))),
+    "v": (11, 2, (("", "100", ""), ("0", "101", ""), ("", "101", "1"),
+                  ("", "010", ""), ("1", "110", ""), ("", "110", "0"))),
+}
 
 
 @dataclass(frozen=True)
@@ -42,11 +60,10 @@ class FamilyName:
         if self.group == "e":
             if self.index < 0:
                 raise ValueError("unit-vector index must be nonnegative")
-        elif self.group in _GROUP_SIZES:
-            if not 1 <= self.index <= _GROUP_SIZES[self.group]:
-                raise ValueError(
-                    f"family group {self.group!r} has members 1..{_GROUP_SIZES[self.group]}"
-                )
+        elif self.group in _GROUPS:
+            size = len(_GROUPS[self.group][2])
+            if not 1 <= self.index <= size:
+                raise ValueError(f"family group {self.group!r} has members 1..{size}")
         else:
             raise ValueError(f"unknown family group {self.group!r}")
 
@@ -62,10 +79,6 @@ class FamilyName:
         return f"{self.group}{self.index}"
 
 
-def _pat(p: str, n: int) -> BitSeq:
-    return BitSeq.from_pattern(p, n)
-
-
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise FamilyRangeError(message)
@@ -74,55 +87,15 @@ def _require(cond: bool, message: str) -> None:
 def family_seq(f: FamilyName, n: int) -> BitSeq:
     """The defining sequence of family ``f`` at length n."""
     g, i = f.group, f.index
-    if g == "a":
-        _require(n >= 1, "a family requires n >= 1")
-        return (_pat("1", n), _pat("1", 1).concat(BitSeq.zeros(n - 1)),
-                BitSeq.zeros(n - 1).concat(_pat("1", 1)))[i - 1]
-    if g == "b":
-        _require(n >= 2, "b family requires n >= 2")
-        return (_pat("10", n),
-                BitSeq.from_string("01").concat(BitSeq.zeros(n - 2)),
-                BitSeq.zeros(n - 2).concat(BitSeq.from_string("11")),
-                _pat("01", n),
-                BitSeq.from_string("11").concat(BitSeq.zeros(n - 2)),
-                BitSeq.zeros(n - 2).concat(BitSeq.from_string("10")))[i - 1]
-    if g == "c":
-        _require(n >= 3, "c family requires n >= 3")
-        return (_pat("0011", n),
-                BitSeq.from_string("101").concat(BitSeq.zeros(n - 3)),
-                BitSeq.zeros(n - 3).concat(BitSeq.from_string("100")),
-                _pat("1100", n),
-                BitSeq.from_string("001").concat(BitSeq.zeros(n - 3)),
-                BitSeq.zeros(n - 3).concat(BitSeq.from_string("101")))[i - 1]
-    if g == "z":
-        _require(n >= 2, "z family requires n >= 2")
-        return (_pat("110", n), _pat("011", n), _pat("101", n))[i - 1]
-    if g == "u":
-        _require(n % 3 == 0, "u family requires n == 0 (mod 3)")
-        _require(n >= 12, "u family requires n >= 12")
-        one, zero = _pat("1", 1), BitSeq.zeros(1)
-        return (_pat("100", n),
-                zero.concat(_pat("011", n - 1)),
-                _pat("110", n - 1).concat(one),
-                _pat("001", n),
-                one.concat(_pat("110", n - 1)),
-                _pat("101", n - 1).concat(zero),
-                _pat("010", n),
-                zero.concat(_pat("101", n - 1)),
-                _pat("011", n - 1).concat(zero))[i - 1]
-    if g == "v":
-        _require(n % 3 == 2, "v family requires n == 2 (mod 3)")
-        _require(n >= 11, "v family requires n >= 11")
-        one, zero = _pat("1", 1), BitSeq.zeros(1)
-        return (_pat("100", n),
-                zero.concat(_pat("101", n - 1)),
-                _pat("101", n - 1).concat(one),
-                _pat("010", n),
-                one.concat(_pat("110", n - 1)),
-                _pat("110", n - 1).concat(zero))[i - 1]
-    # unit vectors e_k
-    _require(i <= n - 1, f"e{i} requires n >= {i + 1}")
-    return BitSeq(n, 1 << i)
+    if g == "e":
+        _require(i <= n - 1, f"e{i} requires n >= {i + 1}")
+        return BitSeq(n, 1 << i)
+    least, residue, members = _GROUPS[g]
+    _require(residue is None or n % 3 == residue, f"{g} family requires n == {residue} (mod 3)")
+    _require(n >= least, f"{g} family requires n >= {least}")
+    head, pattern, tail = members[i - 1]
+    middle = n - len(head) - len(tail)
+    return BitSeq.from_string(head + (pattern * middle)[:middle] + tail)
 
 
 def predicted_triangle_weight(f: FamilyName, n: int) -> int:
@@ -170,8 +143,8 @@ def predicted_triangle_weight(f: FamilyName, n: int) -> int:
 def all_families(n: int) -> list[FamilyName]:
     """Every family tag constructible at length n, in stable display order."""
     out: list[FamilyName] = []
-    for g, size in _GROUP_SIZES.items():
-        for i in range(1, size + 1):
+    for g, (_, _, members) in _GROUPS.items():
+        for i in range(1, len(members) + 1):
             f = FamilyName(g, i)
             try:
                 family_seq(f, n)
@@ -318,6 +291,6 @@ def predicted_level(level, n: int) -> LevelPrediction:
             "level m-1 for n == 0,2 (mod 3) is conjectured only for n >= 11"
         )
     group = "u" if n % 3 == 0 else "v"
-    size = _GROUP_SIZES[group]
+    size = len(_GROUPS[group][2])
     return _prediction(token, n, -(-n * n // 3),
                        _fam_set(group, n, range(1, size + 1)), status="conjecture")

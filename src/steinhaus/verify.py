@@ -42,6 +42,7 @@ from .spectrum import (
     CeilingExceeded,
     LevelSet,
     LevelSweep,
+    _check_size,
     enumeration_ceiling,
     level_sets,
     three_row_max,
@@ -502,6 +503,7 @@ def verify_all(n_min: int, n_max: int, *, workers: int | None = None,
     ceiling = enumeration_ceiling()
     if n_max > ceiling and not force:
         raise CeilingExceeded(f"n_max={n_max} exceeds the enumeration ceiling {ceiling}")
+    _check_size(n_max, force=True)  # the engine limit, before any sweep
     records = verify_small_n(workers=workers)
     for n in range(n_min, n_max + 1):
         records.extend(_per_n_records(n, workers, force))

@@ -9,6 +9,7 @@ from steinhaus import (
     all_families,
     family_seq,
     invert_i,
+    orbit,
     predicted_level,
     predicted_triangle_weight,
     rot_l,
@@ -138,6 +139,8 @@ class TestFamilySeq:
         ("e5", 4, "n >= 6"),
         ("b1", 1, "n >= 2"),
         ("c1", 2, "n >= 3"),
+        ("a1", 0, "n >= 1"),
+        ("z1", 1, "n >= 2"),
     ])
     def test_range_errors_name_condition(self, tag, n, message):
         with pytest.raises(FamilyRangeError, match=message):
@@ -149,6 +152,25 @@ class TestFamilySeq:
         assert tags.count("e0") == 1 and "e11" in tags and "e12" not in tags
         tags11 = [str(f) for f in all_families(11)]
         assert "v6" in tags11 and "u1" not in tags11
+
+    @pytest.mark.parametrize("n,expected", [
+        (1, "a1 a2 a3 e0"),
+        (2, "a1 a2 a3 b1 b2 b3 b4 b5 b6 z1 z2 z3 e0 e1"),
+        (3, "a1 a2 a3 b1 b2 b3 b4 b5 b6 c1 c2 c3 c4 c5 c6 z1 z2 z3 e0 e1 e2"),
+    ])
+    def test_all_families_at_the_least_lengths(self, n, expected):
+        assert " ".join(str(f) for f in all_families(n)) == expected
+
+    def test_groups_are_unions_of_symmetry_orbits(self):
+        # Each group lists whole orbits; c does so at even n only.
+        for n in range(1, 65):
+            groups: dict[str, set[BitSeq]] = {}
+            for f in all_families(n):
+                if f.group != "e":
+                    groups.setdefault(f.group, set()).add(family_seq(f, n))
+            for group, members in groups.items():
+                closure = set().union(*(orbit(x).members for x in members))
+                assert (closure == members) == (group != "c" or n % 2 == 0), (group, n)
 
 
 class TestPredictedTriangleWeight:

@@ -19,6 +19,7 @@ from steinhaus import (
     verify_s3,
     verify_small_n,
 )
+from steinhaus import cli
 from steinhaus import spectrum as spectrum_mod
 from steinhaus import verify as verify_mod
 from steinhaus.families import LevelPrediction
@@ -174,6 +175,19 @@ class TestVerifyAll:
         first = verify_all(4, 6)
         second = verify_all(4, 6)
         assert [r.key() for r in first.records] == [r.key() for r in second.records]
+
+    def test_engine_limit_fails_before_any_sweep(self, capsys, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("verify_all swept before checking the engine limit")
+
+        monkeypatch.setattr(verify_mod, "level_sets", no_sweep)
+        monkeypatch.setattr(verify_mod, "three_row_max", no_sweep)
+        with pytest.raises(CeilingExceeded, match="engine limit of 40"):
+            verify_all(39, 41, force=True)
+        code = cli.main(["verify", "--from", "39", "--to", "41", "--force"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "engine limit of 40" in captured.err
 
     def test_golden_rows_present(self):
         report = verify_all(4, 9)
