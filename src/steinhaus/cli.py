@@ -2,7 +2,8 @@
 
 Commands: triangle, spectrum, levels, orbit, families, verify. Exit codes:
 0 success, 1 a verification check failed, 2 usage error (bad input or
-enumeration ceiling exceeded), 3 a conjecture check found a counterexample.
+enumeration ceiling exceeded), 3 a conjecture check found a counterexample,
+141 stdout was closed early (as by ``| head``).
 JSON documents are stable-ordered (sorted keys, members sorted by text) so
 saved outputs diff cleanly; worker count never changes the payload.
 """
@@ -11,16 +12,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .bitseq import MAX_LEN, BitSeq
-from .families import (
-    FamilyRangeError,
-    NoClosedFormError,
-    all_families,
-    family_seq,
-    predicted_triangle_weight,
-)
+from .families import family_weights
 from .spectrum import (
     LevelSet,
     _check_levels,
@@ -106,19 +102,16 @@ def cmd_spectrum(ns: argparse.Namespace) -> int:
 
 
 def cmd_levels(ns: argparse.Namespace) -> int:
-    low_k = 3 if ns.low is None else ns.low
-    high_k = 2 if ns.high is None else ns.high
-    sweep = level_sets(ns.n, low_k, high_k, workers=ns.workers, force=ns.force)
+    sweep = level_sets(ns.n, 3 if ns.low is None else ns.low,
+                       2 if ns.high is None else ns.high, workers=ns.workers, force=ns.force)
     _check_levels(sweep.spectrum, ns.low or 0, ns.high or 0)  # the defaults clamp
-    m = sweep.spectrum.m
-    low_k, high_k = min(low_k, m), min(high_k, m + 1)
     low, high = sweep.low, sweep.high
     payload = {"n": ns.n,
                "low": [_level_payload(ls) for ls in low],
                "high": [_level_payload(ls) for ls in high]}
     if ns.format == "json":
-        _emit(_document("levels", {"n": ns.n, "low": low_k, "high": high_k},
-                        payload))
+        _emit(_document("levels", {"n": ns.n, "low": max(len(low) - 1, 0),
+                                   "high": len(high)}, payload))
     else:
         for ls in low + high:
             mark = " (truncated)" if ls.truncated else ""
@@ -146,13 +139,8 @@ def cmd_families(ns: argparse.Namespace) -> int:
     if not 1 <= ns.n <= MAX_LEN:
         raise ValueError(f"families need 1 <= n <= {MAX_LEN}, got n={ns.n}")
     rows = []
-    for f in all_families(ns.n):
-        x = family_seq(f, ns.n)
+    for f, x, predicted in family_weights(ns.n):
         actual = triangle_weight(x)
-        try:
-            predicted = predicted_triangle_weight(f, ns.n)
-        except (NoClosedFormError, FamilyRangeError):
-            predicted = None
         rows.append({"family": str(f), "sequence": str(x),
                      "predicted": predicted, "actual": actual,
                      "match": None if predicted is None else predicted == actual})
@@ -264,10 +252,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     ns = parser.parse_args(argv)
     try:
-        return ns.func(ns)
+        code = ns.func(ns)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        if sys.stdout is sys.__stdout__:  # the exit-time flush then writes nowhere
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
 
 
 if __name__ == "__main__":

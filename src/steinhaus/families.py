@@ -10,14 +10,17 @@ words. Member i at length n is its head, then its periodic pattern repeated
 to fill the middle, then its tail. Unit vector e_k has a single one at
 position k. For each family, the exact triangle weight is known in closed
 form on a stated range of lengths, as are the bottom of the weight ladder
-(levels 1-3) and its top (the maximum level and the one below it).
+(levels 1-3) and its top (the maximum level and the one below it). For
+n <= 4 the whole ladder is the bundled table ``fixtures/small_n_levels.txt``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from importlib import resources
 
-from .bitseq import BitSeq
+from .bitseq import MAX_LEN, BitSeq
 
 
 class FamilyRangeError(ValueError):
@@ -87,6 +90,7 @@ def _require(cond: bool, message: str) -> None:
 def family_seq(f: FamilyName, n: int) -> BitSeq:
     """The defining sequence of family ``f`` at length n."""
     g, i = f.group, f.index
+    _require(n <= MAX_LEN, f"families are defined for n <= {MAX_LEN}")
     if g == "e":
         _require(i <= n - 1, f"e{i} requires n >= {i + 1}")
         return BitSeq(n, 1 << i)
@@ -142,32 +146,53 @@ def predicted_triangle_weight(f: FamilyName, n: int) -> int:
 
 def all_families(n: int) -> list[FamilyName]:
     """Every family tag constructible at length n, in stable display order."""
+    tags = [FamilyName(g, i) for g, (_, _, members) in _GROUPS.items()
+            for i in range(1, len(members) + 1)]
     out: list[FamilyName] = []
-    for g, (_, _, members) in _GROUPS.items():
-        for i in range(1, len(members) + 1):
-            f = FamilyName(g, i)
-            try:
-                family_seq(f, n)
-            except FamilyRangeError:
-                continue
-            out.append(f)
-    out.extend(FamilyName("e", k) for k in range(n))
+    for f in tags + [FamilyName("e", k) for k in range(n)]:
+        try:
+            family_seq(f, n)
+        except FamilyRangeError:
+            continue
+        out.append(f)
     return out
 
 
-# Full weight ladders for n <= 4: level -> (weight, generator texts).
-_SMALL_N_LADDER: dict[int, list[tuple[int, list[str]]]] = {
-    1: [(0, ["0"]), (1, ["1"])],
-    2: [(0, ["00"]), (2, ["11", "10", "01"])],
-    3: [(0, ["000"]), (3, ["111", "100", "001", "010"]), (4, ["110", "011", "101"])],
-    4: [
-        (0, ["0000"]),
-        (4, ["1111", "1000", "0001"]),
-        (5, ["0100", "0010", "1100", "1010", "0101", "0011"]),
-        (6, ["1001", "0110", "1110", "0111"]),
-        (7, ["1101", "1011"]),
-    ],
-}
+def family_weights(n: int) -> list[tuple[FamilyName, BitSeq, int | None]]:
+    """Every family at length n with its sequence and its closed-form weight,
+    or None where no closed form exists."""
+    out = []
+    for f in all_families(n):
+        try:
+            predicted = predicted_triangle_weight(f, n)
+        except (NoClosedFormError, FamilyRangeError):
+            predicted = None
+        out.append((f, family_seq(f, n), predicted))
+    return out
+
+
+@functools.cache
+def _fixture_rows(name: str) -> tuple[tuple[str, ...], ...]:
+    """Rows of a bundled table under ``fixtures/``, split on whitespace."""
+    text = (resources.files(__package__) / "fixtures" / name).read_text()
+    lines = (line.strip() for line in text.splitlines())
+    return tuple(tuple(line.split()) for line in lines
+                 if line and not line.startswith("#"))
+
+
+def _level_fixture(name: str) -> dict[tuple[int, str], tuple[int, frozenset[BitSeq]]]:
+    """A table of ``<n> <level> <weight> <members...>`` rows, keyed by (n, level)."""
+    out = {}
+    for row in _fixture_rows(name):
+        n, level, w = int(row[0]), row[1], int(row[2])
+        out[(n, level)] = (w, frozenset(BitSeq.from_string(s) for s in row[3:]))
+    return out
+
+
+def conjectured(n: int) -> bool:
+    """Whether level m-1 at length n is conjectured rather than proven."""
+    return n >= 11 and n % 3 != 1
+
 
 # Second-level sets with no general formula, found by exhaustive search.
 _LEVEL2_LITERALS: dict[int, list[str]] = {
@@ -215,13 +240,14 @@ def _fam_set(group: str, n: int, indices) -> list[BitSeq]:
 
 
 def _small_n_prediction(level: str, n: int) -> LevelPrediction:
-    ladder = _SMALL_N_LADDER[n]
-    top = len(ladder) - 1
-    idx = {"m": top, "m-1": top - 1}.get(level, int(level) if level.isdigit() else -1)
-    if not 0 <= idx <= top:
+    """Level of the stored full ladder at n <= 4; level 0 is the zero word."""
+    ladder = _level_fixture("small_n_levels.txt")
+    top = sum(nn == n for nn, _ in ladder)
+    idx = int(level) if level.isdigit() else {"m": top, "m-1": top - 1}[level]
+    if idx > top:
         raise UncoveredLevelError(f"n={n} has levels 0..{top} only")
-    w, seqs = ladder[idx]
-    return _prediction(level, n, w, [BitSeq.from_string(s) for s in seqs])
+    w, seqs = ladder[(n, str(idx))] if idx else (0, [BitSeq.zeros(n)])
+    return _prediction(level, n, w, seqs)
 
 
 def predicted_level(level, n: int) -> LevelPrediction:
@@ -279,14 +305,10 @@ def predicted_level(level, n: int) -> LevelPrediction:
             return _prediction(token, n, value, _fam_set("z", n, (1, 3)))
         return _prediction(token, n, value, _fam_set("z", n, (1, 2, 3)))
 
-    # token == "m-1"
+    # token == "m-1"; n == 1 (mod 3) means n >= 7 here
     if n % 3 == 1:
-        if n < 7:
-            raise UncoveredLevelError(
-                "level m-1 is described for n >= 7 with n == 1 (mod 3)"
-            )
         return _prediction(token, n, -(-n * (n + 1) // 3) - 1, _fam_set("z", n, (2,)))
-    if n < 11:
+    if not conjectured(n):
         raise UncoveredLevelError(
             "level m-1 for n == 0,2 (mod 3) is conjectured only for n >= 11"
         )

@@ -495,33 +495,25 @@ def _check_levels(spectrum: WeightSpectrum, low: int, high: int) -> None:
 
 
 def _checked_sweep(n: int, low: int, high: int, cap: int, workers: int | None,
-                   force: bool, spectrum: WeightSpectrum | None) -> LevelSweep:
-    """``level_sets`` with its level counts checked, and its histogram
-    checked against a precomputed ``spectrum`` if one is given."""
+                   force: bool) -> LevelSweep:
+    """``level_sets`` with its level counts checked."""
     if max(low, high) < 1:
         raise ValueError("need at least one level")
     sweep = level_sets(n, low, high, cap=cap, workers=workers, force=force)
-    if spectrum is not None and spectrum.counts != sweep.spectrum.counts:
-        raise ValueError(f"spectrum disagrees with enumeration at n={n}")
     _check_levels(sweep.spectrum, low, high)
     return sweep
 
 
 def level_sets_low(n: int, k: int, *, cap: int = DEFAULT_MEMBER_CAP,
-                   workers: int | None = None, force: bool = False,
-                   spectrum: WeightSpectrum | None = None) -> list[LevelSet]:
-    """Level sets W_0 .. W_k with members, from one sweep.
-
-    A precomputed ``spectrum`` for the same n is checked against the sweep.
-    """
-    return _checked_sweep(n, k, 0, cap, workers, force, spectrum).low
+                   workers: int | None = None, force: bool = False) -> list[LevelSet]:
+    """Level sets W_0 .. W_k with members, from one sweep."""
+    return _checked_sweep(n, k, 0, cap, workers, force).low
 
 
 def level_sets_high(n: int, k: int, *, cap: int = DEFAULT_MEMBER_CAP,
-                    workers: int | None = None, force: bool = False,
-                    spectrum: WeightSpectrum | None = None) -> list[LevelSet]:
+                    workers: int | None = None, force: bool = False) -> list[LevelSet]:
     """Level sets W_m, W_{m-1}, ... down k levels, with members, from one sweep."""
-    return _checked_sweep(n, 0, k, cap, workers, force, spectrum).high
+    return _checked_sweep(n, 0, k, cap, workers, force).high
 
 
 def members_at_weights(n: int, weights, *, cap: int = DEFAULT_MEMBER_CAP,

@@ -13,7 +13,8 @@ one ``LevelSweep`` and any exact weight it reads there. Checks read levels by
 their offset from an end of the ladder: W_1..W_3 are ``sweep.low[1..3]``, and
 W_m and W_{m-1} are ``sweep.high[0]`` and ``sweep.high[1]``, so only a ladder
 too short for a level and the stored top-level summary need the height m. The
-small-n ladder (n <= 4) sweeps the whole ladder instead. The ``_timed``
+small-n ladder (n <= 4) sweeps the whole ladder instead, against the same
+bundled table that ``predicted_level`` serves at those sizes. The ``_timed``
 decorator stamps each check's wall time on the record it returns.
 """
 
@@ -23,20 +24,19 @@ import functools
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, replace
-from importlib import resources
 from typing import NamedTuple
 
 from .bitseq import BitSeq
 from .families import (
     FamilyName,
-    FamilyRangeError,
-    NoClosedFormError,
     UncoveredLevelError,
-    all_families,
+    _fixture_rows,
+    _level_fixture,
+    conjectured,
     family_seq,
+    family_weights,
     normalize_level,
     predicted_level,
-    predicted_triangle_weight,
 )
 from .spectrum import (
     CeilingExceeded,
@@ -117,22 +117,6 @@ class VerificationReport:
 
 # ---------------------------------------------------------------------------
 # fixtures
-
-@functools.cache
-def _fixture_rows(name: str) -> tuple[tuple[str, ...], ...]:
-    text = (resources.files(__package__) / "fixtures" / name).read_text()
-    lines = (line.strip() for line in text.splitlines())
-    return tuple(tuple(line.split()) for line in lines
-                 if line and not line.startswith("#"))
-
-
-def _level_fixture(name: str) -> dict[tuple[int, str], tuple[int, frozenset[BitSeq]]]:
-    out = {}
-    for row in _fixture_rows(name):
-        n, level, w = int(row[0]), row[1], int(row[2])
-        out[(n, level)] = (w, frozenset(BitSeq.from_string(s) for s in row[3:]))
-    return out
-
 
 def _unit_vector_fixture() -> dict[tuple[int, int], int]:
     return {(int(n), int(k)): int(w)
@@ -279,12 +263,9 @@ def verify_ek(n: int) -> CheckRecord:
 def verify_family_weights(n: int) -> CheckRecord:
     """Every closed-form family weight at this length against direct computation."""
     checked = 0
-    for f in all_families(n):
-        try:
-            predicted = predicted_triangle_weight(f, n)
-        except (NoClosedFormError, FamilyRangeError):
+    for f, x, predicted in family_weights(n):
+        if predicted is None:
             continue
-        x = family_seq(f, n)
         w = triangle_weight(x)
         if w != predicted:
             return CheckRecord("family-weights", n, "fail",
@@ -328,16 +309,11 @@ def verify_s3(n: int, *, ceiling: int = S3_CEILING) -> CheckRecord:
 _CONJECTURE_RANGE = "conjecture applies for n >= 11 with n == 0,2 (mod 3)"
 
 
-def _conjectured(n: int) -> bool:
-    """Sizes where level m-1 is conjectured (see ``_CONJECTURE_RANGE``)."""
-    return n >= 11 and n % 3 != 1
-
-
 @_timed
 def check_conjecture(n: int, *, workers: int | None = None,
                      data: LevelSweep | None = None) -> CheckRecord:
     """Test whether level m-1 equals the conjectured set at weight ceil(n^2/3)."""
-    if not _conjectured(n):
+    if not conjectured(n):
         raise ValueError(_CONJECTURE_RANGE)
     if data is None:
         data = _enum_data(n, workers)
@@ -458,10 +434,10 @@ _CHECKS = (
     _Check("level-2", _every, "", lambda n, d: verify_level(n, "2", data=d)),
     _Check("level-3", _every, "", lambda n, d: verify_level(n, "3", data=d)),
     _Check("level-m", _every, "", lambda n, d: verify_level(n, "m", data=d)),
-    _Check("level-m-1", lambda n: not _conjectured(n),
+    _Check("level-m-1", lambda n: not conjectured(n),
            "conjectured range; evaluated by the conjecture check",
            lambda n, d: verify_level(n, "m-1", data=d)),
-    _Check("conjecture", _conjectured, _CONJECTURE_RANGE,
+    _Check("conjecture", conjectured, _CONJECTURE_RANGE,
            lambda n, d: check_conjecture(n, data=d)),
     _Check("family-weights", _every, "", lambda n, d: verify_family_weights(n)),
     _Check("unit-vector-bound", _every, "", lambda n, d: verify_ek(n)),

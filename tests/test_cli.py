@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -278,6 +279,30 @@ class TestOptimizedInterpreter:
                 for flags in ([], ["-O"])]
         assert runs[0].returncode == 0 and runs[0].stdout
         assert (runs[1].returncode, runs[1].stdout) == (runs[0].returncode, runs[0].stdout)
+
+
+class TestClosedStdout:
+    """A reader that stops early (``| head``) ends the run with 141 and no traceback."""
+
+    def test_write_raising_broken_pipe_exits_141(self, capsys, monkeypatch):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert cli.main(["levels", "16", "--format", "json"]) == 141
+        monkeypatch.undo()
+        assert capsys.readouterr().err == ""
+
+    def test_pipe_without_reader_exits_141_quietly(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(steinhaus.__file__).parents[1]))
+        env.pop("STEINHAUS_MAX_N", None)
+        proc = subprocess.Popen([sys.executable, "-m", "steinhaus.cli", "levels", "8"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()  # nobody reads, so the first write to stdout fails
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=120), err) == (141, b"")
 
 
 class TestParser:

@@ -1,3 +1,5 @@
+from importlib import resources
+
 import pytest
 
 from steinhaus import (
@@ -17,6 +19,8 @@ from steinhaus import (
     triangle_weight,
 )
 from steinhaus import families as families_mod
+from steinhaus.bitseq import MAX_LEN
+from steinhaus.families import family_weights
 
 
 def seq(tag, n):
@@ -146,6 +150,16 @@ class TestFamilySeq:
         with pytest.raises(FamilyRangeError, match=message):
             seq(tag, n)
 
+    def test_every_tag_refused_above_the_length_limit(self):
+        n = MAX_LEN + 1
+        tags = [FamilyName(g, i) for g, (_, _, members) in families_mod._GROUPS.items()
+                for i in range(1, len(members) + 1)]
+        for f in tags + [FamilyName("e", k) for k in range(n)]:
+            with pytest.raises(FamilyRangeError, match=str(MAX_LEN)):
+                family_seq(f, n)
+        assert all_families(n) == []
+        assert str(all_families(MAX_LEN)[-1]) == f"e{MAX_LEN - 1}"
+
     def test_all_families_listing(self):
         tags = [str(f) for f in all_families(12)]
         assert "u1" in tags and "v1" not in tags
@@ -215,6 +229,18 @@ class TestPredictedTriangleWeight:
                     continue
                 assert predicted == triangle_weight(family_seq(f, n)), (str(f), n)
 
+    def test_family_weights_none_exactly_without_a_closed_form(self):
+        for n in range(1, 65):
+            rows = family_weights(n)
+            assert [f for f, _, _ in rows] == all_families(n)
+            for f, x, predicted in rows:
+                assert x == family_seq(f, n)
+                try:
+                    expected = predicted_triangle_weight(f, n)
+                except ValueError:
+                    expected = None
+                assert predicted == expected, (str(f), n)
+
     def test_central_unit_vector_bound(self):
         for n in range(9, 25):
             for k in range(4, (n - 1) // 2 + 1):
@@ -235,6 +261,24 @@ class TestPredictedLevel:
         assert {str(m) for m in p.members} == {"1101", "1011"}
         p = predicted_level("m-1", 4)
         assert p.value == 6 and len(p.members) == 4
+
+    def test_small_n_levels_are_the_bundled_rows(self):
+        # Rows "<n> <level> <weight> <members...>" for levels 1..m; level 0 is the zero word.
+        text = (resources.files("steinhaus") / "fixtures" / "small_n_levels.txt").read_text()
+        rows = [line.split() for line in text.splitlines() if line and line[0] != "#"]
+        for n in range(1, 5):
+            ladder = [(0, {"0" * n})] + [(int(r[2]), set(r[3:])) for r in rows if r[0] == str(n)]
+            m = len(ladder) - 1
+            for token, index in (("1", 1), ("2", 2), ("3", 3), ("m", m), ("m-1", m - 1)):
+                if index > m:
+                    with pytest.raises(UncoveredLevelError):
+                        predicted_level(token, n)
+                    continue
+                p = predicted_level(token, n)
+                assert (p.value, {str(x) for x in p.members}) == ladder[index], (token, n)
+                assert p.status == "theorem"
+        assert [str(x) for x in predicted_level("m-1", 1).members] == ["0"]
+        assert [str(x) for x in predicted_level("m-1", 2).members] == ["00"]
 
     def test_level_two_at_eight(self):
         p = predicted_level(2, 8)

@@ -8,7 +8,6 @@ import pytest
 from steinhaus import (
     BitSeq,
     CeilingExceeded,
-    WeightSpectrum,
     enumeration_ceiling,
     find_weight,
     full_spectrum,
@@ -301,22 +300,6 @@ class TestLevelSets:
             level_sets_high(4, 6)
         with pytest.raises(ValueError):
             level_sets_low(4, 0)
-
-    def test_mismatched_spectrum_rejected(self):
-        good = full_spectrum(6)
-        counts = list(good.counts)
-        counts[good.levels[1]] += 1
-        with pytest.raises(ValueError, match="disagrees with enumeration"):
-            level_sets_low(6, 1, spectrum=WeightSpectrum(6, tuple(counts)))
-
-    def test_matching_spectrum_gives_the_same_sets(self):
-        spec = full_spectrum(9)
-        assert level_sets_low(9, 3, spectrum=spec) == level_sets_low(9, 3)
-        assert level_sets_high(9, 2, spectrum=spec) == level_sets_high(9, 2)
-        counts = list(spec.counts)
-        counts[spec.levels[-1]] += 1
-        with pytest.raises(ValueError, match="disagrees with enumeration"):
-            level_sets_high(9, 1, spectrum=WeightSpectrum(9, tuple(counts)))
 
     def test_member_cap_and_truncation(self):
         levels = level_sets_low(10, 1, cap=2)
