@@ -10,8 +10,10 @@ words. Member i at length n is its head, then its periodic pattern repeated
 to fill the middle, then its tail. Unit vector e_k has a single one at
 position k. For each family, the exact triangle weight is known in closed
 form on a stated range of lengths, as are the bottom of the weight ladder
-(levels 1-3) and its top (the maximum level and the one below it). For
-n <= 4 the whole ladder is the bundled table ``fixtures/small_n_levels.txt``.
+(levels 1-3) and its top (the maximum level and the one below it): each such
+level is a union of families and weighs their closed form. Two bundled tables
+instead give the whole ladder at n <= 4 (``fixtures/small_n_levels.txt``) and
+level 2 at n <= 8 (``fixtures/second_level_sets.txt``).
 """
 
 from __future__ import annotations
@@ -194,13 +196,6 @@ def conjectured(n: int) -> bool:
     return n >= 11 and n % 3 != 1
 
 
-# Second-level sets with no general formula, found by exhaustive search.
-_LEVEL2_LITERALS: dict[int, list[str]] = {
-    5: ["01000", "00010", "01010"],
-    6: ["001000", "000100", "001100"],  # extra class beyond the b sequences
-    7: ["0001000"],  # extra singleton beyond b2, b4, b6
-}
-
 # Extra third-level class at n = 8 beyond the c sequences.
 _LEVEL3_EXTRA_8 = ["11110000", "00001000", "00010001", "00001111", "10001000", "00010000"]
 
@@ -235,12 +230,18 @@ def _prediction(level: str, n: int, value: int, seqs, status: str = "theorem") -
     return LevelPrediction(level, n, value, members, status)
 
 
-def _fam_set(group: str, n: int, indices) -> list[BitSeq]:
-    return [family_seq(FamilyName(group, i), n) for i in indices]
+def _family_prediction(level: str, n: int, group: str, indices, extra=(),
+                       status: str = "theorem") -> LevelPrediction:
+    """Members ``indices`` of ``group`` plus ``extra`` words, weighed by the first's closed form."""
+    tags = [FamilyName(group, i) for i in indices]
+    seqs = [family_seq(f, n) for f in tags] + [BitSeq.from_string(s) for s in extra]
+    return _prediction(level, n, predicted_triangle_weight(tags[0], n), seqs, status)
 
 
-def _small_n_prediction(level: str, n: int) -> LevelPrediction:
-    """Level of the stored full ladder at n <= 4; level 0 is the zero word."""
+def _bundled_prediction(level: str, n: int) -> LevelPrediction:
+    """A bundled table's level: any at n <= 4 (level 0 is the zero word), level 2 at n <= 8."""
+    if n > 4:
+        return _prediction(level, n, *_level_fixture("second_level_sets.txt")[(n, level)])
     ladder = _level_fixture("small_n_levels.txt")
     top = sum(nn == n for nn, _ in ladder)
     idx = int(level) if level.isdigit() else {"m": top, "m-1": top - 1}[level]
@@ -251,68 +252,44 @@ def _small_n_prediction(level: str, n: int) -> LevelPrediction:
 
 
 def predicted_level(level, n: int) -> LevelPrediction:
-    """Closed-form weight and member set for a ladder level, where covered.
+    """Weight and member set for a ladder level, where covered.
 
     Levels 1-3 count from the bottom of the ladder; "m" is the maximum level
-    and "m-1" the one below it. Raises UncoveredLevelError outside the ranges
-    where an exact description is known.
+    and "m-1" the one below it. The ladder at n <= 4 and level 2 at n <= 8
+    are bundled tables; any other level is a union of named families (plus
+    six words at n = 8, level 3) and weighs their closed form. Raises
+    UncoveredLevelError outside the ranges where an exact description is known.
     """
     token = normalize_level(level)
     if n < 1:
         raise ValueError("length must be positive")
-    if n <= 4:
-        return _small_n_prediction(token, n)
-
+    if n <= 4 or (token == "2" and n <= 8):
+        return _bundled_prediction(token, n)
     if token == "1":
-        return _prediction(token, n, n, _fam_set("a", n, (1, 2, 3)))
-
+        return _family_prediction(token, n, "a", (1, 2, 3))
     if token == "2":
-        value = (3 * n - 2) // 2
-        if n == 5:
-            return _prediction(token, n, value,
-                               [BitSeq.from_string(s) for s in _LEVEL2_LITERALS[5]])
-        if n == 6:
-            extra = [BitSeq.from_string(s) for s in _LEVEL2_LITERALS[6]]
-            return _prediction(token, n, value, _fam_set("b", n, range(1, 7)) + extra)
-        if n == 7:
-            extra = [BitSeq.from_string(s) for s in _LEVEL2_LITERALS[7]]
-            return _prediction(token, n, value, _fam_set("b", n, (2, 4, 6)) + extra)
-        if n % 2 == 0:
-            return _prediction(token, n, value, _fam_set("b", n, range(1, 7)))
-        return _prediction(token, n, value, _fam_set("b", n, (2, 4, 6)))
+        return _family_prediction(token, n, "b", (2, 4, 6) if n % 2 else range(1, 7))
 
     if token == "3":
         if n % 2 == 1:
             if n < 7:
-                raise UncoveredLevelError(
-                    "level 3 for odd lengths is described only for n >= 7"
-                )
-            return _prediction(token, n, (3 * n - 1) // 2, _fam_set("b", n, (1, 3, 5)))
-        if n == 8:
-            extra = [BitSeq.from_string(s) for s in _LEVEL3_EXTRA_8]
-            return _prediction(token, n, 13, _fam_set("c", n, range(1, 7)) + extra)
-        if n < 10:
+                raise UncoveredLevelError("level 3 for odd lengths is described only for n >= 7")
+            return _family_prediction(token, n, "b", (1, 3, 5))
+        if n < 10 and n != 8:
             raise UncoveredLevelError(
                 "level 3 for even lengths is described only for n = 8 and n >= 10"
             )
-        if n % 4 == 0:
-            return _prediction(token, n, 2 * n - 3, _fam_set("c", n, range(1, 7)))
-        return _prediction(token, n, 2 * n - 4, _fam_set("c", n, (1, 3, 5)))
+        return _family_prediction(token, n, "c", (1, 3, 5) if n % 4 else range(1, 7),
+                                  _LEVEL3_EXTRA_8 if n == 8 else ())
 
     if token == "m":
-        value = -(-n * (n + 1) // 3)
-        if n % 3 == 1:
-            return _prediction(token, n, value, _fam_set("z", n, (1, 3)))
-        return _prediction(token, n, value, _fam_set("z", n, (1, 2, 3)))
+        return _family_prediction(token, n, "z", (1, 3) if n % 3 == 1 else (1, 2, 3))
 
     # token == "m-1"; n == 1 (mod 3) means n >= 7 here
     if n % 3 == 1:
-        return _prediction(token, n, -(-n * (n + 1) // 3) - 1, _fam_set("z", n, (2,)))
+        return _family_prediction(token, n, "z", (2,))
     if not conjectured(n):
-        raise UncoveredLevelError(
-            "level m-1 for n == 0,2 (mod 3) is conjectured only for n >= 11"
-        )
+        raise UncoveredLevelError("level m-1 for n == 0,2 (mod 3) is conjectured only for n >= 11")
     group = "u" if n % 3 == 0 else "v"
-    size = len(_GROUPS[group][2])
-    return _prediction(token, n, -(-n * n // 3),
-                       _fam_set(group, n, range(1, size + 1)), status="conjecture")
+    return _family_prediction(token, n, group, range(1, len(_GROUPS[group][2]) + 1),
+                              status="conjecture")

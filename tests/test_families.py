@@ -263,9 +263,19 @@ class TestPredictedLevel:
         assert p.value == 6 and len(p.members) == 4
 
     def test_small_n_levels_are_the_bundled_rows(self):
-        # Rows "<n> <level> <weight> <members...>" for levels 1..m; level 0 is the zero word.
-        text = (resources.files("steinhaus") / "fixtures" / "small_n_levels.txt").read_text()
-        rows = [line.split() for line in text.splitlines() if line and line[0] != "#"]
+        # Rows "<n> <level> <weight> <members...>": every level 1..m at n <= 4 (level 0 is
+        # the zero word), and level 2 alone at n = 4..8.
+        def table(name):
+            text = (resources.files("steinhaus") / "fixtures" / name).read_text()
+            return [line.split() for line in text.splitlines() if line and line[0] != "#"]
+
+        second = table("second_level_sets.txt")
+        assert [(int(r[0]), r[1]) for r in second] == [(n, "2") for n in range(4, 9)]
+        for r in second:
+            p = predicted_level("2", int(r[0]))
+            assert (p.value, {str(x) for x in p.members}) == (int(r[2]), set(r[3:])), r[0]
+            assert p.status == "theorem"
+        rows = table("small_n_levels.txt")
         for n in range(1, 5):
             ladder = [(0, {"0" * n})] + [(int(r[2]), set(r[3:])) for r in rows if r[0] == str(n)]
             m = len(ladder) - 1
@@ -279,6 +289,21 @@ class TestPredictedLevel:
                 assert p.status == "theorem"
         assert [str(x) for x in predicted_level("m-1", 1).members] == ["0"]
         assert [str(x) for x in predicted_level("m-1", 2).members] == ["00"]
+
+    def test_level_weights_are_family_weights(self):
+        # Every named family inside a covered level has the level's weight as its closed form.
+        for n in range(5, MAX_LEN + 1):
+            tagged = [(f, family_seq(f, n)) for f in all_families(n)]
+            for token in ("1", "2", "3", "m", "m-1"):
+                try:
+                    p = predicted_level(token, n)
+                except UncoveredLevelError:
+                    continue
+                members = p.member_set
+                inside = [f for f, x in tagged if x in members]
+                assert inside, (token, n)
+                for f in inside:
+                    assert predicted_triangle_weight(f, n) == p.value, (token, n, str(f))
 
     def test_level_two_at_eight(self):
         p = predicted_level(2, 8)
