@@ -19,8 +19,10 @@ level 2 at n <= 8 (``fixtures/second_level_sets.txt``).
 from __future__ import annotations
 
 import functools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from importlib import resources
+from types import MappingProxyType
 
 from .bitseq import MAX_LEN, BitSeq
 
@@ -182,13 +184,15 @@ def _fixture_rows(name: str) -> tuple[tuple[str, ...], ...]:
                  if line and not line.startswith("#"))
 
 
-def _level_fixture(name: str) -> dict[tuple[int, str], tuple[int, frozenset[BitSeq]]]:
-    """A table of ``<n> <level> <weight> <members...>`` rows, keyed by (n, level)."""
+@functools.cache
+def _level_fixture(name: str) -> Mapping[tuple[int, str], tuple[int, frozenset[BitSeq]]]:
+    """A table of ``<n> <level> <weight> <members...>`` rows, keyed by (n, level),
+    parsed once per file and read-only, since every caller shares it."""
     out = {}
     for row in _fixture_rows(name):
         n, level, w = int(row[0]), row[1], int(row[2])
         out[(n, level)] = (w, frozenset(BitSeq.from_string(s) for s in row[3:]))
-    return out
+    return MappingProxyType(out)
 
 
 def conjectured(n: int) -> bool:

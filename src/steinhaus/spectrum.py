@@ -9,30 +9,44 @@ k-bit low half. Hi-only bits (c >= k) form the triangle of hi; their weight
 is one number per block. Only the k(n-k) mixed bits (c < k <= c + r) are
 tabulated as T(lo) for every low half, packed densely into ceil(k(n-k)/64)
 uint64 word rows built from the unit-vector triangles by k doubling XORs.
-Generators come in blocks of 2^k consecutive lanes, one block per high half:
-the block's weights are the lo-only weights plus the hi-only weight plus,
-per mixed word row, an XOR with the matching word of T(hi << k) and a
-popcount. T(hi << k) is updated from the previous block, so memory stays
-O(2^k) per table word for every n.
+Generators come in blocks of 2^k lanes, one block per high half: the block's
+weights are the lo-only weights plus the hi-only weight plus, per mixed word
+row, an XOR with the matching word of T(hi << k) and a popcount. T(hi << k)
+is updated from the previous block, so memory stays O(2^k) per table word
+for every n.
+
+Reversing a generator mirrors its triangle, so both have the same weight,
+and the kernel weighs one generator of each mirror pair. A block's lanes run
+in bit-reversed order of lo (lane j holds lo = bitrev_k(j), so x_0 is j's top
+bit), which puts the lanes that read less than their reversal first. Each
+block evaluates only a prefix [0, b) of its lanes: lanes [0, a) count twice,
+for themselves and their reversal, and lanes [a, b) c times each (once, or
+for a single lane past n = 2k, once or twice). A sweep evaluates about
+2^(n-1) lanes.
 
 One sweep gives both the histogram and the members of chosen weights. Each
-block's ``bincount`` adds to a running histogram; a rule then names the
-weights wanted so far (the few smallest and largest weights seen, plus any
-fixed weights), and only blocks holding a wanted weight are scanned for its
-lanes, kept in ascending packed order and capped to bound memory. Work
-splits into contiguous ranges of blocks (one per worker, run on at most one
-thread per available core). Ranges merge by adding histograms, applying the
-rule again and concatenating members in range order, so results are
-identical for any worker count or block width. Every sweep checks that the
-histogram totals 2^n and that the lanes scanned at each collected weight
-match its count. ``three_row_max`` is one more such sweep, of the kernel
-over the top three rows only, with the same self-checks and thread fan-out.
+block's ``bincount``, times the multiplicities, adds to a running histogram;
+a rule then names the weights wanted so far (the few smallest and largest
+weights seen, plus any fixed weights), and only blocks holding a wanted
+weight are scanned for its lanes. A lane gives its generator and, if it
+counts twice, the reversal; per weight the ``cap`` least packed values are
+kept to bound memory. Block hi evaluates about hi + 1 lanes' worth, so work
+splits into contiguous ranges of blocks of about equal work (one per worker,
+run on at most one thread per available core). Ranges merge by adding
+histograms, applying the rule again and keeping the ``cap`` least members,
+so results are identical for any worker count or block width. Every sweep
+checks that the histogram totals 2^n, which also checks the multiplicities,
+and that the multiplicities scanned at each collected weight match its
+count. ``three_row_max`` is one more such sweep, of the kernel over the top
+three rows only (also mirror-invariant), with the same self-checks and
+thread fan-out.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -51,6 +65,8 @@ _HARD_LIMIT = 40  # 2^40 generators is already days of work
 _BLOCK_BITS = 16  # k: lanes per block 2^k; the (W, 2^k) table stays cache-sized
 _THREADED_LANES = 1 << 14  # below this many lanes, threads cost more than they save
 _WORD_MASK = (1 << 64) - 1
+_REVERSAL = 2  # row of i(x), the reversal, in ``symmetry.images``: r, l, i, r∘i, l∘i
+_BYTE_REVERSED = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.int64)
 
 
 class CeilingExceeded(ValueError):
@@ -106,6 +122,15 @@ def _dense(values: list[int], positions: list[int]) -> np.ndarray:
     return np.array(rows, dtype=np.uint64).reshape(len(values), words)
 
 
+def _reversed(values, width: int):
+    """The low ``width`` bits of each value (an int or an int64 array, each
+    below 2^width) in reverse order, one byte at a time."""
+    out = _BYTE_REVERSED[values & 255]
+    for shift in range(8, width, 8):
+        out = out << 8 | _BYTE_REVERSED[values >> shift & 255]
+    return out >> -width % 8
+
+
 def _span(rows: np.ndarray) -> np.ndarray:
     """Column lo: the XOR of rows[j] over the bits j set in lo, by len(rows) doubling XORs."""
     table = np.zeros((rows.shape[1], 1 << len(rows)), dtype=np.uint64)
@@ -115,11 +140,16 @@ def _span(rows: np.ndarray) -> np.ndarray:
 
 
 class _Kernel:
-    """Weights of all generators of length n, one block of 2^k lanes at a time.
+    """Weights of the generators of length n, one block of 2^k lanes at a
+    time, one generator of each mirror pair.
 
-    Block ``hi`` holds the generators (hi << k) | lo for lo < 2^k, in order.
-    Only the first ``bits`` packed triangle bits count: all n(n+1)/2 of them
-    give the triangle weight, the first 3n-3 the weight of the top three rows.
+    Block ``hi`` holds the generators (hi << k) | lo for lo < 2^k in
+    bit-reversed order: lane j holds lo = bitrev_k(j), so x_0 is j's top bit.
+    Each block evaluates only the prefix of its lanes that ``cover`` names;
+    a lane that counts twice stands for its reversal too. Only the first
+    ``bits`` packed triangle bits count: all n(n+1)/2 of them give the
+    triangle weight, the first 3n-3 the weight of the top three rows; both
+    are mirror-invariant.
 
     Each bit falls in one of three classes, read off the unit triangles: set
     by some low unit only (lo-only), by some high unit only (hi-only), or by
@@ -144,7 +174,7 @@ class _Kernel:
         # ``bits`` (always clear), then the mixed bits. High units have no lo-only bit.
         split = -(-len(lo_only) // 64)
         rows = _dense(units, lo_only + [bits] * (64 * split - len(lo_only)) + mixed)
-        table = _span(rows[:k])  # column lo: T(lo)
+        table = _span(rows[k - 1::-1])  # column j: T(bitrev_k(j))
         self.base = np.bitwise_count(table[:split]).sum(axis=0, dtype=np.uint16)
         self.table = table[split:]
         self._high = rows[k:, split:]
@@ -154,6 +184,38 @@ class _Kernel:
         # _steps holds those prefix XORs on the mixed bits, _hi_steps on the hi-only bits.
         self._steps = np.bitwise_xor.accumulate(self._high, axis=0)
         self._hi_steps = list(itertools.accumulate(self._hi_only, operator.xor))
+
+    def cover(self, hi: int) -> tuple[int, int, int]:
+        """(a, b, c): lanes [0, a) of block ``hi`` count twice, lanes [a, b)
+        c times each, and the rest not at all, as their reversals count twice.
+
+        Lane j reads x's first k entries with x_0 on top, and hi reads the
+        last n-k entries backwards, x_{n-1} on top; x against its reversal
+        compares these first. If n <= 2k, lanes below a = hi << (2k - n) read
+        less than their reversal. The 2^(2k-n) lanes from a tie, differ only
+        in their middle entries and so are closed under reversal: each counts
+        once. If n > 2k, only lane a = hi >> (n - 2k) ties, and the middle
+        entries decide; hi holds them backwards as mid, so the lane reads less
+        if bitrev(mid) < mid (c = 2), is a palindrome if they are equal
+        (c = 1), and else reads more (c = 0, and b = a).
+        """
+        n, k = self.n, self.k
+        if n <= 2 * k:
+            a = hi << (2 * k - n)
+            return a, a + (1 << (2 * k - n)), 1
+        a = hi >> (n - 2 * k)
+        mid = hi & ((1 << (n - 2 * k)) - 1)
+        rmid = int(_reversed(mid, n - 2 * k))
+        c = 2 if rmid < mid else 1 if rmid == mid else 0
+        return a, a + (c > 0), c
+
+    def packed(self, hi: int, lanes):
+        """Generators held by ``lanes`` (an int64 array) of block ``hi``, as packed values."""
+        return hi << self.k | _reversed(lanes, self.k)
+
+    def mirrored(self, hi: int, lanes):
+        """Reversals of the generators held by ``lanes`` of block ``hi``, as packed values."""
+        return lanes << (self.n - self.k) | _reversed(hi, self.n - self.k)
 
     def _highs(self, start: int, stop: int):
         """Yield (hi, T(hi << k) on the mixed bits as words, its hi-only weight)
@@ -172,34 +234,39 @@ class _Kernel:
             yield hi, mixed, only.bit_count()
 
     def weights(self, start: int, stop: int):
-        """Yield (first lane, uint16 weight per lane) for blocks start..stop-1, ascending."""
+        """Yield (hi, a, c, uint16 weights of lanes 0..b-1) for blocks
+        start..stop-1, ascending, with (a, b, c) = ``cover(hi)``. The weights
+        array is a view of one buffer, overwritten by the next block."""
         lanes = self.base.size
+        acc = np.empty(lanes, dtype=np.uint16)
         buf = np.empty(lanes, dtype=np.uint64)
         count = np.empty(lanes, dtype=np.uint8)
         for hi, mixed, hi_weight in self._highs(start, stop):
-            acc = self.base + np.uint16(hi_weight)
+            a, b, c = self.cover(hi)
+            w = np.add(self.base[:b], hi_weight, out=acc[:b])
             for row, word in zip(self.table, mixed):
-                np.bitwise_xor(row, word, out=buf)
-                np.bitwise_count(buf, out=count)
-                acc += count
-            yield hi << self.k, acc
+                np.bitwise_xor(row[:b], word, out=buf[:b])
+                np.bitwise_count(buf[:b], out=count[:b])
+                w += count[:b]
+            yield hi, a, c, w
 
 
 class _Images:
-    """The five ``symmetry.images`` of lanes. Each map g is GF(2)-linear, so g((hi << k) | lo)
-    is g(lo), tabulated from the low unit vectors, XOR the images of the high units set in hi."""
+    """The five ``symmetry.images`` of lanes, in the kernel's lane order. Each map g is
+    GF(2)-linear, so g((hi << k) | lo) is g(lo), tabulated from the low unit vectors,
+    XOR the images of the high units set in hi."""
 
     def __init__(self, n: int) -> None:
         self.k = k = min(n, _BLOCK_BITS)
         units = np.array([[y.bits for y in symmetry.images(BitSeq(n, 1 << j))]
                           for j in range(n)], dtype=np.uint64)  # row j: unit vector j
-        self.table, self._high = _span(units[:k]), units[k:]
+        self.table, self._high = _span(units[k - 1::-1]), units[k:]
 
     def of(self, first: int, size: int) -> np.ndarray:
         """Images of lanes first .. first + size - 1, all in one block; one row per map."""
-        hi, lo = divmod(first, 1 << self.k)
+        hi, j = divmod(first, 1 << self.k)
         high = np.bitwise_xor.reduce(self._high[(hi >> np.arange(len(self._high))) & 1 == 1])
-        return self.table[:, lo:lo + size] ^ high[:, None]
+        return self.table[:, j:j + size] ^ high[:, None]
 
 
 class _Wanted(NamedTuple):
@@ -225,18 +292,25 @@ class _Wanted(NamedTuple):
 
 def _sweep_range(kernel: _Kernel, start: int, stop: int, rule: _Wanted, cap: int):
     """Histogram of blocks [start, stop), and for each weight the rule still
-    wants after the last block: its first ``cap`` lanes and the lanes scanned.
+    wants after the last block: its ``cap`` least members and their count.
 
-    The weights seen so far only grow, so a weight the rule wants at the end
-    was wanted since the first block that held it, and one it drops never
-    comes back. Lanes are scanned only in blocks that hold a wanted weight.
+    Each evaluated lane adds its multiplicity (see ``_Kernel.cover``) to the
+    histogram and, when scanned, gives its generator as a member, and the
+    reversal too if it counts twice. The weights seen so far only grow, so a
+    weight the rule wants at the end was wanted since the first block that
+    held it, and one it drops never comes back. Lanes are scanned only in
+    blocks that hold a wanted weight.
     """
     size = len(rule.fixed)
     hist = np.zeros(size, dtype=np.int64)
     found: dict[int, tuple[list[int], int]] = {}
     collect = rule.any()
-    for first, w in kernel.weights(start, stop):
-        h = np.bincount(w, minlength=size)
+    for hi, a, c, w in kernel.weights(start, stop):
+        h = np.bincount(w[a:], minlength=size)
+        if c != 1:
+            h *= c
+        if a:
+            h += 2 * np.bincount(w[:a], minlength=size)
         hist += h
         if not collect:
             continue
@@ -246,29 +320,41 @@ def _sweep_range(kernel: _Kernel, start: int, stop: int, rule: _Wanted, cap: int
         hits = np.flatnonzero(wanted & (h > 0))
         if not hits.size:
             continue
-        # Group the wanted lanes by weight in one stable sort, so packed
-        # order holds within each weight and the scan stays O(2^k) per block
-        # however many weights are wanted.
         lanes = np.flatnonzero(wanted[w])
-        lanes = lanes[np.argsort(w[lanes], kind="stable")]
-        lane_w = w[lanes]
-        starts = np.searchsorted(lane_w, hits, side="left").tolist()
-        stops = np.searchsorted(lane_w, hits, side="right").tolist()
-        for wt, a, b in zip(hits.tolist(), starts, stops):
-            values, count = found.get(wt, ([], 0))
-            values.extend((lanes[a:min(b, a + cap - len(values))] + first).tolist())
-            found[wt] = (values, count + b - a)
+        twice = lanes if c == 2 else lanes[lanes < a]
+        values, value_w = kernel.packed(hi, lanes), w[lanes]
+        if twice.size:  # and the reversals, which the block does not evaluate
+            values = np.concatenate([values, kernel.mirrored(hi, twice)])
+            value_w = np.concatenate([value_w, w[twice]])
+        # One sort by weight, then value, per block however many weights are
+        # wanted; it puts each weight's least members first.
+        order = np.lexsort((values, value_w))
+        values, value_w = values[order], value_w[order]
+        starts = np.searchsorted(value_w, hits, side="left").tolist()
+        stops = np.searchsorted(value_w, hits, side="right").tolist()
+        for wt, s, e in zip(hits.tolist(), starts, stops):
+            kept, count = found.get(wt, ([], 0))
+            kept += values[s:min(e, s + cap)].tolist()
+            if len(kept) > cap:
+                kept = sorted(kept)[:cap]
+            found[wt] = (kept, count + e - s)
     return hist, found
 
 
 def _reduced_hist_range(kernel: _Kernel, start: int, stop: int, images: _Images) -> np.ndarray:
-    """Histogram of blocks [start, stop), adding each orbit's size at its least member."""
-    n = kernel.n
+    """Histogram of blocks [start, stop), adding each orbit's size once: at a
+    lane that is the orbit's least packed member, or whose reversal is and
+    that counts twice (so the reversal is not evaluated)."""
+    n, k = kernel.n, kernel.k
     hist = np.zeros(n * (n + 1) // 2 + 1, dtype=np.int64)
-    for first, w in kernel.weights(start, stop):
-        vals = np.arange(first, first + w.size, dtype=np.uint64)
-        six = np.vstack([vals, images.of(first, w.size)])
-        keep = vals == six.min(axis=0)
+    for hi, a, c, w in kernel.weights(start, stop):
+        lanes = np.arange(w.size)
+        vals = kernel.packed(hi, lanes).astype(np.uint64)
+        mapped = images.of(hi << k, w.size)
+        six = np.vstack([vals, mapped])
+        least = six.min(axis=0)
+        twice = (lanes < a) | (c == 2)
+        keep = (vals == least) | (twice & (mapped[_REVERSAL] == least))
         kept = np.sort(six[:, keep], axis=0)
         sizes = 1 + np.count_nonzero(np.diff(kept, axis=0), axis=0)
         np.add.at(hist, w[keep], sizes)
@@ -291,13 +377,16 @@ def _resolve_workers(workers: int | None) -> int:
 
 
 def _plan(n: int, blocks: int, workers: int | None) -> tuple[list[tuple[int, int]], int]:
-    """Contiguous block ranges, one per worker, and the threads that run them.
+    """Contiguous block ranges of about equal work, one per worker, and the
+    threads that run them.
 
     Threads never exceed the cores this process may use, whatever ``workers``
     asks for; small jobs run serially with the same split and merge.
     """
     parts = max(1, min(_resolve_workers(workers), blocks))
-    edges = [blocks * i // parts for i in range(parts + 1)]
+    # Block hi evaluates about hi + 1 lanes' worth (see ``_Kernel.cover``),
+    # so blocks [0, e) hold work e^2 / 2: equal shares end at blocks * sqrt(i / parts).
+    edges = [math.isqrt(blocks * blocks * i // parts) for i in range(parts + 1)]
     threads = min(parts, _cores()) if (1 << n) >= _THREADED_LANES else 1
     return list(zip(edges, edges[1:])), threads
 
@@ -327,7 +416,7 @@ def _merge_hist(n: int, pieces: list[np.ndarray]) -> np.ndarray:
 
 def _enumerate(kernel: _Kernel, rule: _Wanted, cap: int, workers: int | None):
     """One sweep over all 2^n generators: the histogram, and per weight the
-    rule wants from it, the first ``cap`` members in packed order and the count."""
+    rule wants from it, the ``cap`` least members in packed order and the count."""
     n = kernel.n
     parts = _run(kernel, workers, _sweep_range, rule, cap)
     hist = _merge_hist(n, [h for h, _ in parts])
@@ -335,15 +424,15 @@ def _enumerate(kernel: _Kernel, rule: _Wanted, cap: int, workers: int | None):
     for wt in np.flatnonzero(rule.of(hist)).tolist():
         values: list[int] = []
         count = 0
-        for _, part in parts:  # ranges ascend, so concatenation stays sorted
-            got, scanned = part.get(wt, ([], 0))
-            values.extend(got[:cap - len(values)])
+        for _, part in parts:
+            kept, scanned = part.get(wt, ((), 0))
+            values += kept
             count += scanned
         if count != hist[wt]:
             raise ValueError(f"member scan disagrees with the histogram at n={n}: "
                              f"weight {wt} has {count} generators scanned, "
                              f"{int(hist[wt])} counted")
-        found[wt] = (values, count)
+        found[wt] = (sorted(values)[:cap], count)
     return hist, found
 
 
@@ -419,7 +508,8 @@ def symmetry_reduced_spectrum(n: int, *, workers: int | None = None,
     return WeightSpectrum(n, tuple(hist.tolist()))
 
 
-def three_row_max(n: int, *, force: bool = False) -> tuple[int, list[int]]:
+def three_row_max(n: int, *, workers: int | None = None,
+                  force: bool = False) -> tuple[int, list[int]]:
     """Exhaustive max of s3, the weight of the top three rows, and the packed
     generators attaining it, ascending.
 
@@ -430,7 +520,7 @@ def three_row_max(n: int, *, force: bool = False) -> tuple[int, list[int]]:
     _check_size(n, force)
     bits = max(3 * n - 3, 1)  # n = 1 has one row of one bit
     _, found = _enumerate(_Kernel(n, bits), _Wanted(0, 1, np.zeros(bits + 1, dtype=bool)),
-                          cap=1 << n, workers=None)
+                          cap=1 << n, workers=workers)
     [(best, (arg, _))] = found.items()
     return best, arg
 

@@ -278,14 +278,14 @@ def verify_family_weights(n: int) -> CheckRecord:
 
 
 @_timed
-def verify_s3(n: int, *, ceiling: int = S3_CEILING) -> CheckRecord:
+def verify_s3(n: int, *, ceiling: int = S3_CEILING, workers: int | None = None) -> CheckRecord:
     """Exhaustive bound s3(x) <= 2n-2, with exact equality sets at n in {4, 5}.
 
     ``ceiling`` bounds the sizes scanned, in place of the enumeration ceiling.
     """
     if not 4 <= n <= ceiling:
         return CheckRecord("s3-bound", n, "skipped", f"checked for 4 <= n <= {ceiling}")
-    best, arg = three_row_max(n, force=True)
+    best, arg = three_row_max(n, workers=workers, force=True)
     bound = 2 * n - 2
     if best > bound:
         return CheckRecord("s3-bound", n, "fail",
@@ -414,12 +414,13 @@ def _weight_2n3(n: int, data: LevelSweep) -> CheckRecord:
 
 class _Check(NamedTuple):
     """A per-size check, run where ``applies(n)`` and skipped with ``skip``
-    elsewhere; ``weight(n)`` is an exact weight whose generators it reads."""
+    elsewhere, as ``run(n, sweep, workers)``; ``weight(n)`` is an exact weight
+    whose generators it reads."""
 
     name: str
     applies: Callable[[int], bool]
     skip: str
-    run: Callable[[int, LevelSweep], CheckRecord]
+    run: Callable[[int, LevelSweep, int | None], CheckRecord]
     weight: Callable[[int], int] | None = None
 
 
@@ -430,30 +431,30 @@ def _every(n: int) -> bool:
 # Public checks are called by their global names, so a wrapper installed on
 # the module (a tracer, a test double) sees the calls made from this table.
 _CHECKS = (
-    _Check("level-1", _every, "", lambda n, d: verify_level(n, "1", data=d)),
-    _Check("level-2", _every, "", lambda n, d: verify_level(n, "2", data=d)),
-    _Check("level-3", _every, "", lambda n, d: verify_level(n, "3", data=d)),
-    _Check("level-m", _every, "", lambda n, d: verify_level(n, "m", data=d)),
+    _Check("level-1", _every, "", lambda n, d, w: verify_level(n, "1", data=d)),
+    _Check("level-2", _every, "", lambda n, d, w: verify_level(n, "2", data=d)),
+    _Check("level-3", _every, "", lambda n, d, w: verify_level(n, "3", data=d)),
+    _Check("level-m", _every, "", lambda n, d, w: verify_level(n, "m", data=d)),
     _Check("level-m-1", lambda n: not conjectured(n),
            "conjectured range; evaluated by the conjecture check",
-           lambda n, d: verify_level(n, "m-1", data=d)),
+           lambda n, d, w: verify_level(n, "m-1", data=d)),
     _Check("conjecture", conjectured, _CONJECTURE_RANGE,
-           lambda n, d: check_conjecture(n, data=d)),
-    _Check("family-weights", _every, "", lambda n, d: verify_family_weights(n)),
-    _Check("unit-vector-bound", _every, "", lambda n, d: verify_ek(n)),
-    _Check("s3-bound", _every, "", lambda n, d: verify_s3(n)),
+           lambda n, d, w: check_conjecture(n, data=d)),
+    _Check("family-weights", _every, "", lambda n, d, w: verify_family_weights(n)),
+    _Check("unit-vector-bound", _every, "", lambda n, d, w: verify_ek(n)),
+    _Check("s3-bound", _every, "", lambda n, d, w: verify_s3(n, workers=w)),
     _Check("golden-level-2", lambda n: 4 <= n <= 8, "stored rows cover 4 <= n <= 8",
-           _golden_level2),
+           lambda n, d, w: _golden_level2(n, d)),
     _Check("golden-weight-slice", lambda n: 4 <= n <= 8, "stored rows cover 4 <= n <= 8",
-           _golden_weight_slice, lambda n: _golden_slice(n)[0]),
+           lambda n, d, w: _golden_weight_slice(n, d), lambda n: _golden_slice(n)[0]),
     _Check("golden-top-levels", lambda n: 4 <= n <= 9, "stored rows cover 4 <= n <= 9",
-           _golden_top),
+           lambda n, d, w: _golden_top(n, d)),
     _Check("golden-second-max-members", lambda n: 4 <= n <= 9,
-           "stored rows cover 4 <= n <= 9", _golden_second_members),
+           "stored rows cover 4 <= n <= 9", lambda n, d, w: _golden_second_members(n, d)),
     _Check("golden-second-max-sets", lambda n: n in (11, 12),
-           "stored rows cover n in {11, 12}", _golden_second_sets),
+           "stored rows cover n in {11, 12}", lambda n, d, w: _golden_second_sets(n, d)),
     _Check("weight-2n-3", lambda n: n in (10, 14), "spot check defined for n in {10, 14}",
-           _weight_2n3, lambda n: 2 * n - 3),
+           lambda n, d, w: _weight_2n3(n, d), lambda n: 2 * n - 3),
 )
 
 PER_N_CHECKS = tuple(c.name for c in _CHECKS)
@@ -463,7 +464,7 @@ def _per_n_records(n: int, workers: int | None, force: bool) -> list[CheckRecord
     skipped = [CheckRecord(c.name, n, "skipped", c.skip) for c in _CHECKS if not c.applies(n)]
     run = [c for c in _CHECKS if c.applies(n)]
     data = _enum_data(n, workers, [c.weight(n) for c in run if c.weight], force)
-    return skipped + [c.run(n, data) for c in run]
+    return skipped + [c.run(n, data, workers) for c in run]
 
 
 def verify_all(n_min: int, n_max: int, *, workers: int | None = None,

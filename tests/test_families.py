@@ -290,6 +290,25 @@ class TestPredictedLevel:
         assert [str(x) for x in predicted_level("m-1", 1).members] == ["0"]
         assert [str(x) for x in predicted_level("m-1", 2).members] == ["00"]
 
+    def test_bundled_table_is_parsed_once(self, monkeypatch):
+        families_mod._level_fixture.cache_clear()
+        parsed = []
+        rows = families_mod._fixture_rows
+
+        def counted(name):
+            parsed.append(name)
+            return rows(name)
+
+        monkeypatch.setattr(families_mod, "_fixture_rows", counted)
+        first = predicted_level("2", 6)
+        for n in (5, 6, 7, 8, 6):
+            predicted_level("2", n)
+        assert parsed == ["second_level_sets.txt"]
+        assert predicted_level("2", 6) == first
+        table = families_mod._level_fixture("second_level_sets.txt")
+        with pytest.raises(TypeError):
+            table[(6, "2")] = (0, frozenset())  # shared by every caller, so read-only
+
     def test_level_weights_are_family_weights(self):
         # Every named family inside a covered level has the level's weight as its closed form.
         for n in range(5, MAX_LEN + 1):

@@ -30,17 +30,43 @@ from steinhaus.spectrum import _cores, _Images, _Kernel, _plan
 from conftest import all_seqs
 
 
-def kernel_weights(n):
-    """Weights of every generator of length n, in packed order, from the block kernel."""
+def lane_value(k, hi, j):
+    """Generator held by lane j of block hi, packed: lo = bitrev_k(j), so x_0 is j's top bit."""
+    return hi << k | int(f"{j:0{k}b}"[::-1], 2)
+
+
+def kernel_cover(n):
+    """(generator, weight, multiplicity) of every lane the block kernel evaluates."""
     kernel = _Kernel(n)
-    return np.concatenate([w for _, w in kernel.weights(0, kernel.blocks)])
+    for hi, a, c, w in kernel.weights(0, kernel.blocks):
+        for j, wt in enumerate(w.tolist()):
+            yield lane_value(kernel.k, hi, j), wt, 2 if j < a else c
+
+
+def kernel_weights(n):
+    """Weights of every generator of length n, in packed order, from the block kernel:
+    a lane weighs its generator, and also the reversal when it counts twice. Fails
+    unless that weighs every generator exactly once."""
+    out = [None] * (1 << n)
+    for x, wt, mult in kernel_cover(n):
+        assert mult in (1, 2)
+        for y in (x, invert_i(BitSeq(n, x)).bits)[:mult]:
+            assert out[y] is None
+            out[y] = wt
+    assert None not in out
+    return np.array(out)
 
 
 def table_images(n):
     """Images of every generator of length n under the five symmetry tables, in
-    packed order, one row per map, read off block by block."""
+    packed order, one row per map, read off whole blocks."""
     kernel, images = _Kernel(n), _Images(n)
-    return np.hstack([images.of(first, w.size) for first, w in kernel.weights(0, kernel.blocks)])
+    out = np.zeros((5, 1 << n), dtype=np.uint64)
+    for hi in range(kernel.blocks):
+        got = images.of(hi << kernel.k, 1 << kernel.k)
+        for j in range(1 << kernel.k):
+            out[:, lane_value(kernel.k, hi, j)] = got[:, j]
+    return out
 
 
 # Independent oracle for the tables' rows: the scalar maps, composed here.
@@ -154,7 +180,7 @@ class TestLanePrimitives:
             got = images.of(first, size)
             assert got.shape == (5, size)
             for lane in range(size):
-                x = BitSeq(n, first + lane)
+                x = BitSeq(n, lane_value(images.k, *divmod(first + lane, 1 << images.k)))
                 assert got[:, lane].tolist() == [g(x).bits for g in SCALAR_MAPS]
 
     def test_weight_invariance_under_all_symmetries_to_14(self):
@@ -171,10 +197,57 @@ class TestLanePrimitives:
         assert kernel._steps.shape == (n - kernel.k, words)
         starts = [0, kernel.blocks - 3] + [rng.randrange(kernel.blocks - 2) for _ in range(3)]
         for start in starts:
-            for first, w in kernel.weights(start, start + 3):  # also steps between blocks
-                assert w.shape == (1 << kernel.k,)
-                for lo in [0, w.size - 1] + [rng.randrange(w.size) for _ in range(20)]:
-                    assert int(w[lo]) == triangle_weight(BitSeq(n, first + lo))
+            for hi, a, c, w in kernel.weights(start, start + 3):  # also steps between blocks
+                assert (a, w.size) == kernel.cover(hi)[:2]
+                # n > 2k: a lane counts twice if it reads less than its reversal,
+                # once if it is a palindrome, and is not evaluated if it reads more
+                ends = [0, w.size - 1, (1 << kernel.k) - 1] if w.size else [0]
+                for j in ends + [rng.randrange(1 << kernel.k) for _ in range(20)]:
+                    x = BitSeq(n, lane_value(kernel.k, hi, j))
+                    text, mirror = str(x), str(invert_i(x))
+                    mult = 2 if j < a else c if j < w.size else 0
+                    assert mult == (text < mirror) + (text <= mirror)
+                    if mult:
+                        assert int(w[j]) == triangle_weight(x)
+
+
+class TestMirrorCover:
+    """Each block evaluates a prefix of its lanes; a lane that counts twice
+    stands for its reversal too, so the sweeps do about half the lanes."""
+
+    @pytest.mark.parametrize("block_bits", [2, 3, 16])
+    def test_lanes_cover_every_generator_once(self, monkeypatch, block_bits):
+        monkeypatch.setattr(spectrum_mod, "_BLOCK_BITS", block_bits)
+        for n in range(1, 13):
+            covered = Counter()
+            for x, wt, mult in kernel_cover(n):
+                seq = BitSeq(n, x)
+                text, mirror = str(seq), str(invert_i(seq))
+                assert wt == triangle_weight(seq)
+                assert mult in (1, 2)
+                if mult == 2 or n > 2 * block_bits:  # else a tie lane, closed under reversal
+                    assert mult == (text < mirror) + (text <= mirror)
+                covered[x] += 1
+                if mult == 2:
+                    covered[invert_i(seq).bits] += 1
+            assert covered == Counter(range(1 << n)), (block_bits, n)
+
+    @pytest.mark.parametrize("block_bits", [2, 3, 16])
+    def test_member_values_of_lanes(self, monkeypatch, block_bits):
+        monkeypatch.setattr(spectrum_mod, "_BLOCK_BITS", block_bits)
+        for n in (1, 5, 9, 12):
+            kernel = _Kernel(n)
+            lanes = np.arange(1 << kernel.k)
+            for hi in range(kernel.blocks):
+                want = [lane_value(kernel.k, hi, j) for j in lanes.tolist()]
+                assert kernel.packed(hi, lanes).tolist() == want
+                assert kernel.mirrored(hi, lanes).tolist() == [
+                    invert_i(BitSeq(n, x)).bits for x in want]
+
+    def test_about_half_the_lanes_are_evaluated(self):
+        kernel = _Kernel(24)
+        lanes = sum(kernel.cover(hi)[1] for hi in range(kernel.blocks))
+        assert lanes == (1 << 23) + (1 << 15)  # one per mirror pair, plus the ties
 
 
 class TestKernelSplit:
@@ -208,22 +281,22 @@ class TestKernelSplit:
         kernel = _Kernel(n)
         k = kernel.k
         assert kernel.table.shape == (-(-k * (n - k) // 64), 1 << k)
-        for first, w in kernel.weights(0, kernel.blocks):
-            for lo in self.lanes(w.size, rng):
-                assert int(w[lo]) == triangle_weight(BitSeq(n, first + lo))
+        for hi, _, _, w in kernel.weights(0, kernel.blocks):
+            for j in self.lanes(w.size, rng):
+                assert int(w[j]) == triangle_weight(BitSeq(n, lane_value(k, hi, j)))
 
     @pytest.mark.parametrize("n", [17, 18, 19, 20])
     def test_sampled_lanes_of_the_top_three_rows_match_s3(self, n, rng):
         kernel = _Kernel(n, bits=3 * n - 3)
-        for first, w in kernel.weights(0, kernel.blocks):
-            for lo in self.lanes(w.size, rng):
-                assert int(w[lo]) == s3(BitSeq(n, first + lo))
+        for hi, _, _, w in kernel.weights(0, kernel.blocks):
+            for j in self.lanes(w.size, rng):
+                assert int(w[j]) == s3(BitSeq(n, lane_value(kernel.k, hi, j)))
 
     def test_small_sizes_are_the_base_alone(self):
         kernel = _Kernel(12)
         assert kernel.table.shape == (0, 1 << 12)
-        (first, w), = kernel.weights(0, 1)
-        assert first == 0 and np.array_equal(w, kernel.base)
+        (hi, a, c, w), = kernel.weights(0, 1)  # one block, every lane counted once
+        assert (hi, a, c) == (0, 0, 1) and np.array_equal(w, kernel.base)
         assert w is not kernel.base
 
     # SHA-256 of repr(full_spectrum(n).counts), recorded from the one-table
@@ -371,6 +444,11 @@ class TestOneSweep:
                                 for ls in sets] == want
                     assert {w: (s.weight, s.members, s.count, s.truncated)
                             for w, s in got.slices.items()} == slices
+            # below length 3 every row is among the top three
+            top = [(s3 if n >= 3 else triangle_weight)(BitSeq(n, v)) for v in range(1 << n)]
+            best = max(top)
+            assert three_row_max(n, workers=workers) == (
+                best, [v for v in range(1 << n) if top[v] == best])
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -395,11 +473,13 @@ class TestOneSweep:
     def test_lost_lane_breaks_histogram_total(self, monkeypatch):
         weights = _Kernel.weights
 
-        def skip_first_lane(self, start, stop):
-            for first, w in weights(self, start, stop):
-                yield first + 1, w[1:]
+        def lose_a_lane(self, start, stop):
+            for hi, a, c, w in weights(self, start, stop):
+                yield hi, a, c, w[:-1] if hi == 0 else w
 
-        monkeypatch.setattr(_Kernel, "weights", skip_first_lane)
+        # 8-lane blocks at n = 9: block 0 evaluates lane 0 alone, the zero word
+        monkeypatch.setattr(spectrum_mod, "_BLOCK_BITS", 3)
+        monkeypatch.setattr(_Kernel, "weights", lose_a_lane)
         for call in (lambda: full_spectrum(9), lambda: level_sets(9, 3, 2),
                      lambda: symmetry_reduced_spectrum(9), lambda: three_row_max(9)):
             with pytest.raises(ValueError, match=r"counts 511 generators, not 2\^9"):
@@ -490,10 +570,13 @@ class TestDeterminism:
     def test_thread_plan_is_clamped(self):
         parts, threads = _plan(26, 1 << 10, 100000)
         assert len(parts) == 1 << 10
-        assert parts[0] == (0, 1) and parts[-1] == (1023, 1024)
+        assert parts[0] == (0, 32) and parts[-1] == (1023, 1024)
         assert 1 <= threads <= _cores()
         parts, threads = _plan(26, 1 << 10, 3)
-        assert parts == [(0, 341), (341, 682), (682, 1024)]
+        # block hi evaluates about hi + 1 lanes' worth: equal shares of 1024 * 1025 / 2
+        assert parts == [(0, 591), (591, 836), (836, 1024)]
+        work = [sum(hi + 1 for hi in range(*part)) for part in parts]
+        assert max(work) - min(work) <= 1024
         assert threads == min(3, _cores())
         assert _plan(10, 1, 100000) == ([(0, 1)], 1)
 

@@ -189,6 +189,18 @@ class TestVerifyAll:
         assert code == 2 and captured.out == ""
         assert "engine limit of 40" in captured.err
 
+    def test_workers_reach_every_sweep(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        # 1024-lane blocks on four cores: a sweep of n >= 14 fans out unless told not to
+        monkeypatch.setattr(spectrum_mod, "_BLOCK_BITS", 10)
+        monkeypatch.setattr(spectrum_mod, "_cores", lambda: 4)
+        monkeypatch.setattr(spectrum_mod, "ThreadPoolExecutor", no_pool)
+        assert verify_all(4, 16, workers=1).ok
+        with pytest.raises(AssertionError, match="thread pool"):
+            verify_s3(14)
+
     def test_golden_rows_present(self):
         report = verify_all(4, 9)
         by = {(r.check, r.n): r for r in report.records}
