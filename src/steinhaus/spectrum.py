@@ -8,40 +8,51 @@ x_c..x_{c+r}, which splits its bits into three classes. Lo-only bits
 k-bit low half. Hi-only bits (c >= k) form the triangle of hi; their weight
 is one number per block. Only the k(n-k) mixed bits (c < k <= c + r) are
 tabulated as T(lo) for every low half, packed densely into ceil(k(n-k)/64)
-uint64 word rows built from the unit-vector triangles by k doubling XORs.
-Generators come in blocks of 2^k lanes, one block per high half: the block's
+uint64 word rows built from the unit-vector triangles by doubling XORs.
+Generators come in blocks of lanes, one block per high half: the block's
 weights are the lo-only weights plus the hi-only weight plus, per mixed word
 row, an XOR with the matching word of T(hi << k) and a popcount. T(hi << k)
 is updated from the previous block, so memory stays O(2^k) per table word
 for every n.
 
-Reversing a generator mirrors its triangle, so both have the same weight,
-and the kernel weighs one generator of each mirror pair. A block's lanes run
-in bit-reversed order of lo (lane j holds lo = bitrev_k(j), so x_0 is j's top
-bit), which puts the lanes that read less than their reversal first. Each
-block evaluates only a prefix [0, b) of its lanes: lanes [0, a) count twice,
-for themselves and their reversal, and lanes [a, b) c times each (once, or
-for a single lane past n = 2k, once or twice). A sweep evaluates about
-2^(n-1) lanes.
+Two symmetries cut the lanes to about 2^(n-2). T(1^n) is the top row alone,
+so T(~x) differs from T(x) in row 0 only, and weight(~x) = weight(x) + n -
+2|x|, where |x| counts the ones of x; the same holds for the top three rows.
+So the kernel evaluates only generators with x_0 = 0, and a lane's key is
+its weight w plus (bits + 1) times its ones count p: the key gives the
+lane's weight and its complement's, w + n - 2p. A block's lanes run in
+bit-reversed order of lo (lane j holds lo = bitrev_k(j), so x_0 is j's top
+bit), and the tables hold only lanes j < 2^(k-1), those with x_0 = 0.
+Reversing a generator mirrors its triangle, so both have the same weight.
+Blocks hi' and hi' ^ (2^l - 1), l = n - k, are evaluated together as one
+pair: in the first, x_{n-1} = 0 and a lane z pairs with rev z; in the
+partner, x_{n-1} = 1 and z pairs with ~rev z, which also starts with 0. The
+lanes that read less than their pair come first, and each pair evaluates a
+prefix [0, b) of its lanes in both blocks: lanes [0, a) count twice, for
+{z, ~z} and for {rev z, ~rev z}, and lanes [a, b) c times each, where c is
+1 (z is its own pair, or a tie closed under the pairing) or, for a single
+lane past n = 2k, 0, 1 or 2 per block.
 
 One sweep gives both the histogram and the members of chosen weights. Each
-block's ``bincount``, times the multiplicities, adds to a running histogram;
-a rule then names the weights wanted so far (the few smallest and largest
-weights seen, plus any fixed weights), and only blocks holding a wanted
-weight are scanned for its lanes. A lane gives its generator and, if it
-counts twice, the reversal; per weight the ``cap`` least packed values are
-kept to bound memory. Block hi evaluates about hi + 1 lanes' worth, so work
-splits into contiguous ranges of blocks of about equal work (one per worker,
-run on at most one thread per available core). Ranges merge by adding
-histograms, applying the rule again and keeping the ``cap`` least members,
-so results are identical for any worker count or block width. Every sweep
-checks that the histogram totals 2^n, which also checks the multiplicities,
-and that the multiplicities scanned at each collected weight match its
-count. ``three_row_max`` is one more such sweep, of the kernel over the top
-three rows only (also mirror-invariant), with the same self-checks and
-thread fan-out.
+pair's ``bincount`` of its keys adds to running key counts, one for lanes
+that count twice and one for lanes that count once; the weights seen grow
+only when a key appears for the first time, and only then does a rule name
+the weights wanted (the few smallest and largest weights seen, plus any fixed
+weights). Only pairs holding a key of a wanted weight are scanned for its
+lanes. A lane gives its generator and its complement and, if it counts
+twice, the reversal and its complement, each to the weight it has; per
+weight the ``cap`` least packed values are kept to bound memory. Pair hi'
+evaluates about hi' + 1 lanes' worth, so work splits into contiguous ranges
+of pairs of about equal work (one per worker, run on at most one thread per
+available core). Ranges merge by adding key counts and folding them into
+the weight histogram once, a key (w, p) adding its count at w and at
+w + n - 2p, then applying the rule again and keeping the ``cap`` least
+members, so results are identical for any worker count or block width.
+Every sweep checks that the histogram totals 2^n, which also checks the
+multiplicities, and that the members scanned at each collected weight match
+its count. ``three_row_max`` is one more such sweep, of the kernel over the
+top three rows only, with the same self-checks and thread fan-out.
 """
-
 from __future__ import annotations
 
 import functools
@@ -62,9 +73,8 @@ DEFAULT_CEILING = 30
 CEILING_ENV = "STEINHAUS_MAX_N"
 DEFAULT_MEMBER_CAP = 4096
 _HARD_LIMIT = 40  # 2^40 generators is already days of work
-_BLOCK_BITS = 16  # k: lanes per block 2^k; the (W, 2^k) table stays cache-sized
+_BLOCK_BITS = 16  # k: blocks of 2^k generators; the (W, 2^(k-1)) table stays cache-sized
 _THREADED_LANES = 1 << 14  # below this many lanes, threads cost more than they save
-_WORD_MASK = (1 << 64) - 1
 _REVERSAL = 2  # row of i(x), the reversal, in ``symmetry.images``: r, l, i, r∘i, l∘i
 _BYTE_REVERSED = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.int64)
 
@@ -110,16 +120,20 @@ def _unit_triangle(n: int, j: int) -> int:
     return packed
 
 
-def _dense(values: list[int], positions: list[int]) -> np.ndarray:
-    """Row i: the bits of values[i] at ``positions``, packed densely into uint64 words."""
-    words = -(-len(positions) // 64)
-    width = max(positions, default=-1) + 1
-    rows = []
-    for value in values:
-        text = bin(value)[:1:-1].ljust(width, "0")  # text[p] is bit p
-        packed = int("".join([text[p] for p in positions])[::-1] or "0", 2)
-        rows.append([packed >> (64 * w) & _WORD_MASK for w in range(words)])
-    return np.array(rows, dtype=np.uint64).reshape(len(values), words)
+def _dense(values: list[int], positions: list[int], clear: int) -> np.ndarray:
+    """Row i: the bits of values[i] at ``positions``, packed densely into uint64
+    words; bit ``clear``, clear in every value, pads the last word."""
+    positions = positions + [clear] * (-len(positions) % 64)
+    size = max(positions, default=0) // 8 + 1
+    raw = np.frombuffer(b"".join([v.to_bytes(size, "little") for v in values]), dtype=np.uint8)
+    bits = np.unpackbits(raw.reshape(len(values), size), axis=1, bitorder="little")
+    packed = np.packbits(bits.take(positions, axis=1), axis=1, bitorder="little")
+    return packed.view("<u8").astype(np.uint64)
+
+
+def _set_bits(value: int) -> list[int]:
+    """Positions of the one bits of ``value``, ascending."""
+    return [i for i, bit in enumerate(bin(value)[:1:-1]) if bit == "1"]
 
 
 def _reversed(values, width: int):
@@ -139,24 +153,75 @@ def _span(rows: np.ndarray) -> np.ndarray:
     return table
 
 
-class _Kernel:
-    """Weights of the generators of length n, one block of 2^k lanes at a
-    time, one generator of each mirror pair.
+def _tables(n: int, bits: int, k: int):
+    """The read-only tables of ``_Kernel(n, bits)`` with k-bit blocks."""
+    bins = bits + 1
+    units = [_unit_triangle(n, j) & ((1 << bits) - 1) for j in range(n)]
+    lo = functools.reduce(operator.or_, units[:k], 0)
+    hi = functools.reduce(operator.or_, units[k:], 0)
+    lo_only, mixed = _set_bits(lo & ~hi), _set_bits(lo & hi)
+    # One table: the lo-only bits in the first words, padded with bit ``bits``
+    # (always clear), then the mixed bits. High units have no lo-only bit.
+    # Lanes have x_0 = 0, so unit 0 needs no row: rows[j - 1] is unit j.
+    split = -(-len(lo_only) // 64)
+    rows = _dense(units[1:], lo_only + [bits] * (64 * split - len(lo_only)) + mixed, bits)
+    table = _span(rows[:k - 1][::-1])  # column j < 2^(k-1): T(bitrev_k(j))
+    # uint16 throughout: bitwise_count gives uint8, and bins * uint8 would wrap
+    ones = np.bitwise_count(np.arange(table.shape[1], dtype=np.uint16)).astype(np.uint16)
+    base = np.bitwise_count(table[:split]).sum(axis=0, dtype=np.uint16) + ones * bins
+    high = rows[k - 1:, split:]
+    hi_only = tuple(t & hi & ~lo for t in units[k:])
+    # hi ^ (hi - 1) has exactly bits 0..ctz(hi) set, so by linearity
+    # T(hi << k) is T((hi - 1) << k) XOR the high units 0..ctz(hi): the steps
+    # are those prefix XORs on the mixed bits and on the hi-only bits. Their
+    # last rows, all high units, turn a block into its partner.
+    steps = np.bitwise_xor.accumulate(high, axis=0)
+    # Row 0: the weight of a key's generator; row 1: of its complement (a key
+    # no lane holds reads some weight in range too).
+    key_ones, weight = np.divmod(np.arange((n + 1) * bins), bins)
+    key_weights = np.array([weight, (weight + n - 2 * key_ones) % bins])
+    table = table[split:]
+    for array in (base, table, high, steps, key_weights):
+        array.flags.writeable = False  # shared by every kernel built from the cache
+    hi_steps = tuple(itertools.accumulate(hi_only, operator.xor))
+    return base, table, high, hi_only, steps, hi_steps, key_weights
 
-    Block ``hi`` holds the generators (hi << k) | lo for lo < 2^k in
-    bit-reversed order: lane j holds lo = bitrev_k(j), so x_0 is j's top bit.
-    Each block evaluates only the prefix of its lanes that ``cover`` names;
-    a lane that counts twice stands for its reversal too. Only the first
-    ``bits`` packed triangle bits count: all n(n+1)/2 of them give the
-    triangle weight, the first 3n-3 the weight of the top three rows; both
-    are mirror-invariant.
+
+# A one-block kernel (n <= k) costs about as much to build as to sweep, so the
+# last one is kept for the next sweep at its size; larger kernels are rebuilt,
+# as keeping them would only hold memory.
+_one_block_tables = functools.lru_cache(maxsize=1)(_tables)
+
+
+class _Kernel:
+    """Keys of the generators of length n with x_0 = 0, one pair of blocks
+    at a time, one generator of each {x, rev x, ~x, ~rev x} class.
+
+    Block ``hi`` holds the generators (hi << k) | lo in bit-reversed order of
+    lo: lane j holds lo = bitrev_k(j), so x_0 is j's top bit and only lanes
+    j < 2^(k-1) are tabulated. Blocks come in pairs hi' and hi' ^ (2^l - 1),
+    l = n - k, whose generators are each other's complements up to the low
+    half; for n <= k there is one block and no partner. Each pair evaluates
+    the prefix of its lanes that ``cover`` names, both blocks in one (2, b)
+    array. Only the first ``bits`` packed triangle bits count: all
+    n(n+1)/2 of them give the triangle weight, the first 3n-3 the weight of
+    the top three rows; both are mirror-invariant and both obey the
+    complement identity weight(~x) = weight(x) + n - 2|x|.
+
+    A lane's key is its weight w plus ``bins`` times its ones count p, with
+    bins = bits + 1, so a key stays below (n + 1) * bins <= 33661 and fits
+    uint16 for every n <= 40. Column key of ``key_weights`` holds both
+    weights a key gives: the lane's generator's, w, and its complement's,
+    w + n - 2p. The tables are built by ``_tables``; those of the last
+    one-block kernel are kept (see ``_one_block_tables``).
 
     Each bit falls in one of three classes, read off the unit triangles: set
     by some low unit only (lo-only), by some high unit only (hi-only), or by
-    both (mixed). The lo-only weight of every lane is tabulated once in
-    ``base``; the hi-only weight is one number per block; only the mixed bits,
-    k(n-k) of them for the full triangle, go through the XOR table, packed
-    densely into the uint64 word rows of ``table``.
+    both (mixed). The lo-only weight plus bins * |lo| of every lane is
+    tabulated once in ``base``; the hi-only weight plus bins * |hi| is one
+    number per block; only the mixed bits, k(n-k) of them for the full
+    triangle, go through the XOR table, packed densely into the uint64 word
+    rows of ``table``.
     """
 
     def __init__(self, n: int, bits: int | None = None) -> None:
@@ -164,63 +229,63 @@ class _Kernel:
             bits = n * (n + 1) // 2
         self.n = n
         self.k = k = min(n, _BLOCK_BITS)
-        self.blocks = 1 << (n - k)
-        units = [_unit_triangle(n, j) & ((1 << bits) - 1) for j in range(n)]
-        lo = functools.reduce(operator.or_, units[:k], 0)
-        hi = functools.reduce(operator.or_, units[k:], 0)
-        lo_only = [i for i in range(bits) if (lo & ~hi) >> i & 1]
-        mixed = [i for i in range(bits) if (lo & hi) >> i & 1]
-        # One table: the lo-only bits in the first words, padded with bit
-        # ``bits`` (always clear), then the mixed bits. High units have no lo-only bit.
-        split = -(-len(lo_only) // 64)
-        rows = _dense(units, lo_only + [bits] * (64 * split - len(lo_only)) + mixed)
-        table = _span(rows[k - 1::-1])  # column j: T(bitrev_k(j))
-        self.base = np.bitwise_count(table[:split]).sum(axis=0, dtype=np.uint16)
-        self.table = table[split:]
-        self._high = rows[k:, split:]
-        self._hi_only = [t & hi & ~lo for t in units[k:]]
-        # hi ^ (hi - 1) has exactly bits 0..ctz(hi) set, so by linearity
-        # T(hi << k) is T((hi - 1) << k) XOR the high units 0..ctz(hi):
-        # _steps holds those prefix XORs on the mixed bits, _hi_steps on the hi-only bits.
-        self._steps = np.bitwise_xor.accumulate(self._high, axis=0)
-        self._hi_steps = list(itertools.accumulate(self._hi_only, operator.xor))
+        self.l = n - k
+        self.pairs = 1 << max(self.l - 1, 0)
+        self.bins = bits + 1
+        (self.base, self.table, self._high, self._hi_only, self._steps, self._hi_steps,
+         self.key_weights) = (_one_block_tables if n == k else _tables)(n, bits, k)
 
     def cover(self, hi: int) -> tuple[int, int, int]:
         """(a, b, c): lanes [0, a) of block ``hi`` count twice, lanes [a, b)
-        c times each, and the rest not at all, as their reversals count twice.
+        c times each, and the rest not at all.
 
-        Lane j reads x's first k entries with x_0 on top, and hi reads the
-        last n-k entries backwards, x_{n-1} on top; x against its reversal
-        compares these first. If n <= 2k, lanes below a = hi << (2k - n) read
-        less than their reversal. The 2^(2k-n) lanes from a tie, differ only
-        in their middle entries and so are closed under reversal: each counts
-        once. If n > 2k, only lane a = hi >> (n - 2k) ties, and the middle
-        entries decide; hi holds them backwards as mid, so the lane reads less
-        if bitrev(mid) < mid (c = 2), is a palindrome if they are equal
-        (c = 1), and else reads more (c = 0, and b = a).
+        Let τz be rev z if z_{n-1} = 0 and ~rev z otherwise; both z and τz
+        have x_0 = 0, and a lane that counts twice stands for τz too. Lane j
+        reads x's first k entries with x_0 on top; τz's first n-k entries,
+        read the same way, are hi' = hi for the first block of a pair and
+        hi ^ (2^l - 1) for its partner, so both blocks get the same a and b.
+        If n <= 2k, lanes below a = hi' << (2k - n) read less than τz. The
+        2^(2k-n) lanes from a tie, differ only in their middle entries and so
+        are closed under τ: each counts once. If n > 2k, only lane a =
+        hi' >> (n - 2k) ties, and the middle entries decide; hi holds them
+        backwards as mid, and τz's middle reads mid (or ~mid in the partner),
+        so the lane reads less if bitrev(mid) is smaller (c = 2), is fixed by
+        τ if they are equal (c = 1), and else reads more (c = 0). For n <= k
+        every lane counts once: (0, 2^(n-1), 1).
         """
-        n, k = self.n, self.k
+        n, k, l = self.n, self.k, self.l
+        if not l:
+            return 0, self.base.size, 1
+        flip = (1 << l) - 1 if hi >> (l - 1) else 0  # the partner reads τz complemented
         if n <= 2 * k:
-            a = hi << (2 * k - n)
+            a = (hi ^ flip) << (2 * k - n)
             return a, a + (1 << (2 * k - n)), 1
-        a = hi >> (n - 2 * k)
-        mid = hi & ((1 << (n - 2 * k)) - 1)
-        rmid = int(_reversed(mid, n - 2 * k))
-        c = 2 if rmid < mid else 1 if rmid == mid else 0
-        return a, a + (c > 0), c
+        a = (hi ^ flip) >> (n - 2 * k)
+        mask = (1 << (n - 2 * k)) - 1
+        mid = hi & mask
+        rmid, other = int(_reversed(mid, n - 2 * k)), mid ^ (flip & mask)
+        return a, a + 1, 2 if rmid < other else 1 if rmid == other else 0
 
-    def packed(self, hi: int, lanes):
-        """Generators held by ``lanes`` (an int64 array) of block ``hi``, as packed values."""
+    def packed(self, hi, lanes):
+        """Generators held by ``lanes`` (an int64 array) of block ``hi`` (an int,
+        or an array of one block per lane), as packed values."""
         return hi << self.k | _reversed(lanes, self.k)
 
-    def mirrored(self, hi: int, lanes):
+    def mirrored(self, hi, lanes):
         """Reversals of the generators held by ``lanes`` of block ``hi``, as packed values."""
         return lanes << (self.n - self.k) | _reversed(hi, self.n - self.k)
 
     def _highs(self, start: int, stop: int):
-        """Yield (hi, T(hi << k) on the mixed bits as words, its hi-only weight)
-        for blocks start..stop-1, ascending. The words array is updated in place."""
-        mixed = np.zeros(len(self.table), dtype=np.uint64)
+        """Yield (blocks, words, consts) for pairs start..stop-1, ascending.
+        The rows are block hi' and, if l > 0, its partner hi' ^ (2^l - 1);
+        words[w, r, 0] is word w of T(hi << k) on the mixed bits of row r,
+        consts[r, 0] its uint16 hi-only weight plus bins * |hi|. Both arrays
+        are updated in place."""
+        l, bins = self.l, self.bins
+        rows = 2 if l else 1
+        words = np.zeros((len(self.table), rows, 1), dtype=np.uint64)
+        consts = np.zeros((rows, 1), dtype=np.uint16)
+        mixed = words[:, 0, 0]
         only = 0
         for j, (row, unit) in enumerate(zip(self._high, self._hi_only)):
             if start >> j & 1:
@@ -231,36 +296,47 @@ class _Kernel:
                 j = (hi & -hi).bit_length() - 1
                 mixed ^= self._steps[j]
                 only ^= self._hi_steps[j]
-            yield hi, mixed, only.bit_count()
+            ones = hi.bit_count()
+            consts[0, 0] = only.bit_count() + bins * ones
+            if not l:
+                yield (hi,), words, consts
+                continue
+            np.bitwise_xor(mixed, self._steps[-1], out=words[:, 1, 0])
+            consts[1, 0] = (only ^ self._hi_steps[-1]).bit_count() + bins * (l - ones)
+            yield (hi, hi ^ ((1 << l) - 1)), words, consts
 
-    def weights(self, start: int, stop: int):
-        """Yield (hi, a, c, uint16 weights of lanes 0..b-1) for blocks
-        start..stop-1, ascending, with (a, b, c) = ``cover(hi)``. The weights
-        array is a view of one buffer, overwritten by the next block."""
-        lanes = self.base.size
-        acc = np.empty(lanes, dtype=np.uint16)
-        buf = np.empty(lanes, dtype=np.uint64)
-        count = np.empty(lanes, dtype=np.uint8)
-        for hi, mixed, hi_weight in self._highs(start, stop):
-            a, b, c = self.cover(hi)
-            w = np.add(self.base[:b], hi_weight, out=acc[:b])
-            for row, word in zip(self.table, mixed):
-                np.bitwise_xor(row[:b], word, out=buf[:b])
-                np.bitwise_count(buf[:b], out=count[:b])
-                w += count[:b]
-            yield hi, a, c, w
+    def keys(self, start: int, stop: int):
+        """Yield (blocks, a, cs, keys) for pairs start..stop-1, ascending:
+        keys is a (rows, b) uint16 array, row r holding the keys of lanes
+        0..b-1 of block blocks[r], with (a, b, cs[r]) = ``cover(blocks[r])``.
+        The keys array is a view of one buffer, overwritten by the next pair."""
+        shape = (2 if self.l else 1, self.base.size)
+        acc = np.empty(shape, dtype=np.uint16)
+        buf = np.empty(shape, dtype=np.uint64)
+        count = np.empty(shape, dtype=np.uint8)
+        for his, words, consts in self._highs(start, stop):
+            covers = [self.cover(hi) for hi in his]
+            a, b, _ = covers[0]
+            key, xor, cnt = acc[:, :b], buf[:, :b], count[:, :b]
+            np.add(self.base[:b], consts, out=key)
+            for row, word in zip(self.table, words):
+                np.bitwise_xor(row[:b], word, out=xor)
+                np.bitwise_count(xor, out=cnt)
+                key += cnt
+            yield his, a, [c for _, _, c in covers], key
 
 
 class _Images:
     """The five ``symmetry.images`` of lanes, in the kernel's lane order. Each map g is
     GF(2)-linear, so g((hi << k) | lo) is g(lo), tabulated from the low unit vectors,
-    XOR the images of the high units set in hi."""
+    XOR the images of the high units set in hi, and g(~x) is g(x) XOR ``ones``, g(1^n)."""
 
     def __init__(self, n: int) -> None:
         self.k = k = min(n, _BLOCK_BITS)
         units = np.array([[y.bits for y in symmetry.images(BitSeq(n, 1 << j))]
                           for j in range(n)], dtype=np.uint64)  # row j: unit vector j
         self.table, self._high = _span(units[k - 1::-1]), units[k:]
+        self.ones = np.bitwise_xor.reduce(units, axis=0)
 
     def of(self, first: int, size: int) -> np.ndarray:
         """Images of lanes first .. first + size - 1, all in one block; one row per map."""
@@ -289,75 +365,130 @@ class _Wanted(NamedTuple):
             wanted[seen[max(len(seen) - self.largest, 0):]] = True
         return wanted
 
+    def watched(self, hist: np.ndarray) -> np.ndarray:
+        """The weights that would change ``of`` if they came to occur in
+        ``hist``: those that do not yet and lie below its ``smallest`` least
+        or above its ``largest`` greatest weight."""
+        seen = np.flatnonzero(hist)
+        watched = np.zeros(len(hist), dtype=bool)
+        if self.smallest:  # below the least ``smallest`` seen, or all if fewer are
+            watched[:seen[self.smallest - 1] if len(seen) >= self.smallest else None] = True
+        if self.largest:
+            watched[seen[-self.largest] + 1 if len(seen) >= self.largest else 0:] = True
+        return watched & (hist == 0)
+
+
+def _by_count(a: int, cs: list[int], keys: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """(c, keys) of a pair's lanes that count c times, for c = 2 and 1."""
+    groups = [(2, keys[:, :a])] if a else []
+    if cs[0] == cs[-1]:
+        groups.append((cs[0], keys[:, a:]))
+    else:  # n > 2k: the blocks' tie lanes count differently
+        groups += [(c, row[a:]) for c, row in zip(cs, keys)]
+    return [(c, lanes.ravel()) for c, lanes in groups if c]
+
 
 def _sweep_range(kernel: _Kernel, start: int, stop: int, rule: _Wanted, cap: int):
-    """Histogram of blocks [start, stop), and for each weight the rule still
-    wants after the last block: its ``cap`` least members and their count.
+    """Key counts of pairs [start, stop), of lanes that count twice and of
+    lanes that count once, and for each weight the rule still wants after the
+    last pair: its ``cap`` least members and their count.
 
-    Each evaluated lane adds its multiplicity (see ``_Kernel.cover``) to the
-    histogram and, when scanned, gives its generator as a member, and the
-    reversal too if it counts twice. The weights seen so far only grow, so a
-    weight the rule wants at the end was wanted since the first block that
-    held it, and one it drops never comes back. Lanes are scanned only in
-    blocks that hold a wanted weight.
+    A lane with key (w, p) stands for its generator z, of weight w, and the
+    complement ~z, of weight w + n - 2p; if it counts twice (see
+    ``_Kernel.cover``), also for rev z and ~rev z, of the same two weights.
+    Scanned, it gives each of those whose weight is wanted as a member. The
+    weights seen so far only grow, and the rule's answer changes only when a
+    key of a weight the rule has ``watched`` appears; only such keys are
+    looked for, and the rule is read again only when one appears. The other
+    weights seen never reach the rule, which does not need them. A weight the
+    rule wants at the end was wanted since the first pair that held it, and
+    one it drops never comes back. Lanes are scanned only in pairs that hold a
+    wanted key.
     """
-    size = len(rule.fixed)
-    hist = np.zeros(size, dtype=np.int64)
+    size = (kernel.n + 1) * kernel.bins
+    counts = {2: np.zeros(size, dtype=np.int64), 1: np.zeros(size, dtype=np.int64)}
     found: dict[int, tuple[list[int], int]] = {}
     collect = rule.any()
-    for hi, a, c, w in kernel.weights(start, stop):
-        h = np.bincount(w[a:], minlength=size)
-        if c != 1:
-            h *= c
-        if a:
-            h += 2 * np.bincount(w[:a], minlength=size)
-        hist += h
-        if not collect:
+    if collect:
+        weights = np.zeros(len(rule.fixed), dtype=bool)  # seen; at least those at the ends
+        watch = np.arange(size)  # keys whose appearance can change the rule
+        targets = np.zeros(0, dtype=np.intp)  # keys of wanted weights
+    w, wc = kernel.key_weights
+    full = (1 << kernel.n) - 1
+    for his, a, cs, keys in kernel.keys(start, stop):
+        pair = []
+        for c, lanes in _by_count(a, cs, keys):
+            pair.append(np.bincount(lanes, minlength=size))
+            counts[c] += pair[-1]
+        if not (collect and pair):
             continue
-        wanted = rule.of(hist)
-        for wt in [wt for wt in found if not wanted[wt]]:
-            del found[wt]
-        hits = np.flatnonzero(wanted & (h > 0))
-        if not hits.size:
+        if any(h[watch].any() for h in pair):  # read the rule again
+            fresh = np.concatenate([watch[h[watch] > 0] for h in pair])
+            weights[w[fresh]] = weights[wc[fresh]] = True
+            wanted = rule.of(weights)
+            hits = wanted.nonzero()[0]
+            wanted_keys = wanted[w] | wanted[wc]
+            targets = wanted_keys.nonzero()[0]
+            for wt in [wt for wt in found if not wanted[wt]]:
+                del found[wt]
+            watched = rule.watched(weights)
+            watch = np.flatnonzero(watched[w] | watched[wc])
+        if not any(h[targets].any() for h in pair):
             continue
-        lanes = np.flatnonzero(wanted[w])
-        twice = lanes if c == 2 else lanes[lanes < a]
-        values, value_w = kernel.packed(hi, lanes), w[lanes]
-        if twice.size:  # and the reversals, which the block does not evaluate
-            values = np.concatenate([values, kernel.mirrored(hi, twice)])
-            value_w = np.concatenate([value_w, w[twice]])
-        # One sort by weight, then value, per block however many weights are
+        rows, lanes = np.divmod(np.flatnonzero(wanted_keys[keys]), keys.shape[1])
+        if 0 in cs:  # n > 2k: a tie lane that its block does not count
+            keep = (lanes < a) | (np.array(cs)[rows] > 0)
+            rows, lanes = rows[keep], lanes[keep]
+        blocks = np.array(his)[rows]
+        z = kernel.packed(blocks, lanes)
+        lane_keys = keys[rows, lanes]
+        values, value_w = [z, z ^ full], [w[lane_keys], wc[lane_keys]]
+        if a or 2 in cs:  # and the reversals, which no block evaluates
+            two = (lanes < a) | (np.array(cs)[rows] == 2)
+            r = kernel.mirrored(blocks[two], lanes[two])
+            values += [r, r ^ full]
+            value_w += [value_w[0][two], value_w[1][two]]
+        values, value_w = np.concatenate(values), np.concatenate(value_w)
+        # One sort by weight, then value, per pair however many weights are
         # wanted; it puts each weight's least members first.
         order = np.lexsort((values, value_w))
         values, value_w = values[order], value_w[order]
         starts = np.searchsorted(value_w, hits, side="left").tolist()
         stops = np.searchsorted(value_w, hits, side="right").tolist()
         for wt, s, e in zip(hits.tolist(), starts, stops):
+            if s == e:
+                continue
             kept, count = found.get(wt, ([], 0))
             kept += values[s:min(e, s + cap)].tolist()
             if len(kept) > cap:
                 kept = sorted(kept)[:cap]
             found[wt] = (kept, count + e - s)
-    return hist, found
+    return counts[2], counts[1], found
 
 
 def _reduced_hist_range(kernel: _Kernel, start: int, stop: int, images: _Images) -> np.ndarray:
-    """Histogram of blocks [start, stop), adding each orbit's size once: at a
-    lane that is the orbit's least packed member, or whose reversal is and
-    that counts twice (so the reversal is not evaluated)."""
-    n, k = kernel.n, kernel.k
-    hist = np.zeros(n * (n + 1) // 2 + 1, dtype=np.int64)
-    for hi, a, c, w in kernel.weights(start, stop):
-        lanes = np.arange(w.size)
-        vals = kernel.packed(hi, lanes).astype(np.uint64)
-        mapped = images.of(hi << k, w.size)
-        six = np.vstack([vals, mapped])
-        least = six.min(axis=0)
-        twice = (lanes < a) | (c == 2)
-        keep = (vals == least) | (twice & (mapped[_REVERSAL] == least))
-        kept = np.sort(six[:, keep], axis=0)
-        sizes = 1 + np.count_nonzero(np.diff(kept, axis=0), axis=0)
-        np.add.at(hist, w[keep], sizes)
+    """Weight histogram of pairs [start, stop), adding each orbit's size once:
+    at the generator a lane stands for (z and ~z, and rev z and ~rev z if it
+    counts twice, so those are not evaluated) that is the orbit's least
+    packed member."""
+    hist = np.zeros(kernel.bins, dtype=np.int64)
+    full = (1 << kernel.n) - 1
+    for his, a, cs, keys in kernel.keys(start, stop):
+        lanes = np.arange(keys.shape[1])
+        for hi, c, row in zip(his, cs, keys):
+            counted = (lanes < a) | (c > 0)
+            twice = (lanes < a) | (c == 2)
+            vals = kernel.packed(hi, lanes).astype(np.uint64)
+            mapped = images.of(hi << kernel.k, lanes.size)
+            w, wc = kernel.key_weights[:, row]
+            complements = (vals ^ full, mapped ^ images.ones[:, None], wc)
+            for v, m, wt in ((vals, mapped, w), complements):
+                six = np.vstack([v, m])
+                least = six.min(axis=0)
+                keep = counted & ((v == least) | (twice & (m[_REVERSAL] == least)))
+                kept = np.sort(six[:, keep], axis=0)
+                sizes = 1 + np.count_nonzero(np.diff(kept, axis=0), axis=0)
+                np.add.at(hist, wt[keep], sizes)
     return hist
 
 
@@ -376,24 +507,24 @@ def _resolve_workers(workers: int | None) -> int:
     return workers
 
 
-def _plan(n: int, blocks: int, workers: int | None) -> tuple[list[tuple[int, int]], int]:
-    """Contiguous block ranges of about equal work, one per worker, and the
-    threads that run them.
+def _plan(n: int, pairs: int, workers: int | None) -> tuple[list[tuple[int, int]], int]:
+    """Contiguous ranges of block pairs of about equal work, one per worker,
+    and the threads that run them.
 
     Threads never exceed the cores this process may use, whatever ``workers``
     asks for; small jobs run serially with the same split and merge.
     """
-    parts = max(1, min(_resolve_workers(workers), blocks))
-    # Block hi evaluates about hi + 1 lanes' worth (see ``_Kernel.cover``),
-    # so blocks [0, e) hold work e^2 / 2: equal shares end at blocks * sqrt(i / parts).
-    edges = [math.isqrt(blocks * blocks * i // parts) for i in range(parts + 1)]
+    parts = max(1, min(_resolve_workers(workers), pairs))
+    # Pair hi' evaluates about hi' + 1 lanes' worth (see ``_Kernel.cover``),
+    # so pairs [0, e) hold work e^2 / 2: equal shares end at pairs * sqrt(i / parts).
+    edges = [math.isqrt(pairs * pairs * i // parts) for i in range(parts + 1)]
     threads = min(parts, _cores()) if (1 << n) >= _THREADED_LANES else 1
     return list(zip(edges, edges[1:])), threads
 
 
 def _run(kernel: _Kernel, workers: int | None, range_fn, *args) -> list:
     """range_fn(kernel, start, stop, *args) for every planned range, in range order."""
-    parts, threads = _plan(kernel.n, kernel.blocks, workers)
+    parts, threads = _plan(kernel.n, kernel.pairs, workers)
 
     def task(part):
         return range_fn(kernel, *part, *args)
@@ -404,14 +535,22 @@ def _run(kernel: _Kernel, workers: int | None, range_fn, *args) -> list:
         return list(pool.map(task, parts))
 
 
-def _merge_hist(n: int, pieces: list[np.ndarray]) -> np.ndarray:
-    total = pieces[0]
-    for piece in pieces[1:]:
-        total += piece
-    if int(total.sum()) != 1 << n:
-        raise ValueError(f"histogram of n={n} counts {int(total.sum())} generators, "
+def _checked(n: int, hist: np.ndarray) -> np.ndarray:
+    if int(hist.sum()) != 1 << n:
+        raise ValueError(f"histogram of n={n} counts {int(hist.sum())} generators, "
                          f"not 2^{n}")
-    return total
+    return hist
+
+
+def _merge_hist(kernel: _Kernel, pieces: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """The weight histogram from the ranges' (twice, once) key counts: a key
+    (w, p) adds its count at w and at w + n - 2p, the complement's weight."""
+    counts = sum(2 * twice + once for twice, once in pieces)
+    keys = counts.nonzero()[0]
+    hist = np.zeros(kernel.bins, dtype=np.int64)
+    for weights in kernel.key_weights[:, keys]:
+        np.add.at(hist, weights, counts[keys])
+    return _checked(kernel.n, hist)
 
 
 def _enumerate(kernel: _Kernel, rule: _Wanted, cap: int, workers: int | None):
@@ -419,12 +558,12 @@ def _enumerate(kernel: _Kernel, rule: _Wanted, cap: int, workers: int | None):
     rule wants from it, the ``cap`` least members in packed order and the count."""
     n = kernel.n
     parts = _run(kernel, workers, _sweep_range, rule, cap)
-    hist = _merge_hist(n, [h for h, _ in parts])
+    hist = _merge_hist(kernel, [(twice, once) for twice, once, _ in parts])
     found: dict[int, tuple[list[int], int]] = {}
     for wt in np.flatnonzero(rule.of(hist)).tolist():
         values: list[int] = []
         count = 0
-        for _, part in parts:
+        for _, _, part in parts:
             kept, scanned = part.get(wt, ((), 0))
             values += kept
             count += scanned
@@ -499,12 +638,13 @@ def symmetry_reduced_spectrum(n: int, *, workers: int | None = None,
                               force: bool = False) -> WeightSpectrum:
     """Same histogram, counting each symmetry orbit once: a cross-check, not a speed-up.
 
-    It sweeps all 2^n lanes; a lane counts only if it is the least packed value
-    in its orbit, and then adds the orbit's size at its weight. Output is
-    identical to ``full_spectrum`` because weight is symmetry-invariant.
+    It sweeps the lanes ``full_spectrum`` does; of the generators a lane
+    stands for, each that is the least packed value in its orbit adds the
+    orbit's size at its weight. Output is identical to ``full_spectrum``
+    because weight is symmetry-invariant.
     """
     _check_size(n, force)
-    hist = _merge_hist(n, _run(_Kernel(n), workers, _reduced_hist_range, _Images(n)))
+    hist = _checked(n, sum(_run(_Kernel(n), workers, _reduced_hist_range, _Images(n))))
     return WeightSpectrum(n, tuple(hist.tolist()))
 
 

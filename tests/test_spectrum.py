@@ -35,24 +35,43 @@ def lane_value(k, hi, j):
     return hi << k | int(f"{j:0{k}b}"[::-1], 2)
 
 
+def tau(x):
+    """The generator a lane pairs with: rev x, complemented if x ends in 1, so
+    that it starts with 0 like x."""
+    mirror = invert_i(x)
+    return mirror ^ BitSeq.ones(x.n) if x.bit(x.n - 1) else mirror
+
+
 def kernel_cover(n):
-    """(generator, weight, multiplicity) of every lane the block kernel evaluates."""
+    """(generator, key, multiplicity) of every lane the block kernel evaluates,
+    both blocks of each pair; a tie lane may count 0 times."""
     kernel = _Kernel(n)
-    for hi, a, c, w in kernel.weights(0, kernel.blocks):
-        for j, wt in enumerate(w.tolist()):
-            yield lane_value(kernel.k, hi, j), wt, 2 if j < a else c
+    for his, a, cs, keys in kernel.keys(0, kernel.pairs):
+        for hi, c, row in zip(his, cs, keys.tolist()):
+            for j, key in enumerate(row):
+                yield lane_value(kernel.k, hi, j), key, 2 if j < a else c
+
+
+def stood_for(x, key, mult):
+    """(generator, weight) of each generator a lane with this key stands for:
+    itself and its complement, and if it counts twice rev x and ~rev x."""
+    n = x.n
+    ones, w = divmod(key, n * (n + 1) // 2 + 1)
+    mirror = invert_i(x)
+    pairs = [(x, w), (mirror, w)][:mult]
+    return [y for s, wt in pairs for y in ((s, wt), (s ^ BitSeq.ones(n), wt + n - 2 * ones))]
 
 
 def kernel_weights(n):
-    """Weights of every generator of length n, in packed order, from the block kernel:
-    a lane weighs its generator, and also the reversal when it counts twice. Fails
-    unless that weighs every generator exactly once."""
+    """Weights of every generator of length n, in packed order, from the block
+    kernel's keys (see ``stood_for``). Fails unless that weighs every generator
+    exactly once."""
     out = [None] * (1 << n)
-    for x, wt, mult in kernel_cover(n):
-        assert mult in (1, 2)
-        for y in (x, invert_i(BitSeq(n, x)).bits)[:mult]:
-            assert out[y] is None
-            out[y] = wt
+    for x, key, mult in kernel_cover(n):
+        assert mult in (0, 1, 2)
+        for y, wt in stood_for(BitSeq(n, x), key, mult):
+            assert out[y.bits] is None
+            out[y.bits] = wt
     assert None not in out
     return np.array(out)
 
@@ -62,7 +81,7 @@ def table_images(n):
     packed order, one row per map, read off whole blocks."""
     kernel, images = _Kernel(n), _Images(n)
     out = np.zeros((5, 1 << n), dtype=np.uint64)
-    for hi in range(kernel.blocks):
+    for hi in range(1 << kernel.l):
         got = images.of(hi << kernel.k, 1 << kernel.k)
         for j in range(1 << kernel.k):
             out[:, lane_value(kernel.k, hi, j)] = got[:, j]
@@ -192,44 +211,60 @@ class TestLanePrimitives:
     @pytest.mark.parametrize("n", [33, 40])
     def test_sampled_blocks_beyond_32_bits(self, n, rng):
         kernel = _Kernel(n)
+        half = 1 << (kernel.k - 1)  # only lanes with x_0 = 0 are tabulated
         words = -(-kernel.k * (n - kernel.k) // 64)  # only the mixed bits are tabulated
-        assert kernel.table.shape == (words, 1 << kernel.k)
+        assert kernel.table.shape == (words, half)
         assert kernel._steps.shape == (n - kernel.k, words)
-        starts = [0, kernel.blocks - 3] + [rng.randrange(kernel.blocks - 2) for _ in range(3)]
+        starts = [0, kernel.pairs - 3] + [rng.randrange(kernel.pairs - 2) for _ in range(3)]
         for start in starts:
-            for hi, a, c, w in kernel.weights(start, start + 3):  # also steps between blocks
-                assert (a, w.size) == kernel.cover(hi)[:2]
-                # n > 2k: a lane counts twice if it reads less than its reversal,
-                # once if it is a palindrome, and is not evaluated if it reads more
-                ends = [0, w.size - 1, (1 << kernel.k) - 1] if w.size else [0]
-                for j in ends + [rng.randrange(1 << kernel.k) for _ in range(20)]:
-                    x = BitSeq(n, lane_value(kernel.k, hi, j))
-                    text, mirror = str(x), str(invert_i(x))
-                    mult = 2 if j < a else c if j < w.size else 0
-                    assert mult == (text < mirror) + (text <= mirror)
-                    if mult:
-                        assert int(w[j]) == triangle_weight(x)
+            for his, a, cs, keys in kernel.keys(start, start + 3):  # also steps between pairs
+                for hi, c, row in zip(his, cs, keys):  # a block and its partner
+                    assert (a, row.size, c) == kernel.cover(hi)
+                    # n > 2k: a lane counts twice if it reads less than τ of it, once
+                    # if they are equal, and not at all if it reads more
+                    ends = [0, row.size - 1, half - 1]
+                    for j in ends + [rng.randrange(half) for _ in range(20)]:
+                        x = BitSeq(n, lane_value(kernel.k, hi, j))
+                        text, other = str(x), str(tau(x))
+                        mult = 2 if j < a else c if j < row.size else 0
+                        assert mult == (text < other) + (text <= other)
+                        if j < row.size:
+                            assert int(row[j]) == triangle_weight(x) + kernel.bins * x.weight
+
+
+class TestComplement:
+    """T(1^n) is the top row alone, so by linearity T(~x) differs from T(x) in
+    row 0 only: the sweeps read the complement's weight off the lane's key."""
+
+    def test_weight_of_the_complement(self):
+        for n in range(1, 13):
+            ones = BitSeq.ones(n)
+            for x, w in zip(all_seqs(n), scalar_weights(n)):
+                assert scalar_weights(n)[(x ^ ones).bits] == w + n - 2 * x.weight
+                if n >= 3:
+                    assert s3(x ^ ones) == s3(x) + n - 2 * x.weight
 
 
 class TestMirrorCover:
-    """Each block evaluates a prefix of its lanes; a lane that counts twice
-    stands for its reversal too, so the sweeps do about half the lanes."""
+    """Each pair of blocks evaluates a prefix of its lanes with x_0 = 0; a
+    lane stands for its complement, and if it counts twice for rev x and
+    ~rev x too, so the sweeps do about a quarter of the lanes."""
 
-    @pytest.mark.parametrize("block_bits", [2, 3, 16])
+    @pytest.mark.parametrize("block_bits", [2, 3, 4, 16])
     def test_lanes_cover_every_generator_once(self, monkeypatch, block_bits):
         monkeypatch.setattr(spectrum_mod, "_BLOCK_BITS", block_bits)
-        for n in range(1, 13):
+        for n in range(1, 14):
+            bins = n * (n + 1) // 2 + 1
             covered = Counter()
-            for x, wt, mult in kernel_cover(n):
+            for x, key, mult in kernel_cover(n):
                 seq = BitSeq(n, x)
-                text, mirror = str(seq), str(invert_i(seq))
-                assert wt == triangle_weight(seq)
-                assert mult in (1, 2)
-                if mult == 2 or n > 2 * block_bits:  # else a tie lane, closed under reversal
-                    assert mult == (text < mirror) + (text <= mirror)
-                covered[x] += 1
-                if mult == 2:
-                    covered[invert_i(seq).bits] += 1
+                text, other = str(seq), str(tau(seq))
+                assert not seq.bit(0)
+                # the weight and ones count, with no wrap-around in uint16
+                assert key == triangle_weight(seq) + bins * seq.weight
+                if mult == 2 or n > 2 * block_bits:  # else a tie lane, closed under τ
+                    assert mult == (text < other) + (text <= other)
+                covered.update(y.bits for y, _ in stood_for(seq, key, mult))
             assert covered == Counter(range(1 << n)), (block_bits, n)
 
     @pytest.mark.parametrize("block_bits", [2, 3, 16])
@@ -238,21 +273,22 @@ class TestMirrorCover:
         for n in (1, 5, 9, 12):
             kernel = _Kernel(n)
             lanes = np.arange(1 << kernel.k)
-            for hi in range(kernel.blocks):
+            for hi in range(1 << kernel.l):
                 want = [lane_value(kernel.k, hi, j) for j in lanes.tolist()]
                 assert kernel.packed(hi, lanes).tolist() == want
                 assert kernel.mirrored(hi, lanes).tolist() == [
                     invert_i(BitSeq(n, x)).bits for x in want]
 
-    def test_about_half_the_lanes_are_evaluated(self):
+    def test_about_a_quarter_of_the_lanes_are_evaluated(self):
         kernel = _Kernel(24)
-        lanes = sum(kernel.cover(hi)[1] for hi in range(kernel.blocks))
-        assert lanes == (1 << 23) + (1 << 15)  # one per mirror pair, plus the ties
+        lanes = sum(2 * kernel.cover(hi)[1] for hi in range(kernel.pairs))
+        assert lanes == (1 << 22) + (1 << 15)  # one per {x, rev x, ~x, ~rev x}, plus the ties
 
 
 class TestKernelSplit:
     """Lo-only bits come from ``base``, hi-only bits from one number per block,
-    and only the k(n-k) mixed bits from the XOR table; each against the scalar oracle."""
+    and only the k(n-k) mixed bits from the XOR table; each against the scalar
+    oracle, in keys: weight plus bins times the ones count."""
 
     @staticmethod
     def lanes(size, rng):
@@ -261,43 +297,54 @@ class TestKernelSplit:
     def test_base_is_the_low_half_weight(self, rng):
         kernel = _Kernel(20)
         k = kernel.k
-        assert k == 16 and kernel.base.dtype == np.uint16 and kernel.base.shape == (1 << k,)
-        for lo in self.lanes(1 << k, rng):
-            assert int(kernel.base[lo]) == triangle_weight(BitSeq(k, lo))
+        assert k == 16 and kernel.base.dtype == np.uint16
+        assert kernel.base.shape == (1 << (k - 1),)
+        for j in self.lanes(1 << (k - 1), rng):
+            lo = BitSeq(k, lane_value(k, 0, j))
+            assert int(kernel.base[j]) == triangle_weight(lo) + kernel.bins * lo.weight
 
     @pytest.mark.parametrize("n", [17, 20, 24])
     def test_block_scalar_is_the_high_half_weight(self, n):
         kernel = _Kernel(n)
-        k = kernel.k
-        for start in (0, 1, kernel.blocks // 2 - 1):
-            stop = min(start + 16, kernel.blocks)
-            his = [(hi, weight) for hi, _, weight in kernel._highs(start, stop)]
-            assert [hi for hi, _ in his] == list(range(start, stop))
-            for hi, weight in his:
-                assert weight == triangle_weight(BitSeq(n - k, hi))
+        k, bins = kernel.k, kernel.bins
+        for start in {0, 1, max(kernel.pairs // 2 - 1, 0)}:
+            stop = min(start + 16, kernel.pairs)
+            his = [(blocks, consts[:, 0].tolist())
+                   for blocks, _, consts in kernel._highs(start, stop)]
+            assert [blocks[0] for blocks, _ in his] == list(range(start, stop))
+            for blocks, consts in his:
+                assert blocks[1] == blocks[0] ^ ((1 << (n - k)) - 1)  # the partner
+                for hi, const in zip(blocks, consts):
+                    high = BitSeq(n - k, hi)
+                    assert const == triangle_weight(high) + bins * high.weight
 
     @pytest.mark.parametrize("n", [17, 18, 19, 20])
     def test_sampled_lanes_match_the_scalar_weight(self, n, rng):
         kernel = _Kernel(n)
         k = kernel.k
-        assert kernel.table.shape == (-(-k * (n - k) // 64), 1 << k)
-        for hi, _, _, w in kernel.weights(0, kernel.blocks):
-            for j in self.lanes(w.size, rng):
-                assert int(w[j]) == triangle_weight(BitSeq(n, lane_value(k, hi, j)))
+        assert kernel.table.shape == (-(-k * (n - k) // 64), 1 << (k - 1))
+        for his, _, _, keys in kernel.keys(0, kernel.pairs):
+            for hi, row in zip(his, keys):  # both blocks of the pair
+                for j in self.lanes(row.size, rng):
+                    x = BitSeq(n, lane_value(k, hi, j))
+                    assert int(row[j]) == triangle_weight(x) + kernel.bins * x.weight
 
     @pytest.mark.parametrize("n", [17, 18, 19, 20])
     def test_sampled_lanes_of_the_top_three_rows_match_s3(self, n, rng):
         kernel = _Kernel(n, bits=3 * n - 3)
-        for hi, _, _, w in kernel.weights(0, kernel.blocks):
-            for j in self.lanes(w.size, rng):
-                assert int(w[j]) == s3(BitSeq(n, lane_value(kernel.k, hi, j)))
+        for his, _, _, keys in kernel.keys(0, kernel.pairs):
+            for hi, row in zip(his, keys):
+                for j in self.lanes(row.size, rng):
+                    x = BitSeq(n, lane_value(kernel.k, hi, j))
+                    assert int(row[j]) == s3(x) + kernel.bins * x.weight
 
     def test_small_sizes_are_the_base_alone(self):
         kernel = _Kernel(12)
-        assert kernel.table.shape == (0, 1 << 12)
-        (hi, a, c, w), = kernel.weights(0, 1)  # one block, every lane counted once
-        assert (hi, a, c) == (0, 0, 1) and np.array_equal(w, kernel.base)
-        assert w is not kernel.base
+        assert kernel.table.shape == (0, 1 << 11)
+        # one block, no partner, each lane counted once (for itself and its complement)
+        (his, a, cs, keys), = kernel.keys(0, 1)
+        assert (his, a, cs) == ((0,), 0, [1]) and np.array_equal(keys, kernel.base[None])
+        assert not np.shares_memory(keys, kernel.base)
 
     # SHA-256 of repr(full_spectrum(n).counts), recorded from the one-table
     # kernel that tabulated every packed bit; several 2^16-lane blocks each.
@@ -471,18 +518,22 @@ class TestOneSweep:
             assert piece.count == got.spectrum.count(piece.weight)
 
     def test_lost_lane_breaks_histogram_total(self, monkeypatch):
-        weights = _Kernel.weights
+        keys = _Kernel.keys
 
         def lose_a_lane(self, start, stop):
-            for hi, a, c, w in weights(self, start, stop):
-                yield hi, a, c, w[:-1] if hi == 0 else w
+            for his, a, cs, row_keys in keys(self, start, stop):
+                yield his, a, cs, row_keys[:, :-1] if his[0] == 0 else row_keys
 
-        # 8-lane blocks at n = 9: block 0 evaluates lane 0 alone, the zero word
+        # 8-lane blocks at n = 9: pair 0 evaluates lane 0 alone, the zero word
+        # (for itself and 1^9) in block 0, and nothing in its partner
         monkeypatch.setattr(spectrum_mod, "_BLOCK_BITS", 3)
-        monkeypatch.setattr(_Kernel, "weights", lose_a_lane)
-        for call in (lambda: full_spectrum(9), lambda: level_sets(9, 3, 2),
-                     lambda: symmetry_reduced_spectrum(9), lambda: three_row_max(9)):
-            with pytest.raises(ValueError, match=r"counts 511 generators, not 2\^9"):
+        monkeypatch.setattr(_Kernel, "keys", lose_a_lane)
+        # Orbit counting loses only the orbit {0^9}: that of 1^9 is counted at
+        # its least member, which another lane stands for.
+        for call, total in ((lambda: full_spectrum(9), 510), (lambda: level_sets(9, 3, 2), 510),
+                            (lambda: symmetry_reduced_spectrum(9), 511),
+                            (lambda: three_row_max(9), 510)):
+            with pytest.raises(ValueError, match=rf"counts {total} generators, not 2\^9"):
                 call()
 
     def test_missed_block_breaks_member_count(self, monkeypatch):
@@ -568,12 +619,13 @@ class TestDeterminism:
         assert full_spectrum(14, workers=3) == big  # threaded, 2048 blocks
 
     def test_thread_plan_is_clamped(self):
+        assert _Kernel(26).pairs == 1 << 9  # the unit of work is a pair of blocks
         parts, threads = _plan(26, 1 << 10, 100000)
         assert len(parts) == 1 << 10
         assert parts[0] == (0, 32) and parts[-1] == (1023, 1024)
         assert 1 <= threads <= _cores()
         parts, threads = _plan(26, 1 << 10, 3)
-        # block hi evaluates about hi + 1 lanes' worth: equal shares of 1024 * 1025 / 2
+        # pair hi evaluates about hi + 1 lanes' worth: equal shares of 1024 * 1025 / 2
         assert parts == [(0, 591), (591, 836), (836, 1024)]
         work = [sum(hi + 1 for hi in range(*part)) for part in parts]
         assert max(work) - min(work) <= 1024
