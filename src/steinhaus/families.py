@@ -109,6 +109,11 @@ def family_seq(f: FamilyName, n: int) -> BitSeq:
 def predicted_triangle_weight(f: FamilyName, n: int) -> int:
     """Closed-form triangle weight of ``family_seq(f, n)`` where one exists."""
     family_seq(f, n)  # range check
+    return _closed_form(f, n)
+
+
+def _closed_form(f: FamilyName, n: int) -> int:
+    """``predicted_triangle_weight`` of a family known to be defined at length n."""
     g, i = f.group, f.index
     if g == "a":
         _require(n >= 4, "a-family weight formula requires n >= 4")
@@ -148,30 +153,33 @@ def predicted_triangle_weight(f: FamilyName, n: int) -> int:
     )
 
 
-def all_families(n: int) -> list[FamilyName]:
-    """Every family tag constructible at length n, in stable display order."""
+def _constructible(n: int):
+    """(tag, sequence) of every family constructible at length n, in stable
+    display order; each sequence is built once."""
     tags = [FamilyName(g, i) for g, (_, _, members) in _GROUPS.items()
             for i in range(1, len(members) + 1)]
-    out: list[FamilyName] = []
     for f in tags + [FamilyName("e", k) for k in range(n)]:
         try:
-            family_seq(f, n)
+            yield f, family_seq(f, n)
         except FamilyRangeError:
             continue
-        out.append(f)
-    return out
+
+
+def all_families(n: int) -> list[FamilyName]:
+    """Every family tag constructible at length n, in stable display order."""
+    return [f for f, _ in _constructible(n)]
 
 
 def family_weights(n: int) -> list[tuple[FamilyName, BitSeq, int | None]]:
     """Every family at length n with its sequence and its closed-form weight,
     or None where no closed form exists."""
     out = []
-    for f in all_families(n):
+    for f, x in _constructible(n):
         try:
-            predicted = predicted_triangle_weight(f, n)
+            predicted = _closed_form(f, n)
         except (NoClosedFormError, FamilyRangeError):
             predicted = None
-        out.append((f, family_seq(f, n), predicted))
+        out.append((f, x, predicted))
     return out
 
 

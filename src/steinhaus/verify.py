@@ -9,13 +9,17 @@ counterexample surfaces as a finding rather than aborting the run.
 
 The per-size checks of ``verify_all`` are one table, ``_CHECKS``: a row names
 a check, the sizes it applies to, its skip reason, how it runs on the size's
-one ``LevelSweep`` and any exact weight it reads there. Checks read levels by
-their offset from an end of the ladder: W_1..W_3 are ``sweep.low[1..3]``, and
-W_m and W_{m-1} are ``sweep.high[0]`` and ``sweep.high[1]``, so only a ladder
-too short for a level and the stored top-level summary need the height m. The
-small-n ladder (n <= 4) sweeps the whole ladder instead, against the same
-bundled table that ``predicted_level`` serves at those sizes. The ``_timed``
-decorator stamps each check's wall time on the record it returns.
+one set of ladder ends and any exact weight it reads there. Checks read levels
+by their offset from an end of the ladder: W_1..W_3 are ``data.low[1..3]``,
+and W_m and W_{m-1} are ``data.high[0]`` and ``data.high[1]``, so only the
+stored top-level summary needs the height m. Up to n = 14 the ends come from
+one ``LevelSweep`` of all 2^n generators, since the golden tables and the
+weight-2n-3 slices need its histogram and slices; above, from the
+split-and-bound search ``ends.ladder_ends``, which weighs a few thousand
+generators instead. The small-n ladder (n <= 4) sweeps the whole ladder,
+against the same bundled table that ``predicted_level`` serves at those
+sizes. The ``_timed`` decorator stamps each check's wall time on the record
+it returns.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .bitseq import BitSeq
+from .ends import LadderEnds, ladder_ends
 from .families import (
     FamilyName,
     UncoveredLevelError,
@@ -42,6 +47,7 @@ from .spectrum import (
     CeilingExceeded,
     LevelSet,
     LevelSweep,
+    WeightSlice,
     _check_size,
     enumeration_ceiling,
     level_sets,
@@ -51,6 +57,7 @@ from .symmetry import orbit
 from .triangle import triangle_weight
 
 S3_CEILING = 20
+SWEPT_UP_TO = 14  # larger sizes read the ladder ends from the search
 
 # Equality sets of the three-row weight bound s3 <= 2n-2 at n = 4 and 5.
 _S3_EQUALITY = {
@@ -135,9 +142,13 @@ def _golden_slice(n: int) -> tuple[int, frozenset[BitSeq]]:
 # ---------------------------------------------------------------------------
 # shared per-n enumeration
 
-def _enum_data(n: int, workers: int | None, weights=(), force: bool = False) -> LevelSweep:
-    """Levels 0..3, m-1 and m (clamped to the ladder) and the generators of
-    each exact weight in ``weights``, all from one enumeration of size n."""
+def _enum_data(n: int, workers: int | None, weights=(),
+               force: bool = False) -> LevelSweep | LadderEnds:
+    """Levels 0..3, m-1 and m (clamped to the ladder): up to ``SWEPT_UP_TO``,
+    with the generators of each exact weight in ``weights``, from one
+    enumeration of size n; above, from the search of the ladder's ends."""
+    if n > SWEPT_UP_TO:
+        return ladder_ends(n, 3, 2, force=force)
     return level_sets(n, 3, 2, weights=weights, workers=workers, force=force)
 
 
@@ -157,7 +168,7 @@ def _set_witness(observed_w: int, observed: frozenset[BitSeq],
     return Witness(x, triangle_weight(x), predicted_w)
 
 
-def _compare_level(check: str, n: int, level: LevelSet,
+def _compare_level(check: str, n: int, level: LevelSet | WeightSlice,
                    predicted_w: int, predicted: frozenset[BitSeq],
                    conjecture: bool = False) -> CheckRecord:
     ok_status = "conjecture-confirmed" if conjecture else "pass"
@@ -183,7 +194,7 @@ def _compare_level(check: str, n: int, level: LevelSet,
 
 @_timed
 def verify_level(n: int, level, *, workers: int | None = None,
-                 data: LevelSweep | None = None) -> CheckRecord:
+                 data: LevelSweep | LadderEnds | None = None) -> CheckRecord:
     """Compare one predicted ladder level (weight and set) with enumeration."""
     token = normalize_level(level)
     check = f"level-{token}"
@@ -195,11 +206,11 @@ def verify_level(n: int, level, *, workers: int | None = None,
         data = _enum_data(n, workers)
     end, offset = {"1": (data.low, 1), "2": (data.low, 2), "3": (data.low, 3),
                    "m": (data.high, 0), "m-1": (data.high, 1)}[token]
-    if offset >= len(end):
-        top = data.high[0]
+    if offset >= len(end):  # only the bottom end runs short: then it holds the whole ladder
+        top = end[-1]
         pick = sorted(top.members, key=str)[0]
         return CheckRecord(check, n, "fail",
-                           f"ladder has levels 0..{top.index}, level {token} undefined",
+                           f"ladder has levels 0..{len(end) - 1}, level {token} undefined",
                            Witness(pick, top.weight, prediction.value))
     return _compare_level(check, n, end[offset], prediction.value, prediction.member_set,
                           conjecture=prediction.status == "conjecture")
@@ -311,7 +322,7 @@ _CONJECTURE_RANGE = "conjecture applies for n >= 11 with n == 0,2 (mod 3)"
 
 @_timed
 def check_conjecture(n: int, *, workers: int | None = None,
-                     data: LevelSweep | None = None) -> CheckRecord:
+                     data: LevelSweep | LadderEnds | None = None) -> CheckRecord:
     """Test whether level m-1 equals the conjectured set at weight ceil(n^2/3)."""
     if not conjectured(n):
         raise ValueError(_CONJECTURE_RANGE)
@@ -414,13 +425,15 @@ def _weight_2n3(n: int, data: LevelSweep) -> CheckRecord:
 
 class _Check(NamedTuple):
     """A per-size check, run where ``applies(n)`` and skipped with ``skip``
-    elsewhere, as ``run(n, sweep, workers)``; ``weight(n)`` is an exact weight
-    whose generators it reads."""
+    elsewhere, as ``run(n, data, workers)``; ``weight(n)`` is an exact weight
+    whose generators it reads. A check that reads such a weight, the
+    histogram or m may apply only up to ``SWEPT_UP_TO``: above it, ``data``
+    is the search's ``LadderEnds``."""
 
     name: str
     applies: Callable[[int], bool]
     skip: str
-    run: Callable[[int, LevelSweep, int | None], CheckRecord]
+    run: Callable[[int, LevelSweep | LadderEnds, int | None], CheckRecord]
     weight: Callable[[int], int] | None = None
 
 

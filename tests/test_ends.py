@@ -1,0 +1,161 @@
+from functools import cache
+
+import numpy as np
+import pytest
+
+from steinhaus import (
+    BitSeq,
+    CeilingExceeded,
+    LadderEnds,
+    ladder_ends,
+    level_sets,
+    predicted_level,
+    triangle_weight,
+)
+from steinhaus import ends as ends_mod
+from steinhaus.ends import _split_bound, _split_search, mix_bound
+from steinhaus.families import _fixture_rows
+
+
+@cache
+def swept(n):
+    """Levels 0..3, m-1 and m with every member, from the full sweep."""
+    return level_sets(n, 3, 2, cap=1 << n)
+
+
+def assert_same_ends(got: LadderEnds, sweep):
+    for search, exhaustive in ((got.low, sweep.low), (got.high, sweep.high)):
+        assert [(s.weight, s.count, s.members, s.truncated) for s in search] == \
+            [(s.weight, s.count, s.members, s.truncated) for s in exhaustive]
+
+
+def mixed_max(k, l):
+    """M(k, l) by brute force: the largest weight(x) - A[lo] - B[hi] over all
+    generators of length k + l, with weights from vectorised row steps."""
+    def weights(values, n):
+        w = np.zeros(len(values), dtype=np.int64)
+        for m in range(n, 0, -1):
+            w += np.bitwise_count(values)
+            values = (values ^ values >> np.uint64(1)) & np.uint64((1 << (m - 1)) - 1)
+        return w
+
+    x = np.arange(1 << (k + l), dtype=np.uint64)
+    lo, hi = x & np.uint64((1 << k) - 1), x >> np.uint64(k)
+    return int((weights(x, k + l) - weights(lo, k) - weights(hi, l)).max())
+
+
+def pair_weights(n):
+    """A and B of the default split at length n, by the scalar weight."""
+    k = n // 2
+    return ([triangle_weight(BitSeq(k, v)) for v in range(1 << k)],
+            [triangle_weight(BitSeq(n - k, v)) for v in range(1 << (n - k))])
+
+
+class TestAgainstTheSweep:
+    @pytest.mark.parametrize("n", range(1, 23))
+    def test_default_split(self, n):
+        assert_same_ends(ladder_ends(n, 3, 2, cap=1 << n), swept(n))
+
+    @pytest.mark.parametrize("n", range(4, 23))
+    def test_another_split_in_small_blocks(self, n, monkeypatch):
+        monkeypatch.setattr(ends_mod, "_CANDIDATE_BLOCK", 64)
+        assert_same_ends(_split_search(n, n // 3, 3, 2, 1 << n), swept(n))
+
+    @pytest.mark.parametrize("n", range(12, 17))
+    def test_with_the_bound_in_place_of_the_table(self, n, monkeypatch):
+        monkeypatch.setattr(ends_mod, "_EXACT_MIX", 4)
+        mix_bound.cache_clear()
+        try:
+            assert mix_bound(n // 2, n - n // 2) > int(
+                _fixture_rows("mixed_grid_max.txt")[n // 2 - 1][n - n // 2 - 1])
+            assert_same_ends(ladder_ends(n, 3, 2, cap=1 << n), swept(n))
+        finally:
+            mix_bound.cache_clear()
+
+    def test_level_counts_and_caps(self):
+        got = ladder_ends(10, 1, 1, cap=2)
+        assert [s.weight for s in got.low] == [0, 10]
+        assert [s.weight for s in got.high] == [37]
+        assert got.low[1].count == 3 and got.low[1].truncated and len(got.low[1].members) == 2
+        assert ladder_ends(10, 0, 3).low == []
+        assert ladder_ends(10, 2, 0).high == []
+
+    def test_short_ladders_are_clamped(self):
+        got = ladder_ends(2, 3, 5)
+        assert [s.weight for s in got.low] == [0, 2]
+        assert [s.weight for s in got.high] == [2, 0]
+
+    def test_bad_arguments(self):
+        with pytest.raises(ValueError):
+            ladder_ends(10, -1, 2)
+        with pytest.raises(ValueError):
+            ladder_ends(10, 3, 2, cap=-1)
+        with pytest.raises(CeilingExceeded, match="enumeration ceiling"):
+            ladder_ends(31, 3, 2)
+        with pytest.raises(CeilingExceeded, match="engine limit of 40"):
+            ladder_ends(41, 3, 2, force=True)
+
+    def test_past_the_sweep_matches_the_predictions(self):
+        got = ladder_ends(26, 3, 2)
+        for token, piece in (("1", got.low[1]), ("2", got.low[2]), ("3", got.low[3]),
+                             ("m", got.high[0]), ("m-1", got.high[1])):
+            prediction = predicted_level(token, 26)
+            assert (piece.weight, frozenset(piece.members)) == \
+                (prediction.value, prediction.member_set), token
+
+
+class TestCandidates:
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_every_pair_that_passes_is_weighed_once(self, n, monkeypatch):
+        # One round at each end: the first thresholds hold enough levels here.
+        monkeypatch.setattr(ends_mod, "_CANDIDATE_BLOCK", 100)
+        a, b = pair_weights(n)
+        sums = np.add.outer(a, b)
+        top = -(-n * n // 3) - mix_bound(n // 2, n - n // 2)
+        expected = (int((sums <= 2 * n - 3).sum()), int((sums >= top).sum()))
+        assert ladder_ends(n, 3, 2).weighed == expected
+
+
+class TestMixedGridBound:
+    def test_table_is_brute_force_to_eight(self):
+        for k in range(1, 9):
+            for l in range(1, 9):
+                assert mix_bound(k, l) == mixed_max(k, l), (k, l)
+
+    def test_table_is_symmetric(self):
+        rows = _fixture_rows("mixed_grid_max.txt")
+        assert len(rows) == 12 and {len(row) for row in rows} == {12}
+        for k in range(1, 13):
+            for l in range(1, 13):
+                assert mix_bound(k, l) == mix_bound(l, k) == int(rows[k - 1][l - 1])
+
+    def test_splits_bound_the_exact_values(self):
+        for k in range(1, 13):
+            for l in range(1, 13):
+                if k + l > 2:
+                    assert _split_bound(k, l) >= mix_bound(k, l), (k, l)
+
+    def test_bound_covers_every_split_of_the_engine(self):
+        for n in range(2, 41):
+            for k in range(n + 1):
+                bound = mix_bound(k, n - k)
+                assert 0 <= bound <= k * (n - k)
+        assert mix_bound(0, 7) == mix_bound(7, 0) == 0
+        assert mix_bound(20, 20) == _split_bound(20, 20)
+
+
+class TestSelfChecks:
+    def test_a_misweighed_member_raises(self, monkeypatch):
+        monkeypatch.setattr(ends_mod, "triangle_weight", lambda y: triangle_weight(y) + 1)
+        with pytest.raises(ValueError, match="has weight"):
+            ladder_ends(16, 3, 2)
+
+    def test_a_level_not_closed_under_the_symmetries_raises(self, monkeypatch):
+        monkeypatch.setattr(ends_mod, "images", lambda y: (BitSeq(y.n, 1),))
+        with pytest.raises(ValueError, match="not closed under the symmetries"):
+            ladder_ends(16, 3, 2)
+
+    def test_capped_levels_skip_only_the_closure(self, monkeypatch):
+        monkeypatch.setattr(ends_mod, "images", lambda y: (BitSeq(y.n, 1),))
+        got = ladder_ends(16, 0, 1, cap=1)
+        assert got.high[0].truncated

@@ -241,6 +241,21 @@ class TestPredictedTriangleWeight:
                     expected = None
                 assert predicted == expected, (str(f), n)
 
+    def test_family_weights_builds_each_sequence_once(self, monkeypatch):
+        built = []
+        real = families_mod.family_seq
+
+        def counted(f, n):
+            built.append(str(f))
+            return real(f, n)
+
+        monkeypatch.setattr(families_mod, "family_seq", counted)
+        for n in (4, 12, 24):
+            built.clear()
+            tags = [str(f) for f, _, _ in family_weights(n)]
+            assert sorted(set(built) & set(tags)) == sorted(tags)
+            assert all(built.count(tag) == 1 for tag in tags), n
+
     def test_central_unit_vector_bound(self):
         for n in range(9, 25):
             for k in range(4, (n - 1) // 2 + 1):

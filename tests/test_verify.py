@@ -182,6 +182,7 @@ class TestVerifyAll:
 
         monkeypatch.setattr(verify_mod, "level_sets", no_sweep)
         monkeypatch.setattr(verify_mod, "three_row_max", no_sweep)
+        monkeypatch.setattr(verify_mod, "ladder_ends", no_sweep)
         with pytest.raises(CeilingExceeded, match="engine limit of 40"):
             verify_all(39, 41, force=True)
         code = cli.main(["verify", "--from", "39", "--to", "41", "--force"])
@@ -237,6 +238,25 @@ class TestVerifyAll:
         full = Counter(n for n, bits in built if bits is None)
         assert full == Counter(range(1, 15))  # sizes 1..4 come from the small-n ladder
         assert sorted(n for n, bits in built if bits is not None) == list(range(5, 15))
+
+    def test_larger_sizes_read_the_search(self, monkeypatch):
+        built = []
+        init = spectrum_mod._Kernel.__init__
+
+        def counting_init(self, n, bits=None):
+            built.append((n, bits))
+            init(self, n, bits)
+
+        monkeypatch.setattr(spectrum_mod._Kernel, "__init__", counting_init)
+        assert verify_all(15, 18).ok
+        assert sorted(n for n, bits in built if bits is None) == [1, 2, 3, 4]  # small-n ladder
+        assert sorted((n, bits) for n, bits in built if bits is not None) == \
+            [(n, 3 * n - 3) for n in range(15, 19)]
+
+    def test_checks_that_need_the_sweep_stop_where_it_does(self):
+        for check in verify_mod._CHECKS:
+            if check.weight or check.name.startswith("golden"):
+                assert not any(check.applies(n) for n in range(verify_mod.SWEPT_UP_TO + 1, 41))
 
     def test_exit_code_precedence(self):
         witness = Witness(BitSeq.from_string("101"), 4, 5)
