@@ -29,7 +29,7 @@ a x l grid under the same recurrence, which can weigh no more than M(a, l).
 So the search is exact by construction at every size the engine takes
 (n <= 40). Every level it returns is weighed again member by member by the
 scalar ``triangle_weight`` and, unless capped, must be closed under
-``symmetry.images``.
+``rot_r`` and ``invert_i``, which generate the symmetry group.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np
 
 from .families import _fixture_rows
 from .spectrum import DEFAULT_MEMBER_CAP, WeightSlice, _check_size, _to_seqs
-from .symmetry import images
+from .symmetry import invert_i, rot_r
 from .triangle import triangle_weight
 
 _EXACT_MIX = 12  # the bundled table holds M(k, l) for 1 <= k, l <= 12
@@ -114,7 +114,7 @@ def _level(n: int, weight: int, values: np.ndarray, cap: int) -> WeightSlice:
     if not piece.truncated:
         held = set(members)
         for y in members:
-            if not held.issuperset(images(y)):
+            if not held.issuperset((rot_r(y), invert_i(y))):
                 raise ValueError(f"ladder search at n={n}: the level of weight "
                                  f"{weight} is not closed under the symmetries of {y}")
     return piece

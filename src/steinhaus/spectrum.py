@@ -29,9 +29,9 @@ pair: in the first, x_{n-1} = 0 and a lane z pairs with rev z; in the
 partner, x_{n-1} = 1 and z pairs with ~rev z, which also starts with 0. The
 lanes that read less than their pair come first, and each pair evaluates a
 prefix [0, b) of its lanes in both blocks: lanes [0, a) count twice, for
-{z, ~z} and for {rev z, ~rev z}, and lanes [a, b) c times each, where c is
-1 (z is its own pair, or a tie closed under the pairing) or, for a single
-lane past n = 2k, 0, 1 or 2 per block.
+{z, ~z} and for {rev z, ~rev z}, and lanes [a, b), a tie closed under the
+pairing, once. That needs n <= 2k, so past n = 32 a block spans half the
+generator, rounded up (see ``_block_width``).
 
 One sweep gives both the histogram and the members of chosen weights. Each
 pair's ``bincount`` of its keys adds to running key counts, one for lanes
@@ -73,7 +73,7 @@ DEFAULT_CEILING = 30
 CEILING_ENV = "STEINHAUS_MAX_N"
 DEFAULT_MEMBER_CAP = 4096
 _HARD_LIMIT = 40  # 2^40 generators is already days of work
-_BLOCK_BITS = 16  # k: blocks of 2^k generators; the (W, 2^(k-1)) table stays cache-sized
+_BLOCK_BITS = 16  # k at 16 <= n <= 32: the (W, 2^(k-1)) table stays cache-sized
 _THREADED_LANES = 1 << 14  # below this many lanes, threads cost more than they save
 _REVERSAL = 2  # row of i(x), the reversal, in ``symmetry.images``: r, l, i, r∘i, l∘i
 _BYTE_REVERSED = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.int64)
@@ -153,6 +153,12 @@ def _span(rows: np.ndarray) -> np.ndarray:
     return table
 
 
+def _block_width(n: int) -> int:
+    """k, the bits of lo in a block: ``_BLOCK_BITS``, or n/2 rounded up if that
+    is more, so that n <= 2k; all of n if that is less (one block)."""
+    return min(n, max(_BLOCK_BITS, -(-n // 2)))
+
+
 def _tables(n: int, bits: int, k: int):
     """The read-only tables of ``_Kernel(n, bits)`` with k-bit blocks."""
     bins = bits + 1
@@ -166,8 +172,9 @@ def _tables(n: int, bits: int, k: int):
     split = -(-len(lo_only) // 64)
     rows = _dense(units[1:], lo_only + [bits] * (64 * split - len(lo_only)) + mixed, bits)
     table = _span(rows[:k - 1][::-1])  # column j < 2^(k-1): T(bitrev_k(j))
-    # uint16 throughout: bitwise_count gives uint8, and bins * uint8 would wrap
-    ones = np.bitwise_count(np.arange(table.shape[1], dtype=np.uint16)).astype(np.uint16)
+    # uint16 throughout: bitwise_count gives uint8, and bins * uint8 would wrap;
+    # the lane indices themselves pass 2^16 from k = 18 on
+    ones = np.bitwise_count(np.arange(table.shape[1])).astype(np.uint16)
     base = np.bitwise_count(table[:split]).sum(axis=0, dtype=np.uint16) + ones * bins
     high = rows[k - 1:, split:]
     hi_only = tuple(t & hi & ~lo for t in units[k:])
@@ -197,16 +204,16 @@ class _Kernel:
     """Keys of the generators of length n with x_0 = 0, one pair of blocks
     at a time, one generator of each {x, rev x, ~x, ~rev x} class.
 
-    Block ``hi`` holds the generators (hi << k) | lo in bit-reversed order of
-    lo: lane j holds lo = bitrev_k(j), so x_0 is j's top bit and only lanes
-    j < 2^(k-1) are tabulated. Blocks come in pairs hi' and hi' ^ (2^l - 1),
-    l = n - k, whose generators are each other's complements up to the low
-    half; for n <= k there is one block and no partner. Each pair evaluates
-    the prefix of its lanes that ``cover`` names, both blocks in one (2, b)
-    array. Only the first ``bits`` packed triangle bits count: all
-    n(n+1)/2 of them give the triangle weight, the first 3n-3 the weight of
-    the top three rows; both are mirror-invariant and both obey the
-    complement identity weight(~x) = weight(x) + n - 2|x|.
+    Block ``hi`` holds the generators (hi << k) | lo, k = ``_block_width(n)``,
+    in bit-reversed order of lo: lane j holds lo = bitrev_k(j), so x_0 is j's
+    top bit and only lanes j < 2^(k-1) are tabulated. Blocks come in pairs
+    hi' and hi' ^ (2^l - 1), l = n - k, whose generators are each other's
+    complements up to the low half; for n <= k there is one block and no
+    partner. Each pair evaluates the prefix of its lanes that ``cover``
+    names, both blocks in one (2, b) array. Only the first ``bits`` packed
+    triangle bits count: all n(n+1)/2 of them give the triangle weight, the
+    first 3n-3 the weight of the top three rows; both are mirror-invariant
+    and both obey the complement identity weight(~x) = weight(x) + n - 2|x|.
 
     A lane's key is its weight w plus ``bins`` times its ones count p, with
     bins = bits + 1, so a key stays below (n + 1) * bins <= 33661 and fits
@@ -228,43 +235,33 @@ class _Kernel:
         if bits is None:
             bits = n * (n + 1) // 2
         self.n = n
-        self.k = k = min(n, _BLOCK_BITS)
+        self.k = k = _block_width(n)
         self.l = n - k
         self.pairs = 1 << max(self.l - 1, 0)
         self.bins = bits + 1
         (self.base, self.table, self._high, self._hi_only, self._steps, self._hi_steps,
          self.key_weights) = (_one_block_tables if n == k else _tables)(n, bits, k)
 
-    def cover(self, hi: int) -> tuple[int, int, int]:
-        """(a, b, c): lanes [0, a) of block ``hi`` count twice, lanes [a, b)
-        c times each, and the rest not at all.
+    def cover(self, hi: int) -> tuple[int, int]:
+        """(a, b): lanes [0, a) of block ``hi`` count twice, lanes [a, b)
+        once, and the rest not at all.
 
         Let τz be rev z if z_{n-1} = 0 and ~rev z otherwise; both z and τz
         have x_0 = 0, and a lane that counts twice stands for τz too. Lane j
         reads x's first k entries with x_0 on top; τz's first n-k entries,
         read the same way, are hi' = hi for the first block of a pair and
         hi ^ (2^l - 1) for its partner, so both blocks get the same a and b.
-        If n <= 2k, lanes below a = hi' << (2k - n) read less than τz. The
+        As n <= 2k, lanes below a = hi' << (2k - n) read less than τz. The
         2^(2k-n) lanes from a tie, differ only in their middle entries and so
-        are closed under τ: each counts once. If n > 2k, only lane a =
-        hi' >> (n - 2k) ties, and the middle entries decide; hi holds them
-        backwards as mid, and τz's middle reads mid (or ~mid in the partner),
-        so the lane reads less if bitrev(mid) is smaller (c = 2), is fixed by
-        τ if they are equal (c = 1), and else reads more (c = 0). For n <= k
-        every lane counts once: (0, 2^(n-1), 1).
+        are closed under τ: each counts once. For n <= k every lane counts
+        once: (0, 2^(n-1)).
         """
         n, k, l = self.n, self.k, self.l
         if not l:
-            return 0, self.base.size, 1
+            return 0, self.base.size
         flip = (1 << l) - 1 if hi >> (l - 1) else 0  # the partner reads τz complemented
-        if n <= 2 * k:
-            a = (hi ^ flip) << (2 * k - n)
-            return a, a + (1 << (2 * k - n)), 1
-        a = (hi ^ flip) >> (n - 2 * k)
-        mask = (1 << (n - 2 * k)) - 1
-        mid = hi & mask
-        rmid, other = int(_reversed(mid, n - 2 * k)), mid ^ (flip & mask)
-        return a, a + 1, 2 if rmid < other else 1 if rmid == other else 0
+        a = (hi ^ flip) << (2 * k - n)
+        return a, a + (1 << (2 * k - n))
 
     def packed(self, hi, lanes):
         """Generators held by ``lanes`` (an int64 array) of block ``hi`` (an int,
@@ -306,24 +303,23 @@ class _Kernel:
             yield (hi, hi ^ ((1 << l) - 1)), words, consts
 
     def keys(self, start: int, stop: int):
-        """Yield (blocks, a, cs, keys) for pairs start..stop-1, ascending:
+        """Yield (blocks, a, keys) for pairs start..stop-1, ascending:
         keys is a (rows, b) uint16 array, row r holding the keys of lanes
-        0..b-1 of block blocks[r], with (a, b, cs[r]) = ``cover(blocks[r])``.
+        0..b-1 of block blocks[r], with (a, b) = ``cover(blocks[r])``.
         The keys array is a view of one buffer, overwritten by the next pair."""
         shape = (2 if self.l else 1, self.base.size)
         acc = np.empty(shape, dtype=np.uint16)
         buf = np.empty(shape, dtype=np.uint64)
         count = np.empty(shape, dtype=np.uint8)
         for his, words, consts in self._highs(start, stop):
-            covers = [self.cover(hi) for hi in his]
-            a, b, _ = covers[0]
+            a, b = self.cover(his[0])
             key, xor, cnt = acc[:, :b], buf[:, :b], count[:, :b]
             np.add(self.base[:b], consts, out=key)
             for row, word in zip(self.table, words):
                 np.bitwise_xor(row[:b], word, out=xor)
                 np.bitwise_count(xor, out=cnt)
                 key += cnt
-            yield his, a, [c for _, _, c in covers], key
+            yield his, a, key
 
 
 class _Images:
@@ -332,7 +328,7 @@ class _Images:
     XOR the images of the high units set in hi, and g(~x) is g(x) XOR ``ones``, g(1^n)."""
 
     def __init__(self, n: int) -> None:
-        self.k = k = min(n, _BLOCK_BITS)
+        self.k = k = _block_width(n)
         units = np.array([[y.bits for y in symmetry.images(BitSeq(n, 1 << j))]
                           for j in range(n)], dtype=np.uint64)  # row j: unit vector j
         self.table, self._high = _span(units[k - 1::-1]), units[k:]
@@ -378,16 +374,6 @@ class _Wanted(NamedTuple):
         return watched & (hist == 0)
 
 
-def _by_count(a: int, cs: list[int], keys: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """(c, keys) of a pair's lanes that count c times, for c = 2 and 1."""
-    groups = [(2, keys[:, :a])] if a else []
-    if cs[0] == cs[-1]:
-        groups.append((cs[0], keys[:, a:]))
-    else:  # n > 2k: the blocks' tie lanes count differently
-        groups += [(c, row[a:]) for c, row in zip(cs, keys)]
-    return [(c, lanes.ravel()) for c, lanes in groups if c]
-
-
 def _sweep_range(kernel: _Kernel, start: int, stop: int, rule: _Wanted, cap: int):
     """Key counts of pairs [start, stop), of lanes that count twice and of
     lanes that count once, and for each weight the rule still wants after the
@@ -406,7 +392,7 @@ def _sweep_range(kernel: _Kernel, start: int, stop: int, rule: _Wanted, cap: int
     wanted key.
     """
     size = (kernel.n + 1) * kernel.bins
-    counts = {2: np.zeros(size, dtype=np.int64), 1: np.zeros(size, dtype=np.int64)}
+    counts = np.zeros((2, size), dtype=np.int64)  # of lanes that count twice, and once
     found: dict[int, tuple[list[int], int]] = {}
     collect = rule.any()
     if collect:
@@ -415,12 +401,11 @@ def _sweep_range(kernel: _Kernel, start: int, stop: int, rule: _Wanted, cap: int
         targets = np.zeros(0, dtype=np.intp)  # keys of wanted weights
     w, wc = kernel.key_weights
     full = (1 << kernel.n) - 1
-    for his, a, cs, keys in kernel.keys(start, stop):
-        pair = []
-        for c, lanes in _by_count(a, cs, keys):
-            pair.append(np.bincount(lanes, minlength=size))
-            counts[c] += pair[-1]
-        if not (collect and pair):
+    for his, a, keys in kernel.keys(start, stop):
+        pair = [np.bincount(lanes.ravel(), minlength=size)
+                for lanes in (keys[:, :a], keys[:, a:])]
+        counts += pair
+        if not collect:
             continue
         if any(h[watch].any() for h in pair):  # read the rule again
             fresh = np.concatenate([watch[h[watch] > 0] for h in pair])
@@ -436,15 +421,12 @@ def _sweep_range(kernel: _Kernel, start: int, stop: int, rule: _Wanted, cap: int
         if not any(h[targets].any() for h in pair):
             continue
         rows, lanes = np.divmod(np.flatnonzero(wanted_keys[keys]), keys.shape[1])
-        if 0 in cs:  # n > 2k: a tie lane that its block does not count
-            keep = (lanes < a) | (np.array(cs)[rows] > 0)
-            rows, lanes = rows[keep], lanes[keep]
         blocks = np.array(his)[rows]
         z = kernel.packed(blocks, lanes)
         lane_keys = keys[rows, lanes]
         values, value_w = [z, z ^ full], [w[lane_keys], wc[lane_keys]]
-        if a or 2 in cs:  # and the reversals, which no block evaluates
-            two = (lanes < a) | (np.array(cs)[rows] == 2)
+        if a:  # and the reversals, which no block evaluates
+            two = lanes < a
             r = kernel.mirrored(blocks[two], lanes[two])
             values += [r, r ^ full]
             value_w += [value_w[0][two], value_w[1][two]]
@@ -463,7 +445,7 @@ def _sweep_range(kernel: _Kernel, start: int, stop: int, rule: _Wanted, cap: int
             if len(kept) > cap:
                 kept = sorted(kept)[:cap]
             found[wt] = (kept, count + e - s)
-    return counts[2], counts[1], found
+    return counts[0], counts[1], found
 
 
 def _reduced_hist_range(kernel: _Kernel, start: int, stop: int, images: _Images) -> np.ndarray:
@@ -473,11 +455,10 @@ def _reduced_hist_range(kernel: _Kernel, start: int, stop: int, images: _Images)
     packed member."""
     hist = np.zeros(kernel.bins, dtype=np.int64)
     full = (1 << kernel.n) - 1
-    for his, a, cs, keys in kernel.keys(start, stop):
+    for his, a, keys in kernel.keys(start, stop):
         lanes = np.arange(keys.shape[1])
-        for hi, c, row in zip(his, cs, keys):
-            counted = (lanes < a) | (c > 0)
-            twice = (lanes < a) | (c == 2)
+        twice = lanes < a
+        for hi, row in zip(his, keys):
             vals = kernel.packed(hi, lanes).astype(np.uint64)
             mapped = images.of(hi << kernel.k, lanes.size)
             w, wc = kernel.key_weights[:, row]
@@ -485,7 +466,7 @@ def _reduced_hist_range(kernel: _Kernel, start: int, stop: int, images: _Images)
             for v, m, wt in ((vals, mapped, w), complements):
                 six = np.vstack([v, m])
                 least = six.min(axis=0)
-                keep = counted & ((v == least) | (twice & (m[_REVERSAL] == least)))
+                keep = (v == least) | (twice & (m[_REVERSAL] == least))
                 kept = np.sort(six[:, keep], axis=0)
                 sizes = 1 + np.count_nonzero(np.diff(kept, axis=0), axis=0)
                 np.add.at(hist, wt[keep], sizes)
@@ -515,7 +496,7 @@ def _plan(n: int, pairs: int, workers: int | None) -> tuple[list[tuple[int, int]
     asks for; small jobs run serially with the same split and merge.
     """
     parts = max(1, min(_resolve_workers(workers), pairs))
-    # Pair hi' evaluates about hi' + 1 lanes' worth (see ``_Kernel.cover``),
+    # Pair hi' evaluates (hi' + 1) * 2^(2k-n) lanes per block (see ``_Kernel.cover``),
     # so pairs [0, e) hold work e^2 / 2: equal shares end at pairs * sqrt(i / parts).
     edges = [math.isqrt(pairs * pairs * i // parts) for i in range(parts + 1)]
     threads = min(parts, _cores()) if (1 << n) >= _THREADED_LANES else 1

@@ -151,11 +151,14 @@ class TestSelfChecks:
             ladder_ends(16, 3, 2)
 
     def test_a_level_not_closed_under_the_symmetries_raises(self, monkeypatch):
-        monkeypatch.setattr(ends_mod, "images", lambda y: (BitSeq(y.n, 1),))
-        with pytest.raises(ValueError, match="not closed under the symmetries"):
-            ladder_ends(16, 3, 2)
+        for generator in ("rot_r", "invert_i"):  # the group's generators: either one alone
+            with monkeypatch.context() as m:
+                m.setattr(ends_mod, generator, lambda y: BitSeq(y.n, 1))
+                with pytest.raises(ValueError, match="not closed under the symmetries"):
+                    ladder_ends(16, 3, 2)
 
     def test_capped_levels_skip_only_the_closure(self, monkeypatch):
-        monkeypatch.setattr(ends_mod, "images", lambda y: (BitSeq(y.n, 1),))
+        for generator in ("rot_r", "invert_i"):
+            monkeypatch.setattr(ends_mod, generator, lambda y: BitSeq(y.n, 1))
         got = ladder_ends(16, 0, 1, cap=1)
         assert got.high[0].truncated

@@ -25,7 +25,7 @@ from steinhaus import (
     triangle_weight,
 )
 from steinhaus import spectrum as spectrum_mod
-from steinhaus.spectrum import _cores, _Images, _Kernel, _plan
+from steinhaus.spectrum import _block_width, _cores, _Images, _Kernel, _plan
 
 from conftest import all_seqs
 
@@ -44,12 +44,12 @@ def tau(x):
 
 def kernel_cover(n):
     """(generator, key, multiplicity) of every lane the block kernel evaluates,
-    both blocks of each pair; a tie lane may count 0 times."""
+    both blocks of each pair."""
     kernel = _Kernel(n)
-    for his, a, cs, keys in kernel.keys(0, kernel.pairs):
-        for hi, c, row in zip(his, cs, keys.tolist()):
+    for his, a, keys in kernel.keys(0, kernel.pairs):
+        for hi, row in zip(his, keys.tolist()):
             for j, key in enumerate(row):
-                yield lane_value(kernel.k, hi, j), key, 2 if j < a else c
+                yield lane_value(kernel.k, hi, j), key, 2 if j < a else 1
 
 
 def stood_for(x, key, mult):
@@ -68,7 +68,7 @@ def kernel_weights(n):
     exactly once."""
     out = [None] * (1 << n)
     for x, key, mult in kernel_cover(n):
-        assert mult in (0, 1, 2)
+        assert mult in (1, 2)
         for y, wt in stood_for(BitSeq(n, x), key, mult):
             assert out[y.bits] is None
             out[y.bits] = wt
@@ -217,17 +217,19 @@ class TestLanePrimitives:
         assert kernel._steps.shape == (n - kernel.k, words)
         starts = [0, kernel.pairs - 3] + [rng.randrange(kernel.pairs - 2) for _ in range(3)]
         for start in starts:
-            for his, a, cs, keys in kernel.keys(start, start + 3):  # also steps between pairs
-                for hi, c, row in zip(his, cs, keys):  # a block and its partner
-                    assert (a, row.size, c) == kernel.cover(hi)
-                    # n > 2k: a lane counts twice if it reads less than τ of it, once
-                    # if they are equal, and not at all if it reads more
-                    ends = [0, row.size - 1, half - 1]
+            for his, a, keys in kernel.keys(start, start + 3):  # also steps between pairs
+                for hi, row in zip(his, keys):  # a block and its partner
+                    assert (a, row.size) == kernel.cover(hi)
+                    # a lane counts twice if it reads less than τ of it and not at
+                    # all if it reads more; once if they tie on the first n - k entries
+                    ends = [0, a, row.size - 1, half - 1]
                     for j in ends + [rng.randrange(half) for _ in range(20)]:
                         x = BitSeq(n, lane_value(kernel.k, hi, j))
                         text, other = str(x), str(tau(x))
-                        mult = 2 if j < a else c if j < row.size else 0
-                        assert mult == (text < other) + (text <= other)
+                        if a <= j < row.size:
+                            assert text[:n - kernel.k] == other[:n - kernel.k]
+                        else:
+                            assert (2 if j < a else 0) == (text < other) + (text <= other)
                         if j < row.size:
                             assert int(row[j]) == triangle_weight(x) + kernel.bins * x.weight
 
@@ -262,7 +264,7 @@ class TestMirrorCover:
                 assert not seq.bit(0)
                 # the weight and ones count, with no wrap-around in uint16
                 assert key == triangle_weight(seq) + bins * seq.weight
-                if mult == 2 or n > 2 * block_bits:  # else a tie lane, closed under τ
+                if mult == 2:  # else a tie lane, closed under τ
                     assert mult == (text < other) + (text <= other)
                 covered.update(y.bits for y, _ in stood_for(seq, key, mult))
             assert covered == Counter(range(1 << n)), (block_bits, n)
@@ -279,10 +281,19 @@ class TestMirrorCover:
                 assert kernel.mirrored(hi, lanes).tolist() == [
                     invert_i(BitSeq(n, x)).bits for x in want]
 
-    def test_about_a_quarter_of_the_lanes_are_evaluated(self):
-        kernel = _Kernel(24)
+    @pytest.mark.parametrize("n", [24, 33])
+    def test_about_a_quarter_of_the_lanes_are_evaluated(self, n):
+        kernel = _Kernel(n)
         lanes = sum(2 * kernel.cover(hi)[1] for hi in range(kernel.pairs))
-        assert lanes == (1 << 22) + (1 << 15)  # one per {x, rev x, ~x, ~rev x}, plus the ties
+        # one per {x, rev x, ~x, ~rev x}, plus the ties
+        assert lanes == (1 << (n - 2)) + (1 << (kernel.k - 1))
+
+    def test_blocks_span_at_least_half_the_generator(self):
+        for n in range(1, 41):
+            k = _block_width(n)
+            assert k <= n <= 2 * k, n
+            if n <= 32:
+                assert k == min(n, 16)
 
 
 class TestKernelSplit:
@@ -323,7 +334,7 @@ class TestKernelSplit:
         kernel = _Kernel(n)
         k = kernel.k
         assert kernel.table.shape == (-(-k * (n - k) // 64), 1 << (k - 1))
-        for his, _, _, keys in kernel.keys(0, kernel.pairs):
+        for his, _, keys in kernel.keys(0, kernel.pairs):
             for hi, row in zip(his, keys):  # both blocks of the pair
                 for j in self.lanes(row.size, rng):
                     x = BitSeq(n, lane_value(k, hi, j))
@@ -332,7 +343,7 @@ class TestKernelSplit:
     @pytest.mark.parametrize("n", [17, 18, 19, 20])
     def test_sampled_lanes_of_the_top_three_rows_match_s3(self, n, rng):
         kernel = _Kernel(n, bits=3 * n - 3)
-        for his, _, _, keys in kernel.keys(0, kernel.pairs):
+        for his, _, keys in kernel.keys(0, kernel.pairs):
             for hi, row in zip(his, keys):
                 for j in self.lanes(row.size, rng):
                     x = BitSeq(n, lane_value(kernel.k, hi, j))
@@ -342,8 +353,8 @@ class TestKernelSplit:
         kernel = _Kernel(12)
         assert kernel.table.shape == (0, 1 << 11)
         # one block, no partner, each lane counted once (for itself and its complement)
-        (his, a, cs, keys), = kernel.keys(0, 1)
-        assert (his, a, cs) == ((0,), 0, [1]) and np.array_equal(keys, kernel.base[None])
+        (his, a, keys), = kernel.keys(0, 1)
+        assert (his, a) == ((0,), 0) and np.array_equal(keys, kernel.base[None])
         assert not np.shares_memory(keys, kernel.base)
 
     # SHA-256 of repr(full_spectrum(n).counts), recorded from the one-table
@@ -521,18 +532,19 @@ class TestOneSweep:
         keys = _Kernel.keys
 
         def lose_a_lane(self, start, stop):
-            for his, a, cs, row_keys in keys(self, start, stop):
-                yield his, a, cs, row_keys[:, :-1] if his[0] == 0 else row_keys
+            for his, a, row_keys in keys(self, start, stop):
+                yield his, a, row_keys[:, :-1] if his[0] == 0 else row_keys
 
-        # 8-lane blocks at n = 9: pair 0 evaluates lane 0 alone, the zero word
-        # (for itself and 1^9) in block 0, and nothing in its partner
+        # 32-lane blocks at n = 9 (k = 5, n/2 rounded up): pair 0 evaluates two
+        # tie lanes, once each, in block 0 and in its partner 15; the last ones
+        # hold 000010000 and 000011111, each standing for its complement too
         monkeypatch.setattr(spectrum_mod, "_BLOCK_BITS", 3)
         monkeypatch.setattr(_Kernel, "keys", lose_a_lane)
-        # Orbit counting loses only the orbit {0^9}: that of 1^9 is counted at
-        # its least member, which another lane stands for.
-        for call, total in ((lambda: full_spectrum(9), 510), (lambda: level_sets(9, 3, 2), 510),
-                            (lambda: symmetry_reduced_spectrum(9), 511),
-                            (lambda: three_row_max(9), 510)):
+        # Orbit counting loses the two orbits of size 3 whose least packed
+        # members those lanes stand for, 000010000 and 111100000.
+        for call, total in ((lambda: full_spectrum(9), 508), (lambda: level_sets(9, 3, 2), 508),
+                            (lambda: symmetry_reduced_spectrum(9), 506),
+                            (lambda: three_row_max(9), 508)):
             with pytest.raises(ValueError, match=rf"counts {total} generators, not 2\^9"):
                 call()
 
