@@ -240,7 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the verification ladder over a size range")
     p.add_argument("--from", dest="start", type=int, default=4)
     p.add_argument("--to", dest="end", type=int, default=12)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None, help="accepted but not used")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--force", action="store_true",
                    help="bypass the enumeration ceiling")

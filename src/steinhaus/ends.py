@@ -14,9 +14,10 @@ So a generator of weight >= t has A + B >= t - M, and one of weight <= t has
 A + B <= t. Each end of the ladder is searched alone: take the pairs (lo, hi)
 that pass its test, weigh them exactly and keep the generators of weight past
 t. Once those hold enough distinct weights they are the ladder's end levels,
-with every member; otherwise t moves one step inward and the search runs
-again. The top starts at t = ceil(n^2/3), the bottom at t = 2n - 3, guesses
-that cost time when wrong, never exactness. With the low halves sorted by A,
+with every member; otherwise t moves inward by 1, 2, 4, ... and the search
+runs again. The top starts at t = ceil(n^2/3), the bottom at t = 2n - 3 or
+the largest exact weight asked for: guesses that cost time when wrong, never
+exactness. With the low halves sorted by A,
 each high half's pairs are a prefix of that order: one ``searchsorted`` finds
 every prefix and one ``repeat`` expands them, in blocks of about
 ``_CANDIDATE_BLOCK`` lanes.
@@ -53,6 +54,7 @@ class LadderEnds(NamedTuple):
 
     low: list[WeightSlice]  # W_0, W_1, ... upward
     high: list[WeightSlice]  # W_m, W_{m-1}, ... downward
+    slices: dict[int, WeightSlice]  # requested weight -> its generators
     weighed: tuple[int, int]  # candidate lanes weighed for the bottom and the top
 
 
@@ -120,26 +122,32 @@ def _level(n: int, weight: int, values: np.ndarray, cap: int) -> WeightSlice:
     return piece
 
 
+def _thresholds(t: int, floor: int) -> list[int]:
+    """t, then toward ``floor`` by steps of 1, 2, 4, ..., ending at ``floor``."""
+    return [max(t + 1 - (1 << i), floor) for i in range((t - floor).bit_length() + 1)]
+
+
 def _end(n: int, k: int, a: np.ndarray, b: np.ndarray, sign: int, slack: int, t: int,
-         levels: int, cap: int) -> tuple[list[WeightSlice], int]:
+         levels: int, cap: int, weights=()) -> tuple[list[WeightSlice], dict, int]:
     """The ``levels`` levels at one end of the ladder, nearest the end first,
-    and the lanes weighed to find them: the bottom end for sign -1, the top
-    for sign +1.
+    the slices of ``weights``, and the lanes weighed to find them: the bottom
+    end for sign -1, the top for sign +1.
 
     It works in signed weights: with a = sign * A and b = sign * B, sign * mix
     is at most ``slack`` (M at the top, 0 at the bottom), so every generator
     of sign * weight >= sign * t has a[lo] + b[hi] >= sign * t - slack. The
-    threshold steps toward the middle until the generators past it hold
-    ``levels`` distinct weights, or all generators are past it.
+    threshold moves toward the middle (see ``_thresholds``) until the
+    generators past it hold ``levels`` distinct weights, or all generators
+    are past it.
     """
-    if not levels:
-        return [], 0
-    a, b, t = sign * a, sign * b, sign * t
+    if not levels and not weights:
+        return [], {}, 0
+    a, b = sign * a, sign * b
     order = np.argsort(-a, kind="stable").astype(np.uint64)  # low halves, best first
     keys = np.sort(-a)
     floor = 0 if sign > 0 else -(n * (n + 1) // 2)  # no generator lies past it
     weighed = 0
-    while True:
+    for t in _thresholds(sign * t, floor):
         counts = np.searchsorted(keys, slack - t + b, "right")  # prefix of ``order`` per hi
         his = np.flatnonzero(counts)
         kept = [(np.zeros(0, np.uint64), np.zeros(0, np.int64))]
@@ -151,27 +159,30 @@ def _end(n: int, k: int, a: np.ndarray, b: np.ndarray, sign: int, slack: int, t:
             kept.append((x[keep], w[keep]))
         x, w = (np.concatenate(arrays) for arrays in zip(*kept))
         found = np.unique(w)
-        if len(found) >= levels or t <= floor:
+        if len(found) >= levels:
             break
-        t -= 1
-    return [_level(n, int(wt), x[w == wt], cap) for wt in found[::-sign][:levels]], weighed
+    return ([_level(n, int(wt), x[w == wt], cap) for wt in found[::-sign][:levels]],
+            {wt: _level(n, wt, x[w == wt], cap) for wt in weights}, weighed)
 
 
-def _split_search(n: int, k: int, low: int, high: int, cap: int) -> LadderEnds:
+def _split_search(n: int, k: int, low: int, high: int, cap: int, weights=()) -> LadderEnds:
     """``ladder_ends`` with a low half of k entries; every 0 <= k <= n gives
     the same result."""
     a = _weights(np.arange(1 << k), k)
     b = _weights(np.arange(1 << n - k), n - k)
-    bottom, weighed_low = _end(n, k, a, b, -1, 0, 2 * n - 3, low + 1 if low else 0, cap)
-    top, weighed_high = _end(n, k, a, b, 1, mix_bound(k, n - k), -(-n * n // 3), high, cap)
-    return LadderEnds(bottom, top, (weighed_low, weighed_high))
+    bottom, slices, weighed_low = _end(n, k, a, b, -1, 0, max([2 * n - 3, *weights]),
+                                       low + 1 if low else 0, cap, weights)
+    top, _, weighed_high = _end(n, k, a, b, 1, mix_bound(k, n - k), -(-n * n // 3), high, cap)
+    return LadderEnds(bottom, top, slices, (weighed_low, weighed_high))
 
 
-def ladder_ends(n: int, low: int, high: int, *, cap: int = DEFAULT_MEMBER_CAP,
+def ladder_ends(n: int, low: int, high: int, *, weights=(), cap: int = DEFAULT_MEMBER_CAP,
                 force: bool = False) -> LadderEnds:
-    """W_0 .. W_low (none if low is 0) and the ``high`` levels from W_m down,
-    as ``level_sets(n, low, high)`` gives them, clamped to the ladder, but
-    from a search of each end rather than a sweep of all 2^n generators.
+    """W_0 .. W_low (none if low is 0), the ``high`` levels from W_m down and
+    the generators of each exact weight in ``weights``, as
+    ``level_sets(n, low, high, weights=weights)`` gives them, clamped to the
+    ladder, but from a search of each end rather than a sweep of all 2^n
+    generators. A weight costs what a bottom end reaching it costs.
 
     Members are the first ``cap`` in packed order. Sizes are checked against
     the enumeration ceiling and the engine limit as for a sweep.
@@ -181,4 +192,7 @@ def ladder_ends(n: int, low: int, high: int, *, cap: int = DEFAULT_MEMBER_CAP,
     if cap < 0:
         raise ValueError("member cap must be nonnegative")
     _check_size(n, force)
-    return _split_search(n, n // 2, low, high, cap)
+    weights = sorted(set(weights))
+    if weights and not 0 <= weights[0] <= weights[-1] <= n * (n + 1) // 2:
+        raise ValueError(f"weights {weights} are not all possible for size {n}")
+    return _split_search(n, n // 2, low, high, cap, weights)

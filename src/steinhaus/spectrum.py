@@ -17,10 +17,10 @@ for every n.
 
 Two symmetries cut the lanes to about 2^(n-2). T(1^n) is the top row alone,
 so T(~x) differs from T(x) in row 0 only, and weight(~x) = weight(x) + n -
-2|x|, where |x| counts the ones of x; the same holds for the top three rows.
-So the kernel evaluates only generators with x_0 = 0, and a lane's key is
-its weight w plus (bits + 1) times its ones count p: the key gives the
-lane's weight and its complement's, w + n - 2p. A block's lanes run in
+2|x|, where |x| counts the ones of x. So the kernel evaluates only
+generators with x_0 = 0, and a lane's key is its weight w plus
+(n(n+1)/2 + 1) times its ones count p: the key gives the lane's weight and
+its complement's, w + n - 2p. A block's lanes run in
 bit-reversed order of lo (lane j holds lo = bitrev_k(j), so x_0 is j's top
 bit), and the tables hold only lanes j < 2^(k-1), those with x_0 = 0.
 Reversing a generator mirrors its triangle, so both have the same weight.
@@ -50,8 +50,8 @@ w + n - 2p, then applying the rule again and keeping the ``cap`` least
 members, so results are identical for any worker count or block width.
 Every sweep checks that the histogram totals 2^n, which also checks the
 multiplicities, and that the members scanned at each collected weight match
-its count. ``three_row_max`` is one more such sweep, of the kernel over the
-top three rows only, with the same self-checks and thread fan-out.
+its count. ``three_row_max`` needs no sweep: it is a max-plus pass over the
+states (x_{i-1}, x_i) and a backtrack.
 """
 from __future__ import annotations
 
@@ -159,10 +159,11 @@ def _block_width(n: int) -> int:
     return min(n, max(_BLOCK_BITS, -(-n // 2)))
 
 
-def _tables(n: int, bits: int, k: int):
-    """The read-only tables of ``_Kernel(n, bits)`` with k-bit blocks."""
+def _tables(n: int, k: int):
+    """The read-only tables of ``_Kernel(n)`` with k-bit blocks."""
+    bits = n * (n + 1) // 2
     bins = bits + 1
-    units = [_unit_triangle(n, j) & ((1 << bits) - 1) for j in range(n)]
+    units = [_unit_triangle(n, j) for j in range(n)]
     lo = functools.reduce(operator.or_, units[:k], 0)
     hi = functools.reduce(operator.or_, units[k:], 0)
     lo_only, mixed = _set_bits(lo & ~hi), _set_bits(lo & hi)
@@ -210,13 +211,10 @@ class _Kernel:
     hi' and hi' ^ (2^l - 1), l = n - k, whose generators are each other's
     complements up to the low half; for n <= k there is one block and no
     partner. Each pair evaluates the prefix of its lanes that ``cover``
-    names, both blocks in one (2, b) array. Only the first ``bits`` packed
-    triangle bits count: all n(n+1)/2 of them give the triangle weight, the
-    first 3n-3 the weight of the top three rows; both are mirror-invariant
-    and both obey the complement identity weight(~x) = weight(x) + n - 2|x|.
+    names, both blocks in one (2, b) array.
 
     A lane's key is its weight w plus ``bins`` times its ones count p, with
-    bins = bits + 1, so a key stays below (n + 1) * bins <= 33661 and fits
+    bins = n(n+1)/2 + 1, so a key stays below (n + 1) * bins <= 33661 and fits
     uint16 for every n <= 40. Column key of ``key_weights`` holds both
     weights a key gives: the lane's generator's, w, and its complement's,
     w + n - 2p. The tables are built by ``_tables``; those of the last
@@ -226,21 +224,18 @@ class _Kernel:
     by some low unit only (lo-only), by some high unit only (hi-only), or by
     both (mixed). The lo-only weight plus bins * |lo| of every lane is
     tabulated once in ``base``; the hi-only weight plus bins * |hi| is one
-    number per block; only the mixed bits, k(n-k) of them for the full
-    triangle, go through the XOR table, packed densely into the uint64 word
-    rows of ``table``.
+    number per block; only the k(n-k) mixed bits go through the XOR table,
+    packed densely into the uint64 word rows of ``table``.
     """
 
-    def __init__(self, n: int, bits: int | None = None) -> None:
-        if bits is None:
-            bits = n * (n + 1) // 2
+    def __init__(self, n: int) -> None:
         self.n = n
         self.k = k = _block_width(n)
         self.l = n - k
         self.pairs = 1 << max(self.l - 1, 0)
-        self.bins = bits + 1
+        self.bins = n * (n + 1) // 2 + 1
         (self.base, self.table, self._high, self._hi_only, self._steps, self._hi_steps,
-         self.key_weights) = (_one_block_tables if n == k else _tables)(n, bits, k)
+         self.key_weights) = (_one_block_tables if n == k else _tables)(n, k)
 
     def cover(self, hi: int) -> tuple[int, int]:
         """(a, b): lanes [0, a) of block ``hi`` count twice, lanes [a, b)
@@ -325,17 +320,18 @@ class _Kernel:
 class _Images:
     """The five ``symmetry.images`` of lanes, in the kernel's lane order. Each map g is
     GF(2)-linear, so g((hi << k) | lo) is g(lo), tabulated from the low unit vectors,
-    XOR the images of the high units set in hi, and g(~x) is g(x) XOR ``ones``, g(1^n)."""
+    XOR the images of the high units set in hi, and g(~x) is g(x) XOR ``ones``, g(1^n).
+    As in the kernel, only the lanes with x_0 = 0, j < 2^(k-1), are tabulated."""
 
     def __init__(self, n: int) -> None:
         self.k = k = _block_width(n)
         units = np.array([[y.bits for y in symmetry.images(BitSeq(n, 1 << j))]
                           for j in range(n)], dtype=np.uint64)  # row j: unit vector j
-        self.table, self._high = _span(units[k - 1::-1]), units[k:]
+        self.table, self._high = _span(units[k - 1:0:-1]), units[k:]
         self.ones = np.bitwise_xor.reduce(units, axis=0)
 
     def of(self, first: int, size: int) -> np.ndarray:
-        """Images of lanes first .. first + size - 1, all in one block; one row per map."""
+        """Images of lanes first .. first + size - 1, of one block's tabulated half; a row per map."""
         hi, j = divmod(first, 1 << self.k)
         high = np.bitwise_xor.reduce(self._high[(hi >> np.arange(len(self._high))) & 1 == 1])
         return self.table[:, j:j + size] ^ high[:, None]
@@ -534,28 +530,6 @@ def _merge_hist(kernel: _Kernel, pieces: list[tuple[np.ndarray, np.ndarray]]) ->
     return _checked(kernel.n, hist)
 
 
-def _enumerate(kernel: _Kernel, rule: _Wanted, cap: int, workers: int | None):
-    """One sweep over all 2^n generators: the histogram, and per weight the
-    rule wants from it, the ``cap`` least members in packed order and the count."""
-    n = kernel.n
-    parts = _run(kernel, workers, _sweep_range, rule, cap)
-    hist = _merge_hist(kernel, [(twice, once) for twice, once, _ in parts])
-    found: dict[int, tuple[list[int], int]] = {}
-    for wt in np.flatnonzero(rule.of(hist)).tolist():
-        values: list[int] = []
-        count = 0
-        for _, _, part in parts:
-            kept, scanned = part.get(wt, ((), 0))
-            values += kept
-            count += scanned
-        if count != hist[wt]:
-            raise ValueError(f"member scan disagrees with the histogram at n={n}: "
-                             f"weight {wt} has {count} generators scanned, "
-                             f"{int(hist[wt])} counted")
-        found[wt] = (sorted(values)[:cap], count)
-    return hist, found
-
-
 @dataclass(frozen=True)
 class WeightSpectrum:
     """Exact histogram of triangle weights over all 2^n generators."""
@@ -629,21 +603,31 @@ def symmetry_reduced_spectrum(n: int, *, workers: int | None = None,
     return WeightSpectrum(n, tuple(hist.tolist()))
 
 
-def three_row_max(n: int, *, workers: int | None = None,
-                  force: bool = False) -> tuple[int, list[int]]:
-    """Exhaustive max of s3, the weight of the top three rows, and the packed
-    generators attaining it, ascending.
+def three_row_max(n: int, *, force: bool = False) -> tuple[int, list[int]]:
+    """Exact max of s3, the weight of the top three rows, over all 2^n
+    generators, and the packed generators attaining it, ascending.
 
-    For n >= 2 the top three rows are the first 3n-3 packed triangle bits, so
-    this is one more sweep of the weight kernel restricted to those bits,
-    collecting every member of the largest weight, with the same self-checks.
+    Rows 1 and 2 hold x_i ^ x_{i+1} and x_i ^ x_{i+2}, so x_i adds
+    x_i + (x_{i-1} ^ x_i) + (x_{i-2} ^ x_i) to s3, less the terms before x_0.
+    best[i][s] is the most x_0..x_i add with s = 2 x_{i-1} + x_i; walking back
+    along every predecessor that attains it lists each optimal generator once.
     """
     _check_size(n, force)
-    bits = max(3 * n - 3, 1)  # n = 1 has one row of one bit
-    _, found = _enumerate(_Kernel(n, bits), _Wanted(0, 1, np.zeros(bits + 1, dtype=bool)),
-                          cap=1 << n, workers=workers)
-    [(best, (arg, _))] = found.items()
-    return best, arg
+
+    def gain(i: int, s: int, x: int) -> int:  # what x_i = x adds after state s
+        return x + (s & 1 ^ x) + (s >> 1 ^ x if i > 1 else 0)
+
+    best = [{0: 0, 1: 1}]  # x_0 alone
+    for i in range(1, n):
+        best.append({t: max(w + gain(i, s, t & 1) for s, w in best[-1].items() if s & 1 == t >> 1)
+                     for t in range(4)})
+    top = max(best[-1].values())
+    # (state at i, packed x_i..x_{n-1}) of each optimal generator
+    paths = [(s, (s & 1) << (n - 1)) for s, w in best[-1].items() if w == top]
+    for i in range(n - 1, 0, -1):
+        paths = [(p, v | (p & 1) << (i - 1)) for s, v in paths for p in (s >> 1, 2 | s >> 1)
+                 if best[i - 1].get(p, -4) + gain(i, p, s & 1) == best[i][s]]
+    return top, sorted(v for _, v in paths)
 
 
 @dataclass(frozen=True)
@@ -678,11 +662,24 @@ def level_sets(n: int, low: int, high: int, *, weights=(),
             raise ValueError(f"weight {w} impossible for size {n}")
     fixed = np.zeros(top + 1, dtype=bool)
     fixed[targets] = True
-    hist, found = _enumerate(_Kernel(n), _Wanted(low + 1 if low else 0, high, fixed),
-                             cap, workers)
+    rule, kernel = _Wanted(low + 1 if low else 0, high, fixed), _Kernel(n)
+    parts = _run(kernel, workers, _sweep_range, rule, cap)
+    hist = _merge_hist(kernel, [(twice, once) for twice, once, _ in parts])
     spectrum = WeightSpectrum(n, tuple(hist.tolist()))
-    slices = {w: WeightSlice(n, w, _to_seqs(n, values), count, count > len(values))
-              for w, (values, count) in found.items()}
+    slices: dict[int, WeightSlice] = {}  # per weight the rule wants, ``cap`` least members
+    for wt in np.flatnonzero(rule.of(hist)).tolist():
+        values: list[int] = []
+        count = 0
+        for _, _, part in parts:
+            kept, scanned = part.get(wt, ((), 0))
+            values += kept
+            count += scanned
+        if count != hist[wt]:
+            raise ValueError(f"member scan disagrees with the histogram at n={n}: "
+                             f"weight {wt} has {count} generators scanned, "
+                             f"{int(hist[wt])} counted")
+        values = sorted(values)[:cap]
+        slices[wt] = WeightSlice(n, wt, _to_seqs(n, values), count, count > len(values))
     levels = spectrum.levels  # a property that rebuilds the tuple on each access
     m = len(levels) - 1
     return LevelSweep(

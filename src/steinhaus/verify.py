@@ -11,15 +11,15 @@ The per-size checks of ``verify_all`` are one table, ``_CHECKS``: a row names
 a check, the sizes it applies to, its skip reason, how it runs on the size's
 one set of ladder ends and any exact weight it reads there. Checks read levels
 by their offset from an end of the ladder: W_1..W_3 are ``data.low[1..3]``,
-and W_m and W_{m-1} are ``data.high[0]`` and ``data.high[1]``, so only the
-stored top-level summary needs the height m. Up to n = 14 the ends come from
-one ``LevelSweep`` of all 2^n generators, since the golden tables and the
-weight-2n-3 slices need its histogram and slices; above, from the
-split-and-bound search ``ends.ladder_ends``, which weighs a few thousand
-generators instead. The small-n ladder (n <= 4) sweeps the whole ladder,
-against the same bundled table that ``predicted_level`` serves at those
-sizes. The ``_timed`` decorator stamps each check's wall time on the record
-it returns.
+and W_m and W_{m-1} are ``data.high[0]`` and ``data.high[1]``. Every size
+reads them, and its exact-weight slices, from the split-and-bound search
+``ends.ladder_ends``, which weighs a few thousand generators where a sweep
+weighs 2^n. The small-n ladder (n <= 4), against the bundled table that
+``predicted_level`` serves there, and the stored top-level summary, which
+needs the height m, read whole ladders from it; the three-row bound reads
+the window DP ``three_row_max``. No check sweeps all 2^n generators: the
+tests check the search against the sweep. The ``_timed`` decorator stamps
+each check's wall time on the record it returns.
 """
 
 from __future__ import annotations
@@ -45,19 +45,16 @@ from .families import (
 )
 from .spectrum import (
     CeilingExceeded,
-    LevelSet,
-    LevelSweep,
     WeightSlice,
     _check_size,
+    _resolve_workers,
     enumeration_ceiling,
-    level_sets,
     three_row_max,
 )
 from .symmetry import orbit
 from .triangle import triangle_weight
 
 S3_CEILING = 20
-SWEPT_UP_TO = 14  # larger sizes read the ladder ends from the search
 
 # Equality sets of the three-row weight bound s3 <= 2n-2 at n = 4 and 5.
 _S3_EQUALITY = {
@@ -139,19 +136,6 @@ def _golden_slice(n: int) -> tuple[int, frozenset[BitSeq]]:
     return _level_fixture("weight_slice_floor_3n_over_2.txt")[(n, "-")]
 
 
-# ---------------------------------------------------------------------------
-# shared per-n enumeration
-
-def _enum_data(n: int, workers: int | None, weights=(),
-               force: bool = False) -> LevelSweep | LadderEnds:
-    """Levels 0..3, m-1 and m (clamped to the ladder): up to ``SWEPT_UP_TO``,
-    with the generators of each exact weight in ``weights``, from one
-    enumeration of size n; above, from the search of the ladder's ends."""
-    if n > SWEPT_UP_TO:
-        return ladder_ends(n, 3, 2, force=force)
-    return level_sets(n, 3, 2, weights=weights, workers=workers, force=force)
-
-
 def _timed(check):
     """Stamp the wall time of each call on the record the check returns."""
     @functools.wraps(check)
@@ -168,7 +152,7 @@ def _set_witness(observed_w: int, observed: frozenset[BitSeq],
     return Witness(x, triangle_weight(x), predicted_w)
 
 
-def _compare_level(check: str, n: int, level: LevelSet | WeightSlice,
+def _compare_level(check: str, n: int, level: WeightSlice,
                    predicted_w: int, predicted: frozenset[BitSeq],
                    conjecture: bool = False) -> CheckRecord:
     ok_status = "conjecture-confirmed" if conjecture else "pass"
@@ -193,8 +177,7 @@ def _compare_level(check: str, n: int, level: LevelSet | WeightSlice,
 # individual checks
 
 @_timed
-def verify_level(n: int, level, *, workers: int | None = None,
-                 data: LevelSweep | LadderEnds | None = None) -> CheckRecord:
+def verify_level(n: int, level, *, data: LadderEnds | None = None) -> CheckRecord:
     """Compare one predicted ladder level (weight and set) with enumeration."""
     token = normalize_level(level)
     check = f"level-{token}"
@@ -203,7 +186,7 @@ def verify_level(n: int, level, *, workers: int | None = None,
     except UncoveredLevelError as exc:
         return CheckRecord(check, n, "skipped", str(exc))
     if data is None:
-        data = _enum_data(n, workers)
+        data = ladder_ends(n, 3, 2)
     end, offset = {"1": (data.low, 1), "2": (data.low, 2), "3": (data.low, 3),
                    "m": (data.high, 0), "m-1": (data.high, 1)}[token]
     if offset >= len(end):  # only the bottom end runs short: then it holds the whole ladder
@@ -217,30 +200,30 @@ def verify_level(n: int, level, *, workers: int | None = None,
 
 
 @_timed
-def _small_n_ladder(n: int, workers: int | None) -> CheckRecord:
+def _small_n_ladder(n: int) -> CheckRecord:
     fixture = _level_fixture("small_n_levels.txt")
     expected = {lvl: row for (nn, lvl), row in fixture.items() if nn == n}
-    sweep = level_sets(n, n * (n + 1) // 2, 0, workers=workers)  # the whole ladder
-    spectrum = sweep.spectrum
+    ladder = ladder_ends(n, n * (n + 1) // 2, 0).low  # the whole ladder, W_0 first
+    m = len(ladder) - 1
     bad = None
-    if spectrum.m != len(expected):
-        bad = f"ladder height {spectrum.m} observed, {len(expected)} expected"
-    elif spectrum.counts[0] != 1:
-        bad = f"{spectrum.counts[0]} generators of weight 0"
+    if m != len(expected):
+        bad = f"ladder height {m} observed, {len(expected)} expected"
+    elif ladder[0].count != 1:
+        bad = f"{ladder[0].count} generators of weight 0"
     if bad is not None:
-        pick = sorted(sweep.low[-1].members, key=str)[0]  # a generator of W_m
+        pick = sorted(ladder[-1].members, key=str)[0]  # a generator of W_m
         return CheckRecord("small-n-ladder", n, "fail", bad,
                            Witness(pick, triangle_weight(pick), -1))
-    for level in sweep.low[1:]:
-        record = _compare_level("small-n-ladder", n, level, *expected[str(level.index)])
+    for index, level in enumerate(ladder[1:], 1):
+        record = _compare_level("small-n-ladder", n, level, *expected[str(index)])
         if record.status != "pass":
             return record
-    return CheckRecord("small-n-ladder", n, "pass", f"all {spectrum.m} levels match")
+    return CheckRecord("small-n-ladder", n, "pass", f"all {m} levels match")
 
 
-def verify_small_n(*, workers: int | None = None) -> list[CheckRecord]:
+def verify_small_n() -> list[CheckRecord]:
     """Full-ladder equality for n in {1, 2, 3, 4} against the stored ladders."""
-    return [_small_n_ladder(n, workers) for n in (1, 2, 3, 4)]
+    return [_small_n_ladder(n) for n in (1, 2, 3, 4)]
 
 
 @_timed
@@ -289,14 +272,14 @@ def verify_family_weights(n: int) -> CheckRecord:
 
 
 @_timed
-def verify_s3(n: int, *, ceiling: int = S3_CEILING, workers: int | None = None) -> CheckRecord:
+def verify_s3(n: int, *, ceiling: int = S3_CEILING) -> CheckRecord:
     """Exhaustive bound s3(x) <= 2n-2, with exact equality sets at n in {4, 5}.
 
     ``ceiling`` bounds the sizes scanned, in place of the enumeration ceiling.
     """
     if not 4 <= n <= ceiling:
         return CheckRecord("s3-bound", n, "skipped", f"checked for 4 <= n <= {ceiling}")
-    best, arg = three_row_max(n, workers=workers, force=True)
+    best, arg = three_row_max(n, force=True)
     bound = 2 * n - 2
     if best > bound:
         return CheckRecord("s3-bound", n, "fail",
@@ -321,13 +304,12 @@ _CONJECTURE_RANGE = "conjecture applies for n >= 11 with n == 0,2 (mod 3)"
 
 
 @_timed
-def check_conjecture(n: int, *, workers: int | None = None,
-                     data: LevelSweep | LadderEnds | None = None) -> CheckRecord:
+def check_conjecture(n: int, *, data: LadderEnds | None = None) -> CheckRecord:
     """Test whether level m-1 equals the conjectured set at weight ceil(n^2/3)."""
     if not conjectured(n):
         raise ValueError(_CONJECTURE_RANGE)
     if data is None:
-        data = _enum_data(n, workers)
+        data = ladder_ends(n, 3, 2)
     prediction = predicted_level("m-1", n)
     return _compare_level("conjecture", n, data.high[1],
                           prediction.value, prediction.member_set, conjecture=True)
@@ -337,13 +319,13 @@ def check_conjecture(n: int, *, workers: int | None = None,
 # golden-table checks
 
 @_timed
-def _golden_level2(n: int, data: LevelSweep) -> CheckRecord:
+def _golden_level2(n: int, data: LadderEnds) -> CheckRecord:
     return _compare_level("golden-level-2", n, data.low[2],
                           *_level_fixture("second_level_sets.txt")[(n, "2")])
 
 
 @_timed
-def _golden_weight_slice(n: int, data: LevelSweep) -> CheckRecord:
+def _golden_weight_slice(n: int, data: LadderEnds) -> CheckRecord:
     w, set_exp = _golden_slice(n)
     got = data.slices[w]
     observed = frozenset(got.members)
@@ -357,10 +339,12 @@ def _golden_weight_slice(n: int, data: LevelSweep) -> CheckRecord:
 
 
 @_timed
-def _golden_top(n: int, data: LevelSweep) -> CheckRecord:
+def _golden_top(n: int, data: LadderEnds) -> CheckRecord:
     m_exp, w_exp, count_exp = _top_summary_fixture()[n]
+    # m from the whole ladder; the search for ``data`` checked this size's ceiling
+    m = len(ladder_ends(n, n * (n + 1) // 2, 0, cap=1, force=True).low) - 1
     second = data.high[1]
-    observed_triple = (data.high[0].index, second.weight, second.count)
+    observed_triple = (m, second.weight, second.count)
     if observed_triple != (m_exp, w_exp, count_exp):
         pick = sorted(second.members, key=str)[0]
         return CheckRecord("golden-top-levels", n, "fail",
@@ -371,7 +355,7 @@ def _golden_top(n: int, data: LevelSweep) -> CheckRecord:
 
 
 @_timed
-def _golden_second_members(n: int, data: LevelSweep) -> CheckRecord:
+def _golden_second_members(n: int, data: LadderEnds) -> CheckRecord:
     _, set_exp = _level_fixture("second_largest_members.txt")[(n, "m-1")]
     _, _, count_exp = _top_summary_fixture()[n]
     second = data.high[1]
@@ -390,13 +374,13 @@ def _golden_second_members(n: int, data: LevelSweep) -> CheckRecord:
 
 
 @_timed
-def _golden_second_sets(n: int, data: LevelSweep) -> CheckRecord:
+def _golden_second_sets(n: int, data: LadderEnds) -> CheckRecord:
     return _compare_level("golden-second-max-sets", n, data.high[1],
                           *_level_fixture("second_largest_sets_11_12.txt")[(n, "m-1")])
 
 
 @_timed
-def _weight_2n3(n: int, data: LevelSweep) -> CheckRecord:
+def _weight_2n3(n: int, data: LadderEnds) -> CheckRecord:
     w = 2 * n - 3
     got = data.slices[w]
     if n == 10:
@@ -425,15 +409,14 @@ def _weight_2n3(n: int, data: LevelSweep) -> CheckRecord:
 
 class _Check(NamedTuple):
     """A per-size check, run where ``applies(n)`` and skipped with ``skip``
-    elsewhere, as ``run(n, data, workers)``; ``weight(n)`` is an exact weight
-    whose generators it reads. A check that reads such a weight, the
-    histogram or m may apply only up to ``SWEPT_UP_TO``: above it, ``data``
-    is the search's ``LadderEnds``."""
+    elsewhere, as ``run(n, data)`` on the size's ``LadderEnds``; ``weight(n)``
+    is an exact weight whose generators it reads in ``data.slices``, which the
+    search then reaches."""
 
     name: str
     applies: Callable[[int], bool]
     skip: str
-    run: Callable[[int, LevelSweep | LadderEnds, int | None], CheckRecord]
+    run: Callable[[int, LadderEnds], CheckRecord]
     weight: Callable[[int], int] | None = None
 
 
@@ -444,40 +427,40 @@ def _every(n: int) -> bool:
 # Public checks are called by their global names, so a wrapper installed on
 # the module (a tracer, a test double) sees the calls made from this table.
 _CHECKS = (
-    _Check("level-1", _every, "", lambda n, d, w: verify_level(n, "1", data=d)),
-    _Check("level-2", _every, "", lambda n, d, w: verify_level(n, "2", data=d)),
-    _Check("level-3", _every, "", lambda n, d, w: verify_level(n, "3", data=d)),
-    _Check("level-m", _every, "", lambda n, d, w: verify_level(n, "m", data=d)),
+    _Check("level-1", _every, "", lambda n, d: verify_level(n, "1", data=d)),
+    _Check("level-2", _every, "", lambda n, d: verify_level(n, "2", data=d)),
+    _Check("level-3", _every, "", lambda n, d: verify_level(n, "3", data=d)),
+    _Check("level-m", _every, "", lambda n, d: verify_level(n, "m", data=d)),
     _Check("level-m-1", lambda n: not conjectured(n),
            "conjectured range; evaluated by the conjecture check",
-           lambda n, d, w: verify_level(n, "m-1", data=d)),
+           lambda n, d: verify_level(n, "m-1", data=d)),
     _Check("conjecture", conjectured, _CONJECTURE_RANGE,
-           lambda n, d, w: check_conjecture(n, data=d)),
-    _Check("family-weights", _every, "", lambda n, d, w: verify_family_weights(n)),
-    _Check("unit-vector-bound", _every, "", lambda n, d, w: verify_ek(n)),
-    _Check("s3-bound", _every, "", lambda n, d, w: verify_s3(n, workers=w)),
+           lambda n, d: check_conjecture(n, data=d)),
+    _Check("family-weights", _every, "", lambda n, d: verify_family_weights(n)),
+    _Check("unit-vector-bound", _every, "", lambda n, d: verify_ek(n)),
+    _Check("s3-bound", _every, "", lambda n, d: verify_s3(n)),
     _Check("golden-level-2", lambda n: 4 <= n <= 8, "stored rows cover 4 <= n <= 8",
-           lambda n, d, w: _golden_level2(n, d)),
+           _golden_level2),
     _Check("golden-weight-slice", lambda n: 4 <= n <= 8, "stored rows cover 4 <= n <= 8",
-           lambda n, d, w: _golden_weight_slice(n, d), lambda n: _golden_slice(n)[0]),
+           _golden_weight_slice, lambda n: _golden_slice(n)[0]),
     _Check("golden-top-levels", lambda n: 4 <= n <= 9, "stored rows cover 4 <= n <= 9",
-           lambda n, d, w: _golden_top(n, d)),
+           _golden_top),
     _Check("golden-second-max-members", lambda n: 4 <= n <= 9,
-           "stored rows cover 4 <= n <= 9", lambda n, d, w: _golden_second_members(n, d)),
+           "stored rows cover 4 <= n <= 9", _golden_second_members),
     _Check("golden-second-max-sets", lambda n: n in (11, 12),
-           "stored rows cover n in {11, 12}", lambda n, d, w: _golden_second_sets(n, d)),
+           "stored rows cover n in {11, 12}", _golden_second_sets),
     _Check("weight-2n-3", lambda n: n in (10, 14), "spot check defined for n in {10, 14}",
-           lambda n, d, w: _weight_2n3(n, d), lambda n: 2 * n - 3),
+           _weight_2n3, lambda n: 2 * n - 3),
 )
 
 PER_N_CHECKS = tuple(c.name for c in _CHECKS)
 
 
-def _per_n_records(n: int, workers: int | None, force: bool) -> list[CheckRecord]:
+def _per_n_records(n: int, force: bool) -> list[CheckRecord]:
     skipped = [CheckRecord(c.name, n, "skipped", c.skip) for c in _CHECKS if not c.applies(n)]
     run = [c for c in _CHECKS if c.applies(n)]
-    data = _enum_data(n, workers, [c.weight(n) for c in run if c.weight], force)
-    return skipped + [c.run(n, data, workers) for c in run]
+    data = ladder_ends(n, 3, 2, weights=[c.weight(n) for c in run if c.weight], force=force)
+    return skipped + [c.run(n, data) for c in run]
 
 
 def verify_all(n_min: int, n_max: int, *, workers: int | None = None,
@@ -485,7 +468,9 @@ def verify_all(n_min: int, n_max: int, *, workers: int | None = None,
     """Run the small-n ladder once plus every applicable check for each n.
 
     Sizes above the enumeration ceiling need ``force`` (CLI ``--force``).
+    ``workers`` is checked, but unused: no check sweeps all 2^n generators.
     """
+    _resolve_workers(workers)
     if n_min > n_max:
         raise ValueError("empty range")
     if n_min < 1:
@@ -493,9 +478,9 @@ def verify_all(n_min: int, n_max: int, *, workers: int | None = None,
     ceiling = enumeration_ceiling()
     if n_max > ceiling and not force:
         raise CeilingExceeded(f"n_max={n_max} exceeds the enumeration ceiling {ceiling}")
-    _check_size(n_max, force=True)  # the engine limit, before any sweep
-    records = verify_small_n(workers=workers)
+    _check_size(n_max, force=True)  # the engine limit, before any search
+    records = verify_small_n()
     for n in range(n_min, n_max + 1):
-        records.extend(_per_n_records(n, workers, force))
+        records.extend(_per_n_records(n, force))
     records.sort(key=lambda r: (r.n, r.check))
     return VerificationReport(n_min, n_max, tuple(records))

@@ -198,6 +198,13 @@ class TestVerify:
         assert code == 0
         assert out.strip().endswith("skipped=10") or "summary:" in out
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_bad_worker_count_exit_2(self, capsys, workers):
+        # verify sweeps nothing, so it checks the count itself
+        code, out, err = run(capsys, "verify", "--from", "4", "--to", "4", "--workers", workers)
+        assert code == 2 and out == ""
+        assert "worker count must be positive" in err
+
     def test_conjecture_refutation_exit_3(self, capsys, monkeypatch):
         witness = Witness(BitSeq.from_string("10010010010"), 41, 42)
         fake = VerificationReport(11, 11, (

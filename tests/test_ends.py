@@ -13,7 +13,7 @@ from steinhaus import (
     triangle_weight,
 )
 from steinhaus import ends as ends_mod
-from steinhaus.ends import _split_bound, _split_search, mix_bound
+from steinhaus.ends import _split_bound, _split_search, _thresholds, mix_bound
 from steinhaus.families import _fixture_rows
 
 
@@ -72,6 +72,40 @@ class TestAgainstTheSweep:
         finally:
             mix_bound.cache_clear()
 
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_whole_ladders(self, n):
+        top = n * (n + 1) // 2
+        whole = level_sets(n, top, 0, cap=1 << n)
+        assert len(whole.low) == whole.spectrum.m + 1
+        assert_same_ends(ladder_ends(n, top, 0, cap=1 << n), whole)
+        capped = ladder_ends(n, top, 0, cap=1)
+        assert [(s.weight, s.count) for s in capped.low] == \
+            [(s.weight, s.count) for s in whole.low]
+        assert all(len(s.members) == 1 for s in capped.low)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_exact_weight_slices(self, n):
+        # the least, a middle and the greatest weight, one that no generator has,
+        # and 2n - 3, the weight the bottom search starts from
+        counts = level_sets(n, 0, 0).spectrum.counts
+        seen = [w for w, c in enumerate(counts) if c]
+        absent = [w for w, c in enumerate(counts) if not c][:1]
+        weights = sorted({seen[0], seen[len(seen) // 2], seen[-1], *absent,
+                          max(2 * n - 3, 0)})
+        for low, high in ((0, 0), (3, 2)):
+            sweep = level_sets(n, low, high, weights=weights, cap=1 << n)
+            got = ladder_ends(n, low, high, weights=weights + weights[:1], cap=1 << n)
+            assert_same_ends(got, sweep)
+            assert {w: (s.weight, s.count, s.members, s.truncated)
+                    for w, s in got.slices.items()} == \
+                {w: (s.weight, s.count, s.members, s.truncated)
+                 for w, s in sweep.slices.items()}
+
+    def test_thresholds_step_by_doubling_to_the_floor(self):
+        assert list(_thresholds(17, 0)) == [17, 16, 14, 10, 2, 0]
+        assert list(_thresholds(-5, -10)) == [-5, -6, -8, -10]
+        assert list(_thresholds(-10, -10)) == [-10]
+
     def test_level_counts_and_caps(self):
         got = ladder_ends(10, 1, 1, cap=2)
         assert [s.weight for s in got.low] == [0, 10]
@@ -88,6 +122,9 @@ class TestAgainstTheSweep:
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             ladder_ends(10, -1, 2)
+        for weight in (-1, 56):
+            with pytest.raises(ValueError, match="not all possible"):
+                ladder_ends(10, 3, 2, weights=[weight])
         with pytest.raises(ValueError):
             ladder_ends(10, 3, 2, cap=-1)
         with pytest.raises(CeilingExceeded, match="enumeration ceiling"):

@@ -78,13 +78,19 @@ def kernel_weights(n):
 
 def table_images(n):
     """Images of every generator of length n under the five symmetry tables, in
-    packed order, one row per map, read off whole blocks."""
+    packed order, one row per map: those with x_0 = 0 read off the tabulated
+    half of every block, their complements as those images XOR ``ones``."""
     kernel, images = _Kernel(n), _Images(n)
+    half = 1 << (kernel.k - 1)
+    assert images.table.shape == (5, half)
     out = np.zeros((5, 1 << n), dtype=np.uint64)
+    full = (1 << n) - 1
     for hi in range(1 << kernel.l):
-        got = images.of(hi << kernel.k, 1 << kernel.k)
-        for j in range(1 << kernel.k):
-            out[:, lane_value(kernel.k, hi, j)] = got[:, j]
+        got = images.of(hi << kernel.k, half)
+        for j in range(half):
+            x = lane_value(kernel.k, hi, j)
+            out[:, x] = got[:, j]
+            out[:, x ^ full] = got[:, j] ^ images.ones
     return out
 
 
@@ -195,7 +201,9 @@ class TestLanePrimitives:
         monkeypatch.setattr(spectrum_mod, "_BLOCK_BITS", block_bits)
         n = 9
         images = _Images(n)
-        for first, size in ((1, 7), (5, 2), (8 * 37 + 3, 4), (511, 1)):
+        half, last = 1 << (images.k - 1), (1 << (n - images.k)) - 1
+        for hi, j, size in ((0, 1, 7), (0, 5, 2), (last, half - 5, 4), (last, half - 1, 1)):
+            first = hi << images.k | j
             got = images.of(first, size)
             assert got.shape == (5, size)
             for lane in range(size):
@@ -339,15 +347,6 @@ class TestKernelSplit:
                 for j in self.lanes(row.size, rng):
                     x = BitSeq(n, lane_value(k, hi, j))
                     assert int(row[j]) == triangle_weight(x) + kernel.bins * x.weight
-
-    @pytest.mark.parametrize("n", [17, 18, 19, 20])
-    def test_sampled_lanes_of_the_top_three_rows_match_s3(self, n, rng):
-        kernel = _Kernel(n, bits=3 * n - 3)
-        for his, _, keys in kernel.keys(0, kernel.pairs):
-            for hi, row in zip(his, keys):
-                for j in self.lanes(row.size, rng):
-                    x = BitSeq(n, lane_value(kernel.k, hi, j))
-                    assert int(row[j]) == s3(x) + kernel.bins * x.weight
 
     def test_small_sizes_are_the_base_alone(self):
         kernel = _Kernel(12)
@@ -502,11 +501,6 @@ class TestOneSweep:
                                 for ls in sets] == want
                     assert {w: (s.weight, s.members, s.count, s.truncated)
                             for w, s in got.slices.items()} == slices
-            # below length 3 every row is among the top three
-            top = [(s3 if n >= 3 else triangle_weight)(BitSeq(n, v)) for v in range(1 << n)]
-            best = max(top)
-            assert three_row_max(n, workers=workers) == (
-                best, [v for v in range(1 << n) if top[v] == best])
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -543,8 +537,7 @@ class TestOneSweep:
         # Orbit counting loses the two orbits of size 3 whose least packed
         # members those lanes stand for, 000010000 and 111100000.
         for call, total in ((lambda: full_spectrum(9), 508), (lambda: level_sets(9, 3, 2), 508),
-                            (lambda: symmetry_reduced_spectrum(9), 506),
-                            (lambda: three_row_max(9), 508)):
+                            (lambda: symmetry_reduced_spectrum(9), 506)):
             with pytest.raises(ValueError, match=rf"counts {total} generators, not 2\^9"):
                 call()
 
@@ -557,21 +550,25 @@ class TestOneSweep:
             return wanted(self, hist) & (len(calls) > 1)
 
         monkeypatch.setattr(spectrum_mod._Wanted, "of", blind_first_block)
-        for call in (lambda: level_sets(6, 3, 2, workers=1), lambda: three_row_max(6)):
-            calls.clear()
-            with pytest.raises(ValueError, match="member scan disagrees with the histogram"):
-                call()
+        with pytest.raises(ValueError, match="member scan disagrees with the histogram"):
+            level_sets(6, 3, 2, workers=1)
 
 
 class TestThreeRowMax:
-    @pytest.mark.parametrize("block_bits", [16, 3])
-    def test_matches_scalar_oracle(self, monkeypatch, block_bits):
-        monkeypatch.setattr(spectrum_mod, "_BLOCK_BITS", block_bits)
-        for n in range(1, 12):
+    def test_matches_scalar_oracle(self):
+        for n in range(1, 15):
             # below length 3 every row is among the top three
-            top = {v: (s3 if n >= 3 else triangle_weight)(BitSeq(n, v)) for v in range(1 << n)}
-            best = max(top.values())
+            top = [(s3 if n >= 3 else triangle_weight)(BitSeq(n, v)) for v in range(1 << n)]
+            best = max(top)
             assert three_row_max(n) == (best, [v for v in range(1 << n) if top[v] == best])
+
+    @pytest.mark.parametrize("n,best,count", [(20, 38, 97), (30, 58, 714), (40, 78, 5245)])
+    def test_argmax_counts_pinned(self, n, best, count):
+        got, arg = three_row_max(n, force=True)
+        assert (got, len(arg)) == (best, count)
+        assert arg == sorted(set(arg)) and all(0 <= v < 1 << n for v in arg)
+        for v in arg[:3] + arg[-3:]:
+            assert s3(BitSeq(n, v)) == best
 
     def test_ceiling(self):
         with pytest.raises(CeilingExceeded):

@@ -180,7 +180,6 @@ class TestVerifyAll:
         def no_sweep(*args, **kwargs):
             raise AssertionError("verify_all swept before checking the engine limit")
 
-        monkeypatch.setattr(verify_mod, "level_sets", no_sweep)
         monkeypatch.setattr(verify_mod, "three_row_max", no_sweep)
         monkeypatch.setattr(verify_mod, "ladder_ends", no_sweep)
         with pytest.raises(CeilingExceeded, match="engine limit of 40"):
@@ -189,18 +188,6 @@ class TestVerifyAll:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "engine limit of 40" in captured.err
-
-    def test_workers_reach_every_sweep(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a thread pool was started")
-
-        # 1024-lane blocks on four cores: a sweep of n >= 14 fans out unless told not to
-        monkeypatch.setattr(spectrum_mod, "_BLOCK_BITS", 10)
-        monkeypatch.setattr(spectrum_mod, "_cores", lambda: 4)
-        monkeypatch.setattr(spectrum_mod, "ThreadPoolExecutor", no_pool)
-        assert verify_all(4, 16, workers=1).ok
-        with pytest.raises(AssertionError, match="thread pool"):
-            verify_s3(14)
 
     def test_golden_rows_present(self):
         report = verify_all(4, 9)
@@ -226,37 +213,30 @@ class TestVerifyAll:
             verify_all(1, 99)
 
     def test_one_enumeration_per_size(self, monkeypatch):
-        built = []
-        init = spectrum_mod._Kernel.__init__
+        # No size builds a sweep kernel: every check reads the ladder-end search,
+        # once per size for the shared levels, or the three-row DP.
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("verify built a sweep kernel")
 
-        def counting_init(self, n, bits=None):
-            built.append((n, bits))
-            init(self, n, bits)
+        searched = Counter()
+        search = verify_mod.ladder_ends
 
-        monkeypatch.setattr(spectrum_mod._Kernel, "__init__", counting_init)
-        assert verify_all(5, 14).ok
-        full = Counter(n for n, bits in built if bits is None)
-        assert full == Counter(range(1, 15))  # sizes 1..4 come from the small-n ladder
-        assert sorted(n for n, bits in built if bits is not None) == list(range(5, 15))
+        def counted(n, low, high, **kwargs):
+            searched[n, low, high] += 1
+            return search(n, low, high, **kwargs)
 
-    def test_larger_sizes_read_the_search(self, monkeypatch):
-        built = []
-        init = spectrum_mod._Kernel.__init__
+        monkeypatch.setattr(spectrum_mod._Kernel, "__init__", no_kernel)
+        monkeypatch.setattr(verify_mod, "ladder_ends", counted)
+        assert verify_all(1, 24, workers=3).ok
+        assert {n: c for (n, low, high), c in searched.items() if (low, high) == (3, 2)} == \
+            {n: 1 for n in range(1, 25)}
+        whole = {n: c for (n, low, high), c in searched.items()
+                 if (low, high) == (n * (n + 1) // 2, 0)}
+        assert whole == Counter([*range(1, 5), *range(4, 10)])  # small-n ladder, then m
 
-        def counting_init(self, n, bits=None):
-            built.append((n, bits))
-            init(self, n, bits)
-
-        monkeypatch.setattr(spectrum_mod._Kernel, "__init__", counting_init)
-        assert verify_all(15, 18).ok
-        assert sorted(n for n, bits in built if bits is None) == [1, 2, 3, 4]  # small-n ladder
-        assert sorted((n, bits) for n, bits in built if bits is not None) == \
-            [(n, 3 * n - 3) for n in range(15, 19)]
-
-    def test_checks_that_need_the_sweep_stop_where_it_does(self):
-        for check in verify_mod._CHECKS:
-            if check.weight or check.name.startswith("golden"):
-                assert not any(check.applies(n) for n in range(verify_mod.SWEPT_UP_TO + 1, 41))
+    def test_worker_count_is_checked(self):
+        with pytest.raises(ValueError, match="worker count must be positive"):
+            verify_all(4, 5, workers=0)
 
     def test_exit_code_precedence(self):
         witness = Witness(BitSeq.from_string("101"), 4, 5)
