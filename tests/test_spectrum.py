@@ -555,7 +555,10 @@ class TestOneSweep:
 
 
 class TestThreeRowMax:
-    def test_matches_scalar_oracle(self):
+    @pytest.mark.parametrize("block_bits", [16, 3])
+    def test_matches_scalar_oracle(self, monkeypatch, block_bits):
+        # the DP must not depend on the sweep's block width
+        monkeypatch.setattr(spectrum_mod, "_BLOCK_BITS", block_bits)
         for n in range(1, 15):
             # below length 3 every row is among the top three
             top = [(s3 if n >= 3 else triangle_weight)(BitSeq(n, v)) for v in range(1 << n)]

@@ -234,6 +234,22 @@ class TestVerifyAll:
                  if (low, high) == (n * (n + 1) // 2, 0)}
         assert whole == Counter([*range(1, 5), *range(4, 10)])  # small-n ladder, then m
 
+    def test_larger_sizes_read_the_search(self, monkeypatch):
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("verify built a sweep kernel")
+
+        searched = []
+        search = verify_mod.ladder_ends
+
+        def counted(n, low, high, **kwargs):
+            searched.append(n)
+            return search(n, low, high, **kwargs)
+
+        monkeypatch.setattr(spectrum_mod._Kernel, "__init__", no_kernel)
+        monkeypatch.setattr(verify_mod, "ladder_ends", counted)
+        assert verify_all(15, 18).ok
+        assert set(range(15, 19)) <= set(searched)
+
     def test_worker_count_is_checked(self):
         with pytest.raises(ValueError, match="worker count must be positive"):
             verify_all(4, 5, workers=0)
