@@ -3,26 +3,31 @@
 The difference operator is linear over GF(2), so the triangle of
 x = (hi << k) | lo, packed row after row into an n(n+1)/2-bit vector, is
 T(hi << k) XOR T(lo). Entry (r, c) of the triangle depends only on
-x_c..x_{c+r}, which splits its bits into three classes. Lo-only bits
+x_c..x_{c+r}, which splits its bits into four classes. Lo-only bits
 (c + r < k) form the triangle of lo; their weight is tabulated once for every
 k-bit low half. Hi-only bits (c >= k) form the triangle of hi; their weight
-is one number per block. Only the k(n-k) mixed bits (c < k <= c + r) are
-tabulated as T(lo) for every low half, packed densely into ceil(k(n-k)/64)
-uint64 word rows built from the unit-vector triangles by doubling XORs.
+is one number per block. The k(n-k) mixed bits (c < k <= c + r), l = n - k
+in each column c < k, go through an XOR with T(hi << k) and a popcount, and
+their T(lo) part reads only x_c..x_{k-1}. Those of the first c* = 64 // l
+columns are tabulated for every low half in one uint64 word; the rest, the
+periodic bits, read only x_c*..x_{k-1}, which are the low t = k - c* bits of
+the lane index j (see below), so their weight is a function of j mod 2^t in
+each block. Tables are built from the unit-vector triangles by doubling XORs.
 Generators come in blocks of lanes, one block per high half: the block's
-weights are the lo-only weights plus the hi-only weight plus, per mixed word
-row, an XOR with the matching word of T(hi << k) and a popcount. T(hi << k)
-is updated from the previous block, so memory stays O(2^k) per table word
-for every n.
+weights are the lo-only weights plus the hi-only weight plus one XOR and
+popcount of the lane's word against the matching word of T(hi << k), plus
+the periodic weight, taken at 2^t lanes and added over the block's whole
+periods and its ragged tail. T(hi << k) is updated from the previous block,
+so the tables hold one word and one uint16 per lane of a block for every n.
 
 Two symmetries cut the lanes to about 2^(n-2). T(1^n) is the top row alone,
 so T(~x) differs from T(x) in row 0 only, and weight(~x) = weight(x) + n -
 2|x|, where |x| counts the ones of x. So the kernel evaluates only
 generators with x_0 = 0, and a lane's key is its weight w plus
 (n(n+1)/2 + 1) times its ones count p: the key gives the lane's weight and
-its complement's, w + n - 2p. A block's lanes run in
-bit-reversed order of lo (lane j holds lo = bitrev_k(j), so x_0 is j's top
-bit), and the tables hold only lanes j < 2^(k-1), those with x_0 = 0.
+its complement's, w + n - 2p. A block's lanes run in bit-reversed order of
+lo (lane j holds lo = bitrev_k(j), so x_0 is j's top bit and x_{k-1} its bit
+0), and the tables hold only lanes j < 2^(k-1), those with x_0 = 0.
 Reversing a generator mirrors its triangle, so both have the same weight.
 Blocks hi' and hi' ^ (2^l - 1), l = n - k, are evaluated together as one
 pair: in the first, x_{n-1} = 0 and a lane z pairs with rev z; in the
@@ -30,7 +35,7 @@ partner, x_{n-1} = 1 and z pairs with ~rev z, which also starts with 0. The
 lanes that read less than their pair come first, and each pair evaluates a
 prefix [0, b) of its lanes in both blocks: lanes [0, a) count twice, for
 {z, ~z} and for {rev z, ~rev z}, and lanes [a, b), a tie closed under the
-pairing, once. That needs n <= 2k, so past n = 32 a block spans half the
+pairing, once. That needs n <= 2k, so past n = 34 a block spans half the
 generator, rounded up (see ``_block_width``).
 
 One sweep gives both the histogram and the members of chosen weights. Each
@@ -73,7 +78,9 @@ DEFAULT_CEILING = 30
 CEILING_ENV = "STEINHAUS_MAX_N"
 DEFAULT_MEMBER_CAP = 4096
 _HARD_LIMIT = 40  # 2^40 generators is already days of work
-_BLOCK_BITS = 16  # k at 16 <= n <= 32: the (W, 2^(k-1)) table stays cache-sized
+# k at 17 <= n <= 34: tables of one uint64 word and one uint16 key per lane,
+# 2^16 lanes, plus the periodic mixed columns, tabulated at only 2^t lanes
+_BLOCK_BITS = 17
 _THREADED_LANES = 1 << 14  # below this many lanes, threads cost more than they save
 _REVERSAL = 2  # row of i(x), the reversal, in ``symmetry.images``: r, l, i, r∘i, l∘i
 _BYTE_REVERSED = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.int64)
@@ -163,20 +170,34 @@ def _tables(n: int, k: int):
     """The read-only tables of ``_Kernel(n)`` with k-bit blocks."""
     bits = n * (n + 1) // 2
     bins = bits + 1
+    l = n - k
     units = [_unit_triangle(n, j) for j in range(n)]
     lo = functools.reduce(operator.or_, units[:k], 0)
     hi = functools.reduce(operator.or_, units[k:], 0)
     lo_only, mixed = _set_bits(lo & ~hi), _set_bits(lo & hi)
-    # One table: the lo-only bits in the first words, padded with bit ``bits``
-    # (always clear), then the mixed bits. High units have no lo-only bit.
-    # Lanes have x_0 = 0, so unit 0 needs no row: rows[j - 1] is unit j.
+    # Each column c < k holds l mixed bits; those of the first c* columns fill
+    # one word per lane, and the rest read only x_c*..x_{k-1}.
+    periodic_from = min(k, 64 // max(l, 1))
+    column = [c for r in range(n) for c in range(n - r)]  # of each packed bit
+    lane = [p for p in mixed if column[p] < periodic_from]
+    periodic = [p for p in mixed if column[p] >= periodic_from]
+    # One row per unit: the lo-only bits in the first words, padded with bit
+    # ``bits`` (always clear), then one word of the lane's mixed bits, then the
+    # periodic ones. Lanes have x_0 = 0, so unit 0 needs no row: rows[j - 1] is
+    # unit j. High units have no lo-only bit.
     split = -(-len(lo_only) // 64)
-    rows = _dense(units[1:], lo_only + [bits] * (64 * split - len(lo_only)) + mixed, bits)
-    table = _span(rows[:k - 1][::-1])  # column j < 2^(k-1): T(bitrev_k(j))
+    rows = _dense(units[1:], lo_only + [bits] * (64 * split - len(lo_only))
+                  + lane + [bits] * (64 - len(lane)) + periodic, bits)
+    spread = rows[:k - 1][::-1]  # row i: unit k - 1 - i, bit i of lane j
     # uint16 throughout: bitwise_count gives uint8, and bins * uint8 would wrap;
     # the lane indices themselves pass 2^16 from k = 18 on
-    ones = np.bitwise_count(np.arange(table.shape[1])).astype(np.uint16)
-    base = np.bitwise_count(table[:split]).sum(axis=0, dtype=np.uint16) + ones * bins
+    base = np.bitwise_count(np.arange(1 << (k - 1))).astype(np.uint16) * bins
+    for word in range(split):  # one 2^(k-1)-lane word at a time
+        base += np.bitwise_count(_span(spread[:, word:word + 1])[0])
+    table = _span(spread[:, split:split + 1])[0]
+    # Lane j's low t bits are x_{k-1}..x_{c*}: the periodic words are tabulated
+    # for j < 2^t and read at j mod 2^t.
+    period = _span(spread[:k - periodic_from, split + 1:])
     high = rows[k - 1:, split:]
     hi_only = tuple(t & hi & ~lo for t in units[k:])
     # hi ^ (hi - 1) has exactly bits 0..ctz(hi) set, so by linearity
@@ -188,11 +209,10 @@ def _tables(n: int, k: int):
     # no lane holds reads some weight in range too).
     key_ones, weight = np.divmod(np.arange((n + 1) * bins), bins)
     key_weights = np.array([weight, (weight + n - 2 * key_ones) % bins])
-    table = table[split:]
-    for array in (base, table, high, steps, key_weights):
+    for array in (base, table, period, high, steps, key_weights):
         array.flags.writeable = False  # shared by every kernel built from the cache
     hi_steps = tuple(itertools.accumulate(hi_only, operator.xor))
-    return base, table, high, hi_only, steps, hi_steps, key_weights
+    return base, table, period, high, hi_only, steps, hi_steps, key_weights
 
 
 # A one-block kernel (n <= k) costs about as much to build as to sweep, so the
@@ -220,12 +240,15 @@ class _Kernel:
     w + n - 2p. The tables are built by ``_tables``; those of the last
     one-block kernel are kept (see ``_one_block_tables``).
 
-    Each bit falls in one of three classes, read off the unit triangles: set
-    by some low unit only (lo-only), by some high unit only (hi-only), or by
-    both (mixed). The lo-only weight plus bins * |lo| of every lane is
-    tabulated once in ``base``; the hi-only weight plus bins * |hi| is one
-    number per block; only the k(n-k) mixed bits go through the XOR table,
-    packed densely into the uint64 word rows of ``table``.
+    Each bit falls in one of four classes, read off the unit triangles and
+    the columns: set by some low unit only (lo-only), by some high unit only
+    (hi-only), or by both (mixed), and mixed bits in the first c* = 64 // l
+    columns or in the others (periodic). The lo-only weight plus bins * |lo|
+    of every lane is tabulated once in ``base``; the hi-only weight plus
+    bins * |hi| is one number per block; the mixed bits of lane j's first c*
+    columns are one uint64 word, ``table[j]``, and its periodic bits, which
+    read only j's low t bits, are the words of ``period[:, j mod 2^t]``. For
+    k(n-k) <= 64, c* = k and t = 0: the periodic table has no word.
     """
 
     def __init__(self, n: int) -> None:
@@ -234,8 +257,9 @@ class _Kernel:
         self.l = n - k
         self.pairs = 1 << max(self.l - 1, 0)
         self.bins = n * (n + 1) // 2 + 1
-        (self.base, self.table, self._high, self._hi_only, self._steps, self._hi_steps,
-         self.key_weights) = (_one_block_tables if n == k else _tables)(n, k)
+        (self.base, self.table, self.period, self._high, self._hi_only, self._steps,
+         self._hi_steps, self.key_weights) = (_one_block_tables if n == k else _tables)(n, k)
+        self.t = self.period.shape[1].bit_length() - 1
 
     def cover(self, hi: int) -> tuple[int, int]:
         """(a, b): lanes [0, a) of block ``hi`` count twice, lanes [a, b)
@@ -270,12 +294,13 @@ class _Kernel:
     def _highs(self, start: int, stop: int):
         """Yield (blocks, words, consts) for pairs start..stop-1, ascending.
         The rows are block hi' and, if l > 0, its partner hi' ^ (2^l - 1);
-        words[w, r, 0] is word w of T(hi << k) on the mixed bits of row r,
+        words[w, r, 0] is word w of T(hi << k) on the mixed bits of row r
+        (word 0 matches ``table``, words 1.. the rows of ``period``),
         consts[r, 0] its uint16 hi-only weight plus bins * |hi|. Both arrays
         are updated in place."""
         l, bins = self.l, self.bins
         rows = 2 if l else 1
-        words = np.zeros((len(self.table), rows, 1), dtype=np.uint64)
+        words = np.zeros((self._high.shape[1], rows, 1), dtype=np.uint64)
         consts = np.zeros((rows, 1), dtype=np.uint16)
         mixed = words[:, 0, 0]
         only = 0
@@ -302,18 +327,33 @@ class _Kernel:
         keys is a (rows, b) uint16 array, row r holding the keys of lanes
         0..b-1 of block blocks[r], with (a, b) = ``cover(blocks[r])``.
         The keys array is a view of one buffer, overwritten by the next pair."""
+        t, period = self.t, self.period
         shape = (2 if self.l else 1, self.base.size)
         acc = np.empty(shape, dtype=np.uint16)
         buf = np.empty(shape, dtype=np.uint64)
         count = np.empty(shape, dtype=np.uint8)
+        # lane j at [j >> t, j mod 2^t]: whole periods of 2^t lanes
+        base_folded, folded = self.base.reshape(-1, 1 << t), acc.reshape(shape[0], -1, 1 << t)
+        period_xor = np.empty((len(period), shape[0], 1 << t), dtype=np.uint64)
+        period_count = np.empty(period_xor.shape, dtype=np.uint8)
+        period_sum = np.empty((shape[0], 1 << t), dtype=np.uint16)
         for his, words, consts in self._highs(start, stop):
             a, b = self.cover(his[0])
+            # the periodic weight plus the block's constant, once per block at
+            # lanes j < min(2^t, b), then added to the base over whole periods
+            # and the ragged tail
+            p, whole = min(b, 1 << t), b >> t
+            np.bitwise_xor(period[:, None, :p], words[1:], out=period_xor[..., :p])
+            np.bitwise_count(period_xor[..., :p], out=period_count[..., :p])
+            once = period_count[..., :p].sum(axis=0, dtype=np.uint16, out=period_sum[:, :p])
+            once += consts
+            # p = 2^t if there is a whole period
+            np.add(base_folded[:whole, :p], once[:, None], out=folded[:, :whole, :p])
+            np.add(self.base[whole << t:b], once[:, :b - (whole << t)], out=acc[:, whole << t:b])
             key, xor, cnt = acc[:, :b], buf[:, :b], count[:, :b]
-            np.add(self.base[:b], consts, out=key)
-            for row, word in zip(self.table, words):
-                np.bitwise_xor(row[:b], word, out=xor)
-                np.bitwise_count(xor, out=cnt)
-                key += cnt
+            np.bitwise_xor(self.table[:b], words[0], out=xor)
+            np.bitwise_count(xor, out=cnt)
+            key += cnt
             yield his, a, key
 
 

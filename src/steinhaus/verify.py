@@ -15,10 +15,11 @@ and W_m and W_{m-1} are ``data.high[0]`` and ``data.high[1]``. Every size
 reads them, and its exact-weight slices, from the split-and-bound search
 ``ends.ladder_ends``, which weighs a few thousand generators where a sweep
 weighs 2^n. The small-n ladder (n <= 4), against the bundled table that
-``predicted_level`` serves there, and the stored top-level summary, which
-needs the height m, read whole ladders from it; the three-row bound reads
-the window DP ``three_row_max``. No check sweeps all 2^n generators: the
-tests check the search against the sweep. The ``_timed`` decorator stamps
+``predicted_level`` serves there, reads whole ladders from it; the stored
+top-level summary, which needs the height m at n <= 9, counts the distinct
+weights of all 2^n generators; the three-row bound reads the window DP
+``three_row_max``. No check builds the sweep kernel: the tests check the
+search against the sweep. The ``_timed`` decorator stamps
 each check's wall time on the record it returns.
 """
 
@@ -30,8 +31,10 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
+import numpy as np
+
 from .bitseq import BitSeq
-from .ends import LadderEnds, ladder_ends
+from .ends import LadderEnds, _weights, ladder_ends
 from .families import (
     FamilyName,
     UncoveredLevelError,
@@ -341,8 +344,7 @@ def _golden_weight_slice(n: int, data: LadderEnds) -> CheckRecord:
 @_timed
 def _golden_top(n: int, data: LadderEnds) -> CheckRecord:
     m_exp, w_exp, count_exp = _top_summary_fixture()[n]
-    # m from the whole ladder; the search for ``data`` checked this size's ceiling
-    m = len(ladder_ends(n, n * (n + 1) // 2, 0, cap=1, force=True).low) - 1
+    m = len(np.unique(_weights(np.arange(1 << n), n))) - 1  # every generator, n <= 9
     second = data.high[1]
     observed_triple = (m, second.weight, second.count)
     if observed_triple != (m_exp, w_exp, count_exp):

@@ -220,9 +220,11 @@ class TestLanePrimitives:
     def test_sampled_blocks_beyond_32_bits(self, n, rng):
         kernel = _Kernel(n)
         half = 1 << (kernel.k - 1)  # only lanes with x_0 = 0 are tabulated
-        words = -(-kernel.k * (n - kernel.k) // 64)  # only the mixed bits are tabulated
-        assert kernel.table.shape == (words, half)
-        assert kernel._steps.shape == (n - kernel.k, words)
+        # one word of mixed bits per lane, and the rest at 2^t lanes
+        words = -(-kernel.t * (n - kernel.k) // 64)
+        assert kernel.table.shape == (half,)
+        assert kernel.period.shape == (words, 1 << kernel.t)
+        assert kernel._steps.shape == (n - kernel.k, 1 + words)
         starts = [0, kernel.pairs - 3] + [rng.randrange(kernel.pairs - 2) for _ in range(3)]
         for start in starts:
             for his, a, keys in kernel.keys(start, start + 3):  # also steps between pairs
@@ -300,8 +302,8 @@ class TestMirrorCover:
         for n in range(1, 41):
             k = _block_width(n)
             assert k <= n <= 2 * k, n
-            if n <= 32:
-                assert k == min(n, 16)
+            if n <= 34:
+                assert k == min(n, 17)
 
 
 class TestKernelSplit:
@@ -316,14 +318,16 @@ class TestKernelSplit:
     def test_base_is_the_low_half_weight(self, rng):
         kernel = _Kernel(20)
         k = kernel.k
-        assert k == 16 and kernel.base.dtype == np.uint16
+        assert k == 17 and kernel.base.dtype == np.uint16
         assert kernel.base.shape == (1 << (k - 1),)
         for j in self.lanes(1 << (k - 1), rng):
             lo = BitSeq(k, lane_value(k, 0, j))
             assert int(kernel.base[j]) == triangle_weight(lo) + kernel.bins * lo.weight
 
     @pytest.mark.parametrize("n", [17, 20, 24])
-    def test_block_scalar_is_the_high_half_weight(self, n):
+    def test_block_scalar_is_the_high_half_weight(self, monkeypatch, n):
+        # at least one high bit, so that blocks come in pairs (k = 16 at n = 17)
+        monkeypatch.setattr(spectrum_mod, "_BLOCK_BITS", min(spectrum_mod._BLOCK_BITS, n - 1))
         kernel = _Kernel(n)
         k, bins = kernel.k, kernel.bins
         for start in {0, 1, max(kernel.pairs // 2 - 1, 0)}:
@@ -341,7 +345,8 @@ class TestKernelSplit:
     def test_sampled_lanes_match_the_scalar_weight(self, n, rng):
         kernel = _Kernel(n)
         k = kernel.k
-        assert kernel.table.shape == (-(-k * (n - k) // 64), 1 << (k - 1))
+        # k(n - k) <= 64 mixed bits: all in the lane's word, and no periodic table
+        assert kernel.table.shape == (1 << (k - 1),) and kernel.period.shape == (0, 1)
         for his, _, keys in kernel.keys(0, kernel.pairs):
             for hi, row in zip(his, keys):  # both blocks of the pair
                 for j in self.lanes(row.size, rng):
@@ -350,14 +355,18 @@ class TestKernelSplit:
 
     def test_small_sizes_are_the_base_alone(self):
         kernel = _Kernel(12)
-        assert kernel.table.shape == (0, 1 << 11)
+        # no mixed bits: the lane's word is zero and the periodic table empty
+        assert kernel.table.shape == (1 << 11,) and not kernel.table.any()
+        assert kernel.period.shape == (0, 1)
         # one block, no partner, each lane counted once (for itself and its complement)
         (his, a, keys), = kernel.keys(0, 1)
         assert (his, a) == ((0,), 0) and np.array_equal(keys, kernel.base[None])
         assert not np.shares_memory(keys, kernel.base)
 
-    # SHA-256 of repr(full_spectrum(n).counts), recorded from the one-table
-    # kernel that tabulated every packed bit; several 2^16-lane blocks each.
+    # SHA-256 of repr(full_spectrum(n).counts), recorded for n <= 22 from the
+    # one-table kernel that tabulated every packed bit, and for n >= 23 from
+    # the kernel that tabulated every mixed bit per lane in 2^16-lane blocks.
+    # One 2^17-lane block at n = 17, several from n = 18 on.
     GOLDEN = {
         17: "c3ada221a6cc70b54815b0f45f4c86c74806625901a938635846725b12237314",
         18: "c7c0863ca51829a6ebdb66a45e34b3b72674237d14006fa6cf9862dd77b9cd7e",
@@ -365,12 +374,75 @@ class TestKernelSplit:
         20: "9a2198b0a7f7cafcc58f2daa4cff5408186a89a9fd41df1fad0bfbc327648ae8",
         21: "60dee6cf3a9f70afb828b078fb51af6cdb913095de88764373399db46b397c15",
         22: "f5f763fa42cfb181f37f9f84b75ae7b88baa4c9041f8837f4367068955254656",
+        23: "3043d75bc42d45a31338b6cdca7aaa51eeda7dd598d4f876f6ead0601988d699",
+        24: "14a65f17ab815f5beca2609df7175d82227d6224ea2f83aba7d722815561d9dc",
+        25: "e39e31f68fec0e398a5abd41d152fb28b7e0d20508bddd5ccc809024f073c3c7",
+        26: "8cabf6335a6af87d86dae73f983d704b3591f3ea21b914b72de11ee162bbf44d",
     }
 
     @pytest.mark.parametrize("n", sorted(GOLDEN))
     def test_multi_block_spectra_pinned(self, n):
         counts = full_spectrum(n).counts
         assert hashlib.sha256(repr(counts).encode()).hexdigest() == self.GOLDEN[n]
+
+
+class TestPeriodicColumns:
+    """Each column c < k of mixed bits holds l = n - k of them and reads only
+    x_c..x_{k-1} of the low half. The first c* = 64 // l columns fill one word
+    per lane; the rest read only the low t = k - c* bits of lane j, so their
+    weight is taken once per block at lanes j < min(2^t, b) and read at
+    j mod 2^t: over whole periods, then a ragged tail."""
+
+    def test_one_table_word_per_lane(self):
+        for n in range(17, 41):
+            kernel = _Kernel(n)
+            k, l, t = kernel.k, kernel.l, kernel.t
+            assert kernel.table.shape == (1 << (k - 1),) and kernel.table.dtype == np.uint64
+            assert t == k - min(k, 64 // max(l, 1))
+            assert kernel.period.shape == (-(-t * l // 64), 1 << t)
+            # every mixed bit is set by a high unit: c* l in the lane's word, t l periodic
+            bits = np.bitwise_count(np.bitwise_or.reduce(kernel._high, axis=0)).tolist()
+            assert bits[0] == (k - t) * l <= 64 and sum(bits) == k * l, n
+
+    @staticmethod
+    def check_pair(kernel, hi, rng):
+        """Both blocks of pair ``hi`` against the scalar oracle, at the ends of
+        the first period, of the whole periods and of the ragged tail, and at
+        a few lanes drawn at random."""
+        n, k, period = kernel.n, kernel.k, 1 << kernel.t
+        (his, a, keys), = kernel.keys(hi, hi + 1)
+        b = keys.shape[1]
+        assert (a, b) == kernel.cover(hi)
+        tail = b - b % period
+        lanes = {0, min(b, period) - 1, tail - 1, tail, b - 1}
+        lanes |= {rng.randrange(b) for _ in range(6)}
+        for block, row in zip(his, keys):
+            for j in sorted(lanes & set(range(b))):
+                x = BitSeq(n, lane_value(k, block, j))
+                assert int(row[j]) == triangle_weight(x) + kernel.bins * x.weight, (n, block, j)
+
+    @pytest.mark.parametrize("n", range(21, 27))
+    def test_periodic_lanes_match_the_scalar_weight(self, n, rng):
+        kernel = _Kernel(n)
+        period = 1 << kernel.t
+        sizes = [kernel.cover(hi)[1] for hi in range(kernel.pairs)]
+        short = [hi for hi, b in enumerate(sizes) if b < period]
+        ragged = [hi for hi, b in enumerate(sizes) if b > period and b % period]
+        # 2^(2k-n) lanes per pair step: below a period only at n = 26 (k = 17)
+        assert bool(short) == bool(ragged) == (n == 26)
+        for hi in {0, 1, *short[:3], *ragged[:3], kernel.pairs - 1}:
+            self.check_pair(kernel, hi, rng)
+
+    def test_short_blocks_read_the_period(self, monkeypatch, rng):
+        # 2^9-lane blocks at n = 18: t = 2, and pair hi' evaluates b = hi' + 1 lanes
+        monkeypatch.setattr(spectrum_mod, "_BLOCK_BITS", 9)
+        kernel = _Kernel(18)
+        assert (kernel.k, kernel.t) == (9, 2)
+        assert [kernel.cover(hi) for hi in range(256)] == [(hi, hi + 1) for hi in range(256)]
+        for hi in range(kernel.pairs):
+            self.check_pair(kernel, hi, rng)
+        counts = full_spectrum(18).counts
+        assert hashlib.sha256(repr(counts).encode()).hexdigest() == TestKernelSplit.GOLDEN[18]
 
 
 class TestLevelSets:
@@ -631,7 +703,7 @@ class TestDeterminism:
         assert full_spectrum(14, workers=3) == big  # threaded, 2048 blocks
 
     def test_thread_plan_is_clamped(self):
-        assert _Kernel(26).pairs == 1 << 9  # the unit of work is a pair of blocks
+        assert _Kernel(26).pairs == 1 << 8  # the unit of work is a pair of blocks
         parts, threads = _plan(26, 1 << 10, 100000)
         assert len(parts) == 1 << 10
         assert parts[0] == (0, 32) and parts[-1] == (1023, 1024)
