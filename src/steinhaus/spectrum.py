@@ -643,6 +643,19 @@ def symmetry_reduced_spectrum(n: int, *, workers: int | None = None,
     return WeightSpectrum(n, tuple(hist.tolist()))
 
 
+def _three_row_gain(i: int, s: int, x: int) -> int:  # what x_i = x adds after state s
+    return x + (s & 1 ^ x) + (s >> 1 ^ x if i > 1 else 0)
+
+
+def _three_row_pass(n: int) -> list[dict[int, int]]:
+    """The forward pass of ``three_row_max``, whose max is best[-1]'s."""
+    best = [{0: 0, 1: 1}]  # x_0 alone
+    for i in range(1, n):
+        best.append({t: max(w + _three_row_gain(i, s, t & 1) for s, w in best[-1].items()
+                            if s & 1 == t >> 1) for t in range(4)})
+    return best
+
+
 def three_row_max(n: int, *, force: bool = False) -> tuple[int, list[int]]:
     """Exact max of s3, the weight of the top three rows, over all 2^n
     generators, and the packed generators attaining it, ascending.
@@ -653,20 +666,13 @@ def three_row_max(n: int, *, force: bool = False) -> tuple[int, list[int]]:
     along every predecessor that attains it lists each optimal generator once.
     """
     _check_size(n, force)
-
-    def gain(i: int, s: int, x: int) -> int:  # what x_i = x adds after state s
-        return x + (s & 1 ^ x) + (s >> 1 ^ x if i > 1 else 0)
-
-    best = [{0: 0, 1: 1}]  # x_0 alone
-    for i in range(1, n):
-        best.append({t: max(w + gain(i, s, t & 1) for s, w in best[-1].items() if s & 1 == t >> 1)
-                     for t in range(4)})
+    best = _three_row_pass(n)
     top = max(best[-1].values())
     # (state at i, packed x_i..x_{n-1}) of each optimal generator
     paths = [(s, (s & 1) << (n - 1)) for s, w in best[-1].items() if w == top]
     for i in range(n - 1, 0, -1):
         paths = [(p, v | (p & 1) << (i - 1)) for s, v in paths for p in (s >> 1, 2 | s >> 1)
-                 if best[i - 1].get(p, -4) + gain(i, p, s & 1) == best[i][s]]
+                 if best[i - 1].get(p, -4) + _three_row_gain(i, p, s & 1) == best[i][s]]
     return top, sorted(v for _, v in paths)
 
 

@@ -12,15 +12,16 @@ a check, the sizes it applies to, its skip reason, how it runs on the size's
 one set of ladder ends and any exact weight it reads there. Checks read levels
 by their offset from an end of the ladder: W_1..W_3 are ``data.low[1..3]``,
 and W_m and W_{m-1} are ``data.high[0]`` and ``data.high[1]``. Every size
-reads them, and its exact-weight slices, from the split-and-bound search
-``ends.ladder_ends``, which weighs a few thousand generators where a sweep
+reads them, and its exact-weight slices, from the prefix search
+``ends.ladder_ends``, which keeps a few thousand prefixes where a sweep
 weighs 2^n. The small-n ladder (n <= 4), against the bundled table that
 ``predicted_level`` serves there, reads whole ladders from it; the stored
 top-level summary, which needs the height m at n <= 9, counts the distinct
-weights of all 2^n generators; the three-row bound reads the window DP
-``three_row_max``. No check builds the sweep kernel: the tests check the
-search against the sweep. The ``_timed`` decorator stamps
-each check's wall time on the record it returns.
+weights of all 2^n generators; the three-row bound reads the max from the
+forward pass of the window DP, and its generators from ``three_row_max``
+only where it reads them (n = 4, 5 or a failure's witness). No check builds
+the sweep kernel: the tests check the search against the sweep. The
+``_timed`` decorator stamps each check's wall time on the record it returns.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bitseq import BitSeq
-from .ends import LadderEnds, _weights, ladder_ends
+from .ends import LadderEnds, ladder_ends
 from .families import (
     FamilyName,
     UncoveredLevelError,
@@ -51,6 +52,7 @@ from .spectrum import (
     WeightSlice,
     _check_size,
     _resolve_workers,
+    _three_row_pass,
     enumeration_ceiling,
     three_row_max,
 )
@@ -137,6 +139,16 @@ def _top_summary_fixture() -> dict[int, tuple[int, int, int]]:
 
 def _golden_slice(n: int) -> tuple[int, frozenset[BitSeq]]:
     return _level_fixture("weight_slice_floor_3n_over_2.txt")[(n, "-")]
+
+
+def _weights(x: np.ndarray, n: int) -> np.ndarray:
+    """Triangle weight of each packed generator of length n in ``x``, by n row steps."""
+    x = x.astype(np.uint64)
+    w = np.zeros(x.shape, dtype=np.int64)
+    for m in range(n - 1, -1, -1):
+        w += np.bitwise_count(x)
+        x = (x ^ x >> np.uint64(1)) & np.uint64((1 << m) - 1)
+    return w
 
 
 def _timed(check):
@@ -282,16 +294,17 @@ def verify_s3(n: int, *, ceiling: int = S3_CEILING) -> CheckRecord:
     """
     if not 4 <= n <= ceiling:
         return CheckRecord("s3-bound", n, "skipped", f"checked for 4 <= n <= {ceiling}")
-    best, arg = three_row_max(n, force=True)
+    _check_size(n, force=True)  # the engine limit, as ``three_row_max`` applies it
+    best = max(_three_row_pass(n)[-1].values())  # the members are listed only where read
     bound = 2 * n - 2
     if best > bound:
         return CheckRecord("s3-bound", n, "fail",
                            f"max three-row weight {best} exceeds {bound}",
-                           Witness(BitSeq(n, arg[0]), best, bound))
+                           Witness(BitSeq(n, three_row_max(n, force=True)[1][0]), best, bound))
     detail = f"max three-row weight {best} <= {bound}"
     if n in _S3_EQUALITY:
         expected = frozenset(BitSeq.from_string(s) for s in _S3_EQUALITY[n])
-        observed = frozenset(BitSeq(n, v) for v in arg)
+        observed = frozenset(BitSeq(n, v) for v in three_row_max(n, force=True)[1])
         if best != bound or observed != expected:
             diff = sorted(observed ^ expected, key=str)[0]
             return CheckRecord(

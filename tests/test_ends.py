@@ -1,3 +1,4 @@
+import importlib.util
 from functools import cache
 
 import numpy as np
@@ -13,7 +14,7 @@ from steinhaus import (
     triangle_weight,
 )
 from steinhaus import ends as ends_mod
-from steinhaus.ends import _split_bound, _split_search, _thresholds, mix_bound
+from steinhaus.ends import _split_bound, _thresholds, mix_bound
 from steinhaus.families import _fixture_rows
 
 
@@ -29,26 +30,34 @@ def assert_same_ends(got: LadderEnds, sweep):
             [(s.weight, s.count, s.members, s.truncated) for s in exhaustive]
 
 
+def row_step_weights(values, n):
+    """Triangle weight of each packed generator of length n, by vectorised row steps."""
+    values = np.asarray(values, dtype=np.uint64)
+    w = np.zeros(len(values), dtype=np.int64)
+    for m in range(n, 0, -1):
+        w += np.bitwise_count(values)
+        values = (values ^ values >> np.uint64(1)) & np.uint64((1 << (m - 1)) - 1)
+    return w
+
+
 def mixed_max(k, l):
     """M(k, l) by brute force: the largest weight(x) - A[lo] - B[hi] over all
-    generators of length k + l, with weights from vectorised row steps."""
-    def weights(values, n):
-        w = np.zeros(len(values), dtype=np.int64)
-        for m in range(n, 0, -1):
-            w += np.bitwise_count(values)
-            values = (values ^ values >> np.uint64(1)) & np.uint64((1 << (m - 1)) - 1)
-        return w
-
+    generators of length k + l."""
     x = np.arange(1 << (k + l), dtype=np.uint64)
     lo, hi = x & np.uint64((1 << k) - 1), x >> np.uint64(k)
-    return int((weights(x, k + l) - weights(lo, k) - weights(hi, l)).max())
+    return int((row_step_weights(x, k + l) - row_step_weights(lo, k)
+                - row_step_weights(hi, l)).max())
 
 
-def pair_weights(n):
-    """A and B of the default split at length n, by the scalar weight."""
-    k = n // 2
-    return ([triangle_weight(BitSeq(k, v)) for v in range(1 << k)],
-            [triangle_weight(BitSeq(n - k, v)) for v in range(1 << (n - k))])
+def prefixes_passing(n, passes):
+    """How many prefixes of lengths 1..n pass ``passes(k, A)`` with every
+    shorter prefix of theirs, where A is the prefix's own triangle weight."""
+    alive, total = np.ones(1, dtype=bool), 0
+    for k in range(1, n + 1):
+        values = np.arange(1 << k, dtype=np.uint64)
+        alive = np.tile(alive, 2) & passes(k, row_step_weights(values, k))
+        total += int(alive.sum())
+    return total
 
 
 class TestAgainstTheSweep:
@@ -58,8 +67,15 @@ class TestAgainstTheSweep:
 
     @pytest.mark.parametrize("n", range(4, 23))
     def test_another_split_in_small_blocks(self, n, monkeypatch):
-        monkeypatch.setattr(ends_mod, "_CANDIDATE_BLOCK", 64)
-        assert_same_ends(_split_search(n, n // 3, 3, 2, 1 << n), swept(n))
+        # Looser bounds prune less but must find the same ends: M past 4 x 4
+        # from the splits, and every open entry of T(x_k..x_{n-1}) counted as one.
+        monkeypatch.setattr(ends_mod, "_EXACT_MIX", 4)
+        monkeypatch.setattr(ends_mod, "_top_weight", lambda l: l * (l + 1) // 2)
+        mix_bound.cache_clear()
+        try:
+            assert_same_ends(ladder_ends(n, 3, 2, cap=1 << n), swept(n))
+        finally:
+            mix_bound.cache_clear()
 
     @pytest.mark.parametrize("n", range(12, 17))
     def test_with_the_bound_in_place_of_the_table(self, n, monkeypatch):
@@ -143,14 +159,40 @@ class TestAgainstTheSweep:
 
 class TestCandidates:
     @pytest.mark.parametrize("n", [16, 17])
-    def test_every_pair_that_passes_is_weighed_once(self, n, monkeypatch):
+    def test_every_pair_that_passes_is_weighed_once(self, n):
         # One round at each end: the first thresholds hold enough levels here.
-        monkeypatch.setattr(ends_mod, "_CANDIDATE_BLOCK", 100)
-        a, b = pair_weights(n)
-        sums = np.add.outer(a, b)
-        top = -(-n * n // 3) - mix_bound(n // 2, n - n // 2)
-        expected = (int((sums <= 2 * n - 3).sum()), int((sums >= top).sum()))
+        # A prefix of length k has l = n - k entries of x left; W_m(l) is
+        # Harborth's ceil(l(l+1)/3).
+        top = -(-n * n // 3)
+        expected = (
+            prefixes_passing(n, lambda k, a: a <= 2 * n - 3),
+            prefixes_passing(n, lambda k, a: a + -(-(n - k) * (n - k + 1) // 3)
+                             + mix_bound(k, n - k) >= top))
         assert ladder_ends(n, 3, 2).weighed == expected
+
+
+class TestTopWeights:
+    def test_each_comes_from_a_top_search_and_is_harborths(self, monkeypatch):
+        monkeypatch.setattr(ends_mod, "_TOP_WEIGHT", {})
+        searched = {}
+        search = ends_mod._end
+
+        def recorded(n, top, *args):
+            result = search(n, top, *args)
+            if top:
+                searched[n] = result[0][0].weight
+            return result
+
+        monkeypatch.setattr(ends_mod, "_end", recorded)
+        ladder_ends(24, 0, 1)
+        assert ends_mod._TOP_WEIGHT == searched
+        assert searched == {l: -(-l * (l + 1) // 3) for l in range(1, 25)}
+
+    def test_none_is_known_before_a_search(self):
+        spec = importlib.util.find_spec("steinhaus.ends")
+        fresh = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(fresh)
+        assert fresh._TOP_WEIGHT == {}
 
 
 class TestMixedGridBound:

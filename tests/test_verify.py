@@ -181,6 +181,7 @@ class TestVerifyAll:
             raise AssertionError("verify_all swept before checking the engine limit")
 
         monkeypatch.setattr(verify_mod, "three_row_max", no_sweep)
+        monkeypatch.setattr(verify_mod, "_three_row_pass", no_sweep)
         monkeypatch.setattr(verify_mod, "ladder_ends", no_sweep)
         with pytest.raises(CeilingExceeded, match="engine limit of 40"):
             verify_all(39, 41, force=True)
