@@ -1,25 +1,24 @@
 """Both ends of the weight ladder by a prefix search, without a 2^n sweep.
 
 Entry (r, c) of the triangle depends on x_c..x_{c+r} only, so fixing x_0..x_j
-fixes the prefix's own triangle, every entry with c + r <= j. The search fixes
-one bit at a time. A prefix carries its packed bits, A, the weight fixed so
-far, and its last diagonal D, whose bit r is entry (r, j - r). The difference
-recurrence gives the next diagonal, over j + 2 bits, as
-D' = (x_{j+1} ? ones : 0) ^ (P(D) << 1), where bit r of P(D), taken by
-shift-XOR steps, is the XOR of bits 0..r of D. The frontier is numpy arrays:
-every prefix is extended by both bits at once, then filtered.
+fixes every entry with c + r <= j. The search fixes one bit at a time on a
+frontier of two numpy arrays, (D, A): A is the weight fixed so far and D the
+last diagonal, whose bit r is entry (r, j - r) and which determines the prefix.
+The next diagonal, over j + 2 bits, is D' = (x_{j+1} ? ones : 0) ^ (P(D) << 1),
+where bit r of P(D), taken by shift-XOR steps, is the XOR of bits 0..r of D.
+After the last bit, D is rot_r(x), of the same weight; each level and slice is
+closed under rot_r, so its members, count and least values are read off D.
 
 A prefix of length k leaves open the triangle of x_k..x_{n-1}, l = n - k long,
 of weight at most W_m(l), and the k*l mixed entries (c < k <= c + r), which
 fill a k x l grid under the same recurrence and weigh at most M(k, l). So
-each prefix of a generator of weight >= t has A + W_m(l) + M(k, l) >= t, and
-each prefix of one of weight <= t has A <= t. Each end of the ladder is
-searched alone, keeping the prefixes that pass its test. Once the generators
-found hold enough distinct weights they are the ladder's end levels, with
-every member; otherwise t moves inward by 1, 2, 4, ... and the search runs
-again. The top starts at t = ceil(n^2/3), the bottom at t = 2n - 3 or the
-largest exact weight asked for: guesses that cost time when wrong, never
-exactness.
+each prefix of a generator of weight >= t has A + W_m(l) + M(k, l) >= t. A
+nonzero D makes a nonzero D' for either bit, so each of the l diagonals left
+holds a one, and each prefix of one of weight <= t has A + l*[D != 0] <= t.
+Each end is searched alone; t moves inward by 1, 2, 4, ... until the
+generators found hold enough distinct weights to be its levels. The top starts
+at t = ceil(n^2/3), the bottom at 2n - 3 or the largest exact weight asked
+for: guesses that cost time when wrong, never exactness.
 
 W_m(l) is never assumed: it comes from an exact top search at size l, which
 needs only smaller sizes, and every top search records its own, so a run over
@@ -29,9 +28,9 @@ Past it the search uses the bound M(a + b, l) <= M(a, l) + M(b, l), and the
 same in l: the grid's columns c >= a are the mixed grid of x_a..x_{n-1}, and
 its columns c < a form an a x l grid under the same recurrence, which can
 weigh no more than M(a, l). So the search is exact by construction at every
-size the engine takes (n <= 40). Every level it returns is weighed again
-member by member by the scalar ``triangle_weight`` and, unless capped, must
-be closed under ``rot_r`` and ``invert_i``, which generate the symmetry group.
+size it takes, n <= 64, the bits of D. Every level it returns is weighed
+again member by member by the scalar ``triangle_weight`` and, unless capped,
+must be closed under ``rot_r`` and ``invert_i``, which generate the group.
 """
 
 from __future__ import annotations
@@ -48,6 +47,7 @@ from .triangle import triangle_weight
 
 _EXACT_MIX = 12  # the bundled table holds M(k, l) for 1 <= k, l <= 12
 _TOP_WEIGHT: dict[int, int] = {}  # W_m by size, each recorded by a top search
+SEARCH_LIMIT = 64  # the bits of a uint64 diagonal
 
 
 class LadderEnds(NamedTuple):
@@ -107,9 +107,9 @@ def _thresholds(t: int, floor: int) -> list[int]:
 
 
 def _search(n: int, t: int, top: bool) -> tuple[np.ndarray, np.ndarray, int]:
-    """The packed generators of weight >= t (top) or <= t (bottom), their
-    weights, and the prefixes kept on the way."""
-    x = d = np.zeros(1, np.uint64)  # packed prefix, last diagonal
+    """The last diagonals rot_r(x) of the generators x of weight >= t (top)
+    or <= t (bottom), their weights, and the prefixes kept on the way."""
+    d = np.zeros(1, np.uint64)  # last diagonal
     a = np.zeros(1, np.int64)  # weight fixed so far
     kept = 0
     for j in range(n):
@@ -117,13 +117,13 @@ def _search(n: int, t: int, top: bool) -> tuple[np.ndarray, np.ndarray, int]:
         for i in range((j - 1).bit_length()):  # P(D) over the j bits of D
             d = d ^ d << np.uint64(1 << i)
         d = d << np.uint64(1) & ones
-        x, d = np.concatenate((x, x | np.uint64(1 << j))), np.concatenate((d, d ^ ones))
+        d = np.concatenate((d, d ^ ones))
         a = np.concatenate((a, a)) + np.bitwise_count(d)
         l = n - j - 1
-        keep = a + _top_weight(l) + mix_bound(j + 1, l) >= t if top else a <= t
-        x, d, a = x[keep], d[keep], a[keep]
-        kept += len(x)
-    return x, a, kept
+        keep = a + _top_weight(l) + mix_bound(j + 1, l) >= t if top else a + l * (d != 0) <= t
+        d, a = d[keep], a[keep]
+        kept += len(d)
+    return d, a, kept
 
 
 def _end(n: int, top: bool, t: int, levels: int, cap: int,
@@ -140,13 +140,13 @@ def _end(n: int, top: bool, t: int, levels: int, cap: int,
     sign = 1 if top else -1
     kept = 0
     for t in _thresholds(sign * t, 0 if top else -(n * (n + 1) // 2)):
-        x, w, count = _search(n, sign * t, top)
+        d, w, count = _search(n, sign * t, top)
         kept += count
         found = np.unique(w)
         if len(found) >= levels:
             break
-    return ([_level(n, int(wt), x[w == wt], cap) for wt in found[::-sign][:levels]],
-            {wt: _level(n, wt, x[w == wt], cap) for wt in weights}, kept)
+    return ([_level(n, int(wt), d[w == wt], cap) for wt in found[::-sign][:levels]],
+            {wt: _level(n, wt, d[w == wt], cap) for wt in weights}, kept)
 
 
 def ladder_ends(n: int, low: int, high: int, *, weights=(), cap: int = DEFAULT_MEMBER_CAP,
@@ -158,13 +158,13 @@ def ladder_ends(n: int, low: int, high: int, *, weights=(), cap: int = DEFAULT_M
     generators. A weight costs what a bottom end reaching it costs.
 
     Members are the first ``cap`` in packed order. Sizes are checked against
-    the enumeration ceiling and the engine limit as for a sweep.
+    the enumeration ceiling as for a sweep, and against ``SEARCH_LIMIT``.
     """
     if low < 0 or high < 0:
         raise ValueError("level counts must be nonnegative")
     if cap < 0:
         raise ValueError("member cap must be nonnegative")
-    _check_size(n, force)
+    _check_size(n, force, limit=SEARCH_LIMIT)
     weights = sorted(set(weights))
     if weights and not 0 <= weights[0] <= weights[-1] <= n * (n + 1) // 2:
         raise ValueError(f"weights {weights} are not all possible for size {n}")

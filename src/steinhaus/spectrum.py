@@ -104,11 +104,11 @@ def enumeration_ceiling() -> int:
     return ceiling
 
 
-def _check_size(n: int, force: bool) -> None:
+def _check_size(n: int, force: bool, limit: int = _HARD_LIMIT) -> None:
     if n < 1:
         raise ValueError("enumeration needs n >= 1")
-    if n > _HARD_LIMIT:
-        raise CeilingExceeded(f"n={n} exceeds the engine limit of {_HARD_LIMIT}")
+    if n > limit:
+        raise CeilingExceeded(f"n={n} exceeds the engine limit of {limit}")
     ceiling = enumeration_ceiling()
     if n > ceiling and not force:
         raise CeilingExceeded(

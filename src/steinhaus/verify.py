@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bitseq import BitSeq
-from .ends import LadderEnds, ladder_ends
+from .ends import SEARCH_LIMIT, LadderEnds, ladder_ends
 from .families import (
     FamilyName,
     UncoveredLevelError,
@@ -493,7 +493,7 @@ def verify_all(n_min: int, n_max: int, *, workers: int | None = None,
     ceiling = enumeration_ceiling()
     if n_max > ceiling and not force:
         raise CeilingExceeded(f"n_max={n_max} exceeds the enumeration ceiling {ceiling}")
-    _check_size(n_max, force=True)  # the engine limit, before any search
+    _check_size(n_max, force=True, limit=SEARCH_LIMIT)  # before any search
     records = verify_small_n()
     for n in range(n_min, n_max + 1):
         records.extend(_per_n_records(n, force))

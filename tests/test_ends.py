@@ -1,5 +1,6 @@
 import importlib.util
 from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,8 +146,8 @@ class TestAgainstTheSweep:
             ladder_ends(10, 3, 2, cap=-1)
         with pytest.raises(CeilingExceeded, match="enumeration ceiling"):
             ladder_ends(31, 3, 2)
-        with pytest.raises(CeilingExceeded, match="engine limit of 40"):
-            ladder_ends(41, 3, 2, force=True)
+        with pytest.raises(CeilingExceeded, match="engine limit of 64"):
+            ladder_ends(65, 3, 2, force=True)
 
     def test_past_the_sweep_matches_the_predictions(self):
         got = ladder_ends(26, 3, 2)
@@ -157,15 +158,49 @@ class TestAgainstTheSweep:
                 (prediction.value, prediction.member_set), token
 
 
+class TestSearch:
+    @pytest.mark.parametrize("n", [1, 2, 7, 12])
+    def test_every_threshold_keeps_exactly_the_generators_past_it(self, n):
+        # at every t, not only those ladder_ends starts from: below n - 1 the
+        # bottom bound must still keep 0...0, whose open entries are all zero
+        values = np.arange(1 << n, dtype=np.uint64)
+        weights = row_step_weights(values, n)
+        for t in range(n * (n + 1) // 2 + 1):
+            for top in (False, True):
+                d, a, _ = ends_mod._search(n, t, top)
+                past = values[weights >= t if top else weights <= t]
+                assert sorted(d.tolist()) == past.tolist(), (t, top)
+                assert (a == weights[d.astype(np.int64)]).all(), (t, top)
+
+
+class TestPastTheSweep:
+    def test_top_levels_match_the_fixture_and_the_predictions(self):
+        # rows: n, then weight, count and least member of level m and of m-1
+        text = (Path(__file__).parent / "fixtures" / "ladder_top_31_64.txt").read_text()
+        rows = [line.split() for line in text.splitlines() if not line.startswith("#")]
+        assert [int(row[0]) for row in rows] == list(range(31, 65))
+        for n, *levels in rows:
+            n = int(n)
+            want = [(int(w), int(c), least) for w, c, least in (levels[:3], levels[3:])]
+            got = ladder_ends(n, 0, 2, cap=1, force=True)
+            assert [(s.weight, s.count, str(s.members[0])) for s in got.high] == want, n
+            for token, row in zip(("m", "m-1"), want):
+                prediction = predicted_level(token, n)
+                least = min(prediction.member_set, key=lambda y: y.bits)
+                assert (prediction.value, len(prediction.member_set), str(least)) == row, \
+                    (n, token)
+
+
 class TestCandidates:
     @pytest.mark.parametrize("n", [16, 17])
     def test_every_pair_that_passes_is_weighed_once(self, n):
         # One round at each end: the first thresholds hold enough levels here.
-        # A prefix of length k has l = n - k entries of x left; W_m(l) is
+        # A prefix of length k has l = n - k entries of x left, so a nonzero
+        # one (A > 0) has a one in each of l diagonals to come; W_m(l) is
         # Harborth's ceil(l(l+1)/3).
         top = -(-n * n // 3)
         expected = (
-            prefixes_passing(n, lambda k, a: a <= 2 * n - 3),
+            prefixes_passing(n, lambda k, a: a + (n - k) * (a > 0) <= 2 * n - 3),
             prefixes_passing(n, lambda k, a: a + -(-(n - k) * (n - k + 1) // 3)
                              + mix_bound(k, n - k) >= top))
         assert ladder_ends(n, 3, 2).weighed == expected
@@ -215,7 +250,7 @@ class TestMixedGridBound:
                     assert _split_bound(k, l) >= mix_bound(k, l), (k, l)
 
     def test_bound_covers_every_split_of_the_engine(self):
-        for n in range(2, 41):
+        for n in range(2, ends_mod.SEARCH_LIMIT + 1):
             for k in range(n + 1):
                 bound = mix_bound(k, n - k)
                 assert 0 <= bound <= k * (n - k)

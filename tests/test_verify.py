@@ -183,12 +183,12 @@ class TestVerifyAll:
         monkeypatch.setattr(verify_mod, "three_row_max", no_sweep)
         monkeypatch.setattr(verify_mod, "_three_row_pass", no_sweep)
         monkeypatch.setattr(verify_mod, "ladder_ends", no_sweep)
-        with pytest.raises(CeilingExceeded, match="engine limit of 40"):
-            verify_all(39, 41, force=True)
-        code = cli.main(["verify", "--from", "39", "--to", "41", "--force"])
+        with pytest.raises(CeilingExceeded, match="engine limit of 64"):
+            verify_all(63, 65, force=True)
+        code = cli.main(["verify", "--from", "63", "--to", "65", "--force"])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert "engine limit of 40" in captured.err
+        assert "engine limit of 64" in captured.err
 
     def test_golden_rows_present(self):
         report = verify_all(4, 9)
