@@ -38,25 +38,27 @@ prefix [0, b) of its lanes in both blocks: lanes [0, a) count twice, for
 pairing, once. That needs n <= 2k, so past n = 34 a block spans half the
 generator, rounded up (see ``_block_width``).
 
-One sweep gives both the histogram and the members of chosen weights. Each
-pair's ``bincount`` of its keys adds to running key counts, one for lanes
-that count twice and one for lanes that count once; the weights seen grow
-only when a key appears for the first time, and only then does a rule name
-the weights wanted (the few smallest and largest weights seen, plus any fixed
-weights). Only pairs holding a key of a wanted weight are scanned for its
-lanes. A lane gives its generator and its complement and, if it counts
-twice, the reversal and its complement, each to the weight it has; per
-weight the ``cap`` least packed values are kept to bound memory. Pair hi'
-evaluates about hi' + 1 lanes' worth, so work splits into contiguous ranges
-of pairs of about equal work (one per worker, run on at most one thread per
-available core). Ranges merge by adding key counts and folding them into
-the weight histogram once, a key (w, p) adding its count at w and at
-w + n - 2p, then applying the rule again and keeping the ``cap`` least
-members, so results are identical for any worker count or block width.
-Every sweep checks that the histogram totals 2^n, which also checks the
-multiplicities, and that the members scanned at each collected weight match
-its count. ``three_row_max`` needs no sweep: it is a max-plus pass over the
-states (x_{i-1}, x_i) and a backtrack.
+One sweep gives the histogram; the members of chosen weights take a second
+pass over only the pairs that can hold them. Each pair's ``bincount`` of its
+keys adds to running key counts, one for lanes that count twice and one for
+lanes that count once; when members are asked for, the sweep also keeps each
+pair's least and greatest weight, over its keys' weights and their
+complements'. Pair hi' evaluates about hi' + 1 lanes' worth, so work splits
+into contiguous ranges of pairs of about equal work (one per worker, run on
+at most one thread per available core). Ranges merge by adding key counts
+and folding them into the weight histogram once, a key (w, p) adding its
+count at w and at w + n - 2p. The weights wanted are then read off that
+exact histogram once: the few smallest and largest, plus any fixed weights.
+The second pass keys again, over the same ranges, the pairs whose weight
+range [least, greatest] spans a wanted weight, and scans them for its lanes.
+A lane gives its generator and its complement and, if it counts twice, the
+reversal and its complement, each to the weight it has; per weight the
+``cap`` least packed values are kept to bound memory, so results are
+identical for any worker count or block width. Every sweep checks that the
+histogram totals 2^n, which also checks the multiplicities, and that the
+members scanned at each collected weight match its count. ``three_row_max``
+needs no sweep: it is a max-plus pass over the states (x_{i-1}, x_i) and a
+backtrack.
 """
 from __future__ import annotations
 
@@ -67,7 +69,6 @@ import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -377,111 +378,66 @@ class _Images:
         return self.table[:, j:j + size] ^ high[:, None]
 
 
-class _Wanted(NamedTuple):
-    """Weights a sweep collects members of, read off a histogram: the
-    ``smallest`` least and the ``largest`` greatest weights that occur in it,
-    plus every weight marked in ``fixed``."""
-
-    smallest: int
-    largest: int
-    fixed: np.ndarray  # bool per weight 0..n(n+1)/2
-
-    def any(self) -> bool:
-        return bool(self.smallest or self.largest or self.fixed.any())
-
-    def of(self, hist: np.ndarray) -> np.ndarray:
-        wanted = self.fixed.copy()
-        if self.smallest or self.largest:
-            seen = np.flatnonzero(hist)
-            wanted[seen[:self.smallest]] = True
-            wanted[seen[max(len(seen) - self.largest, 0):]] = True
-        return wanted
-
-    def watched(self, hist: np.ndarray) -> np.ndarray:
-        """The weights that would change ``of`` if they came to occur in
-        ``hist``: those that do not yet and lie below its ``smallest`` least
-        or above its ``largest`` greatest weight."""
-        seen = np.flatnonzero(hist)
-        watched = np.zeros(len(hist), dtype=bool)
-        if self.smallest:  # below the least ``smallest`` seen, or all if fewer are
-            watched[:seen[self.smallest - 1] if len(seen) >= self.smallest else None] = True
-        if self.largest:
-            watched[seen[-self.largest] + 1 if len(seen) >= self.largest else 0:] = True
-        return watched & (hist == 0)
-
-
-def _sweep_range(kernel: _Kernel, start: int, stop: int, rule: _Wanted, cap: int):
+def _sweep_range(kernel: _Kernel, start: int, stop: int, ends: bool):
     """Key counts of pairs [start, stop), of lanes that count twice and of
-    lanes that count once, and for each weight the rule still wants after the
-    last pair: its ``cap`` least members and their count.
-
-    A lane with key (w, p) stands for its generator z, of weight w, and the
-    complement ~z, of weight w + n - 2p; if it counts twice (see
-    ``_Kernel.cover``), also for rev z and ~rev z, of the same two weights.
-    Scanned, it gives each of those whose weight is wanted as a member. The
-    weights seen so far only grow, and the rule's answer changes only when a
-    key of a weight the rule has ``watched`` appears; only such keys are
-    looked for, and the rule is read again only when one appears. The other
-    weights seen never reach the rule, which does not need them. A weight the
-    rule wants at the end was wanted since the first pair that held it, and
-    one it drops never comes back. Lanes are scanned only in pairs that hold a
-    wanted key.
-    """
+    lanes that count once, and, if ``ends``, each pair's least and greatest
+    weight over the generators its lanes stand for (row 0 the least, row 1
+    the greatest, a column per pair)."""
     size = (kernel.n + 1) * kernel.bins
     counts = np.zeros((2, size), dtype=np.int64)  # of lanes that count twice, and once
-    found: dict[int, tuple[list[int], int]] = {}
-    collect = rule.any()
-    if collect:
-        weights = np.zeros(len(rule.fixed), dtype=bool)  # seen; at least those at the ends
-        watch = np.arange(size)  # keys whose appearance can change the rule
-        targets = np.zeros(0, dtype=np.intp)  # keys of wanted weights
-    w, wc = kernel.key_weights
-    full = (1 << kernel.n) - 1
+    bounds = np.zeros((2, stop - start), dtype=np.int64)
     for his, a, keys in kernel.keys(start, stop):
         pair = [np.bincount(lanes.ravel(), minlength=size)
                 for lanes in (keys[:, :a], keys[:, a:])]
         counts += pair
-        if not collect:
-            continue
-        if any(h[watch].any() for h in pair):  # read the rule again
-            fresh = np.concatenate([watch[h[watch] > 0] for h in pair])
-            weights[w[fresh]] = weights[wc[fresh]] = True
-            wanted = rule.of(weights)
-            hits = wanted.nonzero()[0]
-            wanted_keys = wanted[w] | wanted[wc]
-            targets = wanted_keys.nonzero()[0]
-            for wt in [wt for wt in found if not wanted[wt]]:
-                del found[wt]
-            watched = rule.watched(weights)
-            watch = np.flatnonzero(watched[w] | watched[wc])
-        if not any(h[targets].any() for h in pair):
-            continue
-        rows, lanes = np.divmod(np.flatnonzero(wanted_keys[keys]), keys.shape[1])
-        blocks = np.array(his)[rows]
-        z = kernel.packed(blocks, lanes)
-        lane_keys = keys[rows, lanes]
-        values, value_w = [z, z ^ full], [w[lane_keys], wc[lane_keys]]
-        if a:  # and the reversals, which no block evaluates
-            two = lanes < a
-            r = kernel.mirrored(blocks[two], lanes[two])
-            values += [r, r ^ full]
-            value_w += [value_w[0][two], value_w[1][two]]
-        values, value_w = np.concatenate(values), np.concatenate(value_w)
-        # One sort by weight, then value, per pair however many weights are
-        # wanted; it puts each weight's least members first.
-        order = np.lexsort((values, value_w))
-        values, value_w = values[order], value_w[order]
-        starts = np.searchsorted(value_w, hits, side="left").tolist()
-        stops = np.searchsorted(value_w, hits, side="right").tolist()
-        for wt, s, e in zip(hits.tolist(), starts, stops):
-            if s == e:
-                continue
-            kept, count = found.get(wt, ([], 0))
-            kept += values[s:min(e, s + cap)].tolist()
-            if len(kept) > cap:
-                kept = sorted(kept)[:cap]
-            found[wt] = (kept, count + e - s)
-    return counts[0], counts[1], found
+        if ends:  # a key gives its lane's weight and its complement's
+            weights = kernel.key_weights[:, np.flatnonzero(pair[0] + pair[1])]
+            bounds[:, his[0] - start] = weights.min(), weights.max()
+    return counts, bounds
+
+
+def _collect_range(kernel: _Kernel, start: int, stop: int, chosen: np.ndarray,
+                   wanted: np.ndarray, cap: int) -> dict[int, tuple[list[int], int]]:
+    """For each ``wanted`` weight, the ``cap`` least members, and the count,
+    of the generators the ``chosen`` pairs in [start, stop) stand for.
+
+    A lane with key (w, p) stands for its generator z, of weight w, and the
+    complement ~z, of weight w + n - 2p; if it counts twice (see
+    ``_Kernel.cover``), also for rev z and ~rev z, of the same two weights.
+    """
+    w, wc = kernel.key_weights
+    wanted_keys = wanted[w] | wanted[wc]
+    hits = np.flatnonzero(wanted)
+    full = (1 << kernel.n) - 1
+    found: dict[int, tuple[list[int], int]] = {}
+    for pair in (np.flatnonzero(chosen[start:stop]) + start).tolist():
+        for his, a, keys in kernel.keys(pair, pair + 1):
+            rows, lanes = np.divmod(np.flatnonzero(wanted_keys[keys]), keys.shape[1])
+            blocks = np.array(his)[rows]
+            z = kernel.packed(blocks, lanes)
+            lane_keys = keys[rows, lanes]
+            values, value_w = [z, z ^ full], [w[lane_keys], wc[lane_keys]]
+            if a:  # and the reversals, which no block evaluates
+                two = lanes < a
+                r = kernel.mirrored(blocks[two], lanes[two])
+                values += [r, r ^ full]
+                value_w += [value_w[0][two], value_w[1][two]]
+            values, value_w = np.concatenate(values), np.concatenate(value_w)
+            # One sort by weight, then value, per pair however many weights are
+            # wanted; it puts each weight's least members first.
+            order = np.lexsort((values, value_w))
+            values, value_w = values[order], value_w[order]
+            starts = np.searchsorted(value_w, hits, side="left").tolist()
+            stops = np.searchsorted(value_w, hits, side="right").tolist()
+            for wt, s, e in zip(hits.tolist(), starts, stops):
+                if s == e:
+                    continue
+                kept, count = found.get(wt, ([], 0))
+                kept += values[s:min(e, s + cap)].tolist()
+                if len(kept) > cap:
+                    kept = sorted(kept)[:cap]
+                found[wt] = (kept, count + e - s)
+    return found
 
 
 def _reduced_hist_range(kernel: _Kernel, start: int, stop: int, images: _Images) -> np.ndarray:
@@ -678,7 +634,8 @@ def three_row_max(n: int, *, force: bool = False) -> tuple[int, list[int]]:
 
 @dataclass(frozen=True)
 class LevelSweep:
-    """What one enumeration of all 2^n generators found (see ``level_sets``)."""
+    """What one enumeration of all 2^n generators, and a rescan of the pairs
+    holding wanted weights, found (see ``level_sets``)."""
 
     spectrum: WeightSpectrum
     low: list[LevelSet]  # W_0, W_1, ... upward
@@ -689,7 +646,9 @@ class LevelSweep:
 def level_sets(n: int, low: int, high: int, *, weights=(),
                cap: int = DEFAULT_MEMBER_CAP, workers: int | None = None,
                force: bool = False) -> LevelSweep:
-    """Histogram, both ends of the ladder and exact-weight slices in one sweep.
+    """Histogram, both ends of the ladder and exact-weight slices: one sweep
+    for the histogram, then one pass over only the pairs that can hold a
+    wanted weight.
 
     ``low`` asks for W_0 .. W_low (none if 0), ``high`` for the ``high``
     levels from W_m down; both are clamped to the ladder, whose height is
@@ -706,17 +665,29 @@ def level_sets(n: int, low: int, high: int, *, weights=(),
     for w in targets:
         if not 0 <= w <= top:
             raise ValueError(f"weight {w} impossible for size {n}")
-    fixed = np.zeros(top + 1, dtype=bool)
-    fixed[targets] = True
-    rule, kernel = _Wanted(low + 1 if low else 0, high, fixed), _Kernel(n)
-    parts = _run(kernel, workers, _sweep_range, rule, cap)
-    hist = _merge_hist(kernel, [(twice, once) for twice, once, _ in parts])
+    kernel, collect = _Kernel(n), bool(low or high or targets)
+    parts = _run(kernel, workers, _sweep_range, collect)
+    hist = _merge_hist(kernel, [counts for counts, _ in parts])
     spectrum = WeightSpectrum(n, tuple(hist.tolist()))
-    slices: dict[int, WeightSlice] = {}  # per weight the rule wants, ``cap`` least members
-    for wt in np.flatnonzero(rule.of(hist)).tolist():
+    if not collect:
+        return LevelSweep(spectrum, [], [], {})
+    # the weights wanted, read off the exact histogram: W_0 .. W_low, the
+    # ``high`` greatest and the fixed ones
+    seen = np.flatnonzero(hist)
+    wanted = np.zeros(top + 1, dtype=bool)
+    wanted[targets] = True
+    wanted[seen[:low + 1 if low else 0]] = True
+    wanted[seen[max(len(seen) - high, 0):]] = True
+    hits = np.flatnonzero(wanted)
+    # a pair is keyed again only if some wanted weight lies in its [least, greatest]
+    least, greatest = np.concatenate([bounds for _, bounds in parts], axis=1)
+    chosen = np.searchsorted(hits, least) < np.searchsorted(hits, greatest, side="right")
+    found = _run(kernel, workers, _collect_range, chosen, wanted, cap)
+    slices: dict[int, WeightSlice] = {}  # per wanted weight, its ``cap`` least members
+    for wt in hits.tolist():
         values: list[int] = []
         count = 0
-        for _, _, part in parts:
+        for part in found:
             kept, scanned = part.get(wt, ((), 0))
             values += kept
             count += scanned
@@ -726,7 +697,7 @@ def level_sets(n: int, low: int, high: int, *, weights=(),
                              f"{int(hist[wt])} counted")
         values = sorted(values)[:cap]
         slices[wt] = WeightSlice(n, wt, _to_seqs(n, values), count, count > len(values))
-    levels = spectrum.levels  # a property that rebuilds the tuple on each access
+    levels = seen.tolist()
     m = len(levels) - 1
     return LevelSweep(
         spectrum,
@@ -760,20 +731,22 @@ def _checked_sweep(n: int, low: int, high: int, cap: int, workers: int | None,
 
 def level_sets_low(n: int, k: int, *, cap: int = DEFAULT_MEMBER_CAP,
                    workers: int | None = None, force: bool = False) -> list[LevelSet]:
-    """Level sets W_0 .. W_k with members, from one sweep."""
+    """Level sets W_0 .. W_k with members, from one sweep and a rescan (see ``level_sets``)."""
     return _checked_sweep(n, k, 0, cap, workers, force).low
 
 
 def level_sets_high(n: int, k: int, *, cap: int = DEFAULT_MEMBER_CAP,
                     workers: int | None = None, force: bool = False) -> list[LevelSet]:
-    """Level sets W_m, W_{m-1}, ... down k levels, with members, from one sweep."""
+    """Level sets W_m, W_{m-1}, ... down k levels, with members, from one sweep
+    and a rescan (see ``level_sets``)."""
     return _checked_sweep(n, 0, k, cap, workers, force).high
 
 
 def members_at_weights(n: int, weights, *, cap: int = DEFAULT_MEMBER_CAP,
                        workers: int | None = None,
                        force: bool = False) -> dict[int, WeightSlice]:
-    """One sweep returning the generators at each requested weight."""
+    """The generators at each requested weight, from one sweep and a rescan
+    (see ``level_sets``)."""
     return level_sets(n, 0, 0, weights=weights, cap=cap, workers=workers,
                       force=force).slices
 

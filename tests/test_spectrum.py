@@ -614,16 +614,56 @@ class TestOneSweep:
                 call()
 
     def test_missed_block_breaks_member_count(self, monkeypatch):
-        wanted = spectrum_mod._Wanted.of
-        calls = []
+        keys, calls = _Kernel.keys, []
 
-        def blind_first_block(self, hist):  # as if a wanted weight dropped out and came back
-            calls.append(None)
-            return wanted(self, hist) & (len(calls) > 1)
+        def skip_first_rescanned(self, start, stop):  # the second pass drops its first pair
+            calls.append((start, stop))
+            return iter(()) if len(calls) == 2 else keys(self, start, stop)
 
-        monkeypatch.setattr(spectrum_mod._Wanted, "of", blind_first_block)
+        monkeypatch.setattr(_Kernel, "keys", skip_first_rescanned)
         with pytest.raises(ValueError, match="member scan disagrees with the histogram"):
             level_sets(6, 3, 2, workers=1)
+        assert calls == [(0, 1), (0, 1)]  # one block: the sweep, then the rescan
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_rescan_keys_the_pairs_holding_wanted_weights(self, monkeypatch, workers):
+        keys, keyed = _Kernel.keys, Counter()
+
+        def count_pairs(self, start, stop):
+            for his, a, row_keys in keys(self, start, stop):
+                keyed[his[0]] += 1
+                yield his, a, row_keys
+
+        # 8-lane blocks: 4 pairs at n = 6, 32 at n = 12
+        monkeypatch.setattr(spectrum_mod, "_BLOCK_BITS", 3)
+        monkeypatch.setattr(_Kernel, "keys", count_pairs)
+        for n in range(6, 13):
+            ws, kernel, full = scalar_weights(n), _Kernel(n), (1 << n) - 1
+            levels = sorted(set(ws))
+            held = []  # per pair, the weights of the generators its lanes stand for
+            for pair in range(kernel.pairs):
+                weights = set()
+                for hi in (pair, pair ^ ((1 << kernel.l) - 1)):
+                    a, b = kernel.cover(hi)
+                    for j in range(b):
+                        z = BitSeq(n, lane_value(kernel.k, hi, j))
+                        for y in (z, tau(z))[:2 if j < a else 1]:
+                            weights |= {ws[y.bits], ws[y.bits ^ full]}
+                held.append(weights)
+            absent = next(w for w in range(n * (n + 1) // 2 + 1) if w not in levels)
+            for low, high, fixed in ((3, 2, ()), (0, 1, ()), (1, 0, ()), (5, 4, ()),
+                                     (0, 0, (levels[len(levels) // 2], absent)),
+                                     (2, 1, (levels[3],))):
+                wanted = set(levels[:low + 1] if low else ()) | set(levels[len(levels) - high:])
+                holding = {p for p, weights in enumerate(held) if weights & (wanted | set(fixed))}
+                keyed.clear()
+                level_sets(n, low, high, weights=fixed, workers=workers)
+                assert set(keyed.values()) <= {1, 2} and len(keyed) == kernel.pairs
+                rekeyed = {p for p, times in keyed.items() if times == 2}
+                if fixed:  # a pair's weight range may span a fixed weight it lacks
+                    assert rekeyed >= holding, (n, low, high, fixed)
+                else:
+                    assert rekeyed == holding, (n, low, high)
 
 
 class TestThreeRowMax:
