@@ -39,18 +39,22 @@ pairing, once. That needs n <= 2k, so past n = 34 a block spans half the
 generator, rounded up (see ``_block_width``).
 
 One sweep gives the histogram; the members of chosen weights take a second
-pass over only the pairs that can hold them. Each pair's ``bincount`` of its
-keys adds to running key counts, one for lanes that count twice and one for
-lanes that count once; when members are asked for, the sweep also keeps each
-pair's least and greatest weight, over its keys' weights and their
-complements'. Pair hi' evaluates about hi' + 1 lanes' worth, so work splits
+pass over only the pairs that can hold them. The kernel writes a pair's keys
+as one contiguous intp array over its XOR buffer, once the popcount has read
+it, so they are counted where they lie: the lanes that count once are moved
+past the (n + 1) * bins keys of lanes that count twice, and one ``bincount``
+per pair adds to the running key counts of both. When members are asked for,
+the sweep also keeps each pair's least and greatest weight, the least and
+greatest of the two weights of the keys it holds (a key's weight and its
+complement's). Pair hi' evaluates about hi' + 1 lanes' worth, so work splits
 into contiguous ranges of pairs of about equal work (one per worker, run on
 at most one thread per available core). Ranges merge by adding key counts
 and folding them into the weight histogram once, a key (w, p) adding its
 count at w and at w + n - 2p. The weights wanted are then read off that
 exact histogram once: the few smallest and largest, plus any fixed weights.
 The second pass keys again, over the same ranges, the pairs whose weight
-range [least, greatest] spans a wanted weight, and scans them for its lanes.
+range [least, greatest] spans a wanted weight, one ``keys`` call per run of
+consecutive such pairs, and scans them for its lanes.
 A lane gives its generator and its complement and, if it counts twice, the
 reversal and its complement, each to the weight it has; per weight the
 ``cap`` least packed values are kept to bound memory, so results are
@@ -235,11 +239,13 @@ class _Kernel:
     names, both blocks in one (2, b) array.
 
     A lane's key is its weight w plus ``bins`` times its ones count p, with
-    bins = n(n+1)/2 + 1, so a key stays below (n + 1) * bins <= 33661 and fits
-    uint16 for every n <= 40. Column key of ``key_weights`` holds both
-    weights a key gives: the lane's generator's, w, and its complement's,
-    w + n - 2p. The tables are built by ``_tables``; those of the last
-    one-block kernel are kept (see ``_one_block_tables``).
+    bins = n(n+1)/2 + 1, so a key stays below (n + 1) * bins <= 33661: its
+    parts are summed in uint16 for every n <= 40, and the last add writes it
+    as intp, which ``bincount`` reads without a copy. Column key of
+    ``key_weights`` holds both weights a key gives: the lane's generator's,
+    w, and its complement's, w + n - 2p. The tables are built by
+    ``_tables``; those of the last one-block kernel are kept (see
+    ``_one_block_tables``).
 
     Each bit falls in one of four classes, read off the unit triangles and
     the columns: set by some low unit only (lo-only), by some high unit only
@@ -325,13 +331,14 @@ class _Kernel:
 
     def keys(self, start: int, stop: int):
         """Yield (blocks, a, keys) for pairs start..stop-1, ascending:
-        keys is a (rows, b) uint16 array, row r holding the keys of lanes
-        0..b-1 of block blocks[r], with (a, b) = ``cover(blocks[r])``.
-        The keys array is a view of one buffer, overwritten by the next pair."""
+        keys is a contiguous (rows, b) intp array, row r holding the keys of
+        lanes 0..b-1 of block blocks[r], with (a, b) = ``cover(blocks[r])``.
+        It is the pair's XOR buffer, which the last add overwrites once the
+        popcount has read it; the next pair overwrites it again."""
         t, period = self.t, self.period
         shape = (2 if self.l else 1, self.base.size)
         acc = np.empty(shape, dtype=np.uint16)
-        buf = np.empty(shape, dtype=np.uint64)
+        buf = np.empty(shape[0] * shape[1], dtype=np.uint64)
         count = np.empty(shape, dtype=np.uint8)
         # lane j at [j >> t, j mod 2^t]: whole periods of 2^t lanes
         base_folded, folded = self.base.reshape(-1, 1 << t), acc.reshape(shape[0], -1, 1 << t)
@@ -351,10 +358,11 @@ class _Kernel:
             # p = 2^t if there is a whole period
             np.add(base_folded[:whole, :p], once[:, None], out=folded[:, :whole, :p])
             np.add(self.base[whole << t:b], once[:, :b - (whole << t)], out=acc[:, whole << t:b])
-            key, xor, cnt = acc[:, :b], buf[:, :b], count[:, :b]
+            xor, cnt = buf[:shape[0] * b].reshape(shape[0], b), count[:, :b]
             np.bitwise_xor(self.table[:b], words[0], out=xor)
             np.bitwise_count(xor, out=cnt)
-            key += cnt
+            key = xor.view(np.int64)  # intp on 64-bit platforms
+            np.add(acc[:, :b], cnt, out=key)
             yield his, a, key
 
 
@@ -384,16 +392,18 @@ def _sweep_range(kernel: _Kernel, start: int, stop: int, ends: bool):
     weight over the generators its lanes stand for (row 0 the least, row 1
     the greatest, a column per pair)."""
     size = (kernel.n + 1) * kernel.bins
-    counts = np.zeros((2, size), dtype=np.int64)  # of lanes that count twice, and once
+    counts = np.zeros(2 * size, dtype=np.int64)  # of lanes that count twice, then once
     bounds = np.zeros((2, stop - start), dtype=np.int64)
+    # a key gives its lane's weight and its complement's
+    least, greatest = kernel.key_weights.min(axis=0), kernel.key_weights.max(axis=0)
     for his, a, keys in kernel.keys(start, stop):
-        pair = [np.bincount(lanes.ravel(), minlength=size)
-                for lanes in (keys[:, :a], keys[:, a:])]
+        keys[:, a:] += size  # lanes that count once, counted past the others
+        pair = np.bincount(keys.reshape(-1), minlength=2 * size)
         counts += pair
-        if ends:  # a key gives its lane's weight and its complement's
-            weights = kernel.key_weights[:, np.flatnonzero(pair[0] + pair[1])]
-            bounds[:, his[0] - start] = weights.min(), weights.max()
-    return counts, bounds
+        if ends:
+            held = (pair[:size] | pair[size:]) != 0
+            bounds[:, his[0] - start] = least[held].min(), greatest[held].max()
+    return counts.reshape(2, size), bounds
 
 
 def _collect_range(kernel: _Kernel, start: int, stop: int, chosen: np.ndarray,
@@ -410,8 +420,11 @@ def _collect_range(kernel: _Kernel, start: int, stop: int, chosen: np.ndarray,
     hits = np.flatnonzero(wanted)
     full = (1 << kernel.n) - 1
     found: dict[int, tuple[list[int], int]] = {}
-    for pair in (np.flatnonzero(chosen[start:stop]) + start).tolist():
-        for his, a, keys in kernel.keys(pair, pair + 1):
+    # runs [first, last) of consecutive chosen pairs, each keyed by one call
+    edges = (np.flatnonzero(np.diff(chosen[start:stop], prepend=False, append=False))
+             + start).tolist()
+    for first, last in zip(edges[::2], edges[1::2]):
+        for his, a, keys in kernel.keys(first, last):
             rows, lanes = np.divmod(np.flatnonzero(wanted_keys[keys]), keys.shape[1])
             blocks = np.array(his)[rows]
             z = kernel.packed(blocks, lanes)
@@ -437,6 +450,7 @@ def _collect_range(kernel: _Kernel, start: int, stop: int, chosen: np.ndarray,
                 if len(kept) > cap:
                     kept = sorted(kept)[:cap]
                 found[wt] = (kept, count + e - s)
+        keys = None  # the keys view holds the run's buffers; free them before the next run
     return found
 
 

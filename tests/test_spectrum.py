@@ -666,6 +666,103 @@ class TestOneSweep:
                     assert rekeyed == holding, (n, low, high)
 
 
+class TestFoldedCounts:
+    """A pair's keys are counted by one ``bincount``: lanes that count once are
+    keyed past the (n + 1) * bins keys of lanes that count twice."""
+
+    @staticmethod
+    def expected(kernel):
+        """(twice, once) key counts of every pair, and each pair's [least,
+        greatest] weight over the generators its lanes stand for, from
+        ``cover`` and the scalar weights of each lane and its complement."""
+        n, bins = kernel.n, kernel.bins
+        counts = np.zeros((2, (n + 1) * bins), dtype=np.int64)
+        bounds = []
+        for pair in range(kernel.pairs):
+            weights = []
+            for hi in (pair, pair ^ ((1 << kernel.l) - 1))[:2 if kernel.l else 1]:
+                a, b = kernel.cover(hi)
+                for j in range(b):
+                    x = BitSeq(n, lane_value(kernel.k, hi, j))
+                    w = triangle_weight(x)
+                    counts[0 if j < a else 1, w + bins * x.weight] += 1
+                    weights += [w, triangle_weight(x ^ BitSeq.ones(n))]
+            bounds.append((min(weights), max(weights)))
+        return counts, np.array(bounds).T
+
+    # (block bits, n, lanes in a tie): one block with every lane a tie, n = 2k
+    # with one tie lane per block, and 2k - n = 2 and 3
+    @pytest.mark.parametrize("block_bits, n, tie", [(8, 7, None), (3, 6, 1), (4, 8, 1),
+                                                    (5, 8, 4), (6, 9, 8)])
+    def test_rows_and_bounds_match_the_scalar_weight(self, monkeypatch, block_bits, n, tie):
+        monkeypatch.setattr(spectrum_mod, "_BLOCK_BITS", block_bits)
+        kernel = _Kernel(n)
+        covers = [kernel.cover(hi) for hi in range(1 << kernel.l)]
+        if tie is None:  # n <= k: every lane counts once
+            assert kernel.l == 0 and covers == [(0, 1 << (n - 1))]
+        else:
+            assert {b - a for a, b in covers} == {tie} and any(a for a, _ in covers)
+        counts, bounds = self.expected(kernel)
+        for parts in ([(0, kernel.pairs)], _plan(n, kernel.pairs, 3)[0]):
+            got = [spectrum_mod._sweep_range(kernel, start, stop, True) for start, stop in parts]
+            assert np.array_equal(sum(c for c, _ in got), counts)
+            assert np.array_equal(np.concatenate([b for _, b in got], axis=1), bounds)
+        # without bounds the counts are the same
+        got, _ = spectrum_mod._sweep_range(kernel, 0, kernel.pairs, False)
+        assert np.array_equal(got, counts)
+
+
+class TestRescanRuns:
+    """The rescan keys each run of consecutive chosen pairs, cut at the range
+    edges, with one ``_Kernel.keys`` call."""
+
+    @staticmethod
+    def merged(parts, cap):
+        out = {}
+        for found in parts:
+            for wt, (kept, count) in found.items():
+                values, total = out.get(wt, ([], 0))
+                out[wt] = (sorted(values + kept)[:cap], total + count)
+        return out
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_every_chosen_pair_is_keyed_once(self, monkeypatch, workers):
+        # 16 pairs of 32-lane blocks at n = 10; ranges [0, 11) [11, 16) at two
+        # workers and [0, 9) [9, 13) [13, 16) at three
+        monkeypatch.setattr(spectrum_mod, "_BLOCK_BITS", 3)
+        n, cap = 10, 3
+        kernel = _Kernel(n)
+        assert kernel.pairs == 16
+        picked = [0, 1, 2, 5, 7, 8, 9, 10, 11, 12, 15]
+        chosen = np.zeros(kernel.pairs, dtype=bool)
+        chosen[picked] = True
+        wanted = np.ones(kernel.bins, dtype=bool)
+        parts, _ = _plan(n, kernel.pairs, workers)
+        runs = []  # maximal runs of chosen pairs within each range
+        for start, stop in parts:
+            for p in range(start, stop):
+                if chosen[p] and (p == start or not chosen[p - 1]):
+                    runs.append([p, p + 1])
+                elif chosen[p]:
+                    runs[-1][1] = p + 1
+        keys, calls, keyed = _Kernel.keys, [], Counter()
+
+        def recorded(self, start, stop):
+            calls.append([start, stop])
+            for his, a, row_keys in keys(self, start, stop):
+                keyed[his[0]] += 1
+                yield his, a, row_keys
+
+        one = [spectrum_mod._collect_range(kernel, p, p + 1, chosen, wanted, cap)
+               for p in picked]  # a call per pair, as the oracle
+        monkeypatch.setattr(_Kernel, "keys", recorded)
+        found = spectrum_mod._run(kernel, workers, spectrum_mod._collect_range,
+                                  chosen, wanted, cap)
+        assert keyed == Counter(picked)
+        assert calls == runs
+        assert self.merged(found, cap) == self.merged(one, cap)
+
+
 class TestThreeRowMax:
     @pytest.mark.parametrize("block_bits", [16, 3])
     def test_matches_scalar_oracle(self, monkeypatch, block_bits):

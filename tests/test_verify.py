@@ -1,4 +1,5 @@
 import inspect
+import time
 from collections import Counter
 
 import pytest
@@ -274,6 +275,19 @@ class TestTimedChecks:
     def test_records_from_the_ladder_carry_their_time(self):
         ran = [r for r in verify_all(9, 11).records if r.status != "skipped"]
         assert ran and all(r.elapsed > 0 for r in ran)
+
+    def test_records_carry_the_shared_search(self, monkeypatch):
+        search = verify_mod.ladder_ends
+
+        def slow(*args, **kwargs):
+            time.sleep(0.05)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(verify_mod, "ladder_ends", slow)
+        records = [r for r in verify_all(9, 9).records if r.n == 9]
+        # the checks at n = 9 take a few ms: only the search's 50 ms reaches this
+        assert sum(r.elapsed for r in records) >= 0.05
+        assert max(r.elapsed for r in records) >= 0.05  # charged to one record
 
     @pytest.mark.parametrize("check", [verify_level, verify_small_n, verify_ek,
                                        verify_family_weights, verify_s3, check_conjecture])
