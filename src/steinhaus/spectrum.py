@@ -17,8 +17,9 @@ Generators come in blocks of lanes, one block per high half: the block's
 weights are the lo-only weights plus the hi-only weight plus one XOR and
 popcount of the lane's word against the matching word of T(hi << k), plus
 the periodic weight, taken at 2^t lanes and added over the block's whole
-periods and its ragged tail. T(hi << k) is updated from the previous block,
-so the tables hold one word and one uint16 per lane of a block for every n.
+periods and its ragged tail. T(hi << k) is the previous block's XOR the
+high units set in hi ^ prev, so blocks come in any ascending order and the
+tables hold one word and one uint16 per lane of a block for every n.
 
 Two symmetries cut the lanes to about 2^(n-2). T(1^n) is the top row alone,
 so T(~x) differs from T(x) in row 0 only, and weight(~x) = weight(x) + n -
@@ -53,8 +54,7 @@ and folding them into the weight histogram once, a key (w, p) adding its
 count at w and at w + n - 2p. The weights wanted are then read off that
 exact histogram once: the few smallest and largest, plus any fixed weights.
 The second pass keys again, over the same ranges, the pairs whose weight
-range [least, greatest] spans a wanted weight, one ``keys`` call per run of
-consecutive such pairs, and scans them for its lanes.
+range [least, greatest] spans a wanted weight, and scans them for its lanes.
 A lane gives its generator and its complement and, if it counts twice, the
 reversal and its complement, each to the weight it has; per weight the
 ``cap`` least packed values are kept to bound memory, so results are
@@ -67,7 +67,6 @@ backtrack.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 import os
@@ -205,19 +204,17 @@ def _tables(n: int, k: int):
     period = _span(spread[:k - periodic_from, split + 1:])
     high = rows[k - 1:, split:]
     hi_only = tuple(t & hi & ~lo for t in units[k:])
-    # hi ^ (hi - 1) has exactly bits 0..ctz(hi) set, so by linearity
-    # T(hi << k) is T((hi - 1) << k) XOR the high units 0..ctz(hi): the steps
-    # are those prefix XORs on the mixed bits and on the hi-only bits. Their
-    # last rows, all high units, turn a block into its partner.
-    steps = np.bitwise_xor.accumulate(high, axis=0)
+    # all high units, on the mixed bits and on the hi-only bits: by linearity
+    # they turn a block into its partner
+    partner = np.bitwise_xor.reduce(high, axis=0)
     # Row 0: the weight of a key's generator; row 1: of its complement (a key
     # no lane holds reads some weight in range too).
     key_ones, weight = np.divmod(np.arange((n + 1) * bins), bins)
     key_weights = np.array([weight, (weight + n - 2 * key_ones) % bins])
-    for array in (base, table, period, high, steps, key_weights):
+    for array in (base, table, period, high, partner, key_weights):
         array.flags.writeable = False  # shared by every kernel built from the cache
-    hi_steps = tuple(itertools.accumulate(hi_only, operator.xor))
-    return base, table, period, high, hi_only, steps, hi_steps, key_weights
+    partner_only = functools.reduce(operator.xor, hi_only, 0)
+    return base, table, period, high, hi_only, partner, partner_only, key_weights
 
 
 # A one-block kernel (n <= k) costs about as much to build as to sweep, so the
@@ -264,8 +261,8 @@ class _Kernel:
         self.l = n - k
         self.pairs = 1 << max(self.l - 1, 0)
         self.bins = n * (n + 1) // 2 + 1
-        (self.base, self.table, self.period, self._high, self._hi_only, self._steps,
-         self._hi_steps, self.key_weights) = (_one_block_tables if n == k else _tables)(n, k)
+        (self.base, self.table, self.period, self._high, self._hi_only, self._partner,
+         self._partner_only, self.key_weights) = (_one_block_tables if n == k else _tables)(n, k)
         self.t = self.period.shape[1].bit_length() - 1
 
     def cover(self, hi: int) -> tuple[int, int]:
@@ -298,43 +295,42 @@ class _Kernel:
         """Reversals of the generators held by ``lanes`` of block ``hi``, as packed values."""
         return lanes << (self.n - self.k) | _reversed(hi, self.n - self.k)
 
-    def _highs(self, start: int, stop: int):
-        """Yield (blocks, words, consts) for pairs start..stop-1, ascending.
-        The rows are block hi' and, if l > 0, its partner hi' ^ (2^l - 1);
-        words[w, r, 0] is word w of T(hi << k) on the mixed bits of row r
-        (word 0 matches ``table``, words 1.. the rows of ``period``),
-        consts[r, 0] its uint16 hi-only weight plus bins * |hi|. Both arrays
-        are updated in place."""
+    def _highs(self, pairs):
+        """Yield (blocks, words, consts) for each pair hi' of ``pairs``, ints
+        in ascending order. The rows are block hi' and, if l > 0, its partner
+        hi' ^ (2^l - 1); words[w, r, 0] is word w of T(hi << k) on the mixed
+        bits of row r (word 0 matches ``table``, words 1.. the rows of
+        ``period``), consts[r, 0] its uint16 hi-only weight plus bins * |hi|.
+        Both arrays are updated in place: T is linear, so T(hi' << k) is the
+        previous pair's T(prev << k) XOR the high units set in hi' ^ prev,
+        from prev = 0, and the partner's is that XOR all high units."""
         l, bins = self.l, self.bins
         rows = 2 if l else 1
         words = np.zeros((self._high.shape[1], rows, 1), dtype=np.uint64)
         consts = np.zeros((rows, 1), dtype=np.uint16)
         mixed = words[:, 0, 0]
-        only = 0
-        for j, (row, unit) in enumerate(zip(self._high, self._hi_only)):
-            if start >> j & 1:
-                mixed ^= row
-                only ^= unit
-        for hi in range(start, stop):
-            if hi > start:
-                j = (hi & -hi).bit_length() - 1
-                mixed ^= self._steps[j]
-                only ^= self._hi_steps[j]
-            ones = hi.bit_count()
+        only = prev = 0
+        for hi in pairs:
+            for j in _set_bits(hi ^ prev):
+                mixed ^= self._high[j]
+                only ^= self._hi_only[j]
+            prev, ones = hi, hi.bit_count()
             consts[0, 0] = only.bit_count() + bins * ones
             if not l:
                 yield (hi,), words, consts
                 continue
-            np.bitwise_xor(mixed, self._steps[-1], out=words[:, 1, 0])
-            consts[1, 0] = (only ^ self._hi_steps[-1]).bit_count() + bins * (l - ones)
+            np.bitwise_xor(mixed, self._partner, out=words[:, 1, 0])
+            consts[1, 0] = (only ^ self._partner_only).bit_count() + bins * (l - ones)
             yield (hi, hi ^ ((1 << l) - 1)), words, consts
 
-    def keys(self, start: int, stop: int):
-        """Yield (blocks, a, keys) for pairs start..stop-1, ascending:
-        keys is a contiguous (rows, b) intp array, row r holding the keys of
-        lanes 0..b-1 of block blocks[r], with (a, b) = ``cover(blocks[r])``.
-        It is the pair's XOR buffer, which the last add overwrites once the
-        popcount has read it; the next pair overwrites it again."""
+    def keys(self, pairs):
+        """Yield (blocks, a, keys) for each pair of ``pairs``, ints in
+        ascending order, each reached from the one before by the linear step
+        of ``_highs``: keys is a contiguous (rows, b) intp array, row r
+        holding the keys of lanes 0..b-1 of block blocks[r], with (a, b) =
+        ``cover(blocks[r])``. It is the pair's XOR buffer, allocated once per
+        call, which the last add overwrites once the popcount has read it;
+        the next pair overwrites it again."""
         t, period = self.t, self.period
         shape = (2 if self.l else 1, self.base.size)
         acc = np.empty(shape, dtype=np.uint16)
@@ -345,7 +341,7 @@ class _Kernel:
         period_xor = np.empty((len(period), shape[0], 1 << t), dtype=np.uint64)
         period_count = np.empty(period_xor.shape, dtype=np.uint8)
         period_sum = np.empty((shape[0], 1 << t), dtype=np.uint16)
-        for his, words, consts in self._highs(start, stop):
+        for his, words, consts in self._highs(pairs):
             a, b = self.cover(his[0])
             # the periodic weight plus the block's constant, once per block at
             # lanes j < min(2^t, b), then added to the base over whole periods
@@ -373,17 +369,16 @@ class _Images:
     As in the kernel, only the lanes with x_0 = 0, j < 2^(k-1), are tabulated."""
 
     def __init__(self, n: int) -> None:
-        self.k = k = _block_width(n)
+        k = _block_width(n)
         units = np.array([[y.bits for y in symmetry.images(BitSeq(n, 1 << j))]
                           for j in range(n)], dtype=np.uint64)  # row j: unit vector j
         self.table, self._high = _span(units[k - 1:0:-1]), units[k:]
         self.ones = np.bitwise_xor.reduce(units, axis=0)
 
-    def of(self, first: int, size: int) -> np.ndarray:
-        """Images of lanes first .. first + size - 1, of one block's tabulated half; a row per map."""
-        hi, j = divmod(first, 1 << self.k)
+    def of(self, hi: int, size: int) -> np.ndarray:
+        """Images of lanes 0 .. size - 1 of block ``hi``; a row per map."""
         high = np.bitwise_xor.reduce(self._high[(hi >> np.arange(len(self._high))) & 1 == 1])
-        return self.table[:, j:j + size] ^ high[:, None]
+        return self.table[:, :size] ^ high[:, None]
 
 
 def _sweep_range(kernel: _Kernel, start: int, stop: int, ends: bool):
@@ -396,7 +391,7 @@ def _sweep_range(kernel: _Kernel, start: int, stop: int, ends: bool):
     bounds = np.zeros((2, stop - start), dtype=np.int64)
     # a key gives its lane's weight and its complement's
     least, greatest = kernel.key_weights.min(axis=0), kernel.key_weights.max(axis=0)
-    for his, a, keys in kernel.keys(start, stop):
+    for his, a, keys in kernel.keys(range(start, stop)):
         keys[:, a:] += size  # lanes that count once, counted past the others
         pair = np.bincount(keys.reshape(-1), minlength=2 * size)
         counts += pair
@@ -409,7 +404,8 @@ def _sweep_range(kernel: _Kernel, start: int, stop: int, ends: bool):
 def _collect_range(kernel: _Kernel, start: int, stop: int, chosen: np.ndarray,
                    wanted: np.ndarray, cap: int) -> dict[int, tuple[list[int], int]]:
     """For each ``wanted`` weight, the ``cap`` least members, and the count,
-    of the generators the ``chosen`` pairs in [start, stop) stand for.
+    of the generators the ``chosen`` pairs in [start, stop) stand for, keyed
+    by one ``keys`` call.
 
     A lane with key (w, p) stands for its generator z, of weight w, and the
     complement ~z, of weight w + n - 2p; if it counts twice (see
@@ -420,37 +416,32 @@ def _collect_range(kernel: _Kernel, start: int, stop: int, chosen: np.ndarray,
     hits = np.flatnonzero(wanted)
     full = (1 << kernel.n) - 1
     found: dict[int, tuple[list[int], int]] = {}
-    # runs [first, last) of consecutive chosen pairs, each keyed by one call
-    edges = (np.flatnonzero(np.diff(chosen[start:stop], prepend=False, append=False))
-             + start).tolist()
-    for first, last in zip(edges[::2], edges[1::2]):
-        for his, a, keys in kernel.keys(first, last):
-            rows, lanes = np.divmod(np.flatnonzero(wanted_keys[keys]), keys.shape[1])
-            blocks = np.array(his)[rows]
-            z = kernel.packed(blocks, lanes)
-            lane_keys = keys[rows, lanes]
-            values, value_w = [z, z ^ full], [w[lane_keys], wc[lane_keys]]
-            if a:  # and the reversals, which no block evaluates
-                two = lanes < a
-                r = kernel.mirrored(blocks[two], lanes[two])
-                values += [r, r ^ full]
-                value_w += [value_w[0][two], value_w[1][two]]
-            values, value_w = np.concatenate(values), np.concatenate(value_w)
-            # One sort by weight, then value, per pair however many weights are
-            # wanted; it puts each weight's least members first.
-            order = np.lexsort((values, value_w))
-            values, value_w = values[order], value_w[order]
-            starts = np.searchsorted(value_w, hits, side="left").tolist()
-            stops = np.searchsorted(value_w, hits, side="right").tolist()
-            for wt, s, e in zip(hits.tolist(), starts, stops):
-                if s == e:
-                    continue
-                kept, count = found.get(wt, ([], 0))
-                kept += values[s:min(e, s + cap)].tolist()
-                if len(kept) > cap:
-                    kept = sorted(kept)[:cap]
-                found[wt] = (kept, count + e - s)
-        keys = None  # the keys view holds the run's buffers; free them before the next run
+    for his, a, keys in kernel.keys((np.flatnonzero(chosen[start:stop]) + start).tolist()):
+        rows, lanes = np.divmod(np.flatnonzero(wanted_keys[keys]), keys.shape[1])
+        blocks = np.array(his)[rows]
+        z = kernel.packed(blocks, lanes)
+        lane_keys = keys[rows, lanes]
+        values, value_w = [z, z ^ full], [w[lane_keys], wc[lane_keys]]
+        if a:  # and the reversals, which no block evaluates
+            two = lanes < a
+            r = kernel.mirrored(blocks[two], lanes[two])
+            values += [r, r ^ full]
+            value_w += [value_w[0][two], value_w[1][two]]
+        values, value_w = np.concatenate(values), np.concatenate(value_w)
+        # One sort by weight, then value, per pair however many weights are
+        # wanted; it puts each weight's least members first.
+        order = np.lexsort((values, value_w))
+        values, value_w = values[order], value_w[order]
+        starts = np.searchsorted(value_w, hits, side="left").tolist()
+        stops = np.searchsorted(value_w, hits, side="right").tolist()
+        for wt, s, e in zip(hits.tolist(), starts, stops):
+            if s == e:
+                continue
+            kept, count = found.get(wt, ([], 0))
+            kept += values[s:min(e, s + cap)].tolist()
+            if len(kept) > cap:
+                kept = sorted(kept)[:cap]
+            found[wt] = (kept, count + e - s)
     return found
 
 
@@ -461,12 +452,12 @@ def _reduced_hist_range(kernel: _Kernel, start: int, stop: int, images: _Images)
     packed member."""
     hist = np.zeros(kernel.bins, dtype=np.int64)
     full = (1 << kernel.n) - 1
-    for his, a, keys in kernel.keys(start, stop):
+    for his, a, keys in kernel.keys(range(start, stop)):
         lanes = np.arange(keys.shape[1])
         twice = lanes < a
         for hi, row in zip(his, keys):
             vals = kernel.packed(hi, lanes).astype(np.uint64)
-            mapped = images.of(hi << kernel.k, lanes.size)
+            mapped = images.of(hi, lanes.size)
             w, wc = kernel.key_weights[:, row]
             complements = (vals ^ full, mapped ^ images.ones[:, None], wc)
             for v, m, wt in ((vals, mapped, w), complements):

@@ -46,7 +46,7 @@ def kernel_cover(n):
     """(generator, key, multiplicity) of every lane the block kernel evaluates,
     both blocks of each pair."""
     kernel = _Kernel(n)
-    for his, a, keys in kernel.keys(0, kernel.pairs):
+    for his, a, keys in kernel.keys(range(kernel.pairs)):
         for hi, row in zip(his, keys.tolist()):
             for j, key in enumerate(row):
                 yield lane_value(kernel.k, hi, j), key, 2 if j < a else 1
@@ -86,7 +86,7 @@ def table_images(n):
     out = np.zeros((5, 1 << n), dtype=np.uint64)
     full = (1 << n) - 1
     for hi in range(1 << kernel.l):
-        got = images.of(hi << kernel.k, half)
+        got = images.of(hi, half)
         for j in range(half):
             x = lane_value(kernel.k, hi, j)
             out[:, x] = got[:, j]
@@ -197,17 +197,16 @@ class TestLanePrimitives:
 
     @pytest.mark.parametrize("block_bits", [16, 3])
     def test_images_of_part_of_a_block(self, monkeypatch, block_bits):
-        # a block the kernel reports short, starting past its first lane
+        # the lanes 0..size-1 the kernel reports for a short block, and the last block
         monkeypatch.setattr(spectrum_mod, "_BLOCK_BITS", block_bits)
         n = 9
-        images = _Images(n)
-        half, last = 1 << (images.k - 1), (1 << (n - images.k)) - 1
-        for hi, j, size in ((0, 1, 7), (0, 5, 2), (last, half - 5, 4), (last, half - 1, 1)):
-            first = hi << images.k | j
-            got = images.of(first, size)
+        images, k = _Images(n), _block_width(n)
+        half, last = 1 << (k - 1), (1 << (n - k)) - 1
+        for hi, size in ((0, 7), (0, 2), (last, 4), (last, 1), (last, half)):
+            got = images.of(hi, size)
             assert got.shape == (5, size)
             for lane in range(size):
-                x = BitSeq(n, lane_value(images.k, *divmod(first + lane, 1 << images.k)))
+                x = BitSeq(n, lane_value(k, hi, lane))
                 assert got[:, lane].tolist() == [g(x).bits for g in SCALAR_MAPS]
 
     def test_weight_invariance_under_all_symmetries_to_14(self):
@@ -224,10 +223,10 @@ class TestLanePrimitives:
         words = -(-kernel.t * (n - kernel.k) // 64)
         assert kernel.table.shape == (half,)
         assert kernel.period.shape == (words, 1 << kernel.t)
-        assert kernel._steps.shape == (n - kernel.k, 1 + words)
+        assert kernel._high.shape == (n - kernel.k, 1 + words)  # a row per high unit
         starts = [0, kernel.pairs - 3] + [rng.randrange(kernel.pairs - 2) for _ in range(3)]
         for start in starts:
-            for his, a, keys in kernel.keys(start, start + 3):  # also steps between pairs
+            for his, a, keys in kernel.keys(range(start, start + 3)):  # also steps between pairs
                 for hi, row in zip(his, keys):  # a block and its partner
                     assert (a, row.size) == kernel.cover(hi)
                     # a lane counts twice if it reads less than τ of it and not at
@@ -330,16 +329,30 @@ class TestKernelSplit:
         monkeypatch.setattr(spectrum_mod, "_BLOCK_BITS", min(spectrum_mod._BLOCK_BITS, n - 1))
         kernel = _Kernel(n)
         k, bins = kernel.k, kernel.bins
-        for start in {0, 1, max(kernel.pairs // 2 - 1, 0)}:
-            stop = min(start + 16, kernel.pairs)
-            his = [(blocks, consts[:, 0].tolist())
-                   for blocks, _, consts in kernel._highs(start, stop)]
-            assert [blocks[0] for blocks, _ in his] == list(range(start, stop))
+        starts = {0, 1, max(kernel.pairs // 2 - 1, 0)}
+        gapped = range(1, kernel.pairs, 2)  # each step flips one or more high bits
+        for pairs in [range(start, min(start + 16, kernel.pairs)) for start in starts] + [gapped]:
+            his = [(blocks, consts[:, 0].tolist()) for blocks, _, consts in kernel._highs(pairs)]
+            assert [blocks[0] for blocks, _ in his] == list(pairs)
             for blocks, consts in his:
                 assert blocks[1] == blocks[0] ^ ((1 << (n - k)) - 1)  # the partner
                 for hi, const in zip(blocks, consts):
                     high = BitSeq(n - k, hi)
                     assert const == triangle_weight(high) + bins * high.weight
+
+    # (block bits, n): 16 pairs with one mixed word; 256 pairs with a periodic word (t = 2)
+    @pytest.mark.parametrize("block_bits, n", [(3, 10), (9, 18)])
+    def test_gapped_pairs_key_as_one_pair_calls(self, monkeypatch, block_bits, n):
+        monkeypatch.setattr(spectrum_mod, "_BLOCK_BITS", block_bits)
+        kernel = _Kernel(n)
+        assert kernel.l >= 3
+        last = kernel.pairs - 1
+        for pairs in ([1, 2, 5, 11, 12], [0, 3, 4, 6, last - 2, last]):
+            got = [(his, a, keys.copy()) for his, a, keys in kernel.keys(pairs)]
+            assert [his[0] for his, _, _ in got] == pairs
+            for (his, a, keys), p in zip(got, pairs):
+                (one_his, one_a, one_keys), = kernel.keys([p])
+                assert (his, a) == (one_his, one_a) and np.array_equal(keys, one_keys)
 
     @pytest.mark.parametrize("n", [17, 18, 19, 20])
     def test_sampled_lanes_match_the_scalar_weight(self, n, rng):
@@ -347,7 +360,7 @@ class TestKernelSplit:
         k = kernel.k
         # k(n - k) <= 64 mixed bits: all in the lane's word, and no periodic table
         assert kernel.table.shape == (1 << (k - 1),) and kernel.period.shape == (0, 1)
-        for his, _, keys in kernel.keys(0, kernel.pairs):
+        for his, _, keys in kernel.keys(range(kernel.pairs)):
             for hi, row in zip(his, keys):  # both blocks of the pair
                 for j in self.lanes(row.size, rng):
                     x = BitSeq(n, lane_value(k, hi, j))
@@ -359,7 +372,7 @@ class TestKernelSplit:
         assert kernel.table.shape == (1 << 11,) and not kernel.table.any()
         assert kernel.period.shape == (0, 1)
         # one block, no partner, each lane counted once (for itself and its complement)
-        (his, a, keys), = kernel.keys(0, 1)
+        (his, a, keys), = kernel.keys([0])
         assert (his, a) == ((0,), 0) and np.array_equal(keys, kernel.base[None])
         assert not np.shares_memory(keys, kernel.base)
 
@@ -410,7 +423,7 @@ class TestPeriodicColumns:
         the first period, of the whole periods and of the ragged tail, and at
         a few lanes drawn at random."""
         n, k, period = kernel.n, kernel.k, 1 << kernel.t
-        (his, a, keys), = kernel.keys(hi, hi + 1)
+        (his, a, keys), = kernel.keys([hi])
         b = keys.shape[1]
         assert (a, b) == kernel.cover(hi)
         tail = b - b % period
@@ -597,8 +610,8 @@ class TestOneSweep:
     def test_lost_lane_breaks_histogram_total(self, monkeypatch):
         keys = _Kernel.keys
 
-        def lose_a_lane(self, start, stop):
-            for his, a, row_keys in keys(self, start, stop):
+        def lose_a_lane(self, pairs):
+            for his, a, row_keys in keys(self, pairs):
                 yield his, a, row_keys[:, :-1] if his[0] == 0 else row_keys
 
         # 32-lane blocks at n = 9 (k = 5, n/2 rounded up): pair 0 evaluates two
@@ -616,21 +629,21 @@ class TestOneSweep:
     def test_missed_block_breaks_member_count(self, monkeypatch):
         keys, calls = _Kernel.keys, []
 
-        def skip_first_rescanned(self, start, stop):  # the second pass drops its first pair
-            calls.append((start, stop))
-            return iter(()) if len(calls) == 2 else keys(self, start, stop)
+        def skip_first_rescanned(self, pairs):  # the second pass drops its first pair
+            calls.append(list(pairs))
+            return keys(self, calls[-1][1:] if len(calls) == 2 else calls[-1])
 
         monkeypatch.setattr(_Kernel, "keys", skip_first_rescanned)
         with pytest.raises(ValueError, match="member scan disagrees with the histogram"):
             level_sets(6, 3, 2, workers=1)
-        assert calls == [(0, 1), (0, 1)]  # one block: the sweep, then the rescan
+        assert calls == [[0], [0]]  # one block: the sweep, then the rescan
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_rescan_keys_the_pairs_holding_wanted_weights(self, monkeypatch, workers):
         keys, keyed = _Kernel.keys, Counter()
 
-        def count_pairs(self, start, stop):
-            for his, a, row_keys in keys(self, start, stop):
+        def count_pairs(self, pairs):
+            for his, a, row_keys in keys(self, pairs):
                 keyed[his[0]] += 1
                 yield his, a, row_keys
 
@@ -713,8 +726,8 @@ class TestFoldedCounts:
 
 
 class TestRescanRuns:
-    """The rescan keys each run of consecutive chosen pairs, cut at the range
-    edges, with one ``_Kernel.keys`` call."""
+    """The rescan keys the chosen pairs of each planned range, gaps and all,
+    with one ``_Kernel.keys`` call."""
 
     @staticmethod
     def merged(parts, cap):
@@ -738,18 +751,12 @@ class TestRescanRuns:
         chosen[picked] = True
         wanted = np.ones(kernel.bins, dtype=bool)
         parts, _ = _plan(n, kernel.pairs, workers)
-        runs = []  # maximal runs of chosen pairs within each range
-        for start, stop in parts:
-            for p in range(start, stop):
-                if chosen[p] and (p == start or not chosen[p - 1]):
-                    runs.append([p, p + 1])
-                elif chosen[p]:
-                    runs[-1][1] = p + 1
+        ranges = [[p for p in picked if start <= p < stop] for start, stop in parts]
         keys, calls, keyed = _Kernel.keys, [], Counter()
 
-        def recorded(self, start, stop):
-            calls.append([start, stop])
-            for his, a, row_keys in keys(self, start, stop):
+        def recorded(self, pairs):
+            calls.append(list(pairs))
+            for his, a, row_keys in keys(self, calls[-1]):
                 keyed[his[0]] += 1
                 yield his, a, row_keys
 
@@ -759,7 +766,7 @@ class TestRescanRuns:
         found = spectrum_mod._run(kernel, workers, spectrum_mod._collect_range,
                                   chosen, wanted, cap)
         assert keyed == Counter(picked)
-        assert calls == runs
+        assert calls == ranges  # n = 10 runs serially, range by range
         assert self.merged(found, cap) == self.merged(one, cap)
 
 
