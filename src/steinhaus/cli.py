@@ -102,6 +102,8 @@ def cmd_spectrum(ns: argparse.Namespace) -> int:
 
 
 def cmd_levels(ns: argparse.Namespace) -> int:
+    if ns.low == ns.high == 0:  # checked before the sweep, which would print nothing
+        raise ValueError("need at least one level")
     sweep = level_sets(ns.n, 3 if ns.low is None else ns.low,
                        2 if ns.high is None else ns.high, workers=ns.workers, force=ns.force)
     _check_levels(sweep.spectrum, ns.low or 0, ns.high or 0)  # the defaults clamp

@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .families import _fixture_rows
-from .spectrum import DEFAULT_MEMBER_CAP, WeightSlice, _check_size, _to_seqs
+from .spectrum import DEFAULT_MEMBER_CAP, WeightSlice, _request, _to_seqs
 from .symmetry import invert_i, rot_r
 from .triangle import triangle_weight
 
@@ -80,7 +80,7 @@ def mix_bound(k: int, l: int) -> int:
 def _top_weight(l: int) -> int:
     """W_m at size l (0 for l = 0), from an exact top search at l the first time."""
     if l and l not in _TOP_WEIGHT:
-        ladder_ends(l, 0, 1, cap=1, force=True)
+        _end(l, True, -(-l * l // 3), 1, 1)
     return _TOP_WEIGHT[l] if l else 0
 
 
@@ -145,6 +145,8 @@ def _end(n: int, top: bool, t: int, levels: int, cap: int,
         found = np.unique(w)
         if len(found) >= levels:
             break
+    if top:  # the search reached W_m
+        _TOP_WEIGHT[n] = int(found[-1])
     return ([_level(n, int(wt), d[w == wt], cap) for wt in found[::-sign][:levels]],
             {wt: _level(n, wt, d[w == wt], cap) for wt in weights}, kept)
 
@@ -160,17 +162,8 @@ def ladder_ends(n: int, low: int, high: int, *, weights=(), cap: int = DEFAULT_M
     Members are the first ``cap`` in packed order. Sizes are checked against
     the enumeration ceiling as for a sweep, and against ``SEARCH_LIMIT``.
     """
-    if low < 0 or high < 0:
-        raise ValueError("level counts must be nonnegative")
-    if cap < 0:
-        raise ValueError("member cap must be nonnegative")
-    _check_size(n, force, limit=SEARCH_LIMIT)
-    weights = sorted(set(weights))
-    if weights and not 0 <= weights[0] <= weights[-1] <= n * (n + 1) // 2:
-        raise ValueError(f"weights {weights} are not all possible for size {n}")
+    weights = _request(n, low, high, weights, cap, force, limit=SEARCH_LIMIT)
     bottom, slices, kept_low = _end(n, False, max([2 * n - 3, *weights]),
                                     low + 1 if low else 0, cap, weights)
     top, _, kept_high = _end(n, True, -(-n * n // 3), high, cap)
-    if top:
-        _TOP_WEIGHT[n] = top[0].weight
     return LadderEnds(bottom, top, slices, (kept_low, kept_high))

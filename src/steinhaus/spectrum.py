@@ -16,10 +16,11 @@ each block. Tables are built from the unit-vector triangles by doubling XORs.
 Generators come in blocks of lanes, one block per high half: the block's
 weights are the lo-only weights plus the hi-only weight plus one XOR and
 popcount of the lane's word against the matching word of T(hi << k), plus
-the periodic weight, taken at 2^t lanes and added over the block's whole
-periods and its ragged tail. T(hi << k) is the previous block's XOR the
+the periodic weight, taken at 2^t lanes and added over every period that
+reaches the block's last lane. T(hi << k) is the previous block's XOR the
 high units set in hi ^ prev, so blocks come in any ascending order and the
-tables hold one word and one uint16 per lane of a block for every n.
+tables hold one word and one uint16 per lane of a block for every n; those
+of the last size are kept for the next sweep.
 
 Two symmetries cut the lanes to about 2^(n-2). T(1^n) is the top row alone,
 so T(~x) differs from T(x) in row 0 only, and weight(~x) = weight(x) + n -
@@ -85,7 +86,6 @@ _HARD_LIMIT = 40  # 2^40 generators is already days of work
 # k at 17 <= n <= 34: tables of one uint64 word and one uint16 key per lane,
 # 2^16 lanes, plus the periodic mixed columns, tabulated at only 2^t lanes
 _BLOCK_BITS = 17
-_THREADED_LANES = 1 << 14  # below this many lanes, threads cost more than they save
 _REVERSAL = 2  # row of i(x), the reversal, in ``symmetry.images``: r, l, i, r∘i, l∘i
 _BYTE_REVERSED = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.int64)
 
@@ -119,6 +119,22 @@ def _check_size(n: int, force: bool, limit: int = _HARD_LIMIT) -> None:
             f"n={n} exceeds the enumeration ceiling of {ceiling}; "
             f"pass force=True (CLI --force) or raise {CEILING_ENV}"
         )
+
+
+def _request(n: int, low: int, high: int, weights, cap: int, force: bool,
+             limit: int = _HARD_LIMIT) -> list[int]:
+    """The distinct ``weights``, ascending, of a request for ``low`` and
+    ``high`` levels and those weights' generators at size n, once its level
+    counts, member cap, size and weights are checked."""
+    if low < 0 or high < 0:
+        raise ValueError("level counts must be nonnegative")
+    if cap < 0:
+        raise ValueError("member cap must be nonnegative")
+    _check_size(n, force, limit)
+    weights = sorted(set(weights))
+    if weights and not 0 <= weights[0] <= weights[-1] <= n * (n + 1) // 2:
+        raise ValueError(f"weights {weights} are not all possible for size {n}")
+    return weights
 
 
 def _unit_triangle(n: int, j: int) -> int:
@@ -170,8 +186,10 @@ def _block_width(n: int) -> int:
     return min(n, max(_BLOCK_BITS, -(-n // 2)))
 
 
+@functools.lru_cache(maxsize=1)
 def _tables(n: int, k: int):
-    """The read-only tables of ``_Kernel(n)`` with k-bit blocks."""
+    """The read-only tables of ``_Kernel(n)`` with k-bit blocks; those of the
+    last size are kept, as a process sweeps one size after another."""
     bits = n * (n + 1) // 2
     bins = bits + 1
     l = n - k
@@ -217,12 +235,6 @@ def _tables(n: int, k: int):
     return base, table, period, high, hi_only, partner, partner_only, key_weights
 
 
-# A one-block kernel (n <= k) costs about as much to build as to sweep, so the
-# last one is kept for the next sweep at its size; larger kernels are rebuilt,
-# as keeping them would only hold memory.
-_one_block_tables = functools.lru_cache(maxsize=1)(_tables)
-
-
 class _Kernel:
     """Keys of the generators of length n with x_0 = 0, one pair of blocks
     at a time, one generator of each {x, rev x, ~x, ~rev x} class.
@@ -240,9 +252,8 @@ class _Kernel:
     parts are summed in uint16 for every n <= 40, and the last add writes it
     as intp, which ``bincount`` reads without a copy. Column key of
     ``key_weights`` holds both weights a key gives: the lane's generator's,
-    w, and its complement's, w + n - 2p. The tables are built by
-    ``_tables``; those of the last one-block kernel are kept (see
-    ``_one_block_tables``).
+    w, and its complement's, w + n - 2p. The tables are built, and those of
+    the last size kept, by ``_tables``.
 
     Each bit falls in one of four classes, read off the unit triangles and
     the columns: set by some low unit only (lo-only), by some high unit only
@@ -262,7 +273,7 @@ class _Kernel:
         self.pairs = 1 << max(self.l - 1, 0)
         self.bins = n * (n + 1) // 2 + 1
         (self.base, self.table, self.period, self._high, self._hi_only, self._partner,
-         self._partner_only, self.key_weights) = (_one_block_tables if n == k else _tables)(n, k)
+         self._partner_only, self.key_weights) = _tables(n, k)
         self.t = self.period.shape[1].bit_length() - 1
 
     def cover(self, hi: int) -> tuple[int, int]:
@@ -344,16 +355,14 @@ class _Kernel:
         for his, words, consts in self._highs(pairs):
             a, b = self.cover(his[0])
             # the periodic weight plus the block's constant, once per block at
-            # lanes j < min(2^t, b), then added to the base over whole periods
-            # and the ragged tail
-            p, whole = min(b, 1 << t), b >> t
+            # lanes j < min(2^t, b), then added to the base over the periods
+            # that reach lane b - 1; 2^t divides the 2^(k-1) lanes of ``base``
+            p, whole = min(b, 1 << t), -(-b >> t)
             np.bitwise_xor(period[:, None, :p], words[1:], out=period_xor[..., :p])
             np.bitwise_count(period_xor[..., :p], out=period_count[..., :p])
             once = period_count[..., :p].sum(axis=0, dtype=np.uint16, out=period_sum[:, :p])
             once += consts
-            # p = 2^t if there is a whole period
             np.add(base_folded[:whole, :p], once[:, None], out=folded[:, :whole, :p])
-            np.add(self.base[whole << t:b], once[:, :b - (whole << t)], out=acc[:, whole << t:b])
             xor, cnt = buf[:shape[0] * b].reshape(shape[0], b), count[:, :b]
             np.bitwise_xor(self.table[:b], words[0], out=xor)
             np.bitwise_count(xor, out=cnt)
@@ -485,24 +494,21 @@ def _resolve_workers(workers: int | None) -> int:
     return workers
 
 
-def _plan(n: int, pairs: int, workers: int | None) -> tuple[list[tuple[int, int]], int]:
+def _plan(pairs: int, workers: int | None) -> tuple[list[tuple[int, int]], int]:
     """Contiguous ranges of block pairs of about equal work, one per worker,
-    and the threads that run them.
-
-    Threads never exceed the cores this process may use, whatever ``workers``
-    asks for; small jobs run serially with the same split and merge.
+    and the threads that run them: one per range, but never more than the
+    cores this process may use, whatever ``workers`` asks for.
     """
     parts = max(1, min(_resolve_workers(workers), pairs))
     # Pair hi' evaluates (hi' + 1) * 2^(2k-n) lanes per block (see ``_Kernel.cover``),
     # so pairs [0, e) hold work e^2 / 2: equal shares end at pairs * sqrt(i / parts).
     edges = [math.isqrt(pairs * pairs * i // parts) for i in range(parts + 1)]
-    threads = min(parts, _cores()) if (1 << n) >= _THREADED_LANES else 1
-    return list(zip(edges, edges[1:])), threads
+    return list(zip(edges, edges[1:])), min(parts, _cores())
 
 
 def _run(kernel: _Kernel, workers: int | None, range_fn, *args) -> list:
     """range_fn(kernel, start, stop, *args) for every planned range, in range order."""
-    parts, threads = _plan(kernel.n, kernel.pairs, workers)
+    parts, threads = _plan(kernel.pairs, workers)
 
     def task(part):
         return range_fn(kernel, *part, *args)
@@ -660,16 +666,7 @@ def level_sets(n: int, low: int, high: int, *, weights=(),
     known only after the sweep. ``weights`` asks for the generators at each
     of those exact weights. Members are the first ``cap`` in packed order.
     """
-    if low < 0 or high < 0:
-        raise ValueError("level counts must be nonnegative")
-    if cap < 0:
-        raise ValueError("member cap must be nonnegative")
-    _check_size(n, force)
-    top = n * (n + 1) // 2
-    targets = sorted(set(weights))
-    for w in targets:
-        if not 0 <= w <= top:
-            raise ValueError(f"weight {w} impossible for size {n}")
+    targets = _request(n, low, high, weights, cap, force)
     kernel, collect = _Kernel(n), bool(low or high or targets)
     parts = _run(kernel, workers, _sweep_range, collect)
     hist = _merge_hist(kernel, [counts for counts, _ in parts])
@@ -679,7 +676,7 @@ def level_sets(n: int, low: int, high: int, *, weights=(),
     # the weights wanted, read off the exact histogram: W_0 .. W_low, the
     # ``high`` greatest and the fixed ones
     seen = np.flatnonzero(hist)
-    wanted = np.zeros(top + 1, dtype=bool)
+    wanted = np.zeros(kernel.bins, dtype=bool)
     wanted[targets] = True
     wanted[seen[:low + 1 if low else 0]] = True
     wanted[seen[max(len(seen) - high, 0):]] = True

@@ -17,3 +17,10 @@ def rng():
 
 def random_seq(rng, n):
     return BitSeq(n, rng.getrandbits(n) if n else 0)
+
+
+def rejection(call):
+    """The exact type and message of the ValueError that ``call()`` raises."""
+    with pytest.raises(ValueError) as info:
+        call()
+    return info.type, str(info.value)

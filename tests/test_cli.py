@@ -137,6 +137,8 @@ class TestLevels:
         assert code == 2 and "k=6 exceeds the ladder height for n=4" in err
         code, _, err = run(capsys, "levels", "4", "--low", "-1")
         assert code == 2 and "nonnegative" in err
+        code, out, err = run(capsys, "levels", "4", "--low", "0", "--high", "0")
+        assert code == 2 and out == "" and "need at least one level" in err
 
 
 class TestOrbit:

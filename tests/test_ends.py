@@ -18,6 +18,8 @@ from steinhaus import ends as ends_mod
 from steinhaus.ends import _split_bound, _thresholds, mix_bound
 from steinhaus.families import _fixture_rows
 
+from conftest import rejection
+
 
 @cache
 def swept(n):
@@ -136,18 +138,21 @@ class TestAgainstTheSweep:
         assert [s.weight for s in got.low] == [0, 2]
         assert [s.weight for s in got.high] == [2, 0]
 
-    def test_bad_arguments(self):
-        with pytest.raises(ValueError):
-            ladder_ends(10, -1, 2)
+    # the search and the sweep check a request alike, up to their own size limits
+    @pytest.mark.parametrize("entry, limit", [(ladder_ends, 64), (level_sets, 40)],
+                             ids=["ladder_ends", "level_sets"])
+    def test_bad_arguments(self, entry, limit):
+        assert rejection(lambda: entry(10, -1, 2)) == \
+            (ValueError, "level counts must be nonnegative")
         for weight in (-1, 56):
-            with pytest.raises(ValueError, match="not all possible"):
-                ladder_ends(10, 3, 2, weights=[weight])
-        with pytest.raises(ValueError):
-            ladder_ends(10, 3, 2, cap=-1)
-        with pytest.raises(CeilingExceeded, match="enumeration ceiling"):
-            ladder_ends(31, 3, 2)
-        with pytest.raises(CeilingExceeded, match="engine limit of 64"):
-            ladder_ends(65, 3, 2, force=True)
+            assert rejection(lambda: entry(10, 3, 2, weights=[weight])) == \
+                (ValueError, f"weights [{weight}] are not all possible for size 10")
+        assert rejection(lambda: entry(10, 3, 2, cap=-1)) == \
+            (ValueError, "member cap must be nonnegative")
+        kind, message = rejection(lambda: entry(31, 3, 2))
+        assert kind is CeilingExceeded and "enumeration ceiling" in message
+        assert rejection(lambda: entry(limit + 1, 3, 2, force=True)) == \
+            (CeilingExceeded, f"n={limit + 1} exceeds the engine limit of {limit}")
 
     def test_past_the_sweep_matches_the_predictions(self):
         got = ladder_ends(26, 3, 2)

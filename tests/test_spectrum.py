@@ -12,6 +12,7 @@ from steinhaus import (
     find_weight,
     full_spectrum,
     invert_i,
+    ladder_ends,
     level_sets,
     level_sets_high,
     level_sets_low,
@@ -27,7 +28,7 @@ from steinhaus import (
 from steinhaus import spectrum as spectrum_mod
 from steinhaus.spectrum import _block_width, _cores, _Images, _Kernel, _plan
 
-from conftest import all_seqs
+from conftest import all_seqs, rejection
 
 
 def lane_value(k, hi, j):
@@ -399,12 +400,41 @@ class TestKernelSplit:
         assert hashlib.sha256(repr(counts).encode()).hexdigest() == self.GOLDEN[n]
 
 
+class TestTableCache:
+    """Kernels share the read-only tables of the last size and block width built."""
+
+    def test_one_size_shares_its_tables(self, monkeypatch):
+        first, second = _Kernel(20), _Kernel(20)
+        assert second.table is first.table and not first.table.flags.writeable
+        assert _Kernel(21).table is not first.table  # another size replaces them
+        again = _Kernel(20)
+        assert again.table is not first.table and np.array_equal(again.table, first.table)
+        monkeypatch.setattr(spectrum_mod, "_BLOCK_BITS", 12)
+        narrow = _Kernel(20)  # same size, another block width: tables of its own
+        assert narrow.k == 12 and narrow.base.shape == narrow.table.shape == (1 << 11,)
+        assert _Kernel(20).table is narrow.table
+
+    def test_spectrum_unchanged_as_sizes_alternate(self, monkeypatch):
+        golden = TestKernelSplit.GOLDEN
+
+        def digest(n):
+            return hashlib.sha256(repr(full_spectrum(n).counts).encode()).hexdigest()
+
+        for n in (20, 21, 20, 19, 20):
+            assert digest(n) == golden[n], n
+        with monkeypatch.context() as m:
+            m.setattr(spectrum_mod, "_BLOCK_BITS", 12)
+            assert digest(20) == golden[20]
+        assert digest(20) == golden[20]
+
+
 class TestPeriodicColumns:
     """Each column c < k of mixed bits holds l = n - k of them and reads only
     x_c..x_{k-1} of the low half. The first c* = 64 // l columns fill one word
     per lane; the rest read only the low t = k - c* bits of lane j, so their
     weight is taken once per block at lanes j < min(2^t, b) and read at
-    j mod 2^t: over whole periods, then a ragged tail."""
+    j mod 2^t, over every period that reaches lane b - 1, the last one
+    possibly cut short."""
 
     def test_one_table_word_per_lane(self):
         for n in range(17, 41):
@@ -420,8 +450,8 @@ class TestPeriodicColumns:
     @staticmethod
     def check_pair(kernel, hi, rng):
         """Both blocks of pair ``hi`` against the scalar oracle, at the ends of
-        the first period, of the whole periods and of the ragged tail, and at
-        a few lanes drawn at random."""
+        the first period, of the whole periods and of a last period cut
+        short, and at a few lanes drawn at random."""
         n, k, period = kernel.n, kernel.k, 1 << kernel.t
         (his, a, keys), = kernel.keys([hi])
         b = keys.shape[1]
@@ -587,19 +617,20 @@ class TestOneSweep:
                     assert {w: (s.weight, s.members, s.count, s.truncated)
                             for w, s in got.slices.items()} == slices
 
-    def test_negative_counts_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            level_sets(5, -1, 2)
-        with pytest.raises(ValueError, match="nonnegative"):
-            level_sets(5, 3, -1)
+    # the sweep and the search reject a request with the same error
+    @pytest.mark.parametrize("entry", [level_sets, ladder_ends], ids=lambda f: f.__name__)
+    def test_negative_counts_rejected(self, entry):
+        for low, high in ((-1, 2), (3, -1)):
+            assert rejection(lambda: entry(5, low, high)) == \
+                (ValueError, "level counts must be nonnegative")
 
-    def test_negative_cap_rejected(self):
-        for call in (lambda: level_sets(5, 3, 2, cap=-1),
+    @pytest.mark.parametrize("entry", [level_sets, ladder_ends], ids=lambda f: f.__name__)
+    def test_negative_cap_rejected(self, entry):
+        for call in (lambda: entry(5, 3, 2, cap=-1),
                      lambda: level_sets_low(5, 1, cap=-1),
                      lambda: members_at_weights(5, [3], cap=-1),
                      lambda: find_weight(5, 3, cap=-1)):
-            with pytest.raises(ValueError, match="cap must be nonnegative"):
-                call()
+            assert rejection(call) == (ValueError, "member cap must be nonnegative")
 
     def test_cap_zero_keeps_counts_only(self):
         got = level_sets(8, 3, 2, weights=[10], cap=0)
@@ -716,7 +747,7 @@ class TestFoldedCounts:
         else:
             assert {b - a for a, b in covers} == {tie} and any(a for a, _ in covers)
         counts, bounds = self.expected(kernel)
-        for parts in ([(0, kernel.pairs)], _plan(n, kernel.pairs, 3)[0]):
+        for parts in ([(0, kernel.pairs)], _plan(kernel.pairs, 3)[0]):
             got = [spectrum_mod._sweep_range(kernel, start, stop, True) for start, stop in parts]
             assert np.array_equal(sum(c for c, _ in got), counts)
             assert np.array_equal(np.concatenate([b for _, b in got], axis=1), bounds)
@@ -750,13 +781,14 @@ class TestRescanRuns:
         chosen = np.zeros(kernel.pairs, dtype=bool)
         chosen[picked] = True
         wanted = np.ones(kernel.bins, dtype=bool)
-        parts, _ = _plan(n, kernel.pairs, workers)
+        parts, _ = _plan(kernel.pairs, workers)
         ranges = [[p for p in picked if start <= p < stop] for start, stop in parts]
         keys, calls, keyed = _Kernel.keys, [], Counter()
 
         def recorded(self, pairs):
-            calls.append(list(pairs))
-            for his, a, row_keys in keys(self, calls[-1]):
+            pairs = list(pairs)
+            calls.append(pairs)
+            for his, a, row_keys in keys(self, pairs):
                 keyed[his[0]] += 1
                 yield his, a, row_keys
 
@@ -766,7 +798,7 @@ class TestRescanRuns:
         found = spectrum_mod._run(kernel, workers, spectrum_mod._collect_range,
                                   chosen, wanted, cap)
         assert keyed == Counter(picked)
-        assert calls == ranges  # n = 10 runs serially, range by range
+        assert sorted(calls) == sorted(ranges)  # one call per range, on threads in any order
         assert self.merged(found, cap) == self.merged(one, cap)
 
 
@@ -848,17 +880,17 @@ class TestDeterminism:
 
     def test_thread_plan_is_clamped(self):
         assert _Kernel(26).pairs == 1 << 8  # the unit of work is a pair of blocks
-        parts, threads = _plan(26, 1 << 10, 100000)
+        parts, threads = _plan(1 << 10, 100000)
         assert len(parts) == 1 << 10
         assert parts[0] == (0, 32) and parts[-1] == (1023, 1024)
         assert 1 <= threads <= _cores()
-        parts, threads = _plan(26, 1 << 10, 3)
+        parts, threads = _plan(1 << 10, 3)
         # pair hi evaluates about hi + 1 lanes' worth: equal shares of 1024 * 1025 / 2
         assert parts == [(0, 591), (591, 836), (836, 1024)]
         work = [sum(hi + 1 for hi in range(*part)) for part in parts]
         assert max(work) - min(work) <= 1024
         assert threads == min(3, _cores())
-        assert _plan(10, 1, 100000) == ([(0, 1)], 1)
+        assert _plan(1, 100000) == ([(0, 1)], 1)
 
     def test_truncated_capture_deterministic(self):
         base = level_sets_low(9, 2, cap=3, workers=1)
