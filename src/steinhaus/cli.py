@@ -6,17 +6,17 @@ enumeration ceiling exceeded), 3 a conjecture check found a counterexample,
 141 stdout was closed early (as by ``| head``).
 JSON documents are stable-ordered (sorted keys, members sorted by text) so
 saved outputs diff cleanly; worker count never changes the payload.
+A command imports the modules that only it uses when it runs, so no command
+loads another's modules at start-up.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from .bitseq import MAX_LEN, BitSeq
-from .families import family_weights
 from .spectrum import (
     LevelSet,
     _check_levels,
@@ -25,8 +25,6 @@ from .spectrum import (
     symmetry_reduced_spectrum,
 )
 from .symmetry import orbit
-from .triangle import render, s3, triangle_weight
-from .verify import verify_all
 
 SCHEMA_VERSION = 1
 
@@ -37,6 +35,8 @@ def _document(command: str, args: dict, payload: dict) -> dict:
 
 
 def _emit(doc: dict) -> None:
+    import json
+
     print(json.dumps(doc, sort_keys=True, indent=2))
 
 
@@ -66,6 +66,8 @@ def _level_payload(ls: LevelSet) -> dict:
 
 
 def cmd_triangle(ns: argparse.Namespace) -> int:
+    from .triangle import render, s3, triangle_weight
+
     x = BitSeq.from_string(ns.sequence)
     if x.n == 0:
         raise ValueError("empty sequence generates no triangle")
@@ -138,6 +140,9 @@ def cmd_orbit(ns: argparse.Namespace) -> int:
 
 
 def cmd_families(ns: argparse.Namespace) -> int:
+    from .families import family_weights
+    from .triangle import triangle_weight
+
     if not 1 <= ns.n <= MAX_LEN:
         raise ValueError(f"families need 1 <= n <= {MAX_LEN}, got n={ns.n}")
     rows = []
@@ -168,6 +173,8 @@ def _witness_payload(record) -> dict | None:
 
 
 def cmd_verify(ns: argparse.Namespace) -> int:
+    from .verify import verify_all
+
     report = verify_all(ns.start, ns.end, workers=ns.workers, force=ns.force)
     statuses = sorted({r.status for r in report.records})
     counts = {status: sum(r.status == status for r in report.records)

@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 from collections.abc import Mapping
 from dataclasses import dataclass
-from importlib import resources
 from types import MappingProxyType
 
 from .bitseq import MAX_LEN, BitSeq
@@ -186,6 +185,8 @@ def family_weights(n: int) -> list[tuple[FamilyName, BitSeq, int | None]]:
 @functools.cache
 def _fixture_rows(name: str) -> tuple[tuple[str, ...], ...]:
     """Rows of a bundled table under ``fixtures/``, split on whitespace."""
+    from importlib import resources
+
     text = (resources.files(__package__) / "fixtures" / name).read_text()
     lines = (line.strip() for line in text.splitlines())
     return tuple(tuple(line.split()) for line in lines

@@ -71,7 +71,6 @@ import functools
 import math
 import operator
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -515,6 +514,8 @@ def _run(kernel: _Kernel, workers: int | None, range_fn, *args) -> list:
 
     if threads == 1:
         return [task(p) for p in parts]
+    from concurrent.futures import ThreadPoolExecutor  # not loaded by serial runs
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(task, parts))
 

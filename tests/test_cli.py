@@ -213,7 +213,8 @@ class TestVerify:
             CheckRecord("conjecture", 11, "conjecture-refuted", "boom", witness),
             CheckRecord("level-1", 11, "pass", "ok"),
         ))
-        monkeypatch.setattr(cli, "verify_all", lambda a, b, workers=None, force=False: fake)
+        monkeypatch.setattr("steinhaus.verify.verify_all",
+                            lambda a, b, workers=None, force=False: fake)
         code, doc = run_json(capsys, "verify", "--from", "11", "--to", "11",
                              "--format", "json")
         assert code == 3
@@ -226,7 +227,8 @@ class TestVerify:
             CheckRecord("level-1", 4, "fail", "boom", witness),
             CheckRecord("conjecture", 4, "conjecture-refuted", "boom", witness),
         ))
-        monkeypatch.setattr(cli, "verify_all", lambda a, b, workers=None, force=False: fake)
+        monkeypatch.setattr("steinhaus.verify.verify_all",
+                            lambda a, b, workers=None, force=False: fake)
         code, _, _ = run(capsys, "verify")
         assert code == 1
 
@@ -288,6 +290,28 @@ class TestOptimizedInterpreter:
                 for flags in ([], ["-O"])]
         assert runs[0].returncode == 0 and runs[0].stdout
         assert (runs[1].returncode, runs[1].stdout) == (runs[0].returncode, runs[0].stdout)
+
+
+class TestColdStart:
+    """A command imports only the modules it runs."""
+
+    UNUSED = ("steinhaus.verify", "steinhaus.ends", "steinhaus.families",
+              "steinhaus.triangle", "concurrent.futures", "json")
+
+    def test_levels_and_spectrum_load_no_other_module(self, capsys):
+        script = ("import sys\n"
+                  "from steinhaus.cli import main\n"
+                  "codes = [main(['levels', '4']), main(['spectrum', '4', '--format', 'csv'])]\n"
+                  f"print(codes, [m for m in {self.UNUSED!r} if m in sys.modules])\n"
+                  "sys.exit(main(['verify', '--from', '4', '--to', '4']))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(steinhaus.__file__).parents[1]))
+        env.pop("STEINHAUS_MAX_N", None)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        expected = "".join(run(capsys, *argv)[1] for argv in (
+            ("levels", "4"), ("spectrum", "4", "--format", "csv")))
+        expected += "[0, 0] []\n" + run(capsys, "verify", "--from", "4", "--to", "4")[1]
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", expected)
 
 
 class TestClosedStdout:
