@@ -7,12 +7,15 @@ enumeration ceiling exceeded), 3 a conjecture check found a counterexample,
 JSON documents are stable-ordered (sorted keys, members sorted by text) so
 saved outputs diff cleanly; worker count never changes the payload.
 A command imports the modules that only it uses when it runs, so no command
-loads another's modules at start-up.
+loads another's modules at start-up. The parser is built once per process,
+and each command runs the ``cmd_<command>`` function this module holds at the
+time of the call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -201,6 +204,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     return report.exit_code
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="steinhaus",
@@ -212,7 +216,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("sequence", help="generator as '0'/'1' text")
     p.add_argument("--zeros", action="store_true", help="render zeros as '0' not '.'")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_triangle)
 
     p = sub.add_parser("spectrum", help="exact weight histogram over all 2^n generators")
     p.add_argument("n", type=int)
@@ -222,7 +225,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="count each symmetry orbit once: a cross-check, not faster")
     p.add_argument("--force", action="store_true",
                    help="bypass the enumeration ceiling")
-    p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("levels", help="level sets from both ends of the ladder")
     p.add_argument("n", type=int)
@@ -234,17 +236,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--force", action="store_true",
                    help="bypass the enumeration ceiling")
-    p.set_defaults(func=cmd_levels)
 
     p = sub.add_parser("orbit", help="symmetry orbit and canonical representative")
     p.add_argument("sequence")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("families", help="named families at one length, with predictions")
     p.add_argument("n", type=int, help=f"length, 1 to {MAX_LEN}")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_families)
 
     p = sub.add_parser("verify", help="run the verification ladder over a size range")
     p.add_argument("--from", dest="start", type=int, default=4)
@@ -253,15 +252,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--force", action="store_true",
                    help="bypass the enumeration ceiling")
-    p.set_defaults(func=cmd_verify)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
+    ns = _build_parser().parse_args(argv)
     try:
-        code = ns.func(ns)
+        code = globals()[f"cmd_{ns.command}"](ns)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
     except ValueError as exc:

@@ -17,10 +17,13 @@ Generators come in blocks of lanes, one block per high half: the block's
 weights are the lo-only weights plus the hi-only weight plus one XOR and
 popcount of the lane's word against the matching word of T(hi << k), plus
 the periodic weight, taken at 2^t lanes and added over every period that
-reaches the block's last lane. T(hi << k) is the previous block's XOR the
-high units set in hi ^ prev, so blocks come in any ascending order and the
-tables hold one word and one uint16 per lane of a block for every n; those
-of the last size are kept for the next sweep.
+reaches the block's last lane. T(hi << k) is the XOR of the rows of the high
+units set in hi, so blocks are taken in chunks of consecutive blocks, in any
+ascending order: a few vectorized calls give every block's words of
+T(hi << k), its hi-only weight and its periodic weight, and each block then
+costs four calls over its lanes (the periodic add, the XOR, the popcount and
+the key add). The tables hold one word and one uint16 per lane of a block
+for every n; those of the last size are kept for the next sweep.
 
 Two symmetries cut the lanes to about 2^(n-2). T(1^n) is the top row alone,
 so T(~x) differs from T(x) in row 0 only, and weight(~x) = weight(x) + n -
@@ -43,11 +46,12 @@ generator, rounded up (see ``_block_width``).
 One sweep gives the histogram; the members of chosen weights take a second
 pass over only the pairs that can hold them. The kernel writes a pair's keys
 as one contiguous intp array over its XOR buffer, once the popcount has read
-it, so they are counted where they lie: the lanes that count once are moved
-past the (n + 1) * bins keys of lanes that count twice, and one ``bincount``
-per pair adds to the running key counts of both. When members are asked for,
-the sweep also keeps each pair's least and greatest weight, the least and
-greatest of the two weights of the keys it holds (a key's weight and its
+it, so they are counted where they lie: one ``bincount`` per pair counts all
+its lanes, and the tie lanes, which count once, are gathered and counted
+together whenever they fill a buffer as long as the histogram; the lanes
+that count twice are all the lanes less the ties. When members are asked
+for, the sweep also keeps each pair's least and greatest weight, the least
+and greatest of the two weights of the keys it holds (a key's weight and its
 complement's). Pair hi' evaluates about hi' + 1 lanes' worth, so work splits
 into contiguous ranges of pairs of about equal work (one per worker, run on
 at most one thread per available core). Ranges merge by adding key counts
@@ -195,20 +199,23 @@ def _tables(n: int, k: int):
     units = [_unit_triangle(n, j) for j in range(n)]
     lo = functools.reduce(operator.or_, units[:k], 0)
     hi = functools.reduce(operator.or_, units[k:], 0)
-    lo_only, mixed = _set_bits(lo & ~hi), _set_bits(lo & hi)
+    lo_only, mixed, hi_only = _set_bits(lo & ~hi), _set_bits(lo & hi), _set_bits(hi & ~lo)
     # Each column c < k holds l mixed bits; those of the first c* columns fill
     # one word per lane, and the rest read only x_c*..x_{k-1}.
     periodic_from = min(k, 64 // max(l, 1))
     column = [c for r in range(n) for c in range(n - r)]  # of each packed bit
     lane = [p for p in mixed if column[p] < periodic_from]
     periodic = [p for p in mixed if column[p] >= periodic_from]
+    words = -(-len(periodic) // 64)
     # One row per unit: the lo-only bits in the first words, padded with bit
     # ``bits`` (always clear), then one word of the lane's mixed bits, then the
-    # periodic ones. Lanes have x_0 = 0, so unit 0 needs no row: rows[j - 1] is
-    # unit j. High units have no lo-only bit.
+    # periodic ones, then the hi-only ones. Lanes have x_0 = 0, so unit 0 needs
+    # no row: rows[j - 1] is unit j. High units have no lo-only bit, and low
+    # units no hi-only bit.
     split = -(-len(lo_only) // 64)
     rows = _dense(units[1:], lo_only + [bits] * (64 * split - len(lo_only))
-                  + lane + [bits] * (64 - len(lane)) + periodic, bits)
+                  + lane + [bits] * (64 - len(lane))
+                  + periodic + [bits] * (64 * words - len(periodic)) + hi_only, bits)
     spread = rows[:k - 1][::-1]  # row i: unit k - 1 - i, bit i of lane j
     # uint16 throughout: bitwise_count gives uint8, and bins * uint8 would wrap;
     # the lane indices themselves pass 2^16 from k = 18 on
@@ -218,25 +225,23 @@ def _tables(n: int, k: int):
     table = _span(spread[:, split:split + 1])[0]
     # Lane j's low t bits are x_{k-1}..x_{c*}: the periodic words are tabulated
     # for j < 2^t and read at j mod 2^t.
-    period = _span(spread[:k - periodic_from, split + 1:])
-    high = rows[k - 1:, split:]
-    hi_only = tuple(t & hi & ~lo for t in units[k:])
-    # all high units, on the mixed bits and on the hi-only bits: by linearity
-    # they turn a block into its partner
-    partner = np.bitwise_xor.reduce(high, axis=0)
+    period = _span(spread[:k - periodic_from, split + 1:split + 1 + words])
+    # per high unit, its mixed, periodic and hi-only words: T(hi << k) is the
+    # XOR of the rows of the high units set in hi
+    steps = rows[k - 1:, split:]
     # Row 0: the weight of a key's generator; row 1: of its complement (a key
     # no lane holds reads some weight in range too).
     key_ones, weight = np.divmod(np.arange((n + 1) * bins), bins)
     key_weights = np.array([weight, (weight + n - 2 * key_ones) % bins])
-    for array in (base, table, period, high, partner, key_weights):
+    for array in (base, table, period, steps, key_weights):
         array.flags.writeable = False  # shared by every kernel built from the cache
-    partner_only = functools.reduce(operator.xor, hi_only, 0)
-    return base, table, period, high, hi_only, partner, partner_only, key_weights
+    return base, table, period, steps, key_weights
 
 
 class _Kernel:
     """Keys of the generators of length n with x_0 = 0, one pair of blocks
-    at a time, one generator of each {x, rev x, ~x, ~rev x} class.
+    at a time from chunks of pairs, one generator of each
+    {x, rev x, ~x, ~rev x} class.
 
     Block ``hi`` holds the generators (hi << k) | lo, k = ``_block_width(n)``,
     in bit-reversed order of lo: lane j holds lo = bitrev_k(j), so x_0 is j's
@@ -262,18 +267,27 @@ class _Kernel:
     bins * |hi| is one number per block; the mixed bits of lane j's first c*
     columns are one uint64 word, ``table[j]``, and its periodic bits, which
     read only j's low t bits, are the words of ``period[:, j mod 2^t]``. For
-    k(n-k) <= 64, c* = k and t = 0: the periodic table has no word.
+    k(n-k) <= 64, c* = k and t = 0: the periodic table has no word. Row j of
+    ``_steps`` holds high unit j's mixed, periodic and hi-only words, whose
+    XOR over the units set in hi gives a block's words of T(hi << k) and its
+    hi-only weight, for a whole chunk of pairs at once (``_blocks``).
     """
 
     def __init__(self, n: int) -> None:
         self.n = n
         self.k = k = _block_width(n)
-        self.l = n - k
-        self.pairs = 1 << max(self.l - 1, 0)
+        self.l = l = n - k
+        self.pairs = 1 << max(l - 1, 0)
         self.bins = n * (n + 1) // 2 + 1
-        (self.base, self.table, self.period, self._high, self._hi_only, self._partner,
-         self._partner_only, self.key_weights) = _tables(n, k)
-        self.t = self.period.shape[1].bit_length() - 1
+        self.base, self.table, self.period, self._steps, self.key_weights = _tables(n, k)
+        self.t = t = self.period.shape[1].bit_length() - 1
+        words = len(self.period)
+        self._high = self._steps[:, :1 + words]  # the mixed words of each high unit
+        # pairs per chunk: as many as let the chunk's periodic XORs, 2^t lanes
+        # per word and block, fit the pair buffers' 2^(k-1) lanes per block
+        self._chunk = max(1, (1 << (k - 1 - t)) // max(words, 1))
+        self._flips = np.array([0, (1 << l) - 1] if l else [0], dtype=np.uint64)
+        self._shifts = np.arange(l, dtype=np.uint64)[:, None, None]
 
     def cover(self, hi: int) -> tuple[int, int]:
         """(a, b): lanes [0, a) of block ``hi`` count twice, lanes [a, b)
@@ -305,69 +319,69 @@ class _Kernel:
         """Reversals of the generators held by ``lanes`` of block ``hi``, as packed values."""
         return lanes << (self.n - self.k) | _reversed(hi, self.n - self.k)
 
-    def _highs(self, pairs):
-        """Yield (blocks, words, consts) for each pair hi' of ``pairs``, ints
-        in ascending order. The rows are block hi' and, if l > 0, its partner
-        hi' ^ (2^l - 1); words[w, r, 0] is word w of T(hi << k) on the mixed
-        bits of row r (word 0 matches ``table``, words 1.. the rows of
-        ``period``), consts[r, 0] its uint16 hi-only weight plus bins * |hi|.
-        Both arrays are updated in place: T is linear, so T(hi' << k) is the
-        previous pair's T(prev << k) XOR the high units set in hi' ^ prev,
-        from prev = 0, and the partner's is that XOR all high units."""
-        l, bins = self.l, self.bins
-        rows = 2 if l else 1
-        words = np.zeros((self._high.shape[1], rows, 1), dtype=np.uint64)
-        consts = np.zeros((rows, 1), dtype=np.uint16)
-        mixed = words[:, 0, 0]
-        only = prev = 0
-        for hi in pairs:
-            for j in _set_bits(hi ^ prev):
-                mixed ^= self._high[j]
-                only ^= self._hi_only[j]
-            prev, ones = hi, hi.bit_count()
-            consts[0, 0] = only.bit_count() + bins * ones
-            if not l:
-                yield (hi,), words, consts
-                continue
-            np.bitwise_xor(mixed, self._partner, out=words[:, 1, 0])
-            consts[1, 0] = (only ^ self._partner_only).bit_count() + bins * (l - ones)
-            yield (hi, hi ^ ((1 << l) - 1)), words, consts
+    def _blocks(self, pairs: np.ndarray):
+        """(blocks, words, consts) of ``pairs``, a uint64 array of pairs hi'.
+        Row r of blocks[i] is block hi' and, if l > 0, its partner
+        hi' ^ (2^l - 1); words[w, i, r] is word w of T(hi << k) on the mixed
+        bits of that block (word 0 matches ``table``, words 1.. the rows of
+        ``period``), and consts[i, r] its uint16 hi-only weight plus
+        bins * |hi|. T is linear, so T(hi << k) is the XOR of the rows of the
+        high units set in hi: one reduce for every block."""
+        blocks = pairs[:, None] ^ self._flips
+        bits = blocks >> self._shifts & 1  # row j: bit j of every block
+        steps = np.bitwise_xor.reduce(self._steps.T[..., None, None] * bits, axis=1)
+        mixed = self._high.shape[1]
+        consts = np.multiply(np.bitwise_count(blocks), self.bins, dtype=np.uint16)
+        consts += np.bitwise_count(steps[mixed:]).sum(axis=0, dtype=np.uint16)
+        return blocks, steps[:mixed], consts
 
     def keys(self, pairs):
         """Yield (blocks, a, keys) for each pair of ``pairs``, ints in
-        ascending order, each reached from the one before by the linear step
-        of ``_highs``: keys is a contiguous (rows, b) intp array, row r
+        ascending order: keys is a contiguous (rows, b) intp array, row r
         holding the keys of lanes 0..b-1 of block blocks[r], with (a, b) =
         ``cover(blocks[r])``. It is the pair's XOR buffer, allocated once per
         call, which the last add overwrites once the popcount has read it;
-        the next pair overwrites it again."""
+        the next pair overwrites it again.
+
+        Pairs come in chunks of ``_chunk`` consecutive entries of ``pairs``.
+        Per chunk, ``_blocks`` gives every block's words and constant, and the
+        periodic weight plus the constant, ``once``, is taken for every block
+        at lanes j < min(2^t, b) of the chunk's last pair, through the pair
+        buffers. Each pair then adds its ``once`` to the base over the periods
+        that reach lane b - 1 (2^t divides the 2^(k-1) lanes of ``base``), and
+        XORs, popcounts and adds its lane words: four calls over its lanes."""
         t, period = self.t, self.period
-        shape = (2 if self.l else 1, self.base.size)
-        acc = np.empty(shape, dtype=np.uint16)
-        buf = np.empty(shape[0] * shape[1], dtype=np.uint64)
-        count = np.empty(shape, dtype=np.uint8)
+        rows, lanes = len(self._flips), self.base.size
+        pairs = np.fromiter(pairs, dtype=np.uint64)
+        chunk = min(self._chunk, max(len(pairs), 1))
+        acc = np.empty((rows, lanes), dtype=np.uint16)
+        room = max(rows * lanes, len(period) * chunk * rows << t)
+        buf = np.empty(room, dtype=np.uint64)
+        count = np.empty(room, dtype=np.uint8)
+        once_buf = np.empty((chunk, rows, 1 << t), dtype=np.uint16)
         # lane j at [j >> t, j mod 2^t]: whole periods of 2^t lanes
-        base_folded, folded = self.base.reshape(-1, 1 << t), acc.reshape(shape[0], -1, 1 << t)
-        period_xor = np.empty((len(period), shape[0], 1 << t), dtype=np.uint64)
-        period_count = np.empty(period_xor.shape, dtype=np.uint8)
-        period_sum = np.empty((shape[0], 1 << t), dtype=np.uint16)
-        for his, words, consts in self._highs(pairs):
-            a, b = self.cover(his[0])
-            # the periodic weight plus the block's constant, once per block at
-            # lanes j < min(2^t, b), then added to the base over the periods
-            # that reach lane b - 1; 2^t divides the 2^(k-1) lanes of ``base``
-            p, whole = min(b, 1 << t), -(-b >> t)
-            np.bitwise_xor(period[:, None, :p], words[1:], out=period_xor[..., :p])
-            np.bitwise_count(period_xor[..., :p], out=period_count[..., :p])
-            once = period_count[..., :p].sum(axis=0, dtype=np.uint16, out=period_sum[:, :p])
-            once += consts
-            np.add(base_folded[:whole, :p], once[:, None], out=folded[:, :whole, :p])
-            xor, cnt = buf[:shape[0] * b].reshape(shape[0], b), count[:, :b]
-            np.bitwise_xor(self.table[:b], words[0], out=xor)
+        base_folded, folded = self.base.reshape(-1, 1 << t), acc.reshape(rows, -1, 1 << t)
+        for first in range(0, len(pairs), chunk):
+            blocks, words, consts = self._blocks(pairs[first:first + chunk])
+            his = blocks.tolist()
+            width = min(1 << t, self.cover(his[-1][0])[1])
+            shape = (len(period), len(his), rows, width)
+            size = math.prod(shape)
+            xor, cnt = buf[:size].reshape(shape), count[:size].reshape(shape)
+            np.bitwise_xor(period[:, None, None, :width], words[1:, ..., None], out=xor)
             np.bitwise_count(xor, out=cnt)
-            key = xor.view(np.int64)  # intp on 64-bit platforms
-            np.add(acc[:, :b], cnt, out=key)
-            yield his, a, key
+            once = cnt.sum(axis=0, dtype=np.uint16, out=once_buf[:len(his), :, :width])
+            once += consts[..., None]
+            for pair, mixed, pair_once in zip(his, words[0, ..., None], once):
+                a, b = self.cover(pair[0])
+                p, whole = min(b, 1 << t), -(-b >> t)
+                np.add(base_folded[:whole, :p], pair_once[:, None, :p], out=folded[:, :whole, :p])
+                xor, cnt = buf[:rows * b].reshape(rows, b), count[:rows * b].reshape(rows, b)
+                np.bitwise_xor(self.table[:b], mixed, out=xor)
+                np.bitwise_count(xor, out=cnt)
+                key = xor.view(np.int64)  # intp on 64-bit platforms
+                np.add(acc[:, :b], cnt, out=key)
+                yield tuple(pair), a, key
 
 
 class _Images:
@@ -393,20 +407,36 @@ def _sweep_range(kernel: _Kernel, start: int, stop: int, ends: bool):
     """Key counts of pairs [start, stop), of lanes that count twice and of
     lanes that count once, and, if ``ends``, each pair's least and greatest
     weight over the generators its lanes stand for (row 0 the least, row 1
-    the greatest, a column per pair)."""
+    the greatest, a column per pair).
+
+    Each pair's keys are counted together; its tie lanes [a, b), which count
+    once, are also gathered and counted together, once they fill a buffer as
+    long as the histogram (or as one pair's tie lanes, if those are more), so
+    the lanes that count twice are all the lanes less the ties."""
     size = (kernel.n + 1) * kernel.bins
-    counts = np.zeros(2 * size, dtype=np.int64)  # of lanes that count twice, then once
+    counts = np.zeros((2, size), dtype=np.int64)
+    every, once = counts  # of every lane, then less the ties; of the ties
+    a, b = kernel.cover(start)  # every pair has b - a tie lanes in each block
+    ties = np.empty(max(size, 2 * (b - a)), dtype=np.uint16)  # keys stay below 2^16
+    tied = 0
     bounds = np.zeros((2, stop - start), dtype=np.int64)
     # a key gives its lane's weight and its complement's
     least, greatest = kernel.key_weights.min(axis=0), kernel.key_weights.max(axis=0)
     for his, a, keys in kernel.keys(range(start, stop)):
-        keys[:, a:] += size  # lanes that count once, counted past the others
-        pair = np.bincount(keys.reshape(-1), minlength=2 * size)
-        counts += pair
+        pair = np.bincount(keys.reshape(-1), minlength=size)
+        every += pair
+        tie = keys[:, a:]
+        if tied + tie.size > ties.size:
+            np.add.at(once, ties[:tied], 1)
+            tied = 0
+        np.copyto(ties[tied:tied + tie.size].reshape(tie.shape), tie, casting="unsafe")
+        tied += tie.size
         if ends:
-            held = (pair[:size] | pair[size:]) != 0
+            held = pair != 0
             bounds[:, his[0] - start] = least[held].min(), greatest[held].max()
-    return counts.reshape(2, size), bounds
+    np.add.at(once, ties[:tied], 1)
+    every -= once
+    return counts, bounds
 
 
 def _collect_range(kernel: _Kernel, start: int, stop: int, chosen: np.ndarray,

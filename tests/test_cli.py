@@ -349,6 +349,28 @@ class TestParser:
             cli.main(["spectrum"])
         assert exc.value.code == 2
 
+    def test_one_parser_serves_every_call(self, capsys):
+        commands = (("spectrum", "6", "--format", "csv"), ("levels", "5", "--format", "json"),
+                    ("orbit", "1101"))
+        # each command on a parser of its own
+        fresh = []
+        for argv in commands:
+            cli._build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        cli._build_parser.cache_clear()
+        with pytest.raises(SystemExit) as exc:  # a usage error leaves the parser usable
+            cli.main(["spectrum"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert [run(capsys, *argv) for argv in commands] == fresh
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, len(commands))
+
+    def test_commands_run_the_function_the_module_holds(self, capsys, monkeypatch):
+        run(capsys, "orbit", "1101")  # the parser is built before the swap
+        monkeypatch.setattr(cli, "cmd_orbit", lambda ns: print("swapped", ns.sequence) or 0)
+        assert run(capsys, "orbit", "1101") == (0, "swapped 1101\n", "")
+
 
 class TestDocuments:
     @pytest.mark.parametrize("argv", [

@@ -330,16 +330,33 @@ class TestKernelSplit:
         monkeypatch.setattr(spectrum_mod, "_BLOCK_BITS", min(spectrum_mod._BLOCK_BITS, n - 1))
         kernel = _Kernel(n)
         k, bins = kernel.k, kernel.bins
+        blocks_of, chunks = _Kernel._blocks, []
+
+        def recorded(self, pairs):
+            got = blocks_of(self, pairs)
+            chunks.append((pairs.tolist(), *got))
+            return got
+
+        monkeypatch.setattr(_Kernel, "_blocks", recorded)
         starts = {0, 1, max(kernel.pairs // 2 - 1, 0)}
-        gapped = range(1, kernel.pairs, 2)  # each step flips one or more high bits
-        for pairs in [range(start, min(start + 16, kernel.pairs)) for start in starts] + [gapped]:
-            his = [(blocks, consts[:, 0].tolist()) for blocks, _, consts in kernel._highs(pairs)]
-            assert [blocks[0] for blocks, _ in his] == list(pairs)
-            for blocks, consts in his:
-                assert blocks[1] == blocks[0] ^ ((1 << (n - k)) - 1)  # the partner
-                for hi, const in zip(blocks, consts):
-                    high = BitSeq(n - k, hi)
-                    assert const == triangle_weight(high) + bins * high.weight
+        gapped = range(1, kernel.pairs, 2)  # blocks that differ in one or more high bits
+        for chunk in (kernel._chunk, 1, 3):  # one chunk; and chunks with a ragged last one
+            kernel._chunk = chunk
+            runs = [range(start, min(start + 16, kernel.pairs)) for start in starts]
+            for pairs in runs + [gapped]:
+                chunks.clear()
+                assert [his[0] for his, _, _ in kernel.keys(pairs)] == list(pairs)
+                assert [p for got, *_ in chunks for p in got] == list(pairs)
+                sizes = [len(got) for got, *_ in chunks]
+                assert set(sizes[:-1]) <= {chunk} and all(0 < size <= chunk for size in sizes[-1:])
+                for got, blocks, words, consts in chunks:
+                    assert blocks.shape == consts.shape == (len(got), 2)
+                    assert words.shape == (1 + len(kernel.period), len(got), 2)
+                    for pair, row, const in zip(got, blocks.tolist(), consts.tolist()):
+                        assert row == [pair, pair ^ ((1 << (n - k)) - 1)]  # and the partner
+                        for hi, weight in zip(row, const):
+                            high = BitSeq(n - k, hi)
+                            assert weight == triangle_weight(high) + bins * high.weight
 
     # (block bits, n): 16 pairs with one mixed word; 256 pairs with a periodic word (t = 2)
     @pytest.mark.parametrize("block_bits, n", [(3, 10), (9, 18)])
@@ -800,6 +817,61 @@ class TestRescanRuns:
         assert keyed == Counter(picked)
         assert sorted(calls) == sorted(ranges)  # one call per range, on threads in any order
         assert self.merged(found, cap) == self.merged(one, cap)
+
+
+class TestChunkEdges:
+    """``_Kernel.keys`` works out the words and constants of a chunk of pairs
+    at once; keys, key counts, bounds and rescanned members must not depend
+    on where its chunks begin and end."""
+
+    @staticmethod
+    def keyed(kernel, pairs):
+        return [(his, a, keys.copy()) for his, a, keys in kernel.keys(pairs)]
+
+    # (block bits, n, natural chunk, tie lanes): t = 2 and one periodic word,
+    # 256 pairs; t = 6 and two periodic words, 1024 pairs; t = 6 and one
+    # periodic word, 256 pairs whose tie lanes outnumber the histogram's keys,
+    # so the sweep counts them before it has gathered them all
+    @pytest.mark.parametrize("block_bits, n, natural, ties", [(9, 18, 64, 512),
+                                                              (11, 22, 8, 2048),
+                                                              (13, 22, 64, 8192)])
+    def test_results_do_not_depend_on_chunk_edges(self, monkeypatch, block_bits, n, natural,
+                                                  ties):
+        monkeypatch.setattr(spectrum_mod, "_BLOCK_BITS", block_bits)
+        kernel = _Kernel(n)
+        assert kernel._chunk == natural and kernel.pairs % natural == 0
+        a, b = kernel.cover(0)
+        assert 2 * (b - a) * kernel.pairs == ties
+        assert (ties > (n + 1) * kernel.bins) == (block_bits == 13)
+        parts = [(0, kernel.pairs)] + _plan(kernel.pairs, 3)[0]
+        assert any(start % natural for start, _ in parts)  # a range starts mid-chunk
+        last = kernel.pairs - 1
+        runs = [range(natural - 2, natural + 13), [0, 3, 4, 9, 10, 11, 40, last - 5, last],
+                list(range(1, 2 * natural + 7, 3))]  # consecutive pairs and gapped lists
+        chosen = np.zeros(kernel.pairs, dtype=bool)
+        chosen[[1, 2, 5, natural - 1, natural, natural + 4, last - 1]] = True
+        wanted = np.ones(kernel.bins, dtype=bool)
+
+        def results():
+            keys = [self.keyed(kernel, pairs) for pairs in runs]
+            swept = [spectrum_mod._sweep_range(kernel, start, stop, True) for start, stop in parts]
+            found = [spectrum_mod._collect_range(kernel, start, stop, chosen, wanted, 2)
+                     for start, stop in parts]
+            return keys, swept, found
+
+        want_keys, want_swept, want_found = results()
+        hist = spectrum_mod._merge_hist(kernel, [want_swept[0][0]])
+        digest = hashlib.sha256(repr(tuple(hist.tolist())).encode()).hexdigest()
+        assert digest == TestKernelSplit.GOLDEN[n]
+        for chunk in (1, 2, 5, natural - 1, natural + 3):
+            kernel._chunk = chunk
+            got_keys, got_swept, got_found = results()
+            for got, want in zip(got_keys, want_keys):
+                assert [(his, a) for his, a, _ in got] == [(his, a) for his, a, _ in want]
+                assert all(np.array_equal(g, w) for (*_, g), (*_, w) in zip(got, want)), chunk
+            for (counts, bounds), (want_counts, want_bounds) in zip(got_swept, want_swept):
+                assert np.array_equal(counts, want_counts) and np.array_equal(bounds, want_bounds)
+            assert got_found == want_found, chunk
 
 
 class TestThreeRowMax:
