@@ -20,7 +20,7 @@ _EXPORTS = {
                  "symmetry_reduced_spectrum", "level_sets", "level_sets_low",
                  "level_sets_high", "find_weight", "members_at_weights",
                  "three_row_max"),
-    "ends": ("LadderEnds", "ladder_ends"),
+    "ends": ("LadderEnds", "ladder_ends", "ladder_ends_batch"),
     "verify": ("CheckRecord", "VerificationReport", "Witness", "verify_level",
                "verify_small_n", "verify_ek", "verify_s3", "verify_family_weights",
                "check_conjecture", "verify_all"),

@@ -14,15 +14,30 @@ of weight at most W_m(l), and the k*l mixed entries (c < k <= c + r), which
 fill a k x l grid under the same recurrence and weigh at most M(k, l). So
 each prefix of a generator of weight >= t has A + W_m(l) + M(k, l) >= t. A
 nonzero D makes a nonzero D' for either bit, so each of the l diagonals left
-holds a one, and each prefix of one of weight <= t has A + l*[D != 0] <= t.
-Each end is searched alone; t moves inward by 1, 2, 4, ... until the
-generators found hold enough distinct weights to be its levels. The top starts
-at t = ceil(n^2/3), the bottom at 2n - 3 or the largest exact weight asked
-for: guesses that cost time when wrong, never exactness.
+holds a one, and each prefix of one of weight <= t has A + l*[D != 0] <= t;
+D is nonzero exactly where A is, as D determines the prefix.
+
+One frontier serves many searches, or requests (n, t, top): each holds a
+contiguous run of it, and each depth fixes the next bit of every request in
+the same numpy calls, so a batch pays numpy's per-call cost once per depth, not
+once per request and depth. A request leaves at its last bit. A frontier of two
+or more requests that grows past ``_BATCH_PREFIXES`` splits by request, and the
+parts finish one after another; one request's frontier is never split.
+
+Each end is searched until it holds its levels: t moves inward by 1, 2, 4, ...
+until the generators found hold enough distinct weights. The top starts at
+t = ceil(n^2/3), the bottom at 2n - 3 or the largest exact weight asked for:
+guesses that cost time when wrong, never exactness. The ends of all the sizes
+asked for run in waves, each one batch of every end that is ready for its next
+threshold.
 
 W_m(l) is never assumed: it comes from an exact top search at size l, which
-needs only smaller sizes, and every top search records its own, so a run over
-increasing n searches each size once. M(k, l) is exact for k, l <= 12, read
+needs only smaller sizes, and every top search records its own. A top end is
+ready once W_m is known at every size below its own, and a size below a top
+end that no end of the batch searches gets a top search of its own. So a first
+run over increasing n searches each top once, one size per wave, upward, while
+the bottoms share the first wave; a later run finds every W_m known and
+searches all its ends in one wave. M(k, l) is exact for k, l <= 12, read
 on first use from a bundled brute-force table (``fixtures/mixed_grid_max.txt``).
 Past it the search uses the bound M(a + b, l) <= M(a, l) + M(b, l), and the
 same in l: the grid's columns c >= a are the mixed grid of x_a..x_{n-1}, and
@@ -36,6 +51,7 @@ must be closed under ``rot_r`` and ``invert_i``, which generate the group.
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -48,6 +64,13 @@ from .triangle import triangle_weight
 _EXACT_MIX = 12  # the bundled table holds M(k, l) for 1 <= k, l <= 12
 _TOP_WEIGHT: dict[int, int] = {}  # W_m by size, each recorded by a top search
 SEARCH_LIMIT = 64  # the bits of a uint64 diagonal
+# A depth of the search costs about 25 us of fixed per-call cost, whatever its
+# frontier, which is what sharing one frontier saves. At 2^12 prefixes the
+# depth takes 0.1 ms, at 2^14 0.6 ms and from there on about 35 ns a prefix
+# (2 cores, numpy 2.4.6): past 2^14 the fixed cost is under 5 % and a batch
+# buys nothing, so a frontier of several requests splits there, which keeps it
+# under 1 MB. A split at 2^16 put 3-4 MB on a warm ``verify_all(25, 64)``.
+_BATCH_PREFIXES = 1 << 14
 
 
 class LadderEnds(NamedTuple):
@@ -57,6 +80,17 @@ class LadderEnds(NamedTuple):
     high: list[WeightSlice]  # W_m, W_{m-1}, ... downward
     slices: dict[int, WeightSlice]  # requested weight -> its generators
     weighed: tuple[int, int]  # prefixes kept by the bottom and the top search, W_m chain aside
+
+
+class _End(NamedTuple):
+    """One end of the ladder at size n, searched from threshold t (see ``_ends``)."""
+
+    n: int
+    top: bool
+    t: int
+    levels: int
+    cap: int
+    weights: list[int]
 
 
 def _split_bound(k: int, l: int) -> int:
@@ -80,7 +114,7 @@ def mix_bound(k: int, l: int) -> int:
 def _top_weight(l: int) -> int:
     """W_m at size l (0 for l = 0), from an exact top search at l the first time."""
     if l and l not in _TOP_WEIGHT:
-        _end(l, True, -(-l * l // 3), 1, 1)
+        _ends([_End(l, True, -(-l * l // 3), 1, 1, [])])
     return _TOP_WEIGHT[l] if l else 0
 
 
@@ -106,49 +140,144 @@ def _thresholds(t: int, floor: int) -> list[int]:
     return [max(t + 1 - (1 << i), floor) for i in range((t - floor).bit_length() + 1)]
 
 
-def _search(n: int, t: int, top: bool) -> tuple[np.ndarray, np.ndarray, int]:
-    """The last diagonals rot_r(x) of the generators x of weight >= t (top)
-    or <= t (bottom), their weights, and the prefixes kept on the way."""
-    d = np.zeros(1, np.uint64)  # last diagonal
-    a = np.zeros(1, np.int64)  # weight fixed so far
-    kept = 0
-    for j in range(n):
-        ones = np.uint64((2 << j) - 1)
-        for i in range((j - 1).bit_length()):  # P(D) over the j bits of D
-            d = d ^ d << np.uint64(1 << i)
-        d = d << np.uint64(1) & ones
-        d = np.concatenate((d, d ^ ones))
-        a = np.concatenate((a, a)) + np.bitwise_count(d)
-        l = n - j - 1
-        keep = a + _top_weight(l) + mix_bound(j + 1, l) >= t if top else a + l * (d != 0) <= t
-        d, a = d[keep], a[keep]
-        kept += len(d)
-    return d, a, kept
+def _cut(n: int, t: int, top: bool, j: int) -> int:
+    """After bit j, the weight fixed so far from which a prefix is kept (top)
+    or dropped (bottom): A + l*[A > 0] <= t holds for A <= t - l, and for
+    A = 0 alone where 0 <= t <= l."""
+    l = n - j - 1
+    if top:
+        return t - _top_weight(l) - mix_bound(j + 1, l)
+    return (t - l if t > l else min(t, 0)) + 1
 
 
-def _end(n: int, top: bool, t: int, levels: int, cap: int,
-         weights=()) -> tuple[list[WeightSlice], dict, int]:
-    """The ``levels`` levels at one end of the ladder, nearest the end first,
-    the slices of ``weights``, and the prefixes kept to find them.
+def _leave(reqs: list, d: np.ndarray, a: np.ndarray, sizes: list[int], j: int,
+           out: list) -> tuple[list, np.ndarray, np.ndarray, list[int]]:
+    """Put in ``out`` the run of each request of size j or left empty; return
+    the other requests, the one slice that their runs make, and the runs' sizes."""
+    runs, end = [], 0
+    for r, size in zip(reqs, sizes):
+        runs.append((r, end, end + size))
+        end += size
+    stay = [(r, lo, hi) for r, lo, hi in runs if hi > lo and r[1] > j]
+    for (i, n, *_), lo, hi in runs:
+        if hi == lo or n == j:  # copied where the rest still uses the arrays
+            out[i] = (d[lo:hi].copy(), a[lo:hi].copy()) if stay else (d[lo:hi], a[lo:hi])
+    lo, hi = (stay[0][1], stay[-1][2]) if stay else (0, 0)
+    return [r for r, *_ in stay], d[lo:hi], a[lo:hi], [hi - lo for _, lo, hi in stay]
 
-    The threshold moves toward the middle (see ``_thresholds``, in signed
-    weights) until the generators past it hold ``levels`` distinct weights,
-    or all generators are past it.
+
+def _search(requests: list[tuple[int, int, bool]]) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    """For each request (n, t, top): the last diagonals rot_r(x) of the
+    generators x of weight >= t (top) or <= t (bottom), their weights, and the
+    prefixes kept on the way.
+
+    The frontier holds the tops by ascending n, then the bottoms by descending
+    n, so the requests that leave at a depth sit at its two ends and the rest
+    stay one slice. Each request's run is contiguous, so a count per request,
+    not a tag per prefix, tells the runs apart. Weights, at most
+    64 * 65 / 2 = 2080, are int16.
     """
-    if not levels and not weights:
-        return [], {}, 0
-    sign = 1 if top else -1
-    kept = 0
-    for t in _thresholds(sign * t, 0 if top else -(n * (n + 1) // 2)):
-        d, w, count = _search(n, sign * t, top)
-        kept += count
-        found = np.unique(w)
-        if len(found) >= levels:
-            break
-    if top:  # the search reached W_m
-        _TOP_WEIGHT[n] = int(found[-1])
-    return ([_level(n, int(wt), d[w == wt], cap) for wt in found[::-sign][:levels]],
-            {wt: _level(n, wt, d[w == wt], cap) for wt in weights}, kept)
+    order = sorted(range(len(requests)), key=lambda i: (not requests[i][2],
+                   requests[i][0] if requests[i][2] else -requests[i][0]))
+    out: list = [None] * len(requests)
+    kept = [0] * len(requests)
+    parts = [([(i, *requests[i]) for i in order], np.zeros(len(order), np.uint64),
+              np.zeros(len(order), np.int16), [1] * len(order), 0)]
+    while parts:
+        reqs, d, a, sizes, j = parts.pop()
+        while True:
+            if 0 in sizes or j in [n for _, n, _, _ in reqs]:
+                reqs, d, a, sizes = _leave(reqs, d, a, sizes, j, out)
+            if not reqs:
+                break
+            if len(reqs) > 1 and len(d) > _BATCH_PREFIXES:
+                half = len(reqs) // 2
+                cut = sum(sizes[:half])
+                parts.append((reqs[half:], d[cut:], a[cut:], sizes[half:], j))
+                reqs, d, a, sizes = reqs[:half], d[:cut], a[:cut], sizes[:half]
+            ones = np.uint64((2 << j) - 1)
+            for i in range((j - 1).bit_length()):  # P(D) over the j bits of D
+                d ^= d << np.uint64(1 << i)
+            d <<= np.uint64(1)
+            d &= ones
+            # x_j = 0 and x_j = 1 side by side, so each request's run stays contiguous
+            pair = np.empty((len(d), 2), np.uint64)
+            pair[:, 0] = d
+            np.bitwise_xor(d, ones, out=pair[:, 1])
+            d = pair.reshape(-1)
+            a = a.repeat(2)
+            a += np.bitwise_count(d)
+            sizes = [2 * size for size in sizes]
+            keep = a >= np.array([_cut(n, t, top, j) for _, n, t, top in reqs],
+                                 np.int16).repeat(sizes)
+            tops = sum(size for (*_, top), size in zip(reqs, sizes) if top)
+            if tops < len(keep):  # a bottom keeps what lies below its cut
+                np.logical_not(keep[tops:], out=keep[tops:])
+            keep = keep.nonzero()[0]  # an index gathers faster than a mask
+            ends = keep.searchsorted(list(itertools.accumulate(sizes))).tolist()
+            sizes = [hi - lo for lo, hi in zip([0, *ends], ends)]
+            for (i, *_), size in zip(reqs, sizes):
+                kept[i] += size
+            d = d[keep]
+            a = a[keep]
+            j += 1
+    return [(d, a, k) for (d, a), k in zip(out, kept)]
+
+
+def _ends(ends: list[_End]) -> list[tuple[list[WeightSlice], dict, int]]:
+    """For each end: its ``levels`` levels, nearest the end first, the slices
+    of its ``weights``, and the prefixes kept to find them.
+
+    An end's threshold moves toward the middle (see ``_thresholds``, in signed
+    weights) until the generators past it hold ``levels`` distinct weights, or
+    all generators are past it. The ends search in waves, each one ``_search``
+    of every open end that is ready, at its next threshold.
+    """
+    searched = {e.n for e in ends if e.top and (e.levels or e.weights)}
+    chain = [_End(l, True, -(-l * l // 3), 1, 1, []) for l in range(1, max(searched, default=0))
+             if l not in searched and l not in _TOP_WEIGHT]
+    ends = [*ends, *chain]
+    results = [([], {}, 0) for _ in ends]
+    kept = [0] * len(ends)
+    todo = {}  # each open end's thresholds to come
+    for i, e in enumerate(ends):
+        if e.levels or e.weights:
+            sign = 1 if e.top else -1
+            floor = 0 if e.top else -(e.n * (e.n + 1) // 2)
+            todo[i] = [sign * t for t in _thresholds(sign * e.t, floor)]
+    while todo:
+        unknown = next(l for l in itertools.count(1) if l not in _TOP_WEIGHT)
+        ready = [i for i in todo if not ends[i].top or ends[i].n <= unknown]
+        for i, (d, w, count) in zip(ready, _search([(ends[i].n, todo[i][0], ends[i].top)
+                                                    for i in ready])):
+            e, sign = ends[i], 1 if ends[i].top else -1
+            kept[i] += count
+            found = np.unique(w)
+            if e.top and len(found):  # the search reached W_m
+                _TOP_WEIGHT[e.n] = int(found[-1])
+            del todo[i][0]
+            if len(found) >= e.levels or not todo[i]:
+                del todo[i]
+                results[i] = ([_level(e.n, int(wt), d[w == wt], e.cap)
+                               for wt in found[::-sign][:e.levels]],
+                              {wt: _level(e.n, wt, d[w == wt], e.cap) for wt in e.weights},
+                              kept[i])
+    return results[:len(ends) - len(chain)]
+
+
+def ladder_ends_batch(requests, *, cap: int = DEFAULT_MEMBER_CAP,
+                      force: bool = False) -> list[LadderEnds]:
+    """``ladder_ends(n, low, high, weights=weights, cap=cap, force=force)`` for
+    each request (n, low, high, weights), every one checked before any search,
+    from one set of waves over the ends of all of them."""
+    ends = []
+    for n, low, high, weights in requests:
+        weights = _request(n, low, high, weights, cap, force, limit=SEARCH_LIMIT)
+        ends += [_End(n, False, max([2 * n - 3, *weights]), low + 1 if low else 0, cap, weights),
+                 _End(n, True, -(-n * n // 3), high, cap, [])]
+    found = _ends(ends)
+    return [LadderEnds(bottom, top, slices, (kept_low, kept_high))
+            for (bottom, slices, kept_low), (top, _, kept_high) in zip(found[::2], found[1::2])]
 
 
 def ladder_ends(n: int, low: int, high: int, *, weights=(), cap: int = DEFAULT_MEMBER_CAP,
@@ -160,10 +289,7 @@ def ladder_ends(n: int, low: int, high: int, *, weights=(), cap: int = DEFAULT_M
     generators. A weight costs what a bottom end reaching it costs.
 
     Members are the first ``cap`` in packed order. Sizes are checked against
-    the enumeration ceiling as for a sweep, and against ``SEARCH_LIMIT``.
+    the enumeration ceiling as for a sweep, and against ``SEARCH_LIMIT``. This
+    is the one-size case of ``ladder_ends_batch``.
     """
-    weights = _request(n, low, high, weights, cap, force, limit=SEARCH_LIMIT)
-    bottom, slices, kept_low = _end(n, False, max([2 * n - 3, *weights]),
-                                    low + 1 if low else 0, cap, weights)
-    top, _, kept_high = _end(n, True, -(-n * n // 3), high, cap)
-    return LadderEnds(bottom, top, slices, (kept_low, kept_high))
+    return ladder_ends_batch([(n, low, high, weights)], cap=cap, force=force)[0]

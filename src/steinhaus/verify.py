@@ -12,17 +12,20 @@ a check, the sizes it applies to, its skip reason, how it runs on the size's
 one set of ladder ends and any exact weight it reads there. Checks read levels
 by their offset from an end of the ladder: W_1..W_3 are ``data.low[1..3]``,
 and W_m and W_{m-1} are ``data.high[0]`` and ``data.high[1]``. Every size
-reads them, and its exact-weight slices, from the prefix search
-``ends.ladder_ends``, which keeps a few thousand prefixes where a sweep
-weighs 2^n. The small-n ladder (n <= 4), against the bundled table that
-``predicted_level`` serves there, reads whole ladders from it; the stored
+reads them, and its exact-weight slices, from one prefix search of all the
+sizes, ``ends.ladder_ends_batch``, which keeps a few thousand prefixes per
+size where a sweep weighs 2^n. The small-n ladder (n <= 4), against the
+bundled table that ``predicted_level`` serves there, reads whole ladders from
+``ladder_ends``, one size at a time; the stored
 top-level summary, which needs the height m at n <= 9, counts the distinct
 weights of all 2^n generators; the three-row bound reads the max from the
 forward pass of the window DP, and its generators from ``three_row_max``
 only where it reads them (n = 4, 5 or a failure's witness). No check builds
 the sweep kernel: the tests check the search against the sweep. The
-``_timed`` decorator stamps each check's wall time on the record it returns,
-and each size's search time is added to the first record that reads it.
+``_timed`` decorator stamps each check's wall time on the record it returns.
+The search is one call for every size, so its time, and the time spent
+between the checks, is added to one record, the first of the lowest size:
+the records account for the run, but no longer split the search by size.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bitseq import BitSeq
-from .ends import SEARCH_LIMIT, LadderEnds, ladder_ends
+from .ends import SEARCH_LIMIT, LadderEnds, ladder_ends, ladder_ends_batch
 from .families import (
     FamilyName,
     UncoveredLevelError,
@@ -472,17 +475,11 @@ _CHECKS = (
 PER_N_CHECKS = tuple(c.name for c in _CHECKS)
 
 
-def _per_n_records(n: int, force: bool) -> list[CheckRecord]:
-    """The records of size n. Its one search is shared, so its time is added
-    to the first record that reads it, and the records account for it."""
-    skipped = [CheckRecord(c.name, n, "skipped", c.skip) for c in _CHECKS if not c.applies(n)]
-    run = [c for c in _CHECKS if c.applies(n)]
-    t0 = time.perf_counter()
-    data = ladder_ends(n, 3, 2, weights=[c.weight(n) for c in run if c.weight], force=force)
-    search = time.perf_counter() - t0
-    records = [c.run(n, data) for c in run]
-    records[0] = replace(records[0], elapsed=records[0].elapsed + search)
-    return skipped + records
+def _per_n_records(n: int, data: LadderEnds) -> list[CheckRecord]:
+    """The records of size n, those of the checks that ran first, from its
+    ladder ends ``data``."""
+    return ([c.run(n, data) for c in _CHECKS if c.applies(n)]
+            + [CheckRecord(c.name, n, "skipped", c.skip) for c in _CHECKS if not c.applies(n)])
 
 
 def verify_all(n_min: int, n_max: int, *, workers: int | None = None,
@@ -502,7 +499,14 @@ def verify_all(n_min: int, n_max: int, *, workers: int | None = None,
         raise CeilingExceeded(f"n_max={n_max} exceeds the enumeration ceiling {ceiling}")
     _check_size(n_max, force=True, limit=SEARCH_LIMIT)  # before any search
     records = verify_small_n()
-    for n in range(n_min, n_max + 1):
-        records.extend(_per_n_records(n, force))
+    sizes = range(n_min, n_max + 1)
+    t0 = time.perf_counter()
+    ends = ladder_ends_batch([(n, 3, 2, [c.weight(n) for c in _CHECKS if c.weight and c.applies(n)])
+                              for n in sizes], force=force)
+    checked = [r for n, data in zip(sizes, ends) for r in _per_n_records(n, data)]
+    # the search of all sizes, and the time between the checks, are booked on one record
+    rest = time.perf_counter() - t0 - sum(r.elapsed for r in checked)
+    checked[0] = replace(checked[0], elapsed=checked[0].elapsed + rest)
+    records += checked
     records.sort(key=lambda r: (r.n, r.check))
     return VerificationReport(n_min, n_max, tuple(records))

@@ -1,4 +1,5 @@
 import importlib.util
+import random
 from functools import cache
 from pathlib import Path
 
@@ -15,7 +16,8 @@ from steinhaus import (
     triangle_weight,
 )
 from steinhaus import ends as ends_mod
-from steinhaus.ends import _split_bound, _thresholds, mix_bound
+from steinhaus import verify as verify_mod
+from steinhaus.ends import _split_bound, _thresholds, ladder_ends_batch, mix_bound
 from steinhaus.families import _fixture_rows
 
 from conftest import rejection
@@ -172,10 +174,25 @@ class TestSearch:
         weights = row_step_weights(values, n)
         for t in range(n * (n + 1) // 2 + 1):
             for top in (False, True):
-                d, a, _ = ends_mod._search(n, t, top)
+                d, a, _ = ends_mod._search([(n, t, top)])[0]
                 past = values[weights >= t if top else weights <= t]
                 assert sorted(d.tolist()) == past.tolist(), (t, top)
                 assert (a == weights[d.astype(np.int64)]).all(), (t, top)
+
+    @pytest.mark.parametrize("budget", [1, 40, 1 << 16])
+    def test_one_frontier_for_every_threshold_and_size(self, budget, monkeypatch):
+        # Both ends at every threshold and at sizes 0..10, shuffled into one
+        # batch, each request alone, and with the frontier split down to one
+        # request (budget 1) or now and then (budget 40).
+        requests = [(n, t, top) for n in range(11) for t in range(-1, n * (n + 1) // 2 + 2)
+                    for top in (False, True)]
+        random.Random(budget).shuffle(requests)
+        alone = [ends_mod._search([request])[0] for request in requests]
+        monkeypatch.setattr(ends_mod, "_BATCH_PREFIXES", budget)
+        for (n, t, top), (d, a, kept), (d1, a1, kept1) in zip(
+                requests, ends_mod._search(requests), alone):
+            assert sorted(zip(d.tolist(), a.tolist())) == sorted(zip(d1.tolist(), a1.tolist()))
+            assert kept == kept1, (n, t, top)
 
 
 class TestPastTheSweep:
@@ -215,15 +232,16 @@ class TestTopWeights:
     def test_each_comes_from_a_top_search_and_is_harborths(self, monkeypatch):
         monkeypatch.setattr(ends_mod, "_TOP_WEIGHT", {})
         searched = {}
-        search = ends_mod._end
+        search = ends_mod._search
 
-        def recorded(n, top, *args):
-            result = search(n, top, *args)
-            if top:
-                searched[n] = result[0][0].weight
-            return result
+        def recorded(requests):
+            found = search(requests)
+            for (n, _, top), (_, w, _) in zip(requests, found):
+                if top and len(w):
+                    searched[n] = int(w.max())
+            return found
 
-        monkeypatch.setattr(ends_mod, "_end", recorded)
+        monkeypatch.setattr(ends_mod, "_search", recorded)
         ladder_ends(24, 0, 1)
         assert ends_mod._TOP_WEIGHT == searched
         assert searched == {l: -(-l * (l + 1) // 3) for l in range(1, 25)}
@@ -233,6 +251,82 @@ class TestTopWeights:
         fresh = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(fresh)
         assert fresh._TOP_WEIGHT == {}
+
+
+def verify_requests(sizes):
+    """The ladder ends ``verify_all`` asks for: levels 0..3, m and m-1, and
+    the exact weights its checks read."""
+    return [(n, 3, 2, [c.weight(n) for c in verify_mod._CHECKS if c.weight and c.applies(n)])
+            for n in sizes]
+
+
+def summary(ends: LadderEnds):
+    pieces = [*ends.low, *ends.high, *ends.slices.values()]
+    return ([(s.weight, s.count, s.members, s.truncated) for s in pieces],
+            sorted(ends.slices), ends.weighed)
+
+
+class TestBatch:
+    @pytest.mark.parametrize("cap", [1, 1 << 24], ids=["cap-1", "uncapped"])
+    def test_one_call_for_every_size_matches_one_call_per_size(self, cap):
+        requests = verify_requests(range(1, 25))
+        alone = [ladder_ends(n, low, high, weights=weights, cap=cap)
+                 for n, low, high, weights in requests]
+        assert [summary(e) for e in ladder_ends_batch(requests, cap=cap)] == \
+            [summary(e) for e in alone]
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_order_and_splits_change_nothing(self, seed, monkeypatch):
+        requests = verify_requests(range(1, 25)) + [(9, 45, 0, []), (3, 0, 6, [5])]
+        alone = [summary(ladder_ends(n, low, high, weights=weights))
+                 for n, low, high, weights in requests]
+        order = list(range(len(requests)))
+        random.Random(seed).shuffle(order)
+        monkeypatch.setattr(ends_mod, "_BATCH_PREFIXES", 1)
+        got = ladder_ends_batch([requests[i] for i in order])
+        assert [summary(got[order.index(i)]) for i in range(len(requests))] == alone
+
+    def test_a_first_batch_searches_each_top_once_in_waves(self, monkeypatch):
+        monkeypatch.setattr(ends_mod, "_TOP_WEIGHT", {})
+        waves, maxima = [], {}
+        search = ends_mod._search
+
+        def recorded(requests):
+            for n, _, top in requests:  # a top starts once W_m is known below it
+                assert not top or set(range(1, n)) <= ends_mod._TOP_WEIGHT.keys(), n
+            waves.append(requests)
+            found = search(requests)
+            for (n, _, top), (_, w, _) in zip(requests, found):
+                if top:
+                    maxima[n] = max(maxima.get(n, 0), int(w.max()))
+            return found
+
+        monkeypatch.setattr(ends_mod, "_search", recorded)
+        requests = verify_requests(range(4, 25))
+        first = ladder_ends_batch(requests)
+        tops = [(n, t) for wave in waves for n, t, top in wave if top]
+        assert sorted({n for n, _ in tops}) == list(range(1, 25))
+        for n in range(1, 25):  # one end per size, each threshold once
+            ts = [t for m, t in tops if m == n]
+            assert ts == _thresholds(-(-n * n // 3), 0)[:len(ts)], n
+        assert ends_mod._TOP_WEIGHT == maxima == {n: -(-n * (n + 1) // 3) for n in range(1, 25)}
+        assert {n for n, _, top in waves[0] if not top} == set(range(4, 25))
+        assert len(waves) >= 24  # one top size per wave
+        del waves[:]
+        second = ladder_ends_batch(requests)  # every W_m known: one wave holds every end
+        assert sorted((n, top) for n, _, top in waves[0]) == \
+            sorted((n, top) for n in range(4, 25) for top in (False, True))
+        assert [summary(e) for e in second] == [summary(e) for e in first]
+
+    def test_sizes_are_checked_before_any_search(self, monkeypatch):
+        def no_search(requests):
+            raise AssertionError("searched before every size was checked")
+
+        monkeypatch.setattr(ends_mod, "_search", no_search)
+        assert rejection(lambda: ladder_ends_batch([(10, 3, 2, []), (65, 3, 2, [])],
+                                                   force=True)) == \
+            (CeilingExceeded, "n=65 exceeds the engine limit of 64")
+        assert ladder_ends_batch([]) == []
 
 
 class TestMixedGridBound:

@@ -184,6 +184,7 @@ class TestVerifyAll:
         monkeypatch.setattr(verify_mod, "three_row_max", no_sweep)
         monkeypatch.setattr(verify_mod, "_three_row_pass", no_sweep)
         monkeypatch.setattr(verify_mod, "ladder_ends", no_sweep)
+        monkeypatch.setattr(verify_mod, "ladder_ends_batch", no_sweep)
         with pytest.raises(CeilingExceeded, match="engine limit of 64"):
             verify_all(63, 65, force=True)
         code = cli.main(["verify", "--from", "63", "--to", "65", "--force"])
@@ -216,21 +217,29 @@ class TestVerifyAll:
 
     def test_one_enumeration_per_size(self, monkeypatch):
         # No size builds a sweep kernel: every check reads the ladder-end search,
-        # once per size for the shared levels, or the three-row DP; only the
-        # small-n ladder searches whole ladders.
+        # asked once for the shared levels of every size, or the three-row DP;
+        # only the small-n ladder searches whole ladders, one size at a time.
         def no_kernel(*args, **kwargs):
             raise AssertionError("verify built a sweep kernel")
 
-        searched = Counter()
-        search = verify_mod.ladder_ends
+        searched, batches = Counter(), []
+        search, batch = verify_mod.ladder_ends, verify_mod.ladder_ends_batch
 
         def counted(n, low, high, **kwargs):
             searched[n, low, high] += 1
             return search(n, low, high, **kwargs)
 
+        def counted_batch(requests, **kwargs):
+            batches.append(len(requests))
+            for n, low, high, _ in requests:
+                searched[n, low, high] += 1
+            return batch(requests, **kwargs)
+
         monkeypatch.setattr(spectrum_mod._Kernel, "__init__", no_kernel)
         monkeypatch.setattr(verify_mod, "ladder_ends", counted)
+        monkeypatch.setattr(verify_mod, "ladder_ends_batch", counted_batch)
         assert verify_all(1, 24, workers=3).ok
+        assert batches == [24]
         assert {n: c for (n, low, high), c in searched.items() if (low, high) == (3, 2)} == \
             {n: 1 for n in range(1, 25)}
         whole = {n: c for (n, low, high), c in searched.items()
@@ -242,14 +251,14 @@ class TestVerifyAll:
             raise AssertionError("verify built a sweep kernel")
 
         searched = []
-        search = verify_mod.ladder_ends
+        batch = verify_mod.ladder_ends_batch
 
-        def counted(n, low, high, **kwargs):
-            searched.append(n)
-            return search(n, low, high, **kwargs)
+        def counted(requests, **kwargs):
+            searched.extend(n for n, *_ in requests)
+            return batch(requests, **kwargs)
 
         monkeypatch.setattr(spectrum_mod._Kernel, "__init__", no_kernel)
-        monkeypatch.setattr(verify_mod, "ladder_ends", counted)
+        monkeypatch.setattr(verify_mod, "ladder_ends_batch", counted)
         assert verify_all(15, 18).ok
         assert set(range(15, 19)) <= set(searched)
 
@@ -277,17 +286,20 @@ class TestTimedChecks:
         assert ran and all(r.elapsed > 0 for r in ran)
 
     def test_records_carry_the_shared_search(self, monkeypatch):
-        search = verify_mod.ladder_ends
+        batch = verify_mod.ladder_ends_batch
 
         def slow(*args, **kwargs):
-            time.sleep(0.05)
-            return search(*args, **kwargs)
+            time.sleep(0.2)
+            return batch(*args, **kwargs)
 
-        monkeypatch.setattr(verify_mod, "ladder_ends", slow)
-        records = [r for r in verify_all(9, 9).records if r.n == 9]
-        # the checks at n = 9 take a few ms: only the search's 50 ms reaches this
-        assert sum(r.elapsed for r in records) >= 0.05
-        assert max(r.elapsed for r in records) >= 0.05  # charged to one record
+        monkeypatch.setattr(verify_mod, "ladder_ends_batch", slow)
+        for n_max in (9, 11):
+            report = verify_all(9, n_max)
+            # the checks at n = 9..11 take a few ms each: the search of all
+            # sizes, 200 ms, is charged to one record, of the first size
+            slowest = max(report.records, key=lambda r: r.elapsed)
+            assert slowest.n == 9 and slowest.elapsed >= 0.2
+            assert sum(r.elapsed for r in report.records) - slowest.elapsed < 0.2
 
     @pytest.mark.parametrize("check", [verify_level, verify_small_n, verify_ek,
                                        verify_family_weights, verify_s3, check_conjecture])
