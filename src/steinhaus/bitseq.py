@@ -30,13 +30,12 @@ class BitSeq:
         """Parse '0'/'1' text; the leftmost character is x_0."""
         if len(text) > MAX_LEN:
             raise ValueError(f"sequence text longer than {MAX_LEN}")
-        bits = 0
-        for j, ch in enumerate(text):
-            if ch == "1":
-                bits |= 1 << j
-            elif ch != "0":
-                raise ValueError(f"invalid character {ch!r} in sequence text")
-        return cls(len(text), bits)
+        # checked first: int() also takes '_', '+', surrounding whitespace and
+        # non-ASCII digits; the first character left is the first bad one
+        rest = text.lstrip("01")
+        if rest:
+            raise ValueError(f"invalid character {rest[0]!r} in sequence text")
+        return cls(len(text), int(text[::-1], 2) if text else 0)
 
     @classmethod
     def from_pattern(cls, pattern: str, n: int) -> "BitSeq":
@@ -57,7 +56,7 @@ class BitSeq:
         return cls(n, (1 << n) - 1)
 
     def __str__(self) -> str:
-        return "".join("1" if self.bits >> j & 1 else "0" for j in range(self.n))
+        return format(self.bits, f"0{self.n}b")[::-1] if self.n else ""
 
     def __repr__(self) -> str:
         return f"BitSeq({str(self)!r})"

@@ -43,9 +43,13 @@ Past it the search uses the bound M(a + b, l) <= M(a, l) + M(b, l), and the
 same in l: the grid's columns c >= a are the mixed grid of x_a..x_{n-1}, and
 its columns c < a form an a x l grid under the same recurrence, which can
 weigh no more than M(a, l). So the search is exact by construction at every
-size it takes, n <= 64, the bits of D. Every level it returns is weighed
-again member by member by the scalar ``triangle_weight`` and, unless capped,
-must be closed under ``rot_r`` and ``invert_i``, which generate the group.
+size it takes, n <= 64, the bits of D. Before any level or slice leaves
+``_ends``, every member it returns, the W_m chain's included, goes through one
+self-check: ``triangle.row_steps`` weighs it again and takes its rot_r and
+invert_i images by the row recurrence of ``triangle_weight``, not by the
+search's diagonals; each member must have its level's weight, and each level
+not capped must hold the images of its members, since rot_r and invert_i
+generate the group.
 """
 
 from __future__ import annotations
@@ -56,10 +60,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .bitseq import BitSeq
 from .families import _fixture_rows
 from .spectrum import DEFAULT_MEMBER_CAP, WeightSlice, _request, _to_seqs
-from .symmetry import invert_i, rot_r
-from .triangle import triangle_weight
+from .triangle import row_steps
 
 _EXACT_MIX = 12  # the bundled table holds M(k, l) for 1 <= k, l <= 12
 _TOP_WEIGHT: dict[int, int] = {}  # W_m by size, each recorded by a top search
@@ -118,21 +122,36 @@ def _top_weight(l: int) -> int:
     return _TOP_WEIGHT[l] if l else 0
 
 
-def _level(n: int, weight: int, values: np.ndarray, cap: int) -> WeightSlice:
-    """The slice of ``weight`` from all its generators, after the self-checks."""
-    members = _to_seqs(n, np.sort(values)[:cap].tolist())
-    piece = WeightSlice(n, weight, members, len(values), len(values) > len(members))
-    for y in members:
-        if triangle_weight(y) != weight:
-            raise ValueError(f"ladder search at n={n}: {y} has weight "
-                             f"{triangle_weight(y)}, not {weight}")
-    if not piece.truncated:
-        held = set(members)
-        for y in members:
-            if not held.issuperset((rot_r(y), invert_i(y))):
-                raise ValueError(f"ladder search at n={n}: the level of weight "
-                                 f"{weight} is not closed under the symmetries of {y}")
-    return piece
+def _self_check(levels: list[tuple[int, int, np.ndarray, bool]]) -> None:
+    """Raise on the first member of ``levels``, each (n, weight, least members
+    ascending, whole), that ``row_steps`` weighs off its level's weight, or,
+    in a whole level, whose rot_r or invert_i image is not a member.
+
+    Both maps are injective, so a whole level is closed under one exactly when
+    its images, sorted by (level, value), equal its members.
+    """
+    if not levels:
+        return
+    ns, weights, members, wholes = zip(*levels)
+    tags = np.repeat(np.arange(len(levels)), [len(v) for v in members])
+    values = np.concatenate(members)
+    weight, *images = row_steps(values, np.array(ns)[tags])
+    wrong = np.flatnonzero(weight != np.array(weights)[tags])
+    if len(wrong):
+        i = wrong[0]
+        n, w, *_ = levels[tags[i]]
+        raise ValueError(f"ladder search at n={n}: {BitSeq(n, int(values[i]))} has weight "
+                         f"{weight[i]}, not {w}")
+    whole = np.array(wholes)[tags]
+    tags, held = tags[whole], values[whole]
+    for image in images:
+        image = image[whole]
+        off = np.flatnonzero(image[np.lexsort((image, tags))] != held)
+        if len(off):
+            n, w, least, _ = levels[tags[off[0]]]
+            y = least[~np.isin(image[tags == tags[off[0]]], least)][0]
+            raise ValueError(f"ladder search at n={n}: the level of weight {w} is not "
+                             f"closed under the symmetries of {BitSeq(n, int(y))}")
 
 
 def _thresholds(t: int, floor: int) -> list[int]:
@@ -231,13 +250,15 @@ def _ends(ends: list[_End]) -> list[tuple[list[WeightSlice], dict, int]]:
     An end's threshold moves toward the middle (see ``_thresholds``, in signed
     weights) until the generators past it hold ``levels`` distinct weights, or
     all generators are past it. The ends search in waves, each one ``_search``
-    of every open end that is ready, at its next threshold.
+    of every open end that is ready, at its next threshold. The levels and
+    slices of every end, the W_m chain's too, pass one ``_self_check``
+    before any is returned.
     """
     searched = {e.n for e in ends if e.top and (e.levels or e.weights)}
     chain = [_End(l, True, -(-l * l // 3), 1, 1, []) for l in range(1, max(searched, default=0))
              if l not in searched and l not in _TOP_WEIGHT]
     ends = [*ends, *chain]
-    results = [([], {}, 0) for _ in ends]
+    pieces: list[list[tuple[int, np.ndarray, int]]] = [[] for _ in ends]
     kept = [0] * len(ends)
     todo = {}  # each open end's thresholds to come
     for i, e in enumerate(ends):
@@ -258,11 +279,18 @@ def _ends(ends: list[_End]) -> list[tuple[list[WeightSlice], dict, int]]:
             del todo[i][0]
             if len(found) >= e.levels or not todo[i]:
                 del todo[i]
-                results[i] = ([_level(e.n, int(wt), d[w == wt], e.cap)
-                               for wt in found[::-sign][:e.levels]],
-                              {wt: _level(e.n, wt, d[w == wt], e.cap) for wt in e.weights},
-                              kept[i])
-    return results[:len(ends) - len(chain)]
+                wanted = [*found[::-sign][:e.levels].tolist(), *e.weights]
+                levels = [d[w == wt] for wt in wanted]
+                pieces[i] = [(wt, np.sort(v)[:e.cap], len(v)) for wt, v in zip(wanted, levels)]
+    _self_check([(e.n, wt, least, count == len(least))
+                 for e, got in zip(ends, pieces) for wt, least, count in got])
+    results = []
+    for e, got, k in zip(ends[:len(ends) - len(chain)], pieces, kept):
+        slices = [WeightSlice(e.n, wt, _to_seqs(e.n, least.tolist()), count, count > len(least))
+                  for wt, least, count in got]
+        cut = len(slices) - len(e.weights)
+        results.append((slices[:cut], dict(zip(e.weights, slices[cut:])), k))
+    return results
 
 
 def ladder_ends_batch(requests, *, cap: int = DEFAULT_MEMBER_CAP,

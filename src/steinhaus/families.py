@@ -85,6 +85,11 @@ class FamilyName:
         return f"{self.group}{self.index}"
 
 
+# every tag of groups a to v, in display order
+_GROUP_TAGS = tuple(FamilyName(g, i) for g, (_, _, members) in _GROUPS.items()
+                    for i in range(1, len(members) + 1))
+
+
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise FamilyRangeError(message)
@@ -93,13 +98,17 @@ def _require(cond: bool, message: str) -> None:
 def family_seq(f: FamilyName, n: int) -> BitSeq:
     """The defining sequence of family ``f`` at length n."""
     g, i = f.group, f.index
-    _require(n <= MAX_LEN, f"families are defined for n <= {MAX_LEN}")
+    if n > MAX_LEN:
+        raise FamilyRangeError(f"families are defined for n <= {MAX_LEN}")
     if g == "e":
-        _require(i <= n - 1, f"e{i} requires n >= {i + 1}")
+        if i > n - 1:
+            raise FamilyRangeError(f"e{i} requires n >= {i + 1}")
         return BitSeq(n, 1 << i)
     least, residue, members = _GROUPS[g]
-    _require(residue is None or n % 3 == residue, f"{g} family requires n == {residue} (mod 3)")
-    _require(n >= least, f"{g} family requires n >= {least}")
+    if residue is not None and n % 3 != residue:
+        raise FamilyRangeError(f"{g} family requires n == {residue} (mod 3)")
+    if n < least:
+        raise FamilyRangeError(f"{g} family requires n >= {least}")
     head, pattern, tail = members[i - 1]
     middle = n - len(head) - len(tail)
     return BitSeq.from_string(head + (pattern * middle)[:middle] + tail)
@@ -155,9 +164,7 @@ def _closed_form(f: FamilyName, n: int) -> int:
 def _constructible(n: int):
     """(tag, sequence) of every family constructible at length n, in stable
     display order; each sequence is built once."""
-    tags = [FamilyName(g, i) for g, (_, _, members) in _GROUPS.items()
-            for i in range(1, len(members) + 1)]
-    for f in tags + [FamilyName("e", k) for k in range(n)]:
+    for f in [*_GROUP_TAGS, *(FamilyName("e", k) for k in range(n))]:
         try:
             yield f, family_seq(f, n)
         except FamilyRangeError:

@@ -2,12 +2,15 @@
 
 ``triangle_weight`` streams rows with in-place shift-XOR and popcount and never
 materializes the triangle; it is the hot loop the enumeration engine relies on.
-``build`` exists for rendering and tests.
+``row_steps`` runs the same recurrence on arrays of generators, one row of all
+of them per step. ``build`` exists for rendering and tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .bitseq import BitSeq
 
@@ -49,6 +52,36 @@ def triangle_weight(x: BitSeq) -> int:
         m -= 1
         bits = (bits ^ bits >> 1) & (1 << m) - 1
     return total
+
+
+def row_steps(x, n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``triangle_weight``, ``rot_r`` and ``invert_i`` of each packed generator
+    in ``x``, of length ``n`` (one length for all, or one each, 1..64), as
+    arrays: int64 weights and uint64 images.
+
+    Step r holds row r of every generator, m = n - r long, and adds its ones;
+    its last entry, bit m - 1, is entry r of rot_r(x), and x_r is entry
+    m - 1 of the reversal. The next row is row ^ row >> 1 less that last
+    entry. A finished generator's row is 0, so its steps add nothing, and
+    every shift stays at most 63.
+    """
+    x = np.asarray(x, np.uint64)
+    n = np.asarray(n, np.int64)
+    if n.size and not 1 <= n.min() <= n.max() <= 64:
+        raise ValueError("row steps take lengths 1..64")
+    row, one = x.copy(), np.uint64(1)
+    weight = np.zeros(x.shape, np.int64)
+    rot, rev = np.zeros_like(x), np.zeros_like(x)
+    # m - 1 at each step r, one row per step, 0 once a generator is done
+    lasts = np.maximum(n - np.arange(1, int(n.max(initial=0)) + 1)[:, None], 0).astype(np.uint64)
+    for r, last in enumerate(lasts):
+        weight += np.bitwise_count(row)
+        top = row >> last & one
+        rot |= top << np.uint64(r)
+        rev |= (x >> np.uint64(r) & one) << last
+        row ^= row >> one
+        row ^= top << last
+    return weight, rot, rev
 
 
 def subtriangle_generator(x: BitSeq, j: int, start: int, k: int) -> BitSeq:

@@ -16,16 +16,18 @@ reads them, and its exact-weight slices, from one prefix search of all the
 sizes, ``ends.ladder_ends_batch``, which keeps a few thousand prefixes per
 size where a sweep weighs 2^n. The small-n ladder (n <= 4), against the
 bundled table that ``predicted_level`` serves there, reads whole ladders from
-``ladder_ends``, one size at a time; the stored
-top-level summary, which needs the height m at n <= 9, counts the distinct
-weights of all 2^n generators; the three-row bound reads the max from the
-forward pass of the window DP, and its generators from ``three_row_max``
-only where it reads them (n = 4, 5 or a failure's witness). No check builds
-the sweep kernel: the tests check the search against the sweep. The
-``_timed`` decorator stamps each check's wall time on the record it returns.
-The search is one call for every size, so its time, and the time spent
-between the checks, is added to one record, the first of the lowest size:
-the records account for the run, but no longer split the search by size.
+the same batch; the stored top-level summary, which needs the height m at
+n <= 9, counts the distinct weights of all 2^n generators by
+``triangle.row_steps``; the three-row bound reads the max from one forward
+pass of the window DP for the run, whose first n entries are the pass of
+size n, and its generators from ``three_row_max`` only where it reads them
+(n = 4, 5 or a failure's witness). No check builds the sweep kernel: the
+tests check the search against the sweep. The ``_timed`` decorator stamps
+each check's wall time on the record it returns. The search and the
+three-row pass are one call for every size, so their time, and the time
+spent between the checks, is added to one record, the first of the lowest
+size: the records account for the run, but no longer split the search by
+size.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 import functools
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -61,7 +63,7 @@ from .spectrum import (
     three_row_max,
 )
 from .symmetry import orbit
-from .triangle import triangle_weight
+from .triangle import row_steps, triangle_weight
 
 S3_CEILING = 20
 
@@ -145,14 +147,10 @@ def _golden_slice(n: int) -> tuple[int, frozenset[BitSeq]]:
     return _level_fixture("weight_slice_floor_3n_over_2.txt")[(n, "-")]
 
 
-def _weights(x: np.ndarray, n: int) -> np.ndarray:
-    """Triangle weight of each packed generator of length n in ``x``, by n row steps."""
-    x = x.astype(np.uint64)
-    w = np.zeros(x.shape, dtype=np.int64)
-    for m in range(n - 1, -1, -1):
-        w += np.bitwise_count(x)
-        x = (x ^ x >> np.uint64(1)) & np.uint64((1 << m) - 1)
-    return w
+def _stamped(record: CheckRecord, elapsed: float) -> CheckRecord:
+    """``record`` with ``elapsed`` in place of its time."""
+    return CheckRecord(record.check, record.n, record.status, record.detail, record.witness,
+                       elapsed)
 
 
 def _timed(check):
@@ -161,7 +159,7 @@ def _timed(check):
     def timed(*args, **kwargs) -> CheckRecord:
         t0 = time.perf_counter()
         record = check(*args, **kwargs)
-        return replace(record, elapsed=time.perf_counter() - t0)
+        return _stamped(record, time.perf_counter() - t0)
     return timed
 
 
@@ -219,10 +217,10 @@ def verify_level(n: int, level, *, data: LadderEnds | None = None) -> CheckRecor
 
 
 @_timed
-def _small_n_ladder(n: int) -> CheckRecord:
+def _small_n_ladder(n: int, data: LadderEnds) -> CheckRecord:
     fixture = _level_fixture("small_n_levels.txt")
     expected = {lvl: row for (nn, lvl), row in fixture.items() if nn == n}
-    ladder = ladder_ends(n, n * (n + 1) // 2, 0).low  # the whole ladder, W_0 first
+    ladder = data.low  # the whole ladder, W_0 first
     m = len(ladder) - 1
     bad = None
     if m != len(expected):
@@ -240,9 +238,20 @@ def _small_n_ladder(n: int) -> CheckRecord:
     return CheckRecord("small-n-ladder", n, "pass", f"all {m} levels match")
 
 
-def verify_small_n() -> list[CheckRecord]:
-    """Full-ladder equality for n in {1, 2, 3, 4} against the stored ladders."""
-    return [_small_n_ladder(n) for n in (1, 2, 3, 4)]
+# the whole ladder at each small n, W_0 first
+_SMALL_N_REQUESTS = [(n, n * (n + 1) // 2, 0, ()) for n in (1, 2, 3, 4)]
+
+
+def verify_small_n(ends: list[LadderEnds] | None = None) -> list[CheckRecord]:
+    """Full-ladder equality for n in {1, 2, 3, 4} against the stored ladders,
+    read off ``ends``, those sizes' whole ladders (by default from one batch)."""
+    t0 = time.perf_counter()
+    if ends is None:
+        ends = ladder_ends_batch(_SMALL_N_REQUESTS)
+    searched = time.perf_counter() - t0
+    records = [_small_n_ladder(n, data) for (n, *_), data in zip(_SMALL_N_REQUESTS, ends)]
+    records[0] = _stamped(records[0], records[0].elapsed + searched)  # as in ``verify_all``
+    return records
 
 
 @_timed
@@ -291,15 +300,19 @@ def verify_family_weights(n: int) -> CheckRecord:
 
 
 @_timed
-def verify_s3(n: int, *, ceiling: int = S3_CEILING) -> CheckRecord:
+def verify_s3(n: int, *, ceiling: int = S3_CEILING,
+              three_rows: list[dict[int, int]] | None = None) -> CheckRecord:
     """Exhaustive bound s3(x) <= 2n-2, with exact equality sets at n in {4, 5}.
 
     ``ceiling`` bounds the sizes scanned, in place of the enumeration ceiling.
+    ``three_rows`` is a forward pass of the window DP over at least n entries,
+    which every size shorter than it reads (by default the pass of n).
     """
     if not 4 <= n <= ceiling:
         return CheckRecord("s3-bound", n, "skipped", f"checked for 4 <= n <= {ceiling}")
     _check_size(n, force=True)  # the engine limit, as ``three_row_max`` applies it
-    best = max(_three_row_pass(n)[-1].values())  # the members are listed only where read
+    # the members are listed only where read
+    best = max((three_rows or _three_row_pass(n))[n - 1].values())
     bound = 2 * n - 2
     if best > bound:
         return CheckRecord("s3-bound", n, "fail",
@@ -361,7 +374,7 @@ def _golden_weight_slice(n: int, data: LadderEnds) -> CheckRecord:
 @_timed
 def _golden_top(n: int, data: LadderEnds) -> CheckRecord:
     m_exp, w_exp, count_exp = _top_summary_fixture()[n]
-    m = len(np.unique(_weights(np.arange(1 << n), n))) - 1  # every generator, n <= 9
+    m = len(np.unique(row_steps(np.arange(1 << n), n)[0])) - 1  # every generator, n <= 9
     second = data.high[1]
     observed_triple = (m, second.weight, second.count)
     if observed_triple != (m_exp, w_exp, count_exp):
@@ -428,14 +441,14 @@ def _weight_2n3(n: int, data: LadderEnds) -> CheckRecord:
 
 class _Check(NamedTuple):
     """A per-size check, run where ``applies(n)`` and skipped with ``skip``
-    elsewhere, as ``run(n, data)`` on the size's ``LadderEnds``; ``weight(n)``
-    is an exact weight whose generators it reads in ``data.slices``, which the
-    search then reaches."""
+    elsewhere, as ``run(n, data, three_rows)`` on the size's ``LadderEnds``
+    and the run's one three-row pass; ``weight(n)`` is an exact weight whose
+    generators it reads in ``data.slices``, which the search then reaches."""
 
     name: str
     applies: Callable[[int], bool]
     skip: str
-    run: Callable[[int, LadderEnds], CheckRecord]
+    run: Callable[[int, LadderEnds, list[dict[int, int]]], CheckRecord]
     weight: Callable[[int], int] | None = None
 
 
@@ -446,39 +459,40 @@ def _every(n: int) -> bool:
 # Public checks are called by their global names, so a wrapper installed on
 # the module (a tracer, a test double) sees the calls made from this table.
 _CHECKS = (
-    _Check("level-1", _every, "", lambda n, d: verify_level(n, "1", data=d)),
-    _Check("level-2", _every, "", lambda n, d: verify_level(n, "2", data=d)),
-    _Check("level-3", _every, "", lambda n, d: verify_level(n, "3", data=d)),
-    _Check("level-m", _every, "", lambda n, d: verify_level(n, "m", data=d)),
+    _Check("level-1", _every, "", lambda n, d, _: verify_level(n, "1", data=d)),
+    _Check("level-2", _every, "", lambda n, d, _: verify_level(n, "2", data=d)),
+    _Check("level-3", _every, "", lambda n, d, _: verify_level(n, "3", data=d)),
+    _Check("level-m", _every, "", lambda n, d, _: verify_level(n, "m", data=d)),
     _Check("level-m-1", lambda n: not conjectured(n),
            "conjectured range; evaluated by the conjecture check",
-           lambda n, d: verify_level(n, "m-1", data=d)),
+           lambda n, d, _: verify_level(n, "m-1", data=d)),
     _Check("conjecture", conjectured, _CONJECTURE_RANGE,
-           lambda n, d: check_conjecture(n, data=d)),
-    _Check("family-weights", _every, "", lambda n, d: verify_family_weights(n)),
-    _Check("unit-vector-bound", _every, "", lambda n, d: verify_ek(n)),
-    _Check("s3-bound", _every, "", lambda n, d: verify_s3(n)),
+           lambda n, d, _: check_conjecture(n, data=d)),
+    _Check("family-weights", _every, "", lambda n, d, _: verify_family_weights(n)),
+    _Check("unit-vector-bound", _every, "", lambda n, d, _: verify_ek(n)),
+    _Check("s3-bound", _every, "", lambda n, d, rows: verify_s3(n, three_rows=rows)),
     _Check("golden-level-2", lambda n: 4 <= n <= 8, "stored rows cover 4 <= n <= 8",
-           _golden_level2),
+           lambda n, d, _: _golden_level2(n, d)),
     _Check("golden-weight-slice", lambda n: 4 <= n <= 8, "stored rows cover 4 <= n <= 8",
-           _golden_weight_slice, lambda n: _golden_slice(n)[0]),
+           lambda n, d, _: _golden_weight_slice(n, d), lambda n: _golden_slice(n)[0]),
     _Check("golden-top-levels", lambda n: 4 <= n <= 9, "stored rows cover 4 <= n <= 9",
-           _golden_top),
+           lambda n, d, _: _golden_top(n, d)),
     _Check("golden-second-max-members", lambda n: 4 <= n <= 9,
-           "stored rows cover 4 <= n <= 9", _golden_second_members),
+           "stored rows cover 4 <= n <= 9", lambda n, d, _: _golden_second_members(n, d)),
     _Check("golden-second-max-sets", lambda n: n in (11, 12),
-           "stored rows cover n in {11, 12}", _golden_second_sets),
+           "stored rows cover n in {11, 12}", lambda n, d, _: _golden_second_sets(n, d)),
     _Check("weight-2n-3", lambda n: n in (10, 14), "spot check defined for n in {10, 14}",
-           _weight_2n3, lambda n: 2 * n - 3),
+           lambda n, d, _: _weight_2n3(n, d), lambda n: 2 * n - 3),
 )
 
 PER_N_CHECKS = tuple(c.name for c in _CHECKS)
 
 
-def _per_n_records(n: int, data: LadderEnds) -> list[CheckRecord]:
+def _per_n_records(n: int, data: LadderEnds,
+                   three_rows: list[dict[int, int]]) -> list[CheckRecord]:
     """The records of size n, those of the checks that ran first, from its
-    ladder ends ``data``."""
-    return ([c.run(n, data) for c in _CHECKS if c.applies(n)]
+    ladder ends ``data`` and the run's three-row pass."""
+    return ([c.run(n, data, three_rows) for c in _CHECKS if c.applies(n)]
             + [CheckRecord(c.name, n, "skipped", c.skip) for c in _CHECKS if not c.applies(n)])
 
 
@@ -498,15 +512,19 @@ def verify_all(n_min: int, n_max: int, *, workers: int | None = None,
     if n_max > ceiling and not force:
         raise CeilingExceeded(f"n_max={n_max} exceeds the enumeration ceiling {ceiling}")
     _check_size(n_max, force=True, limit=SEARCH_LIMIT)  # before any search
-    records = verify_small_n()
     sizes = range(n_min, n_max + 1)
     t0 = time.perf_counter()
-    ends = ladder_ends_batch([(n, 3, 2, [c.weight(n) for c in _CHECKS if c.weight and c.applies(n)])
-                              for n in sizes], force=force)
-    checked = [r for n, data in zip(sizes, ends) for r in _per_n_records(n, data)]
-    # the search of all sizes, and the time between the checks, are booked on one record
-    rest = time.perf_counter() - t0 - sum(r.elapsed for r in checked)
-    checked[0] = replace(checked[0], elapsed=checked[0].elapsed + rest)
+    ends = ladder_ends_batch([*_SMALL_N_REQUESTS,
+                              *((n, 3, 2, [c.weight(n) for c in _CHECKS if c.weight and c.applies(n)])
+                                for n in sizes)], force=force)
+    three_rows = _three_row_pass(min(n_max, S3_CEILING))  # every size's is a prefix of it
+    records = verify_small_n(ends[:len(_SMALL_N_REQUESTS)])
+    checked = [r for n, data in zip(sizes, ends[len(_SMALL_N_REQUESTS):])
+               for r in _per_n_records(n, data, three_rows)]
+    # the search of all sizes, the three-row pass and the time between the
+    # checks are booked on one record
+    rest = time.perf_counter() - t0 - sum(r.elapsed for r in records + checked)
+    checked[0] = _stamped(checked[0], checked[0].elapsed + rest)
     records += checked
     records.sort(key=lambda r: (r.n, r.check))
     return VerificationReport(n_min, n_max, tuple(records))

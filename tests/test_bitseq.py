@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from steinhaus import MAX_LEN, BitSeq, row_entry
@@ -15,8 +17,19 @@ class TestFromString:
         assert BitSeq.from_string("") == BitSeq(0, 0)
 
     def test_rejects_bad_character(self):
-        with pytest.raises(ValueError, match="invalid character"):
-            BitSeq.from_string("10X1")
+        # int(text, 2) would take '_', '+', whitespace and non-ASCII digits;
+        # the error names the first bad character in text order
+        for text, bad in [("10X1", "X"), ("1_0", "_"), ("+10", "+"), ("-1", "-"), (" 01", " "),
+                          ("01\n", "\n"), ("0\u0661", "\u0661"), ("\uff11", "\uff11"),
+                          ("0b1", "b"), ("1x0_", "x")]:
+            with pytest.raises(ValueError, match=f"invalid character {re.escape(repr(bad))} "):
+                BitSeq.from_string(text)
+
+    def test_text_both_ways_matches_the_bits(self, rng):
+        for n in (0, 1, 7, 64, 128):
+            x = random_seq(rng, n)
+            text = "".join(str(x.bits >> j & 1) for j in range(n))
+            assert str(x) == text and BitSeq.from_string(text) == x
 
     def test_rejects_overlong(self):
         BitSeq.from_string("1" * MAX_LEN)

@@ -13,12 +13,12 @@ from steinhaus import (
     ladder_ends,
     level_sets,
     predicted_level,
-    triangle_weight,
 )
 from steinhaus import ends as ends_mod
 from steinhaus import verify as verify_mod
 from steinhaus.ends import _split_bound, _thresholds, ladder_ends_batch, mix_bound
 from steinhaus.families import _fixture_rows
+from steinhaus.symmetry import invert_i, rot_r
 
 from conftest import rejection
 
@@ -357,21 +357,51 @@ class TestMixedGridBound:
         assert mix_bound(20, 20) == _split_bound(20, 20)
 
 
+def corrupt_search(monkeypatch, change):
+    """Wrap the search so that ``change(d, a)`` rewrites the last diagonals and
+    weights it returns for the bottom end at n = 16: the self-check's input."""
+    search = ends_mod._search
+
+    def corrupted(requests):
+        out = search(requests)
+        return [(*change(d, a), kept) if (n, top) == (16, False) else (d, a, kept)
+                for (n, _, top), (d, a, kept) in zip(requests, out)]
+    monkeypatch.setattr(ends_mod, "_search", corrupted)
+
+
+def drop_from_level_2(monkeypatch, images):
+    """Corrupt the search at n = 16 so that its level 2, one orbit of six,
+    loses its least member y and ``images(y)``."""
+    def change(d, a):
+        level = np.unique(a)[2]
+        y = BitSeq(16, int(d[a == level].min()))
+        keep = ~np.isin(d, [z.bits for z in images(y)])
+        return d[keep], a[keep]
+    corrupt_search(monkeypatch, change)
+
+
 class TestSelfChecks:
     def test_a_misweighed_member_raises(self, monkeypatch):
-        monkeypatch.setattr(ends_mod, "triangle_weight", lambda y: triangle_weight(y) + 1)
-        with pytest.raises(ValueError, match="has weight"):
+        # the zero word reported at weight 1 makes level 0 a level of weight 1
+        corrupt_search(monkeypatch, lambda d, a: (d, np.where(d == 0, 1, a)))
+        with pytest.raises(ValueError, match="ladder search at n=16: 0{16} has weight 0, not 1"):
             ladder_ends(16, 3, 2)
 
     def test_a_level_not_closed_under_the_symmetries_raises(self, monkeypatch):
-        for generator in ("rot_r", "invert_i"):  # the group's generators: either one alone
+        for images in (lambda y: {y, invert_i(y)},  # closed under invert_i, missing a rot_r image
+                       lambda y: {y, rot_r(y), rot_r(rot_r(y))}):  # the reverse
             with monkeypatch.context() as m:
-                m.setattr(ends_mod, generator, lambda y: BitSeq(y.n, 1))
-                with pytest.raises(ValueError, match="not closed under the symmetries"):
+                drop_from_level_2(m, images)
+                with pytest.raises(ValueError, match="level of weight 23 is not closed under "
+                                                     "the symmetries of"):
                     ladder_ends(16, 3, 2)
 
     def test_capped_levels_skip_only_the_closure(self, monkeypatch):
-        for generator in ("rot_r", "invert_i"):
-            monkeypatch.setattr(ends_mod, generator, lambda y: BitSeq(y.n, 1))
-        got = ladder_ends(16, 0, 1, cap=1)
-        assert got.high[0].truncated
+        with monkeypatch.context() as m:
+            drop_from_level_2(m, lambda y: {y, invert_i(y)})
+            got = ladder_ends(16, 3, 2, cap=1)
+        assert got.low[2].truncated and got.low[2].count == 4
+        # each member of level 2 reported at one more than its weight
+        corrupt_search(monkeypatch, lambda d, a: (d, np.where(a == np.unique(a)[2], a + 1, a)))
+        with pytest.raises(ValueError, match="has weight 23, not 24"):
+            ladder_ends(16, 3, 2, cap=1)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from steinhaus import (
@@ -8,6 +9,9 @@ from steinhaus import (
     subtriangle_generator,
     triangle_weight,
 )
+
+from steinhaus.symmetry import invert_i, rot_r
+from steinhaus.triangle import row_steps
 
 from conftest import all_seqs
 
@@ -59,6 +63,39 @@ class TestTriangleWeight:
                 w = triangle_weight(x)
                 assert w == build(x).weight
                 assert 0 <= w <= top
+
+
+class TestRowSteps:
+    def test_matches_the_scalar_functions_at_every_length(self, rng):
+        # zero, all ones, the top bit alone and random words: the shifts reach 63 at n = 64
+        seqs = [BitSeq(n, v) for n in range(1, 65)
+                for v in (0, (1 << n) - 1, 1 << n - 1, *(rng.getrandbits(n) for _ in range(8)))]
+        weight, rot, rev = row_steps([x.bits for x in seqs], [x.n for x in seqs])
+        assert weight.tolist() == [triangle_weight(x) for x in seqs]
+        assert rot.tolist() == [rot_r(x).bits for x in seqs]
+        assert rev.tolist() == [invert_i(x).bits for x in seqs]
+
+    @pytest.mark.parametrize("n", [1, 9, 63, 64])
+    def test_one_length_for_all(self, rng, n):
+        seqs = [BitSeq(n, rng.getrandbits(n)) for _ in range(50)]
+        weight, rot, rev = row_steps(np.array([x.bits for x in seqs], np.uint64), n)
+        assert weight.tolist() == [triangle_weight(x) for x in seqs]
+        assert rot.tolist() == [rot_r(x).bits for x in seqs]
+        assert rev.tolist() == [invert_i(x).bits for x in seqs]
+
+    def test_every_word_of_a_small_length(self):
+        for n in range(1, 9):
+            seqs = list(all_seqs(n))
+            assert row_steps([x.bits for x in seqs], n)[0].tolist() == \
+                [triangle_weight(x) for x in seqs]
+
+    def test_empty_input(self):
+        assert all(len(a) == 0 for a in row_steps([], []))
+
+    @pytest.mark.parametrize("n", [0, 65, [3, 0], [64, 65]])
+    def test_lengths_outside_the_shifts_rejected(self, n):
+        with pytest.raises(ValueError, match="lengths 1..64"):
+            row_steps(np.zeros(np.shape(n), np.uint64), n)
 
 
 class TestSubtriangle:

@@ -217,8 +217,8 @@ class TestVerifyAll:
 
     def test_one_enumeration_per_size(self, monkeypatch):
         # No size builds a sweep kernel: every check reads the ladder-end search,
-        # asked once for the shared levels of every size, or the three-row DP;
-        # only the small-n ladder searches whole ladders, one size at a time.
+        # asked once for the shared levels of every size and the whole ladders
+        # of the small-n ladder, or the three-row DP.
         def no_kernel(*args, **kwargs):
             raise AssertionError("verify built a sweep kernel")
 
@@ -239,7 +239,7 @@ class TestVerifyAll:
         monkeypatch.setattr(verify_mod, "ladder_ends", counted)
         monkeypatch.setattr(verify_mod, "ladder_ends_batch", counted_batch)
         assert verify_all(1, 24, workers=3).ok
-        assert batches == [24]
+        assert batches == [4 + 24]
         assert {n: c for (n, low, high), c in searched.items() if (low, high) == (3, 2)} == \
             {n: 1 for n in range(1, 25)}
         whole = {n: c for (n, low, high), c in searched.items()
