@@ -273,7 +273,8 @@ def _ends(ends: list[_End]) -> list[tuple[list[WeightSlice], dict, int]]:
                                                     for i in ready])):
             e, sign = ends[i], 1 if ends[i].top else -1
             kept[i] += count
-            found = np.unique(w)
+            # the distinct weights, ascending: np.unique would import numpy.ma
+            found = np.flatnonzero(np.bincount(w))
             if e.top and len(found):  # the search reached W_m
                 _TOP_WEIGHT[e.n] = int(found[-1])
             del todo[i][0]

@@ -5,15 +5,20 @@ the period-2 class (b), the period-4 class (c), the period-3 maximizers (z),
 the period-3 near-maximizers (u for lengths divisible by 3, v for lengths
 congruent to 2 mod 3), and the unit vectors (e). Groups a to v are one table,
 ``_GROUPS``: each states its least length n, the residue of n mod 3 it
-requires (if any), and its members in tag order as (head, pattern, tail)
-words. Member i at length n is its head, then its periodic pattern repeated
-to fill the middle, then its tail. Unit vector e_k has a single one at
-position k. For each family, the exact triangle weight is known in closed
-form on a stated range of lengths, as are the bottom of the weight ladder
-(levels 1-3) and its top (the maximum level and the one below it): each such
-level is a union of families and weighs their closed form. Two bundled tables
-instead give the whole ladder at n <= 4 (``fixtures/small_n_levels.txt``) and
-level 2 at n <= 8 (``fixtures/second_level_sets.txt``).
+requires (if any), and its members in tag order as packed (head, pattern,
+tail) words. Member i at length n is its head, then its periodic pattern
+repeated to fill the middle, then its tail; each member keeps its pattern
+repeated over ``MAX_LEN`` bits, so a word is built by a mask and shifts. Unit
+vector e_k has a single one at position k. For each family, the exact
+triangle weight is known in closed form on a stated range of lengths, as are
+the bottom of the weight ladder (levels 1-3) and its top (the maximum level
+and the one below it): each such level is a union of families and weighs
+their closed form. Whether a family is defined at a length, and whether its
+formula covers it, is read off those ranges; the errors are built only to be
+raised. ``family_words`` lists every family at one length with its packed
+word and closed form, for callers that weigh many words at once. Two bundled
+tables instead give the whole ladder at n <= 4 (``fixtures/small_n_levels.txt``)
+and level 2 at n <= 8 (``fixtures/second_level_sets.txt``).
 """
 
 from __future__ import annotations
@@ -38,21 +43,36 @@ class UncoveredLevelError(ValueError):
     """No closed-form description of this level exists at this length."""
 
 
+def _member(head: str, pattern: str, tail: str) -> tuple[BitSeq, BitSeq, BitSeq, int]:
+    """A member's head, pattern and tail words, packed, and its fill: the
+    pattern repeated over MAX_LEN bits by one multiply, by a one at the start
+    of each period."""
+    head_seq, pattern_seq, tail_seq = map(BitSeq.from_string, (head, pattern, tail))
+    starts = sum(1 << j for j in range(0, MAX_LEN, len(pattern)))
+    return head_seq, pattern_seq, tail_seq, pattern_seq.bits * starts
+
+
 # group -> (least n, required n mod 3 or None, members in tag order as
-# (head, pattern, tail) words).
-_GROUPS: dict[str, tuple[int, int | None, tuple[tuple[str, str, str], ...]]] = {
-    "a": (1, None, (("", "1", ""), ("1", "0", ""), ("", "0", "1"))),
-    "b": (2, None, (("", "10", ""), ("01", "0", ""), ("", "0", "11"),
-                    ("", "01", ""), ("11", "0", ""), ("", "0", "10"))),
-    "c": (3, None, (("", "0011", ""), ("101", "0", ""), ("", "0", "100"),
-                    ("", "1100", ""), ("001", "0", ""), ("", "0", "101"))),
-    "z": (2, None, (("", "110", ""), ("", "011", ""), ("", "101", ""))),
-    "u": (12, 0, (("", "100", ""), ("0", "011", ""), ("", "110", "1"),
-                  ("", "001", ""), ("1", "110", ""), ("", "101", "0"),
-                  ("", "010", ""), ("0", "101", ""), ("", "011", "0"))),
-    "v": (11, 2, (("", "100", ""), ("0", "101", ""), ("", "101", "1"),
-                  ("", "010", ""), ("1", "110", ""), ("", "110", "0"))),
+# packed (head, pattern, tail) words with the pattern's fill).
+_GROUPS: dict[str, tuple[int, int | None, tuple[tuple[BitSeq, BitSeq, BitSeq, int], ...]]] = {
+    g: (least, residue, tuple(_member(*words) for words in members))
+    for g, (least, residue, members) in {
+        "a": (1, None, (("", "1", ""), ("1", "0", ""), ("", "0", "1"))),
+        "b": (2, None, (("", "10", ""), ("01", "0", ""), ("", "0", "11"),
+                        ("", "01", ""), ("11", "0", ""), ("", "0", "10"))),
+        "c": (3, None, (("", "0011", ""), ("101", "0", ""), ("", "0", "100"),
+                        ("", "1100", ""), ("001", "0", ""), ("", "0", "101"))),
+        "z": (2, None, (("", "110", ""), ("", "011", ""), ("", "101", ""))),
+        "u": (12, 0, (("", "100", ""), ("0", "011", ""), ("", "110", "1"),
+                      ("", "001", ""), ("1", "110", ""), ("", "101", "0"),
+                      ("", "010", ""), ("0", "101", ""), ("", "011", "0"))),
+        "v": (11, 2, (("", "100", ""), ("0", "101", ""), ("", "101", "1"),
+                      ("", "010", ""), ("1", "110", ""), ("", "110", "0"))),
+    }.items()
 }
+
+# the least n of each group's weight formula; c has one at even n only
+_FORMULA_LEAST = {"a": 4, "b": 4, "c": 4, "z": 3}
 
 
 @dataclass(frozen=True)
@@ -85,108 +105,125 @@ class FamilyName:
         return f"{self.group}{self.index}"
 
 
-# every tag of groups a to v, in display order
-_GROUP_TAGS = tuple(FamilyName(g, i) for g, (_, _, members) in _GROUPS.items()
-                    for i in range(1, len(members) + 1))
+# every tag of each group a to v, in display order, and of the unit vectors
+_GROUP_TAGS = {g: tuple(FamilyName(g, i) for i in range(1, len(members) + 1))
+               for g, (_, _, members) in _GROUPS.items()}
+_UNIT_TAGS = tuple(FamilyName("e", k) for k in range(MAX_LEN))
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise FamilyRangeError(message)
+def _group_range_error(g: str, n: int) -> str | None:
+    """Why group ``g`` (a to v) is not defined at length n, or None where it is."""
+    least, residue, _ = _GROUPS[g]
+    if residue is not None and n % 3 != residue:
+        return f"{g} family requires n == {residue} (mod 3)"
+    if n < least:
+        return f"{g} family requires n >= {least}"
+    return None
+
+
+def _range_error(f: FamilyName, n: int) -> str | None:
+    """Why family ``f`` is not defined at length n, or None where it is."""
+    if n > MAX_LEN:
+        return f"families are defined for n <= {MAX_LEN}"
+    if f.group == "e":
+        return f"e{f.index} requires n >= {f.index + 1}" if f.index > n - 1 else None
+    return _group_range_error(f.group, n)
+
+
+def _bits(f: FamilyName, n: int) -> int:
+    """The packed word of family ``f``, defined at length n: its head, then its
+    pattern's fill cut to the middle, then its tail."""
+    if f.group == "e":
+        return 1 << f.index
+    head, _, tail, fill = _GROUPS[f.group][2][f.index - 1]
+    middle = n - head.n - tail.n
+    return head.bits | (fill & (1 << middle) - 1) << head.n | tail.bits << n - tail.n
 
 
 def family_seq(f: FamilyName, n: int) -> BitSeq:
     """The defining sequence of family ``f`` at length n."""
-    g, i = f.group, f.index
-    if n > MAX_LEN:
-        raise FamilyRangeError(f"families are defined for n <= {MAX_LEN}")
-    if g == "e":
-        if i > n - 1:
-            raise FamilyRangeError(f"e{i} requires n >= {i + 1}")
-        return BitSeq(n, 1 << i)
-    least, residue, members = _GROUPS[g]
-    if residue is not None and n % 3 != residue:
-        raise FamilyRangeError(f"{g} family requires n == {residue} (mod 3)")
-    if n < least:
-        raise FamilyRangeError(f"{g} family requires n >= {least}")
-    head, pattern, tail = members[i - 1]
-    middle = n - len(head) - len(tail)
-    return BitSeq.from_string(head + (pattern * middle)[:middle] + tail)
+    why = _range_error(f, n)
+    if why is not None:
+        raise FamilyRangeError(why)
+    return BitSeq(n, _bits(f, n))
 
 
 def predicted_triangle_weight(f: FamilyName, n: int) -> int:
     """Closed-form triangle weight of ``family_seq(f, n)`` where one exists."""
-    family_seq(f, n)  # range check
-    return _closed_form(f, n)
+    why = _range_error(f, n)
+    if why is not None:
+        raise FamilyRangeError(why)
+    w = _closed_form(f, n)
+    if w is None:
+        raise _no_closed_form(f, n)
+    return w
 
 
-def _closed_form(f: FamilyName, n: int) -> int:
-    """``predicted_triangle_weight`` of a family known to be defined at length n."""
+def _closed_form(f: FamilyName, n: int) -> int | None:
+    """``predicted_triangle_weight`` of a family known to be defined at length
+    n, or None outside its formula's stated range."""
     g, i = f.group, f.index
+    if g == "e":  # reduced by the mirror symmetry e_{n-1-k} <-> e_k
+        k = min(i, n - 1 - i)
+        if k == 0:
+            return n
+        if k == 1:
+            return (3 * n - 2) // 2
+        if k == 2:
+            return 2 * n - 4 if n % 4 == 2 else 2 * n - 3
+        if k == 3:
+            return (9 * n - 27) // 4 if n % 4 == 3 else (9 * n - 20) // 4
+        return None
+    if n < _FORMULA_LEAST.get(g, 0):
+        return None
     if g == "a":
-        _require(n >= 4, "a-family weight formula requires n >= 4")
         return n
     if g == "b":
-        _require(n >= 4, "b-family weight formula requires n >= 4")
         if n % 2 == 0:
             return (3 * n - 2) // 2
         return (3 * n - 1) // 2 if i in (1, 3, 5) else (3 * n - 3) // 2
     if g == "c":
-        _require(n >= 4, "c-family weight formula requires n >= 4")
         if n % 2:
-            raise NoClosedFormError("c-family weights have closed forms for even n only")
+            return None
         if n % 4 == 0:
             return 2 * n - 3
         return 2 * n - 4 if i in (1, 3, 5) else 2 * n - 2
     if g == "z":
-        _require(n >= 3, "z-family weight formula requires n >= 3")
         if n % 3 != 1:
             return n * (n + 1) // 3
         base = (n - 1) * (n + 2) // 3
         return base + 1 if i in (1, 3) else base
-    if g in ("u", "v"):
-        return -(-n * n // 3)
-    # unit vectors: reduce by the mirror symmetry e_{n-1-k} <-> e_k
-    k = min(i, n - 1 - i)
-    if k == 0:
-        return n
-    if k == 1:
-        return (3 * n - 2) // 2
-    if k == 2:
-        return 2 * n - 4 if n % 4 == 2 else 2 * n - 3
-    if k == 3:
-        return (9 * n - 27) // 4 if n % 4 == 3 else (9 * n - 20) // 4
-    raise NoClosedFormError(
-        f"no exact formula for e{i} at n={n}; only the lower bound 2n-3 is known"
-    )
+    return -(-n * n // 3)  # u and v
 
 
-def _constructible(n: int):
-    """(tag, sequence) of every family constructible at length n, in stable
-    display order; each sequence is built once."""
-    for f in [*_GROUP_TAGS, *(FamilyName("e", k) for k in range(n))]:
-        try:
-            yield f, family_seq(f, n)
-        except FamilyRangeError:
-            continue
+def _no_closed_form(f: FamilyName, n: int) -> ValueError:
+    """The error saying why ``_closed_form(f, n)`` is None."""
+    g = f.group
+    if g == "e":
+        return NoClosedFormError(
+            f"no exact formula for e{f.index} at n={n}; only the lower bound 2n-3 is known")
+    if n < _FORMULA_LEAST[g]:
+        return FamilyRangeError(f"{g}-family weight formula requires n >= {_FORMULA_LEAST[g]}")
+    return NoClosedFormError("c-family weights have closed forms for even n only")
 
 
 def all_families(n: int) -> list[FamilyName]:
     """Every family tag constructible at length n, in stable display order."""
-    return [f for f, _ in _constructible(n)]
+    if not 0 < n <= MAX_LEN:
+        return []
+    return [f for g, tags in _GROUP_TAGS.items() if _group_range_error(g, n) is None
+            for f in tags] + list(_UNIT_TAGS[:n])
+
+
+def family_words(n: int) -> list[tuple[FamilyName, int, int | None]]:
+    """Every family at length n, in stable display order, with its packed word
+    and its closed-form weight, or None where no closed form exists."""
+    return [(f, _bits(f, n), _closed_form(f, n)) for f in all_families(n)]
 
 
 def family_weights(n: int) -> list[tuple[FamilyName, BitSeq, int | None]]:
-    """Every family at length n with its sequence and its closed-form weight,
-    or None where no closed form exists."""
-    out = []
-    for f, x in _constructible(n):
-        try:
-            predicted = _closed_form(f, n)
-        except (NoClosedFormError, FamilyRangeError):
-            predicted = None
-        out.append((f, x, predicted))
-    return out
+    """``family_words(n)`` with each word as a sequence."""
+    return [(f, BitSeq(n, bits), w) for f, bits, w in family_words(n)]
 
 
 @functools.cache
@@ -252,10 +289,12 @@ def _prediction(level: str, n: int, value: int, seqs, status: str = "theorem") -
 
 def _family_prediction(level: str, n: int, group: str, indices, extra=(),
                        status: str = "theorem") -> LevelPrediction:
-    """Members ``indices`` of ``group`` plus ``extra`` words, weighed by the first's closed form."""
-    tags = [FamilyName(group, i) for i in indices]
-    seqs = [family_seq(f, n) for f in tags] + [BitSeq.from_string(s) for s in extra]
-    return _prediction(level, n, predicted_triangle_weight(tags[0], n), seqs, status)
+    """Members ``indices`` of ``group`` plus ``extra`` words, weighed by the first's
+    closed form (whose range check is the group's)."""
+    tags = [_GROUP_TAGS[group][i - 1] for i in indices]
+    value = predicted_triangle_weight(tags[0], n)
+    seqs = [BitSeq(n, _bits(f, n)) for f in tags] + [BitSeq.from_string(s) for s in extra]
+    return _prediction(level, n, value, seqs, status)
 
 
 def _bundled_prediction(level: str, n: int) -> LevelPrediction:

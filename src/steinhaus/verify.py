@@ -21,13 +21,17 @@ n <= 9, counts the distinct weights of all 2^n generators by
 ``triangle.row_steps``; the three-row bound reads the max from one forward
 pass of the window DP for the run, whose first n entries are the pass of
 size n, and its generators from ``three_row_max`` only where it reads them
-(n = 4, 5 or a failure's witness). No check builds the sweep kernel: the
-tests check the search against the sweep. The ``_timed`` decorator stamps
-each check's wall time on the record it returns. The search and the
-three-row pass are one call for every size, so their time, and the time
-spent between the checks, is added to one record, the first of the lowest
-size: the records account for the run, but no longer split the search by
-size.
+(n = 4, 5 or a failure's witness). The family checks read one family pass
+for the run: ``family_words`` of every size, packed, weighed by one
+``triangle.row_steps`` call, of which each size gets its rows (closed-form
+families for ``family-weights``, central unit vectors for
+``unit-vector-bound``); a witness is rebuilt as a sequence only on failure.
+No check builds the sweep kernel: the tests check the search against the
+sweep. The ``_timed`` decorator stamps each check's wall time on the record
+it returns. The search and the two passes are one call each for every size,
+so their time, and the time spent between the checks, is added to one
+record, the first of the lowest size: the records account for the run, but
+no longer split the search by size.
 """
 
 from __future__ import annotations
@@ -48,8 +52,7 @@ from .families import (
     _fixture_rows,
     _level_fixture,
     conjectured,
-    family_seq,
-    family_weights,
+    family_words,
     normalize_level,
     predicted_level,
 )
@@ -254,45 +257,67 @@ def verify_small_n(ends: list[LadderEnds] | None = None) -> list[CheckRecord]:
     return records
 
 
+# a family word of a pass: tag, packed word, closed-form weight (None where
+# there is none) and the word's triangle weight
+_FamilyRow = tuple[FamilyName, int, int | None, int]
+
+
+def _family_pass(sizes) -> dict[int, list[_FamilyRow]]:
+    """``family_words(n)`` of every size n in ``sizes``, each row with its
+    word's weight appended, all weighed by one ``row_steps`` call."""
+    _check_size(max(sizes), force=True, limit=SEARCH_LIMIT)  # the lengths ``row_steps`` takes
+    words = {n: family_words(n) for n in sizes}
+    weights = iter(row_steps([bits for rows in words.values() for _, bits, _ in rows],
+                             [n for n, rows in words.items() for _ in rows])[0].tolist())
+    return {n: [(*row, next(weights)) for row in rows] for n, rows in words.items()}
+
+
 @_timed
-def verify_ek(n: int) -> CheckRecord:
+def verify_ek(n: int, *, words: list[_FamilyRow] | None = None) -> CheckRecord:
     """Unit-vector weights: exact table values for 9 <= n <= 15 and the
-    2n-3 lower bound (strict for even n) for every central k."""
+    2n-3 lower bound (strict for even n) for every central k.
+
+    ``words`` is the size's rows of a family pass (by default a pass of n).
+    """
     if n < 9:
         return CheckRecord("unit-vector-bound", n, "skipped", "bound applies for n >= 9")
+    if words is None:
+        words = _family_pass([n])[n]
     table = _unit_vector_fixture()
     bound = 2 * n - 3
-    checked = 0
-    for k in range(4, (n - 1) // 2 + 1):
-        x = family_seq(FamilyName("e", k), n)
-        w = triangle_weight(x)
+    central = [(f.index, bits, w) for f, bits, _, w in words
+               if f.group == "e" and 4 <= f.index <= (n - 1) // 2]
+    for k, bits, w in central:
         expected = table.get((n, k))
         if expected is not None and w != expected:
             return CheckRecord("unit-vector-bound", n, "fail",
                                f"e{k}: weight {w} observed, table says {expected}",
-                               Witness(x, w, expected))
+                               Witness(BitSeq(n, bits), w, expected))
         if w < bound or (n % 2 == 0 and w == bound):
             strict = " (strict)" if n % 2 == 0 else ""
             return CheckRecord("unit-vector-bound", n, "fail",
                                f"e{k}: weight {w} violates bound {bound}{strict}",
-                               Witness(x, w, bound))
-        checked += 1
+                               Witness(BitSeq(n, bits), w, bound))
     return CheckRecord("unit-vector-bound", n, "pass",
-                       f"{checked} unit vectors satisfy the bound")
+                       f"{len(central)} unit vectors satisfy the bound")
 
 
 @_timed
-def verify_family_weights(n: int) -> CheckRecord:
-    """Every closed-form family weight at this length against direct computation."""
+def verify_family_weights(n: int, *, words: list[_FamilyRow] | None = None) -> CheckRecord:
+    """Every closed-form family weight at this length against direct computation.
+
+    ``words`` is the size's rows of a family pass (by default a pass of n).
+    """
+    if words is None:
+        words = _family_pass([n])[n]
     checked = 0
-    for f, x, predicted in family_weights(n):
+    for f, bits, predicted, w in words:
         if predicted is None:
             continue
-        w = triangle_weight(x)
         if w != predicted:
             return CheckRecord("family-weights", n, "fail",
                                f"{f}: weight {w} observed, formula gives {predicted}",
-                               Witness(x, w, predicted))
+                               Witness(BitSeq(n, bits), w, predicted))
         checked += 1
     if not checked:
         return CheckRecord("family-weights", n, "skipped", "no closed forms at this length")
@@ -374,7 +399,8 @@ def _golden_weight_slice(n: int, data: LadderEnds) -> CheckRecord:
 @_timed
 def _golden_top(n: int, data: LadderEnds) -> CheckRecord:
     m_exp, w_exp, count_exp = _top_summary_fixture()[n]
-    m = len(np.unique(row_steps(np.arange(1 << n), n)[0])) - 1  # every generator, n <= 9
+    weights = row_steps(np.arange(1 << n), n)[0]  # of every generator, n <= 9
+    m = int(np.count_nonzero(np.bincount(weights))) - 1
     second = data.high[1]
     observed_triple = (m, second.weight, second.count)
     if observed_triple != (m_exp, w_exp, count_exp):
@@ -439,16 +465,24 @@ def _weight_2n3(n: int, data: LadderEnds) -> CheckRecord:
 # ---------------------------------------------------------------------------
 # the full ladder
 
+class _Passes(NamedTuple):
+    """The passes of a run over all its sizes: the three-row DP, whose first
+    n entries are the pass of size n, and the family words of each size."""
+
+    three_rows: list[dict[int, int]]
+    families: dict[int, list[_FamilyRow]]
+
+
 class _Check(NamedTuple):
     """A per-size check, run where ``applies(n)`` and skipped with ``skip``
-    elsewhere, as ``run(n, data, three_rows)`` on the size's ``LadderEnds``
-    and the run's one three-row pass; ``weight(n)`` is an exact weight whose
-    generators it reads in ``data.slices``, which the search then reaches."""
+    elsewhere, as ``run(n, data, passes)`` on the size's ``LadderEnds`` and
+    the run's ``_Passes``; ``weight(n)`` is an exact weight whose generators
+    it reads in ``data.slices``, which the search then reaches."""
 
     name: str
     applies: Callable[[int], bool]
     skip: str
-    run: Callable[[int, LadderEnds, list[dict[int, int]]], CheckRecord]
+    run: Callable[[int, LadderEnds, _Passes], CheckRecord]
     weight: Callable[[int], int] | None = None
 
 
@@ -468,9 +502,10 @@ _CHECKS = (
            lambda n, d, _: verify_level(n, "m-1", data=d)),
     _Check("conjecture", conjectured, _CONJECTURE_RANGE,
            lambda n, d, _: check_conjecture(n, data=d)),
-    _Check("family-weights", _every, "", lambda n, d, _: verify_family_weights(n)),
-    _Check("unit-vector-bound", _every, "", lambda n, d, _: verify_ek(n)),
-    _Check("s3-bound", _every, "", lambda n, d, rows: verify_s3(n, three_rows=rows)),
+    _Check("family-weights", _every, "",
+           lambda n, d, p: verify_family_weights(n, words=p.families[n])),
+    _Check("unit-vector-bound", _every, "", lambda n, d, p: verify_ek(n, words=p.families[n])),
+    _Check("s3-bound", _every, "", lambda n, d, p: verify_s3(n, three_rows=p.three_rows)),
     _Check("golden-level-2", lambda n: 4 <= n <= 8, "stored rows cover 4 <= n <= 8",
            lambda n, d, _: _golden_level2(n, d)),
     _Check("golden-weight-slice", lambda n: 4 <= n <= 8, "stored rows cover 4 <= n <= 8",
@@ -488,11 +523,10 @@ _CHECKS = (
 PER_N_CHECKS = tuple(c.name for c in _CHECKS)
 
 
-def _per_n_records(n: int, data: LadderEnds,
-                   three_rows: list[dict[int, int]]) -> list[CheckRecord]:
+def _per_n_records(n: int, data: LadderEnds, passes: _Passes) -> list[CheckRecord]:
     """The records of size n, those of the checks that ran first, from its
-    ladder ends ``data`` and the run's three-row pass."""
-    return ([c.run(n, data, three_rows) for c in _CHECKS if c.applies(n)]
+    ladder ends ``data`` and the run's passes."""
+    return ([c.run(n, data, passes) for c in _CHECKS if c.applies(n)]
             + [CheckRecord(c.name, n, "skipped", c.skip) for c in _CHECKS if not c.applies(n)])
 
 
@@ -517,11 +551,11 @@ def verify_all(n_min: int, n_max: int, *, workers: int | None = None,
     ends = ladder_ends_batch([*_SMALL_N_REQUESTS,
                               *((n, 3, 2, [c.weight(n) for c in _CHECKS if c.weight and c.applies(n)])
                                 for n in sizes)], force=force)
-    three_rows = _three_row_pass(min(n_max, S3_CEILING))  # every size's is a prefix of it
+    passes = _Passes(_three_row_pass(min(n_max, S3_CEILING)), _family_pass(sizes))
     records = verify_small_n(ends[:len(_SMALL_N_REQUESTS)])
     checked = [r for n, data in zip(sizes, ends[len(_SMALL_N_REQUESTS):])
-               for r in _per_n_records(n, data, three_rows)]
-    # the search of all sizes, the three-row pass and the time between the
+               for r in _per_n_records(n, data, passes)]
+    # the search of all sizes, the run's passes and the time between the
     # checks are booked on one record
     rest = time.perf_counter() - t0 - sum(r.elapsed for r in records + checked)
     checked[0] = _stamped(checked[0], checked[0].elapsed + rest)

@@ -187,6 +187,49 @@ class TestFamilySeq:
                 assert (closure == members) == (group != "c" or n % 2 == 0), (group, n)
 
 
+def text_word(f, n):
+    """The word of ``f`` at length n built from text, the way ``family_seq`` once
+    built it, or the message of the FamilyRangeError it raised: the oracle of the
+    packed words."""
+    if n > MAX_LEN:
+        return f"families are defined for n <= {MAX_LEN}"
+    if f.group == "e":
+        if f.index > n - 1:
+            return f"e{f.index} requires n >= {f.index + 1}"
+        return BitSeq.from_string("0" * f.index + "1" + "0" * (n - 1 - f.index))
+    least, residue, members = families_mod._GROUPS[f.group]
+    if residue is not None and n % 3 != residue:
+        return f"{f.group} family requires n == {residue} (mod 3)"
+    if n < least:
+        return f"{f.group} family requires n >= {least}"
+    head, pattern, tail = (str(word) for word in members[f.index - 1][:3])
+    middle = n - len(head) - len(tail)
+    return BitSeq.from_string(head + (pattern * middle)[:middle] + tail)
+
+
+class TestPackedWords:
+    TAGS = [FamilyName(g, i) for g, (_, _, members) in families_mod._GROUPS.items()
+            for i in range(1, len(members) + 1)] + [FamilyName("e", k) for k in range(MAX_LEN)]
+
+    def test_words_and_range_errors_match_the_text_construction(self):
+        for n in range(1, MAX_LEN + 2):
+            for f in self.TAGS:
+                expected = text_word(f, n)
+                if isinstance(expected, str):
+                    with pytest.raises(FamilyRangeError) as info:
+                        family_seq(f, n)
+                    assert str(info.value) == expected, (str(f), n)
+                else:
+                    assert family_seq(f, n) == expected, (str(f), n)
+
+    def test_family_words_are_the_sequences_packed(self):
+        for n in range(1, MAX_LEN + 1):
+            rows = families_mod.family_words(n)
+            assert [f for f, _, _ in rows] == all_families(n)
+            assert [BitSeq(n, bits) for _, bits, _ in rows] == \
+                [text_word(f, n) for f, _, _ in rows], n
+
+
 class TestPredictedTriangleWeight:
     @pytest.mark.parametrize("tag,n,expected", [
         ("e2", 6, 8),
@@ -242,19 +285,19 @@ class TestPredictedTriangleWeight:
                 assert predicted == expected, (str(f), n)
 
     def test_family_weights_builds_each_sequence_once(self, monkeypatch):
+        # ``_bits`` builds every family word; nothing else does
         built = []
-        real = families_mod.family_seq
+        real = families_mod._bits
 
         def counted(f, n):
             built.append(str(f))
             return real(f, n)
 
-        monkeypatch.setattr(families_mod, "family_seq", counted)
+        monkeypatch.setattr(families_mod, "_bits", counted)
         for n in (4, 12, 24):
             built.clear()
             tags = [str(f) for f, _, _ in family_weights(n)]
-            assert sorted(set(built) & set(tags)) == sorted(tags)
-            assert all(built.count(tag) == 1 for tag in tags), n
+            assert built == tags, n
 
     def test_central_unit_vector_bound(self):
         for n in range(9, 25):

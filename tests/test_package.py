@@ -75,3 +75,13 @@ def test_submodule_import_still_yields_the_submodule():
     assert fresh_python("from steinhaus import ends, verify\n"
                         "print(ends.__name__, verify.__name__)\n"
                         ) == ["steinhaus.ends steinhaus.verify"]
+
+
+def test_verify_leaves_numpy_ma_unloaded():
+    # np.unique imports numpy.ma on its first call, some 10 ms of a fresh process
+    assert fresh_python(
+        "import contextlib, io, sys\n"
+        "from steinhaus.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['verify', '--from', '4', '--to', '6'])\n"
+        "print(code, 'numpy.ma' in sys.modules)\n") == ["0 False"]

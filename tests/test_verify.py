@@ -8,6 +8,7 @@ from steinhaus import (
     BitSeq,
     CeilingExceeded,
     CheckRecord,
+    FamilyName,
     VerificationReport,
     Witness,
     check_conjecture,
@@ -21,6 +22,7 @@ from steinhaus import (
     verify_small_n,
 )
 from steinhaus import cli
+from steinhaus import families as families_mod
 from steinhaus import spectrum as spectrum_mod
 from steinhaus import verify as verify_mod
 from steinhaus.families import LevelPrediction
@@ -102,6 +104,65 @@ class TestUnitVectors:
 
     def test_below_range_skipped(self):
         assert verify_ek(8).status == "skipped"
+
+
+class TestFamilyPass:
+    def test_weights_are_the_scalar_weights(self):
+        words = verify_mod._family_pass(range(1, 65))
+        assert list(words) == list(range(1, 65))
+        for n, rows in words.items():
+            assert [row[:3] for row in rows] == families_mod.family_words(n)
+            assert [w for *_, w in rows] == \
+                [triangle_weight(BitSeq(n, bits)) for _, bits, _, _ in rows], n
+
+    def test_one_row_steps_call_per_run(self, monkeypatch):
+        calls = []
+        real = verify_mod.row_steps
+
+        def counted(x, n):
+            calls.append(len(x))
+            return real(x, n)
+
+        monkeypatch.setattr(verify_mod, "row_steps", counted)
+        assert verify_all(10, 24).ok
+        assert calls == [sum(len(families_mod.family_words(n)) for n in range(10, 25))]
+
+    @pytest.mark.parametrize("check", [verify_family_weights, verify_ek])
+    def test_a_lone_check_past_the_engine_limit_raises(self, check):
+        assert check(64).status == "pass"
+        with pytest.raises(CeilingExceeded, match="engine limit of 64"):
+            check(65)
+
+    def test_a_wrong_closed_form_fails_with_a_sound_witness(self, monkeypatch):
+        real = families_mod._closed_form
+
+        def wrong(f, n):
+            w = real(f, n)
+            return w + 1 if (str(f), n) == ("b2", 13) else w
+
+        monkeypatch.setattr(families_mod, "_closed_form", wrong)
+        report = verify_all(13, 13)
+        record = next(r for r in report.records if r.check == "family-weights")
+        assert record.status == "fail" and report.exit_code == 1
+        assert record.detail == "b2: weight 18 observed, formula gives 19"
+        assert record.witness.sequence == families_mod.family_seq(FamilyName("b", 2), 13)
+        assert triangle_weight(record.witness.sequence) == record.witness.observed
+
+    def test_a_wrong_unit_vector_table_fails_with_a_sound_witness(self, monkeypatch):
+        real = verify_mod._unit_vector_fixture
+
+        def wrong():
+            table = real()
+            table[12, 5] += 1
+            return table
+
+        monkeypatch.setattr(verify_mod, "_unit_vector_fixture", wrong)
+        report = verify_all(12, 12)
+        record = next(r for r in report.records if r.check == "unit-vector-bound")
+        assert record.status == "fail" and report.exit_code == 1
+        assert record.detail == "e5: weight 23 observed, table says 24"
+        assert record.witness.sequence == BitSeq(12, 1 << 5)
+        assert triangle_weight(record.witness.sequence) == record.witness.observed
 
 
 class TestS3:
