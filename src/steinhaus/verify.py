@@ -27,16 +27,19 @@ for the run: ``family_words`` of every size, packed, weighed by one
 families for ``family-weights``, central unit vectors for
 ``unit-vector-bound``); a witness is rebuilt as a sequence only on failure.
 No check builds the sweep kernel: the tests check the search against the
-sweep. The ``_timed`` decorator stamps each check's wall time on the record
-it returns. The search and the two passes are one call each for every size,
-so their time, and the time spent between the checks, is added to one
-record, the first of the lowest size: the records account for the run, but
-no longer split the search by size.
+sweep. A check returns its outcome, ``(status, detail)`` or ``(status,
+detail, witness)``, and its ``_timed`` decorator builds the one record from
+the check's name, the size, the outcome and the call's wall time. The search
+and the two passes are one call each for every size, so their time, and the
+time spent between the checks, is added to one record, the first of the
+lowest size.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
+import inspect
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -66,7 +69,7 @@ from .spectrum import (
     three_row_max,
 )
 from .symmetry import orbit
-from .triangle import row_steps, triangle_weight
+from .triangle import row_steps, s3, triangle_weight
 
 S3_CEILING = 20
 
@@ -150,20 +153,20 @@ def _golden_slice(n: int) -> tuple[int, frozenset[BitSeq]]:
     return _level_fixture("weight_slice_floor_3n_over_2.txt")[(n, "-")]
 
 
-def _stamped(record: CheckRecord, elapsed: float) -> CheckRecord:
-    """``record`` with ``elapsed`` in place of its time."""
-    return CheckRecord(record.check, record.n, record.status, record.detail, record.witness,
-                       elapsed)
-
-
-def _timed(check):
-    """Stamp the wall time of each call on the record the check returns."""
-    @functools.wraps(check)
-    def timed(*args, **kwargs) -> CheckRecord:
-        t0 = time.perf_counter()
-        record = check(*args, **kwargs)
-        return _stamped(record, time.perf_counter() - t0)
-    return timed
+def _timed(name: str | Callable[..., str]):
+    """Build the record of each call of a check from its name (``name``, or
+    ``name`` of the call's arguments), its size n, the outcome it returns,
+    ``(status, detail)`` or ``(status, detail, witness)``, and its wall time."""
+    def decorate(check: Callable[..., tuple]) -> Callable[..., CheckRecord]:
+        @functools.wraps(check)
+        def timed(n: int, *args, **kwargs) -> CheckRecord:
+            t0 = time.perf_counter()
+            outcome = check(n, *args, **kwargs)
+            return CheckRecord(name if isinstance(name, str) else name(n, *args, **kwargs), n,
+                               *outcome, elapsed=time.perf_counter() - t0)
+        timed.__signature__ = inspect.signature(check).replace(return_annotation="CheckRecord")
+        return timed
+    return decorate
 
 
 def _set_witness(observed_w: int, observed: frozenset[BitSeq],
@@ -172,9 +175,8 @@ def _set_witness(observed_w: int, observed: frozenset[BitSeq],
     return Witness(x, triangle_weight(x), predicted_w)
 
 
-def _compare_level(check: str, n: int, level: WeightSlice,
-                   predicted_w: int, predicted: frozenset[BitSeq],
-                   conjecture: bool = False) -> CheckRecord:
+def _compare_level(level: WeightSlice, predicted_w: int, predicted: frozenset[BitSeq],
+                   conjecture: bool = False) -> tuple:
     ok_status = "conjecture-confirmed" if conjecture else "pass"
     bad_status = "conjecture-refuted" if conjecture else "fail"
     observed_w, observed = level.weight, frozenset(level.members)
@@ -182,29 +184,25 @@ def _compare_level(check: str, n: int, level: WeightSlice,
         pick = sorted(observed, key=str)
         witness = Witness(pick[0], observed_w, predicted_w) if pick else \
             _set_witness(observed_w, observed, predicted_w, predicted)
-        detail = f"weight {observed_w} observed, {predicted_w} predicted"
-        return CheckRecord(check, n, bad_status, detail, witness)
+        return bad_status, f"weight {observed_w} observed, {predicted_w} predicted", witness
     if observed != predicted or level.count != len(predicted):
-        witness = _set_witness(observed_w, observed, predicted_w, predicted)
-        detail = (f"member set mismatch at weight {predicted_w}: "
-                  f"{level.count} observed vs {len(predicted)} predicted")
-        return CheckRecord(check, n, bad_status, detail, witness)
-    return CheckRecord(check, n, ok_status,
-                       f"weight {predicted_w}, {len(predicted)} generators")
+        return (bad_status, f"member set mismatch at weight {predicted_w}: "
+                f"{level.count} observed vs {len(predicted)} predicted",
+                _set_witness(observed_w, observed, predicted_w, predicted))
+    return ok_status, f"weight {predicted_w}, {len(predicted)} generators"
 
 
 # ---------------------------------------------------------------------------
 # individual checks
 
-@_timed
-def verify_level(n: int, level, *, data: LadderEnds | None = None) -> CheckRecord:
+@_timed(lambda n, level, **_: f"level-{normalize_level(level)}")
+def verify_level(n: int, level, *, data: LadderEnds | None = None) -> tuple:
     """Compare one predicted ladder level (weight and set) with enumeration."""
     token = normalize_level(level)
-    check = f"level-{token}"
     try:
         prediction = predicted_level(token, n)
     except UncoveredLevelError as exc:
-        return CheckRecord(check, n, "skipped", str(exc))
+        return "skipped", str(exc)
     if data is None:
         data = ladder_ends(n, 3, 2)
     end, offset = {"1": (data.low, 1), "2": (data.low, 2), "3": (data.low, 3),
@@ -212,15 +210,14 @@ def verify_level(n: int, level, *, data: LadderEnds | None = None) -> CheckRecor
     if offset >= len(end):  # only the bottom end runs short: then it holds the whole ladder
         top = end[-1]
         pick = sorted(top.members, key=str)[0]
-        return CheckRecord(check, n, "fail",
-                           f"ladder has levels 0..{len(end) - 1}, level {token} undefined",
-                           Witness(pick, top.weight, prediction.value))
-    return _compare_level(check, n, end[offset], prediction.value, prediction.member_set,
+        return ("fail", f"ladder has levels 0..{len(end) - 1}, level {token} undefined",
+                Witness(pick, top.weight, prediction.value))
+    return _compare_level(end[offset], prediction.value, prediction.member_set,
                           conjecture=prediction.status == "conjecture")
 
 
-@_timed
-def _small_n_ladder(n: int, data: LadderEnds) -> CheckRecord:
+@_timed("small-n-ladder")
+def _small_n_ladder(n: int, data: LadderEnds) -> tuple:
     fixture = _level_fixture("small_n_levels.txt")
     expected = {lvl: row for (nn, lvl), row in fixture.items() if nn == n}
     ladder = data.low  # the whole ladder, W_0 first
@@ -232,13 +229,12 @@ def _small_n_ladder(n: int, data: LadderEnds) -> CheckRecord:
         bad = f"{ladder[0].count} generators of weight 0"
     if bad is not None:
         pick = sorted(ladder[-1].members, key=str)[0]  # a generator of W_m
-        return CheckRecord("small-n-ladder", n, "fail", bad,
-                           Witness(pick, triangle_weight(pick), -1))
+        return "fail", bad, Witness(pick, triangle_weight(pick), -1)
     for index, level in enumerate(ladder[1:], 1):
-        record = _compare_level("small-n-ladder", n, level, *expected[str(index)])
-        if record.status != "pass":
-            return record
-    return CheckRecord("small-n-ladder", n, "pass", f"all {m} levels match")
+        outcome = _compare_level(level, *expected[str(index)])
+        if outcome[0] != "pass":
+            return outcome
+    return "pass", f"all {m} levels match"
 
 
 # the whole ladder at each small n, W_0 first
@@ -253,7 +249,7 @@ def verify_small_n(ends: list[LadderEnds] | None = None) -> list[CheckRecord]:
         ends = ladder_ends_batch(_SMALL_N_REQUESTS)
     searched = time.perf_counter() - t0
     records = [_small_n_ladder(n, data) for (n, *_), data in zip(_SMALL_N_REQUESTS, ends)]
-    records[0] = _stamped(records[0], records[0].elapsed + searched)  # as in ``verify_all``
+    records[0] = dataclasses.replace(records[0], elapsed=records[0].elapsed + searched)
     return records
 
 
@@ -272,15 +268,15 @@ def _family_pass(sizes) -> dict[int, list[_FamilyRow]]:
     return {n: [(*row, next(weights)) for row in rows] for n, rows in words.items()}
 
 
-@_timed
-def verify_ek(n: int, *, words: list[_FamilyRow] | None = None) -> CheckRecord:
+@_timed("unit-vector-bound")
+def verify_ek(n: int, *, words: list[_FamilyRow] | None = None) -> tuple:
     """Unit-vector weights: exact table values for 9 <= n <= 15 and the
     2n-3 lower bound (strict for even n) for every central k.
 
     ``words`` is the size's rows of a family pass (by default a pass of n).
     """
     if n < 9:
-        return CheckRecord("unit-vector-bound", n, "skipped", "bound applies for n >= 9")
+        return "skipped", "bound applies for n >= 9"
     if words is None:
         words = _family_pass([n])[n]
     table = _unit_vector_fixture()
@@ -290,20 +286,17 @@ def verify_ek(n: int, *, words: list[_FamilyRow] | None = None) -> CheckRecord:
     for k, bits, w in central:
         expected = table.get((n, k))
         if expected is not None and w != expected:
-            return CheckRecord("unit-vector-bound", n, "fail",
-                               f"e{k}: weight {w} observed, table says {expected}",
-                               Witness(BitSeq(n, bits), w, expected))
+            return ("fail", f"e{k}: weight {w} observed, table says {expected}",
+                    Witness(BitSeq(n, bits), w, expected))
         if w < bound or (n % 2 == 0 and w == bound):
             strict = " (strict)" if n % 2 == 0 else ""
-            return CheckRecord("unit-vector-bound", n, "fail",
-                               f"e{k}: weight {w} violates bound {bound}{strict}",
-                               Witness(BitSeq(n, bits), w, bound))
-    return CheckRecord("unit-vector-bound", n, "pass",
-                       f"{len(central)} unit vectors satisfy the bound")
+            return ("fail", f"e{k}: weight {w} violates bound {bound}{strict}",
+                    Witness(BitSeq(n, bits), w, bound))
+    return "pass", f"{len(central)} unit vectors satisfy the bound"
 
 
-@_timed
-def verify_family_weights(n: int, *, words: list[_FamilyRow] | None = None) -> CheckRecord:
+@_timed("family-weights")
+def verify_family_weights(n: int, *, words: list[_FamilyRow] | None = None) -> tuple:
     """Every closed-form family weight at this length against direct computation.
 
     ``words`` is the size's rows of a family pass (by default a pass of n).
@@ -315,18 +308,17 @@ def verify_family_weights(n: int, *, words: list[_FamilyRow] | None = None) -> C
         if predicted is None:
             continue
         if w != predicted:
-            return CheckRecord("family-weights", n, "fail",
-                               f"{f}: weight {w} observed, formula gives {predicted}",
-                               Witness(BitSeq(n, bits), w, predicted))
+            return ("fail", f"{f}: weight {w} observed, formula gives {predicted}",
+                    Witness(BitSeq(n, bits), w, predicted))
         checked += 1
     if not checked:
-        return CheckRecord("family-weights", n, "skipped", "no closed forms at this length")
-    return CheckRecord("family-weights", n, "pass", f"{checked} closed forms match")
+        return "skipped", "no closed forms at this length"
+    return "pass", f"{checked} closed forms match"
 
 
-@_timed
+@_timed("s3-bound")
 def verify_s3(n: int, *, ceiling: int = S3_CEILING,
-              three_rows: list[dict[int, int]] | None = None) -> CheckRecord:
+              three_rows: list[dict[int, int]] | None = None) -> tuple:
     """Exhaustive bound s3(x) <= 2n-2, with exact equality sets at n in {4, 5}.
 
     ``ceiling`` bounds the sizes scanned, in place of the enumeration ceiling.
@@ -334,70 +326,62 @@ def verify_s3(n: int, *, ceiling: int = S3_CEILING,
     which every size shorter than it reads (by default the pass of n).
     """
     if not 4 <= n <= ceiling:
-        return CheckRecord("s3-bound", n, "skipped", f"checked for 4 <= n <= {ceiling}")
+        return "skipped", f"checked for 4 <= n <= {ceiling}"
     _check_size(n, force=True)  # the engine limit, as ``three_row_max`` applies it
     # the members are listed only where read
     best = max((three_rows or _three_row_pass(n))[n - 1].values())
     bound = 2 * n - 2
     if best > bound:
-        return CheckRecord("s3-bound", n, "fail",
-                           f"max three-row weight {best} exceeds {bound}",
-                           Witness(BitSeq(n, three_row_max(n, force=True)[1][0]), best, bound))
+        return ("fail", f"max three-row weight {best} exceeds {bound}",
+                Witness(BitSeq(n, three_row_max(n, force=True)[1][0]), best, bound))
     detail = f"max three-row weight {best} <= {bound}"
     if n in _S3_EQUALITY:
         expected = frozenset(BitSeq.from_string(s) for s in _S3_EQUALITY[n])
         observed = frozenset(BitSeq(n, v) for v in three_row_max(n, force=True)[1])
         if best != bound or observed != expected:
             diff = sorted(observed ^ expected, key=str)[0]
-            return CheckRecord(
-                "s3-bound", n, "fail",
-                f"equality set mismatch: {len(observed)} at {best} observed, "
-                f"{len(expected)} at {bound} expected",
-                Witness(diff, best, bound))
+            return ("fail", f"equality set mismatch: {len(observed)} at {best} observed, "
+                    f"{len(expected)} at {bound} expected", Witness(diff, s3(diff), bound))
         detail += f"; equality set of size {len(expected)} matches"
-    return CheckRecord("s3-bound", n, "pass", detail)
+    return "pass", detail
 
 
 _CONJECTURE_RANGE = "conjecture applies for n >= 11 with n == 0,2 (mod 3)"
 
 
-@_timed
-def check_conjecture(n: int, *, data: LadderEnds | None = None) -> CheckRecord:
+@_timed("conjecture")
+def check_conjecture(n: int, *, data: LadderEnds | None = None) -> tuple:
     """Test whether level m-1 equals the conjectured set at weight ceil(n^2/3)."""
     if not conjectured(n):
         raise ValueError(_CONJECTURE_RANGE)
     if data is None:
         data = ladder_ends(n, 3, 2)
     prediction = predicted_level("m-1", n)
-    return _compare_level("conjecture", n, data.high[1],
-                          prediction.value, prediction.member_set, conjecture=True)
+    return _compare_level(data.high[1], prediction.value, prediction.member_set,
+                          conjecture=True)
 
 
 # ---------------------------------------------------------------------------
 # golden-table checks
 
-@_timed
-def _golden_level2(n: int, data: LadderEnds) -> CheckRecord:
-    return _compare_level("golden-level-2", n, data.low[2],
-                          *_level_fixture("second_level_sets.txt")[(n, "2")])
+@_timed("golden-level-2")
+def _golden_level2(n: int, data: LadderEnds) -> tuple:
+    return _compare_level(data.low[2], *_level_fixture("second_level_sets.txt")[(n, "2")])
 
 
-@_timed
-def _golden_weight_slice(n: int, data: LadderEnds) -> CheckRecord:
+@_timed("golden-weight-slice")
+def _golden_weight_slice(n: int, data: LadderEnds) -> tuple:
     w, set_exp = _golden_slice(n)
     got = data.slices[w]
     observed = frozenset(got.members)
     if observed != set_exp or got.count != len(set_exp):
-        return CheckRecord("golden-weight-slice", n, "fail",
-                           f"{got.count} generators at weight {w} observed, "
-                           f"{len(set_exp)} expected",
-                           _set_witness(w, observed, w, set_exp))
-    return CheckRecord("golden-weight-slice", n, "pass",
-                       f"{got.count} generators at weight {w}")
+        return ("fail", f"{got.count} generators at weight {w} observed, "
+                f"{len(set_exp)} expected", _set_witness(w, observed, w, set_exp))
+    return "pass", f"{got.count} generators at weight {w}"
 
 
-@_timed
-def _golden_top(n: int, data: LadderEnds) -> CheckRecord:
+@_timed("golden-top-levels")
+def _golden_top(n: int, data: LadderEnds) -> tuple:
     m_exp, w_exp, count_exp = _top_summary_fixture()[n]
     weights = row_steps(np.arange(1 << n), n)[0]  # of every generator, n <= 9
     m = int(np.count_nonzero(np.bincount(weights))) - 1
@@ -405,15 +389,13 @@ def _golden_top(n: int, data: LadderEnds) -> CheckRecord:
     observed_triple = (m, second.weight, second.count)
     if observed_triple != (m_exp, w_exp, count_exp):
         pick = sorted(second.members, key=str)[0]
-        return CheckRecord("golden-top-levels", n, "fail",
-                           f"(m, w, count) = {observed_triple} observed, "
-                           f"({m_exp}, {w_exp}, {count_exp}) expected",
-                           Witness(pick, second.weight, w_exp))
-    return CheckRecord("golden-top-levels", n, "pass", f"(m, w, count) = {observed_triple}")
+        return ("fail", f"(m, w, count) = {observed_triple} observed, "
+                f"({m_exp}, {w_exp}, {count_exp}) expected", Witness(pick, second.weight, w_exp))
+    return "pass", f"(m, w, count) = {observed_triple}"
 
 
-@_timed
-def _golden_second_members(n: int, data: LadderEnds) -> CheckRecord:
+@_timed("golden-second-max-members")
+def _golden_second_members(n: int, data: LadderEnds) -> tuple:
     _, set_exp = _level_fixture("second_largest_members.txt")[(n, "m-1")]
     _, _, count_exp = _top_summary_fixture()[n]
     second = data.high[1]
@@ -421,45 +403,38 @@ def _golden_second_members(n: int, data: LadderEnds) -> CheckRecord:
     missing = set_exp - observed
     if missing or second.count != count_exp:
         witness_seq = sorted(missing or observed ^ set_exp or observed, key=str)[0]
-        return CheckRecord("golden-second-max-members", n, "fail",
-                           f"{second.count} members observed, {count_exp} expected; "
-                           f"{len(missing)} listed members missing",
-                           Witness(witness_seq, triangle_weight(witness_seq), second.weight))
+        return ("fail", f"{second.count} members observed, {count_exp} expected; "
+                f"{len(missing)} listed members missing",
+                Witness(witness_seq, triangle_weight(witness_seq), second.weight))
     extras = " ".join(map(str, sorted(observed - set_exp, key=str)))
     note = f"; enumeration found members beyond the stored list: {extras}" if extras else ""
-    return CheckRecord("golden-second-max-members", n, "pass",
-                       f"all {len(set_exp)} listed members present{note}")
+    return "pass", f"all {len(set_exp)} listed members present{note}"
 
 
-@_timed
-def _golden_second_sets(n: int, data: LadderEnds) -> CheckRecord:
-    return _compare_level("golden-second-max-sets", n, data.high[1],
+@_timed("golden-second-max-sets")
+def _golden_second_sets(n: int, data: LadderEnds) -> tuple:
+    return _compare_level(data.high[1],
                           *_level_fixture("second_largest_sets_11_12.txt")[(n, "m-1")])
 
 
-@_timed
-def _weight_2n3(n: int, data: LadderEnds) -> CheckRecord:
+@_timed("weight-2n-3")
+def _weight_2n3(n: int, data: LadderEnds) -> tuple:
     w = 2 * n - 3
     got = data.slices[w]
     if n == 10:
         expected = frozenset(BitSeq.from_string(s) for s in _WEIGHT17_AT_10)
         observed = frozenset(got.members)
         if got.count != 6 or observed != expected:
-            return CheckRecord("weight-2n-3", n, "fail",
-                               f"{got.count} generators at weight {w} observed, "
-                               "the known orbit of 6 expected",
-                               _set_witness(w, observed, w, expected))
+            return ("fail", f"{got.count} generators at weight {w} observed, "
+                    "the known orbit of 6 expected", _set_witness(w, observed, w, expected))
         if frozenset(orbit(got.members[0]).members) != expected:
-            return CheckRecord("weight-2n-3", n, "fail",
-                               "the six generators do not form a single orbit",
-                               Witness(got.members[0], w, w))
-        return CheckRecord("weight-2n-3", n, "pass",
-                           f"exactly 6 generators at weight {w}, one orbit")
+            return ("fail", "the six generators do not form a single orbit",
+                    Witness(got.members[0], w, w))
+        return "pass", f"exactly 6 generators at weight {w}, one orbit"
     if got.count != 0:
-        return CheckRecord("weight-2n-3", n, "fail",
-                           f"{got.count} generators at weight {w} observed, 0 expected",
-                           Witness(got.members[0], w, w))
-    return CheckRecord("weight-2n-3", n, "pass", f"no generator has weight {w}")
+        return ("fail", f"{got.count} generators at weight {w} observed, 0 expected",
+                Witness(got.members[0], w, w))
+    return "pass", f"no generator has weight {w}"
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +533,7 @@ def verify_all(n_min: int, n_max: int, *, workers: int | None = None,
     # the search of all sizes, the run's passes and the time between the
     # checks are booked on one record
     rest = time.perf_counter() - t0 - sum(r.elapsed for r in records + checked)
-    checked[0] = _stamped(checked[0], checked[0].elapsed + rest)
+    checked[0] = dataclasses.replace(checked[0], elapsed=checked[0].elapsed + rest)
     records += checked
     records.sort(key=lambda r: (r.n, r.check))
     return VerificationReport(n_min, n_max, tuple(records))

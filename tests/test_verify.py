@@ -12,7 +12,9 @@ from steinhaus import (
     VerificationReport,
     Witness,
     check_conjecture,
+    ladder_ends,
     level_sets,
+    s3,
     triangle_weight,
     verify_all,
     verify_ek,
@@ -181,6 +183,18 @@ class TestS3:
         assert verify_s3(21).status == "skipped"
         assert verify_s3(3).status == "skipped"
         assert verify_s3(21, ceiling=22).status == "pass"
+
+    @pytest.mark.parametrize("stored,witness", [
+        (("1101", "0110", "1011", "1001", "0000"), "0000"),  # a stored word too many
+        (("0110", "1011", "1001"), "1101"),  # a maximiser missing
+    ])
+    def test_an_equality_set_mismatch_has_a_sound_witness(self, monkeypatch, stored, witness):
+        monkeypatch.setitem(verify_mod._S3_EQUALITY, 4, stored)
+        record = verify_s3(4)
+        assert record.status == "fail" and "equality set mismatch" in record.detail
+        assert str(record.witness.sequence) == witness
+        assert s3(record.witness.sequence) == record.witness.observed
+        assert record.witness.predicted == 6
 
 
 class TestConjecture:
@@ -368,9 +382,44 @@ class TestTimedChecks:
         assert inspect.isfunction(check)
         assert check.__module__ == "steinhaus.verify"
         assert getattr(verify_mod, check.__name__) is check
+        assert "CheckRecord" in inspect.signature(check).return_annotation
+
+    def test_each_record_is_built_once(self, monkeypatch):
+        built = []
+
+        class Counted(CheckRecord):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(verify_mod, "CheckRecord", Counted)
+        report = verify_all(4, 24)
+        # two records take on shared time, by a copy: the first small-n record
+        # and the first record of the lowest size
+        assert len(built) == len(report.records) + 2
+        assert all(type(r) is Counted for r in report.records)
 
 
 class TestCheckTable:
+    @pytest.mark.parametrize("row", verify_mod._CHECKS, ids=PER_N_CHECKS)
+    def test_each_row_runs_a_check_of_its_name(self, row):
+        n = next(n for n in range(4, 25) if row.applies(n))
+        data = ladder_ends(n, 3, 2, weights=[row.weight(n)] if row.weight else ())
+        passes = verify_mod._Passes(verify_mod._three_row_pass(n), verify_mod._family_pass([n]))
+        assert row.run(n, data, passes).check == row.name
+
+    def test_lone_calls_return_their_table_names(self):
+        lone = {
+            "level-1": verify_level(9, 1), "level-2": verify_level(9, "2"),
+            "level-3": verify_level(9, "3"), "level-m": verify_level(9, " M "),
+            "level-m-1": verify_level(n=10, level="m-1"),
+            "conjecture": check_conjecture(11), "family-weights": verify_family_weights(9),
+            "unit-vector-bound": verify_ek(9), "s3-bound": verify_s3(9),
+        }
+        assert set(lone) <= set(PER_N_CHECKS)
+        assert {name: r.check for name, r in lone.items()} == {name: name for name in lone}
+        assert {r.check for r in verify_small_n()} == {"small-n-ladder"}
+
     def test_rows_call_checks_by_module_name(self, monkeypatch):
         calls = Counter()
         for name in ("verify_level", "check_conjecture", "verify_family_weights",
