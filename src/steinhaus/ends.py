@@ -20,9 +20,9 @@ D is nonzero exactly where A is, as D determines the prefix.
 One frontier serves many searches, or requests (n, t, top): each holds a
 contiguous run of it, and each depth fixes the next bit of every request in
 the same numpy calls, so a batch pays numpy's per-call cost once per depth, not
-once per request and depth. A request leaves at its last bit. A frontier of two
-or more requests that grows past ``_BATCH_PREFIXES`` splits by request, and the
-parts finish one after another; one request's frontier is never split.
+once per request and depth. A request leaves at its last bit. A frontier past
+``_BATCH_PREFIXES`` splits at its middle, perhaps inside a request's run, and
+the halves finish depth first; each request's pieces are joined at the end.
 
 Each end is searched until it holds its levels: t moves inward by 1, 2, 4, ...
 until the generators found hold enough distinct weights. The top starts at
@@ -54,6 +54,7 @@ generate the group.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 from typing import NamedTuple
@@ -68,13 +69,12 @@ from .triangle import row_steps
 _EXACT_MIX = 12  # the bundled table holds M(k, l) for 1 <= k, l <= 12
 _TOP_WEIGHT: dict[int, int] = {}  # W_m by size, each recorded by a top search
 SEARCH_LIMIT = 64  # the bits of a uint64 diagonal
-# A depth of the search costs about 25 us of fixed per-call cost, whatever its
-# frontier, which is what sharing one frontier saves. At 2^12 prefixes the
-# depth takes 0.1 ms, at 2^14 0.6 ms and from there on about 35 ns a prefix
-# (2 cores, numpy 2.4.6): past 2^14 the fixed cost is under 5 % and a batch
-# buys nothing, so a frontier of several requests splits there, which keeps it
-# under 1 MB. A split at 2^16 put 3-4 MB on a warm ``verify_all(25, 64)``.
-_BATCH_PREFIXES = 1 << 14
+# A depth costs about 25 us of fixed per-call cost, whatever its frontier, and
+# 35 ns a prefix past 2^14 (2 cores, numpy 2.4.6). One half of at most this many
+# prefixes waits per depth: at 10 bytes a prefix, 42 MB over 64 depths. A warm
+# verify_all(25, 64) took 0.40 s at 2^14, as halves shrank, 0.21 s at 2^16, and
+# 0.25 s at 2^17 but with a peak RSS of 45 MB, not 38.
+_BATCH_PREFIXES = 1 << 16
 
 
 class LadderEnds(NamedTuple):
@@ -171,16 +171,14 @@ def _cut(n: int, t: int, top: bool, j: int) -> int:
 
 def _leave(reqs: list, d: np.ndarray, a: np.ndarray, sizes: list[int], j: int,
            out: list) -> tuple[list, np.ndarray, np.ndarray, list[int]]:
-    """Put in ``out`` the run of each request of size j or left empty; return
-    the other requests, the one slice that their runs make, and the runs' sizes."""
-    runs, end = [], 0
-    for r, size in zip(reqs, sizes):
-        runs.append((r, end, end + size))
-        end += size
+    """Add to ``out`` a copy of the run of each request of size j or left empty;
+    return the other requests, the one slice that their runs make, and the runs' sizes."""
+    starts = [0, *itertools.accumulate(sizes)]
+    runs = list(zip(reqs, starts, starts[1:]))
     stay = [(r, lo, hi) for r, lo, hi in runs if hi > lo and r[1] > j]
     for (i, n, *_), lo, hi in runs:
-        if hi == lo or n == j:  # copied where the rest still uses the arrays
-            out[i] = (d[lo:hi].copy(), a[lo:hi].copy()) if stay else (d[lo:hi], a[lo:hi])
+        if hi == lo or n == j:
+            out[i].append((d[lo:hi].copy(), a[lo:hi].copy()))
     lo, hi = (stay[0][1], stay[-1][2]) if stay else (0, 0)
     return [r for r, *_ in stay], d[lo:hi], a[lo:hi], [hi - lo for _, lo, hi in stay]
 
@@ -193,12 +191,12 @@ def _search(requests: list[tuple[int, int, bool]]) -> list[tuple[np.ndarray, np.
     The frontier holds the tops by ascending n, then the bottoms by descending
     n, so the requests that leave at a depth sit at its two ends and the rest
     stay one slice. Each request's run is contiguous, so a count per request,
-    not a tag per prefix, tells the runs apart. Weights, at most
-    64 * 65 / 2 = 2080, are int16.
+    not a tag per prefix, tells the runs apart, and the pieces of a run that a
+    split cuts come in order. Weights, at most 64 * 65 / 2 = 2080, are int16.
     """
     order = sorted(range(len(requests)), key=lambda i: (not requests[i][2],
                    requests[i][0] if requests[i][2] else -requests[i][0]))
-    out: list = [None] * len(requests)
+    out: list = [[] for _ in requests]
     kept = [0] * len(requests)
     parts = [([(i, *requests[i]) for i in order], np.zeros(len(order), np.uint64),
               np.zeros(len(order), np.int16), [1] * len(order), 0)]
@@ -209,11 +207,13 @@ def _search(requests: list[tuple[int, int, bool]]) -> list[tuple[np.ndarray, np.
                 reqs, d, a, sizes = _leave(reqs, d, a, sizes, j, out)
             if not reqs:
                 break
-            if len(reqs) > 1 and len(d) > _BATCH_PREFIXES:
-                half = len(reqs) // 2
-                cut = sum(sizes[:half])
-                parts.append((reqs[half:], d[cut:], a[cut:], sizes[half:], j))
-                reqs, d, a, sizes = reqs[:half], d[:cut], a[:cut], sizes[:half]
+            if len(d) > _BATCH_PREFIXES:  # the first half goes on, a copy of the second waits
+                half, ends = len(d) // 2, list(itertools.accumulate(sizes))
+                k, m = bisect.bisect_left(ends, half), bisect.bisect_right(ends, half)
+                parts.append((reqs[m:], d[half:].copy(), a[half:].copy(),
+                              [ends[m] - half, *sizes[m + 1:]], j))
+                reqs, d, a = reqs[:k + 1], d[:half], a[:half]
+                sizes = [*sizes[:k], half - ends[k] + sizes[k]]
             ones = np.uint64((2 << j) - 1)
             for i in range((j - 1).bit_length()):  # P(D) over the j bits of D
                 d ^= d << np.uint64(1 << i)
@@ -240,7 +240,7 @@ def _search(requests: list[tuple[int, int, bool]]) -> list[tuple[np.ndarray, np.
             d = d[keep]
             a = a[keep]
             j += 1
-    return [(d, a, k) for (d, a), k in zip(out, kept)]
+    return [(*map(np.concatenate, zip(*pieces)), k) for pieces, k in zip(out, kept)]
 
 
 def _ends(ends: list[_End]) -> list[tuple[list[WeightSlice], dict, int]]:

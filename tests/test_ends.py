@@ -1,5 +1,6 @@
 import importlib.util
 import random
+import tracemalloc
 from functools import cache
 from pathlib import Path
 
@@ -182,17 +183,33 @@ class TestSearch:
     @pytest.mark.parametrize("budget", [1, 40, 1 << 16])
     def test_one_frontier_for_every_threshold_and_size(self, budget, monkeypatch):
         # Both ends at every threshold and at sizes 0..10, shuffled into one
-        # batch, each request alone, and with the frontier split down to one
-        # request (budget 1) or now and then (budget 40).
+        # batch, each request alone, and with every frontier, a lone request's
+        # too, split down to one prefix (budget 1) or now and then (budget 40).
         requests = [(n, t, top) for n in range(11) for t in range(-1, n * (n + 1) // 2 + 2)
                     for top in (False, True)]
         random.Random(budget).shuffle(requests)
         alone = [ends_mod._search([request])[0] for request in requests]
         monkeypatch.setattr(ends_mod, "_BATCH_PREFIXES", budget)
-        for (n, t, top), (d, a, kept), (d1, a1, kept1) in zip(
-                requests, ends_mod._search(requests), alone):
-            assert sorted(zip(d.tolist(), a.tolist())) == sorted(zip(d1.tolist(), a1.tolist()))
-            assert kept == kept1, (n, t, top)
+        split_alone = [ends_mod._search([request])[0] for request in requests]
+        for (n, t, top), (d, a, kept), (d2, a2, kept2), (d1, a1, kept1) in zip(
+                requests, ends_mod._search(requests), split_alone, alone):
+            want = sorted(zip(d1.tolist(), a1.tolist()))
+            assert sorted(zip(d.tolist(), a.tolist())) == want, (n, t, top)
+            assert sorted(zip(d2.tolist(), a2.tolist())) == want, (n, t, top)
+            assert kept == kept2 == kept1, (n, t, top)
+
+    def test_a_deep_search_runs_in_bounded_memory(self):
+        # Unsplit, the widest depth of this search weighs about 1.4 million
+        # children and traces about 30 MB; split at _BATCH_PREFIXES, at most
+        # one half waits per depth.
+        tracemalloc.start()
+        try:
+            d, _, kept = ends_mod._search([(40, 128, False)])[0]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (kept, len(d)) == (2_448_875, 251)
+        assert peak < 16 << 20, peak
 
 
 class TestPastTheSweep:
