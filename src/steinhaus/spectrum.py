@@ -47,27 +47,26 @@ One sweep gives the histogram; the members of chosen weights take a second
 pass over only the pairs that can hold them. The kernel writes a pair's keys
 as one contiguous intp array over its XOR buffer, once the popcount has read
 it, so they are counted where they lie: one ``bincount`` per pair counts all
-its lanes, and the tie lanes, which count once, are gathered and counted
-together whenever they fill a buffer as long as the histogram; the lanes
-that count twice are all the lanes less the ties. When members are asked
-for, the sweep also keeps each pair's least and greatest weight, the least
-and greatest of the two weights of the keys it holds (a key's weight and its
-complement's). Pair hi' evaluates about hi' + 1 lanes' worth, so work splits
-into contiguous ranges of pairs of about equal work (one per worker, run on
-at most one thread per available core). Ranges merge by adding key counts
-and folding them into the weight histogram once, a key (w, p) adding its
-count at w and at w + n - 2p. The weights wanted are then read off that
-exact histogram once: the few smallest and largest, plus any fixed weights.
-The second pass keys again, over the same ranges, the pairs whose weight
-range [least, greatest] spans a wanted weight, and scans them for its lanes.
-A lane gives its generator and its complement and, if it counts twice, the
-reversal and its complement, each to the weight it has; per weight the
-``cap`` least packed values are kept to bound memory, so results are
-identical for any worker count or block width. Every sweep checks that the
-histogram totals 2^n, which also checks the multiplicities, and that the
-members scanned at each collected weight match its count. ``three_row_max``
-needs no sweep: it is a max-plus pass over the states (x_{i-1}, x_i) and a
-backtrack.
+its lanes, each standing for two generator pairs {z, ~z}, and one
+``subtract.at`` takes off its tie lanes, which stand for one. When members
+are asked for, the sweep also keeps each pair's least and greatest weight,
+the least and greatest of the two weights of the keys it holds (a key's
+weight and its complement's). Pair hi' evaluates about hi' + 1 lanes' worth,
+so work splits into contiguous ranges of pairs of about equal work (one per
+worker, run on at most one thread per available core). Ranges merge by
+adding key counts and folding them into the weight histogram once, a key
+(w, p) adding its count at w and at w + n - 2p. The weights wanted are then
+read off that exact histogram once: the few smallest and largest, plus any
+fixed weights. The second pass keys again, over the same ranges, the pairs
+whose weight range [least, greatest] spans a wanted weight, and scans them
+for its lanes. A lane gives its generator and its complement and, if it
+counts twice, the reversal and its complement, each to the weight it has;
+per weight the ``cap`` least packed values are kept to bound memory, so
+results are identical for any worker count or block width. Every sweep
+checks that the histogram totals 2^n, which also checks the multiplicities,
+and that the members scanned at each collected weight match its count.
+``three_row_max`` needs no sweep: it is a max-plus pass over the states
+(x_{i-1}, x_i) and a backtrack.
 """
 from __future__ import annotations
 
@@ -404,38 +403,27 @@ class _Images:
 
 
 def _sweep_range(kernel: _Kernel, start: int, stop: int, ends: bool):
-    """Key counts of pairs [start, stop), of lanes that count twice and of
-    lanes that count once, and, if ``ends``, each pair's least and greatest
-    weight over the generators its lanes stand for (row 0 the least, row 1
-    the greatest, a column per pair).
+    """Key counts of pairs [start, stop), each key's generator pairs
+    {z, ~z}, and, if ``ends``, each pair's least and greatest weight over the
+    generators its lanes stand for (row 0 the least, row 1 the greatest, a
+    column per pair).
 
-    Each pair's keys are counted together; its tie lanes [a, b), which count
-    once, are also gathered and counted together, once they fill a buffer as
-    long as the histogram (or as one pair's tie lanes, if those are more), so
-    the lanes that count twice are all the lanes less the ties."""
+    A lane stands for two such pairs, {z, ~z} and {rev z, ~rev z}, unless it
+    is one of its pair's tie lanes [a, b) (see ``_Kernel.cover``): so a key
+    counts twice its lanes less its tie lanes. Each pair's keys are counted
+    together, and its tie lanes taken off where the kernel wrote them."""
     size = (kernel.n + 1) * kernel.bins
-    counts = np.zeros((2, size), dtype=np.int64)
-    every, once = counts  # of every lane, then less the ties; of the ties
-    a, b = kernel.cover(start)  # every pair has b - a tie lanes in each block
-    ties = np.empty(max(size, 2 * (b - a)), dtype=np.uint16)  # keys stay below 2^16
-    tied = 0
+    counts = np.zeros(size, dtype=np.int64)
     bounds = np.zeros((2, stop - start), dtype=np.int64)
     # a key gives its lane's weight and its complement's
     least, greatest = kernel.key_weights.min(axis=0), kernel.key_weights.max(axis=0)
     for his, a, keys in kernel.keys(range(start, stop)):
         pair = np.bincount(keys.reshape(-1), minlength=size)
-        every += pair
-        tie = keys[:, a:]
-        if tied + tie.size > ties.size:
-            np.add.at(once, ties[:tied], 1)
-            tied = 0
-        np.copyto(ties[tied:tied + tie.size].reshape(tie.shape), tie, casting="unsafe")
-        tied += tie.size
+        counts += 2 * pair
+        np.subtract.at(counts, keys[:, a:], 1)
         if ends:
             held = pair != 0
             bounds[:, his[0] - start] = least[held].min(), greatest[held].max()
-    np.add.at(once, ties[:tied], 1)
-    every -= once
     return counts, bounds
 
 
@@ -557,10 +545,10 @@ def _checked(n: int, hist: np.ndarray) -> np.ndarray:
     return hist
 
 
-def _merge_hist(kernel: _Kernel, pieces: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """The weight histogram from the ranges' (twice, once) key counts: a key
-    (w, p) adds its count at w and at w + n - 2p, the complement's weight."""
-    counts = sum(2 * twice + once for twice, once in pieces)
+def _merge_hist(kernel: _Kernel, pieces: list[np.ndarray]) -> np.ndarray:
+    """The weight histogram from the ranges' key counts: a key (w, p) adds
+    its count at w and at w + n - 2p, the complement's weight."""
+    counts = sum(pieces)
     keys = counts.nonzero()[0]
     hist = np.zeros(kernel.bins, dtype=np.int64)
     for weights in kernel.key_weights[:, keys]:

@@ -16,23 +16,22 @@ reads them, and its exact-weight slices, from one prefix search of all the
 sizes, ``ends.ladder_ends_batch``, which keeps a few thousand prefixes per
 size where a sweep weighs 2^n. The small-n ladder (n <= 4), against the
 bundled table that ``predicted_level`` serves there, reads whole ladders from
-the same batch; the stored top-level summary, which needs the height m at
-n <= 9, counts the distinct weights of all 2^n generators by
-``triangle.row_steps``; the three-row bound reads the max from one forward
-pass of the window DP for the run, whose first n entries are the pass of
-size n, and its generators from ``three_row_max`` only where it reads them
-(n = 4, 5 or a failure's witness). The family checks read one family pass
-for the run: ``family_words`` of every size, packed, weighed by one
-``triangle.row_steps`` call, of which each size gets its rows (closed-form
-families for ``family-weights``, central unit vectors for
-``unit-vector-bound``); a witness is rebuilt as a sequence only on failure.
-No check builds the sweep kernel: the tests check the search against the
-sweep. A check returns its outcome, ``(status, detail)`` or ``(status,
-detail, witness)``, and its ``_timed`` decorator builds the one record from
-the check's name, the size, the outcome and the call's wall time. The search
-and the two passes are one call each for every size, so their time, and the
-time spent between the checks, is added to one record, the first of the
-lowest size.
+the same batch. The other checks read the run's passes (``_passes``). The
+three-row bound reads the max from one forward pass of the window DP for the
+run, whose first n entries are the pass of size n, and its generators from
+``three_row_max`` only where it reads them (n = 4, 5 or a failure's
+witness). One ``triangle.row_steps`` call weighs ``family_words`` of every
+size, packed, of which each size gets its rows (closed-form families for
+``family-weights``, central unit vectors for ``unit-vector-bound``; a
+witness is rebuilt as a sequence only on failure), and all 2^n generators
+of each size n <= 9, whose distinct weights give the height m that the
+stored top-level summary needs (``golden-top-levels``). No check builds the
+sweep kernel: the tests check the search against the sweep. A check returns
+its outcome, ``(status, detail)`` or ``(status, detail, witness)``, and its
+``_timed`` decorator builds the one record from the check's name, the size,
+the outcome and the call's wall time. The search and the passes are one
+call each for every size, so their time, and the time spent between the
+checks, is added to one record, the first of the lowest size.
 """
 
 from __future__ import annotations
@@ -44,8 +43,6 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
-
-import numpy as np
 
 from .bitseq import BitSeq
 from .ends import SEARCH_LIMIT, LadderEnds, ladder_ends, ladder_ends_batch
@@ -257,15 +254,34 @@ def verify_small_n(ends: list[LadderEnds] | None = None) -> list[CheckRecord]:
 # there is none) and the word's triangle weight
 _FamilyRow = tuple[FamilyName, int, int | None, int]
 
+_TOP_SUMMARY_SIZES = range(4, 10)  # of the stored top-level summary, which reads m
 
-def _family_pass(sizes) -> dict[int, list[_FamilyRow]]:
-    """``family_words(n)`` of every size n in ``sizes``, each row with its
-    word's weight appended, all weighed by one ``row_steps`` call."""
+
+class _Passes(NamedTuple):
+    """The passes of a run over all its sizes: the three-row DP, whose first
+    n entries are the pass of size n, the family words of each size and the
+    ladder height of each size in ``_TOP_SUMMARY_SIZES``."""
+
+    three_rows: list[dict[int, int]]
+    families: dict[int, list[_FamilyRow]]
+    heights: dict[int, int]
+
+
+def _passes(sizes) -> _Passes:
+    """The passes of ``sizes``: the three-row DP up to the largest size (at
+    most ``S3_CEILING``), and one ``row_steps`` call that weighs
+    ``family_words(n)`` of every size n, each row with its word's weight
+    appended, and all 2^n generators of each size in ``_TOP_SUMMARY_SIZES``,
+    whose distinct weights give its height."""
     _check_size(max(sizes), force=True, limit=SEARCH_LIMIT)  # the lengths ``row_steps`` takes
     words = {n: family_words(n) for n in sizes}
-    weights = iter(row_steps([bits for rows in words.values() for _, bits, _ in rows],
-                             [n for n, rows in words.items() for _ in rows])[0].tolist())
-    return {n: [(*row, next(weights)) for row in rows] for n, rows in words.items()}
+    tops = [n for n in sizes if n in _TOP_SUMMARY_SIZES]
+    values, lengths = zip(*[(bits, n) for n, rows in words.items() for _, bits, _ in rows],
+                          *[(x, n) for n in tops for x in range(1 << n)])
+    weights = iter(row_steps(values, lengths)[0].tolist())
+    families = {n: [(*row, next(weights)) for row in rows] for n, rows in words.items()}
+    heights = {n: len({next(weights) for _ in range(1 << n)}) - 1 for n in tops}
+    return _Passes(_three_row_pass(min(max(sizes), S3_CEILING)), families, heights)
 
 
 @_timed("unit-vector-bound")
@@ -278,7 +294,7 @@ def verify_ek(n: int, *, words: list[_FamilyRow] | None = None) -> tuple:
     if n < 9:
         return "skipped", "bound applies for n >= 9"
     if words is None:
-        words = _family_pass([n])[n]
+        words = _passes([n]).families[n]
     table = _unit_vector_fixture()
     bound = 2 * n - 3
     central = [(f.index, bits, w) for f, bits, _, w in words
@@ -302,7 +318,7 @@ def verify_family_weights(n: int, *, words: list[_FamilyRow] | None = None) -> t
     ``words`` is the size's rows of a family pass (by default a pass of n).
     """
     if words is None:
-        words = _family_pass([n])[n]
+        words = _passes([n]).families[n]
     checked = 0
     for f, bits, predicted, w in words:
         if predicted is None:
@@ -317,19 +333,17 @@ def verify_family_weights(n: int, *, words: list[_FamilyRow] | None = None) -> t
 
 
 @_timed("s3-bound")
-def verify_s3(n: int, *, ceiling: int = S3_CEILING,
-              three_rows: list[dict[int, int]] | None = None) -> tuple:
-    """Exhaustive bound s3(x) <= 2n-2, with exact equality sets at n in {4, 5}.
+def verify_s3(n: int, *, three_rows: list[dict[int, int]] | None = None) -> tuple:
+    """Exhaustive bound s3(x) <= 2n-2, with exact equality sets at n in {4, 5},
+    for 4 <= n <= ``S3_CEILING``.
 
-    ``ceiling`` bounds the sizes scanned, in place of the enumeration ceiling.
     ``three_rows`` is a forward pass of the window DP over at least n entries,
     which every size shorter than it reads (by default the pass of n).
     """
-    if not 4 <= n <= ceiling:
-        return "skipped", f"checked for 4 <= n <= {ceiling}"
-    _check_size(n, force=True)  # the engine limit, as ``three_row_max`` applies it
+    if not 4 <= n <= S3_CEILING:
+        return "skipped", f"checked for 4 <= n <= {S3_CEILING}"
     # the members are listed only where read
-    best = max((three_rows or _three_row_pass(n))[n - 1].values())
+    best = max((three_rows or _passes([n]).three_rows)[n - 1].values())
     bound = 2 * n - 2
     if best > bound:
         return ("fail", f"max three-row weight {best} exceeds {bound}",
@@ -381,10 +395,8 @@ def _golden_weight_slice(n: int, data: LadderEnds) -> tuple:
 
 
 @_timed("golden-top-levels")
-def _golden_top(n: int, data: LadderEnds) -> tuple:
+def _golden_top(n: int, data: LadderEnds, m: int) -> tuple:
     m_exp, w_exp, count_exp = _top_summary_fixture()[n]
-    weights = row_steps(np.arange(1 << n), n)[0]  # of every generator, n <= 9
-    m = int(np.count_nonzero(np.bincount(weights))) - 1
     second = data.high[1]
     observed_triple = (m, second.weight, second.count)
     if observed_triple != (m_exp, w_exp, count_exp):
@@ -440,14 +452,6 @@ def _weight_2n3(n: int, data: LadderEnds) -> tuple:
 # ---------------------------------------------------------------------------
 # the full ladder
 
-class _Passes(NamedTuple):
-    """The passes of a run over all its sizes: the three-row DP, whose first
-    n entries are the pass of size n, and the family words of each size."""
-
-    three_rows: list[dict[int, int]]
-    families: dict[int, list[_FamilyRow]]
-
-
 class _Check(NamedTuple):
     """A per-size check, run where ``applies(n)`` and skipped with ``skip``
     elsewhere, as ``run(n, data, passes)`` on the size's ``LadderEnds`` and
@@ -485,9 +489,9 @@ _CHECKS = (
            lambda n, d, _: _golden_level2(n, d)),
     _Check("golden-weight-slice", lambda n: 4 <= n <= 8, "stored rows cover 4 <= n <= 8",
            lambda n, d, _: _golden_weight_slice(n, d), lambda n: _golden_slice(n)[0]),
-    _Check("golden-top-levels", lambda n: 4 <= n <= 9, "stored rows cover 4 <= n <= 9",
-           lambda n, d, _: _golden_top(n, d)),
-    _Check("golden-second-max-members", lambda n: 4 <= n <= 9,
+    _Check("golden-top-levels", lambda n: n in _TOP_SUMMARY_SIZES, "stored rows cover 4 <= n <= 9",
+           lambda n, d, p: _golden_top(n, d, p.heights[n])),
+    _Check("golden-second-max-members", lambda n: n in _TOP_SUMMARY_SIZES,
            "stored rows cover 4 <= n <= 9", lambda n, d, _: _golden_second_members(n, d)),
     _Check("golden-second-max-sets", lambda n: n in (11, 12),
            "stored rows cover n in {11, 12}", lambda n, d, _: _golden_second_sets(n, d)),
@@ -526,7 +530,7 @@ def verify_all(n_min: int, n_max: int, *, workers: int | None = None,
     ends = ladder_ends_batch([*_SMALL_N_REQUESTS,
                               *((n, 3, 2, [c.weight(n) for c in _CHECKS if c.weight and c.applies(n)])
                                 for n in sizes)], force=force)
-    passes = _Passes(_three_row_pass(min(n_max, S3_CEILING)), _family_pass(sizes))
+    passes = _passes(sizes)
     records = verify_small_n(ends[:len(_SMALL_N_REQUESTS)])
     checked = [r for n, data in zip(sizes, ends[len(_SMALL_N_REQUESTS):])
                for r in _per_n_records(n, data, passes)]

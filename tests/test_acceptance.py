@@ -216,7 +216,7 @@ def test_criterion_07_sparse_weight_checks():
 def test_criterion_08_three_row_bound():
     with criterion(8, "three-row weight bound 4<=n<=18", 60.0):
         for n in range(4, 19):
-            record = verify_s3(n, ceiling=18)
+            record = verify_s3(n)
             assert record.status == "pass", (n, record.detail)
         assert "equality set of size 4" in verify_s3(4).detail
         assert "equality set of size 5" in verify_s3(5).detail

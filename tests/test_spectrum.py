@@ -728,14 +728,16 @@ class TestOneSweep:
 
 
 class TestFoldedCounts:
-    """A pair's keys are counted by one ``bincount``: lanes that count once are
-    keyed past the (n + 1) * bins keys of lanes that count twice."""
+    """A range's sweep returns one count array: of each key, the generator
+    pairs {z, ~z} its lanes stand for, two per lane that counts twice and one
+    per tie lane."""
 
     @staticmethod
     def expected(kernel):
-        """(twice, once) key counts of every pair, and each pair's [least,
-        greatest] weight over the generators its lanes stand for, from
-        ``cover`` and the scalar weights of each lane and its complement."""
+        """Key counts of every pair, 2 * twice + once from the (twice, once)
+        counts of its lanes, and each pair's [least, greatest] weight over the
+        generators its lanes stand for, from ``cover`` and the scalar weights
+        of each lane and its complement."""
         n, bins = kernel.n, kernel.bins
         counts = np.zeros((2, (n + 1) * bins), dtype=np.int64)
         bounds = []
@@ -749,7 +751,8 @@ class TestFoldedCounts:
                     counts[0 if j < a else 1, w + bins * x.weight] += 1
                     weights += [w, triangle_weight(x ^ BitSeq.ones(n))]
             bounds.append((min(weights), max(weights)))
-        return counts, np.array(bounds).T
+        twice, once = counts
+        return 2 * twice + once, np.array(bounds).T
 
     # (block bits, n, lanes in a tie): one block with every lane a tie, n = 2k
     # with one tie lane per block, and 2k - n = 2 and 3
@@ -830,8 +833,7 @@ class TestChunkEdges:
 
     # (block bits, n, natural chunk, tie lanes): t = 2 and one periodic word,
     # 256 pairs; t = 6 and two periodic words, 1024 pairs; t = 6 and one
-    # periodic word, 256 pairs whose tie lanes outnumber the histogram's keys,
-    # so the sweep counts them before it has gathered them all
+    # periodic word, 256 pairs whose tie lanes outnumber the histogram's keys
     @pytest.mark.parametrize("block_bits, n, natural, ties", [(9, 18, 64, 512),
                                                               (11, 22, 8, 2048),
                                                               (13, 22, 64, 8192)])
