@@ -28,28 +28,27 @@ Each end is searched until it holds its levels: t moves inward by 1, 2, 4, ...
 until the generators found hold enough distinct weights. The top starts at
 t = ceil(n^2/3), the bottom at 2n - 3 or the largest exact weight asked for:
 guesses that cost time when wrong, never exactness. The ends of all the sizes
-asked for run in waves, each one batch of every end that is ready for its next
+asked for run in waves, each one batch of every open end at its next
 threshold.
 
-W_m(l) is never assumed: it comes from an exact top search at size l, which
-needs only smaller sizes, and every top search records its own. A top end is
-ready once W_m is known at every size below its own, and a size below a top
-end that no end of the batch searches gets a top search of its own. So a first
-run over increasing n searches each top once, one size per wave, upward, while
-the bottoms share the first wave; a later run finds every W_m known and
-searches all its ends in one wave. M(k, l) is exact for k, l <= 12, read
-on first use from a bundled brute-force table (``fixtures/mixed_grid_max.txt``).
-Past it the search uses the bound M(a + b, l) <= M(a, l) + M(b, l), and the
-same in l: the grid's columns c >= a are the mixed grid of x_a..x_{n-1}, and
-its columns c < a form an a x l grid under the same recurrence, which can
-weigh no more than M(a, l). So the search is exact by construction at every
-size it takes, n <= 64, the bits of D. Before any level or slice leaves
-``_ends``, every member it returns, the W_m chain's included, goes through one
-self-check: ``triangle.row_steps`` weighs it again and takes its rot_r and
-invert_i images by the row recurrence of ``triangle_weight``, not by the
-search's diagonals; each member must have its level's weight, and each level
-not capped must hold the images of its members, since rot_r and invert_i
-generate the group.
+W_m(l) is ceil(l(l+1)/3), by Harborth's theorem (J. Combin. Theory A 12,
+1972), and every top search raises if the greatest weight it finds at its
+size n is not ceil(n(n+1)/3). So the search stays exact: were the closed form
+wrong, at a least size l0, the top search at l0 would read it only at sizes
+below l0, where it holds, find the true W_m and raise. Top searches at every
+l <= 64 therefore certify every value the search uses. M(k, l) is exact for
+k, l <= 12, read on first use from a bundled brute-force table
+(``fixtures/mixed_grid_max.txt``). Past it the search uses the bound
+M(a + b, l) <= M(a, l) + M(b, l), and the same in l: the grid's columns c >= a
+are the mixed grid of x_a..x_{n-1}, and its columns c < a form an a x l grid
+under the same recurrence, which can weigh no more than M(a, l). So the
+search is exact by construction at every size it takes, n <= 64, the bits of
+D. Before any level or slice leaves ``_ends``, every member it returns goes
+through one self-check: ``triangle.row_steps`` weighs it again and takes its
+rot_r and invert_i images by the row recurrence of ``triangle_weight``, not
+by the search's diagonals; each member must have its level's weight, and each
+level not capped must hold the images of its members, since rot_r and
+invert_i generate the group.
 """
 
 from __future__ import annotations
@@ -67,7 +66,6 @@ from .spectrum import DEFAULT_MEMBER_CAP, WeightSlice, _request, _to_seqs
 from .triangle import row_steps
 
 _EXACT_MIX = 12  # the bundled table holds M(k, l) for 1 <= k, l <= 12
-_TOP_WEIGHT: dict[int, int] = {}  # W_m by size, each recorded by a top search
 SEARCH_LIMIT = 64  # the bits of a uint64 diagonal
 # A depth costs about 25 us of fixed per-call cost, whatever its frontier, and
 # 35 ns a prefix past 2^14 (2 cores, numpy 2.4.6). One half of at most this many
@@ -83,7 +81,7 @@ class LadderEnds(NamedTuple):
     low: list[WeightSlice]  # W_0, W_1, ... upward
     high: list[WeightSlice]  # W_m, W_{m-1}, ... downward
     slices: dict[int, WeightSlice]  # requested weight -> its generators
-    weighed: tuple[int, int]  # prefixes kept by the bottom and the top search, W_m chain aside
+    weighed: tuple[int, int]  # prefixes kept by the bottom and the top search
 
 
 class _End(NamedTuple):
@@ -115,11 +113,12 @@ def mix_bound(k: int, l: int) -> int:
     return _split_bound(k, l)
 
 
-def _top_weight(l: int) -> int:
-    """W_m at size l (0 for l = 0), from an exact top search at l the first time."""
-    if l and l not in _TOP_WEIGHT:
-        _ends([_End(l, True, -(-l * l // 3), 1, 1, [])])
-    return _TOP_WEIGHT[l] if l else 0
+def _harborth(n: int) -> int:
+    """W_m at size n, ceil(n(n+1)/3) by Harborth's theorem (0 for n = 0)."""
+    return -(-n * (n + 1) // 3)
+
+
+_top_weight = _harborth  # the W_m(l) that _cut reads; a looser bound may stand in for it
 
 
 def _self_check(levels: list[tuple[int, int, np.ndarray, bool]]) -> None:
@@ -250,14 +249,10 @@ def _ends(ends: list[_End]) -> list[tuple[list[WeightSlice], dict, int]]:
     An end's threshold moves toward the middle (see ``_thresholds``, in signed
     weights) until the generators past it hold ``levels`` distinct weights, or
     all generators are past it. The ends search in waves, each one ``_search``
-    of every open end that is ready, at its next threshold. The levels and
-    slices of every end, the W_m chain's too, pass one ``_self_check``
-    before any is returned.
+    of every open end at its next threshold. A top search whose greatest
+    weight is not Harborth's raises, and the levels and slices of every end
+    pass one ``_self_check`` before any is returned.
     """
-    searched = {e.n for e in ends if e.top and (e.levels or e.weights)}
-    chain = [_End(l, True, -(-l * l // 3), 1, 1, []) for l in range(1, max(searched, default=0))
-             if l not in searched and l not in _TOP_WEIGHT]
-    ends = [*ends, *chain]
     pieces: list[list[tuple[int, np.ndarray, int]]] = [[] for _ in ends]
     kept = [0] * len(ends)
     todo = {}  # each open end's thresholds to come
@@ -267,16 +262,15 @@ def _ends(ends: list[_End]) -> list[tuple[list[WeightSlice], dict, int]]:
             floor = 0 if e.top else -(e.n * (e.n + 1) // 2)
             todo[i] = [sign * t for t in _thresholds(sign * e.t, floor)]
     while todo:
-        unknown = next(l for l in itertools.count(1) if l not in _TOP_WEIGHT)
-        ready = [i for i in todo if not ends[i].top or ends[i].n <= unknown]
-        for i, (d, w, count) in zip(ready, _search([(ends[i].n, todo[i][0], ends[i].top)
-                                                    for i in ready])):
+        for i, (d, w, count) in zip(list(todo), _search([(ends[i].n, todo[i][0], ends[i].top)
+                                                         for i in todo])):
             e, sign = ends[i], 1 if ends[i].top else -1
             kept[i] += count
             # the distinct weights, ascending: np.unique would import numpy.ma
             found = np.flatnonzero(np.bincount(w))
-            if e.top and len(found):  # the search reached W_m
-                _TOP_WEIGHT[e.n] = int(found[-1])
+            if e.top and found[-1] != _harborth(e.n):  # from ceil(n^2/3), a top finds W_m
+                raise ValueError(f"ladder search at n={e.n}: the greatest weight is "
+                                 f"{found[-1]}, not Harborth's {_harborth(e.n)}")
             del todo[i][0]
             if len(found) >= e.levels or not todo[i]:
                 del todo[i]
@@ -286,7 +280,7 @@ def _ends(ends: list[_End]) -> list[tuple[list[WeightSlice], dict, int]]:
     _self_check([(e.n, wt, least, count == len(least))
                  for e, got in zip(ends, pieces) for wt, least, count in got])
     results = []
-    for e, got, k in zip(ends[:len(ends) - len(chain)], pieces, kept):
+    for e, got, k in zip(ends, pieces, kept):
         slices = [WeightSlice(e.n, wt, _to_seqs(e.n, least.tolist()), count, count > len(least))
                   for wt, least, count in got]
         cut = len(slices) - len(e.weights)
@@ -298,7 +292,8 @@ def ladder_ends_batch(requests, *, cap: int = DEFAULT_MEMBER_CAP,
                       force: bool = False) -> list[LadderEnds]:
     """``ladder_ends(n, low, high, weights=weights, cap=cap, force=force)`` for
     each request (n, low, high, weights), every one checked before any search,
-    from one set of waves over the ends of all of them."""
+    from one set of waves over the ends of all of them: the first holds every
+    end, and each later one the ends still open, at their next thresholds."""
     ends = []
     for n, low, high, weights in requests:
         weights = _request(n, low, high, weights, cap, force, limit=SEARCH_LIMIT)

@@ -267,21 +267,24 @@ class _Passes(NamedTuple):
     heights: dict[int, int]
 
 
-def _passes(sizes) -> _Passes:
-    """The passes of ``sizes``: the three-row DP up to the largest size (at
-    most ``S3_CEILING``), and one ``row_steps`` call that weighs
-    ``family_words(n)`` of every size n, each row with its word's weight
-    appended, and all 2^n generators of each size in ``_TOP_SUMMARY_SIZES``,
-    whose distinct weights give its height."""
+def _weighed(sizes, tops) -> tuple[dict[int, list[_FamilyRow]], dict[int, int]]:
+    """``family_words(n)`` of every size n in ``sizes``, each row with its
+    word's weight appended, and the height of each size in ``tops``, from the
+    distinct weights of its 2^n generators: one ``row_steps`` call weighs all."""
     _check_size(max(sizes), force=True, limit=SEARCH_LIMIT)  # the lengths ``row_steps`` takes
     words = {n: family_words(n) for n in sizes}
-    tops = [n for n in sizes if n in _TOP_SUMMARY_SIZES]
     values, lengths = zip(*[(bits, n) for n, rows in words.items() for _, bits, _ in rows],
                           *[(x, n) for n in tops for x in range(1 << n)])
     weights = iter(row_steps(values, lengths)[0].tolist())
     families = {n: [(*row, next(weights)) for row in rows] for n, rows in words.items()}
-    heights = {n: len({next(weights) for _ in range(1 << n)}) - 1 for n in tops}
-    return _Passes(_three_row_pass(min(max(sizes), S3_CEILING)), families, heights)
+    return families, {n: len({next(weights) for _ in range(1 << n)}) - 1 for n in tops}
+
+
+def _passes(sizes) -> _Passes:
+    """The passes of ``sizes``: the three-row DP up to the largest size (at
+    most ``S3_CEILING``), then ``_weighed`` of them and their top-summary sizes."""
+    return _Passes(_three_row_pass(min(max(sizes), S3_CEILING)),
+                   *_weighed(sizes, [n for n in sizes if n in _TOP_SUMMARY_SIZES]))
 
 
 @_timed("unit-vector-bound")
@@ -289,12 +292,12 @@ def verify_ek(n: int, *, words: list[_FamilyRow] | None = None) -> tuple:
     """Unit-vector weights: exact table values for 9 <= n <= 15 and the
     2n-3 lower bound (strict for even n) for every central k.
 
-    ``words`` is the size's rows of a family pass (by default a pass of n).
+    ``words`` is the size's rows of a family pass (by default of n alone).
     """
     if n < 9:
         return "skipped", "bound applies for n >= 9"
     if words is None:
-        words = _passes([n]).families[n]
+        words = _weighed([n], [])[0][n]
     table = _unit_vector_fixture()
     bound = 2 * n - 3
     central = [(f.index, bits, w) for f, bits, _, w in words
@@ -315,10 +318,10 @@ def verify_ek(n: int, *, words: list[_FamilyRow] | None = None) -> tuple:
 def verify_family_weights(n: int, *, words: list[_FamilyRow] | None = None) -> tuple:
     """Every closed-form family weight at this length against direct computation.
 
-    ``words`` is the size's rows of a family pass (by default a pass of n).
+    ``words`` is the size's rows of a family pass (by default of n alone).
     """
     if words is None:
-        words = _passes([n]).families[n]
+        words = _weighed([n], [])[0][n]
     checked = 0
     for f, bits, predicted, w in words:
         if predicted is None:
@@ -343,7 +346,7 @@ def verify_s3(n: int, *, three_rows: list[dict[int, int]] | None = None) -> tupl
     if not 4 <= n <= S3_CEILING:
         return "skipped", f"checked for 4 <= n <= {S3_CEILING}"
     # the members are listed only where read
-    best = max((three_rows or _passes([n]).three_rows)[n - 1].values())
+    best = max((three_rows or _three_row_pass(n))[n - 1].values())
     bound = 2 * n - 2
     if best > bound:
         return ("fail", f"max three-row weight {best} exceeds {bound}",

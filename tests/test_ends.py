@@ -245,29 +245,46 @@ class TestCandidates:
         assert ladder_ends(n, 3, 2).weighed == expected
 
 
+def harborth(n):
+    return -(-n * (n + 1) // 3)
+
+
 class TestTopWeights:
     def test_each_comes_from_a_top_search_and_is_harborths(self, monkeypatch):
-        monkeypatch.setattr(ends_mod, "_TOP_WEIGHT", {})
-        searched = {}
+        requests = []
         search = ends_mod._search
 
-        def recorded(requests):
-            found = search(requests)
-            for (n, _, top), (_, w, _) in zip(requests, found):
-                if top and len(w):
-                    searched[n] = int(w.max())
-            return found
+        def recorded(batch):
+            requests.extend(batch)
+            return search(batch)
 
         monkeypatch.setattr(ends_mod, "_search", recorded)
-        ladder_ends(24, 0, 1)
-        assert ends_mod._TOP_WEIGHT == searched
-        assert searched == {l: -(-l * (l + 1) // 3) for l in range(1, 25)}
+        got = ladder_ends_batch([(l, 0, 1, []) for l in range(1, 25)])
+        assert [e.high[0].weight for e in got] == [harborth(l) for l in range(1, 25)]
+        # one request per size asked for, none for a size below it
+        assert sorted(n for n, _, _ in requests) == list(range(1, 25))
+        del requests[:]
+        assert ladder_ends(24, 0, 1).high[0].weight == harborth(24)
+        assert [n for n, _, _ in requests] == [24]
 
-    def test_none_is_known_before_a_search(self):
+    def test_a_result_does_not_depend_on_earlier_searches(self):
         spec = importlib.util.find_spec("steinhaus.ends")
         fresh = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(fresh)
-        assert fresh._TOP_WEIGHT == {}
+        ladder_ends(30, 0, 1)
+        assert summary(fresh.ladder_ends(24, 3, 2)) == summary(ladder_ends(24, 3, 2))
+
+    @pytest.mark.parametrize("change", [-1, 1], ids=["one-too-low", "one-too-high"])
+    @pytest.mark.parametrize("l0", [1, 7, 24])
+    def test_a_wrong_closed_form_raises(self, l0, change, monkeypatch):
+        # The top search at l0 bounds its open triangles at sizes below l0
+        # only, so it finds the true W_m, and the check against the wrong
+        # value raises.
+        monkeypatch.setattr(ends_mod, "_harborth", lambda n: harborth(n) + change * (n == l0))
+        with pytest.raises(ValueError, match=f"ladder search at n={l0}: the greatest weight "
+                                             f"is {harborth(l0)}, not Harborth's "
+                                             f"{harborth(l0) + change}"):
+            ladder_ends(l0, 0, 1)
 
 
 def verify_requests(sizes):
@@ -303,36 +320,28 @@ class TestBatch:
         got = ladder_ends_batch([requests[i] for i in order])
         assert [summary(got[order.index(i)]) for i in range(len(requests))] == alone
 
-    def test_a_first_batch_searches_each_top_once_in_waves(self, monkeypatch):
-        monkeypatch.setattr(ends_mod, "_TOP_WEIGHT", {})
-        waves, maxima = [], {}
+    def test_every_end_joins_the_first_wave(self, monkeypatch):
+        waves = []
         search = ends_mod._search
 
         def recorded(requests):
-            for n, _, top in requests:  # a top starts once W_m is known below it
-                assert not top or set(range(1, n)) <= ends_mod._TOP_WEIGHT.keys(), n
             waves.append(requests)
-            found = search(requests)
-            for (n, _, top), (_, w, _) in zip(requests, found):
-                if top:
-                    maxima[n] = max(maxima.get(n, 0), int(w.max()))
-            return found
+            return search(requests)
 
         monkeypatch.setattr(ends_mod, "_search", recorded)
         requests = verify_requests(range(4, 25))
         first = ladder_ends_batch(requests)
-        tops = [(n, t) for wave in waves for n, t, top in wave if top]
-        assert sorted({n for n, _ in tops}) == list(range(1, 25))
-        for n in range(1, 25):  # one end per size, each threshold once
-            ts = [t for m, t in tops if m == n]
-            assert ts == _thresholds(-(-n * n // 3), 0)[:len(ts)], n
-        assert ends_mod._TOP_WEIGHT == maxima == {n: -(-n * (n + 1) // 3) for n in range(1, 25)}
-        assert {n for n, _, top in waves[0] if not top} == set(range(4, 25))
-        assert len(waves) >= 24  # one top size per wave
-        del waves[:]
-        second = ladder_ends_batch(requests)  # every W_m known: one wave holds every end
         assert sorted((n, top) for n, _, top in waves[0]) == \
             sorted((n, top) for n in range(4, 25) for top in (False, True))
+        tops = [(n, t) for wave in waves for n, t, top in wave if top]
+        assert sorted({n for n, _ in tops}) == list(range(4, 25))
+        for n in range(4, 25):  # each threshold once, in order
+            ts = [t for m, t in tops if m == n]
+            assert ts == _thresholds(-(-n * n // 3), 0)[:len(ts)], n
+        first_waves = waves[:]
+        del waves[:]
+        second = ladder_ends_batch(requests)
+        assert waves == first_waves
         assert [summary(e) for e in second] == [summary(e) for e in first]
 
     def test_sizes_are_checked_before_any_search(self, monkeypatch):

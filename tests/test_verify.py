@@ -140,6 +140,22 @@ class TestFamilyPass:
         assert verify_all(4, 24).ok
         assert calls == [sum(len(families_mod.family_words(n)) for n in range(4, 25)) + 1008]
 
+    def test_a_lone_check_weighs_only_its_own_words(self, monkeypatch):
+        calls = []
+        real = verify_mod.row_steps
+
+        def counted(x, n):
+            calls.append(len(x))
+            return real(x, n)
+
+        monkeypatch.setattr(verify_mod, "row_steps", counted)
+        assert verify_s3(9).status == "pass"
+        assert calls == []  # it reads the three-row DP alone
+        for check, n in ((verify_ek, 20), (verify_family_weights, 9)):
+            calls.clear()
+            assert check(n).status == "pass"
+            assert calls == [len(families_mod.family_words(n))], check
+
     @pytest.mark.parametrize("check", [verify_family_weights, verify_ek])
     def test_a_lone_check_past_the_engine_limit_raises(self, check):
         assert check(64).status == "pass"
