@@ -57,12 +57,12 @@ worker, run on at most one thread per available core). Ranges merge by
 adding key counts and folding them into the weight histogram once, a key
 (w, p) adding its count at w and at w + n - 2p. The weights wanted are then
 read off that exact histogram once: the few smallest and largest, plus any
-fixed weights. The second pass keys again, over the same ranges, the pairs
-whose weight range [least, greatest] spans a wanted weight, and scans them
-for its lanes. A lane gives its generator and its complement and, if it
-counts twice, the reversal and its complement, each to the weight it has;
-per weight the ``cap`` least packed values are kept to bound memory, so
-results are identical for any worker count or block width. Every sweep
+fixed weights. The second pass keys again, in one call on the calling
+thread, the pairs whose weight range [least, greatest] spans a wanted weight,
+and scans them for its lanes. A lane gives its generator and its complement
+and, if it counts twice, the reversal and its complement, each to the weight
+it has; per weight the ``cap`` least packed values are kept to bound memory,
+so results are identical for any worker count or block width. Every sweep
 checks that the histogram totals 2^n, which also checks the multiplicities,
 and that the members scanned at each collected weight match its count.
 ``three_row_max`` needs no sweep: it is a max-plus pass over the states
@@ -427,11 +427,11 @@ def _sweep_range(kernel: _Kernel, start: int, stop: int, ends: bool):
     return counts, bounds
 
 
-def _collect_range(kernel: _Kernel, start: int, stop: int, chosen: np.ndarray,
-                   wanted: np.ndarray, cap: int) -> dict[int, tuple[list[int], int]]:
+def _collect_range(kernel: _Kernel, pairs: list[int], wanted: np.ndarray,
+                   cap: int) -> dict[int, tuple[list[int], int]]:
     """For each ``wanted`` weight, the ``cap`` least members, and the count,
-    of the generators the ``chosen`` pairs in [start, stop) stand for, keyed
-    by one ``keys`` call.
+    of the generators the ascending ``pairs`` stand for, keyed by one
+    ``keys`` call; each pair's members are merged in, capped, as it is scanned.
 
     A lane with key (w, p) stands for its generator z, of weight w, and the
     complement ~z, of weight w + n - 2p; if it counts twice (see
@@ -442,7 +442,7 @@ def _collect_range(kernel: _Kernel, start: int, stop: int, chosen: np.ndarray,
     hits = np.flatnonzero(wanted)
     full = (1 << kernel.n) - 1
     found: dict[int, tuple[list[int], int]] = {}
-    for his, a, keys in kernel.keys((np.flatnonzero(chosen[start:stop]) + start).tolist()):
+    for his, a, keys in kernel.keys(pairs):
         rows, lanes = np.divmod(np.flatnonzero(wanted_keys[keys]), keys.shape[1])
         blocks = np.array(his)[rows]
         z = kernel.packed(blocks, lanes)
@@ -677,8 +677,8 @@ def level_sets(n: int, low: int, high: int, *, weights=(),
                cap: int = DEFAULT_MEMBER_CAP, workers: int | None = None,
                force: bool = False) -> LevelSweep:
     """Histogram, both ends of the ladder and exact-weight slices: one sweep
-    for the histogram, then one pass over only the pairs that can hold a
-    wanted weight.
+    for the histogram, then one pass, on the calling thread, over only the
+    pairs that can hold a wanted weight.
 
     ``low`` asks for W_0 .. W_low (none if 0), ``high`` for the ``high``
     levels from W_m down; both are clamped to the ladder, whose height is
@@ -703,21 +703,15 @@ def level_sets(n: int, low: int, high: int, *, weights=(),
     # a pair is keyed again only if some wanted weight lies in its [least, greatest]
     least, greatest = np.concatenate([bounds for _, bounds in parts], axis=1)
     chosen = np.searchsorted(hits, least) < np.searchsorted(hits, greatest, side="right")
-    found = _run(kernel, workers, _collect_range, chosen, wanted, cap)
+    found = _collect_range(kernel, np.flatnonzero(chosen).tolist(), wanted, cap)
     slices: dict[int, WeightSlice] = {}  # per wanted weight, its ``cap`` least members
     for wt in hits.tolist():
-        values: list[int] = []
-        count = 0
-        for part in found:
-            kept, scanned = part.get(wt, ((), 0))
-            values += kept
-            count += scanned
+        kept, count = found.get(wt, ([], 0))
         if count != hist[wt]:
             raise ValueError(f"member scan disagrees with the histogram at n={n}: "
                              f"weight {wt} has {count} generators scanned, "
                              f"{int(hist[wt])} counted")
-        values = sorted(values)[:cap]
-        slices[wt] = WeightSlice(n, wt, _to_seqs(n, values), count, count > len(values))
+        slices[wt] = WeightSlice(n, wt, _to_seqs(n, kept), count, count > len(kept))
     levels = seen.tolist()
     m = len(levels) - 1
     return LevelSweep(

@@ -1,4 +1,6 @@
+import concurrent.futures
 import hashlib
+import threading
 from collections import Counter
 from functools import cache
 
@@ -777,8 +779,9 @@ class TestFoldedCounts:
 
 
 class TestRescanRuns:
-    """The rescan keys the chosen pairs of each planned range, gaps and all,
-    with one ``_Kernel.keys`` call."""
+    """The rescan keys the chosen pairs, gaps and all, with one
+    ``_Kernel.keys`` call on the calling thread, whatever ranges the sweep
+    ran on."""
 
     @staticmethod
     def merged(parts, cap):
@@ -791,18 +794,17 @@ class TestRescanRuns:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_every_chosen_pair_is_keyed_once(self, monkeypatch, workers):
-        # 16 pairs of 32-lane blocks at n = 10; ranges [0, 11) [11, 16) at two
-        # workers and [0, 9) [9, 13) [13, 16) at three
+        # 16 pairs of 32-lane blocks at n = 10; the picked pairs reach into
+        # every range the sweep plans: [0, 11) [11, 16) at two workers and
+        # [0, 9) [9, 13) [13, 16) at three
         monkeypatch.setattr(spectrum_mod, "_BLOCK_BITS", 3)
         n, cap = 10, 3
         kernel = _Kernel(n)
         assert kernel.pairs == 16
         picked = [0, 1, 2, 5, 7, 8, 9, 10, 11, 12, 15]
-        chosen = np.zeros(kernel.pairs, dtype=bool)
-        chosen[picked] = True
         wanted = np.ones(kernel.bins, dtype=bool)
         parts, _ = _plan(kernel.pairs, workers)
-        ranges = [[p for p in picked if start <= p < stop] for start, stop in parts]
+        assert all(any(start <= p < stop for p in picked) for start, stop in parts)
         keys, calls, keyed = _Kernel.keys, [], Counter()
 
         def recorded(self, pairs):
@@ -812,14 +814,41 @@ class TestRescanRuns:
                 keyed[his[0]] += 1
                 yield his, a, row_keys
 
-        one = [spectrum_mod._collect_range(kernel, p, p + 1, chosen, wanted, cap)
+        one = [spectrum_mod._collect_range(kernel, [p], wanted, cap)
                for p in picked]  # a call per pair, as the oracle
         monkeypatch.setattr(_Kernel, "keys", recorded)
-        found = spectrum_mod._run(kernel, workers, spectrum_mod._collect_range,
-                                  chosen, wanted, cap)
+        found = spectrum_mod._collect_range(kernel, picked, wanted, cap)
         assert keyed == Counter(picked)
-        assert sorted(calls) == sorted(ranges)  # one call per range, on threads in any order
-        assert self.merged(found, cap) == self.merged(one, cap)
+        assert calls == [picked]  # one call that holds them all
+        # the merge caps as it goes: each weight keeps the ``cap`` least
+        assert {wt: (sorted(kept), count) for wt, (kept, count) in found.items()} \
+            == self.merged(one, cap)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_member_pass_runs_on_the_calling_thread(self, monkeypatch, workers):
+        # 16 pairs at n = 10: two or three ranges, a thread each
+        monkeypatch.setattr(spectrum_mod, "_BLOCK_BITS", 3)
+        want = level_sets(10, 3, 2, workers=1)
+        monkeypatch.setattr(spectrum_mod, "_cores", lambda: 4)
+        keys, pools, callers = _Kernel.keys, [], []
+
+        class Counted(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        def recorded(self, pairs):
+            callers.append(threading.get_ident())
+            return keys(self, pairs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+        monkeypatch.setattr(_Kernel, "keys", recorded)
+        got = level_sets(10, 3, 2, workers=workers)
+        assert len(pools) == 1  # the sweep's
+        *sweep, rescan = callers
+        assert len(sweep) == workers and threading.get_ident() not in sweep
+        assert rescan == threading.get_ident()
+        assert got == want
 
 
 class TestChunkEdges:
@@ -850,14 +879,14 @@ class TestChunkEdges:
         last = kernel.pairs - 1
         runs = [range(natural - 2, natural + 13), [0, 3, 4, 9, 10, 11, 40, last - 5, last],
                 list(range(1, 2 * natural + 7, 3))]  # consecutive pairs and gapped lists
-        chosen = np.zeros(kernel.pairs, dtype=bool)
-        chosen[[1, 2, 5, natural - 1, natural, natural + 4, last - 1]] = True
+        chosen = [1, 2, 5, natural - 1, natural, natural + 4, last - 1]
         wanted = np.ones(kernel.bins, dtype=bool)
 
         def results():
             keys = [self.keyed(kernel, pairs) for pairs in runs]
             swept = [spectrum_mod._sweep_range(kernel, start, stop, True) for start, stop in parts]
-            found = [spectrum_mod._collect_range(kernel, start, stop, chosen, wanted, 2)
+            found = [spectrum_mod._collect_range(kernel, [p for p in chosen if start <= p < stop],
+                                                 wanted, 2)
                      for start, stop in parts]
             return keys, swept, found
 
