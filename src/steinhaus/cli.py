@@ -143,13 +143,14 @@ def cmd_orbit(ns: argparse.Namespace) -> int:
 
 
 def cmd_families(ns: argparse.Namespace) -> int:
-    from .families import family_weights
+    from .families import family_words
     from .triangle import triangle_weight
 
     if not 1 <= ns.n <= MAX_LEN:
         raise ValueError(f"families need 1 <= n <= {MAX_LEN}, got n={ns.n}")
     rows = []
-    for f, x, predicted in family_weights(ns.n):
+    for f, bits, predicted in family_words(ns.n):
+        x = BitSeq(ns.n, bits)
         actual = triangle_weight(x)
         rows.append({"family": str(f), "sequence": str(x),
                      "predicted": predicted, "actual": actual,

@@ -221,11 +221,6 @@ def family_words(n: int) -> list[tuple[FamilyName, int, int | None]]:
     return [(f, _bits(f, n), _closed_form(f, n)) for f in all_families(n)]
 
 
-def family_weights(n: int) -> list[tuple[FamilyName, BitSeq, int | None]]:
-    """``family_words(n)`` with each word as a sequence."""
-    return [(f, BitSeq(n, bits), w) for f, bits, w in family_words(n)]
-
-
 @functools.cache
 def _fixture_rows(name: str) -> tuple[tuple[str, ...], ...]:
     """Rows of a bundled table under ``fixtures/``, split on whitespace."""

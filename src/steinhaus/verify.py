@@ -2,8 +2,10 @@
 
 Each check compares a predicted weight (and, where known, the exact generator
 set) with what brute-force enumeration finds, and yields one record with a
-terminal status. Failures always carry a witness generator whose re-evaluated
-weight reproduces the reported observation. Conjecture checks report
+terminal status. A failure carries a witness, the least generator at fault by
+text, whose observed weight is re-weighed by the scalar oracle
+(``triangle_weight``, or ``s3`` for the three-row bound), never copied from
+the engine or a pass. Conjecture checks report
 ``conjecture-confirmed`` / ``conjecture-refuted`` instead of pass/fail, so a
 counterexample surfaces as a finding rather than aborting the run.
 
@@ -40,7 +42,7 @@ import dataclasses
 import functools
 import inspect
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -166,10 +168,10 @@ def _timed(name: str | Callable[..., str]):
     return decorate
 
 
-def _set_witness(observed_w: int, observed: frozenset[BitSeq],
-                 predicted_w: int, predicted: frozenset[BitSeq]) -> Witness:
-    x = min(observed ^ predicted or observed | predicted, key=str)
-    return Witness(x, triangle_weight(x), predicted_w)
+def _witness(seqs: Iterable[BitSeq], predicted: int) -> Witness:
+    """The least of ``seqs`` by text, its weight re-weighed by the scalar oracle."""
+    x = min(seqs, key=str)
+    return Witness(x, triangle_weight(x), predicted)
 
 
 def _compare_level(level: WeightSlice, predicted_w: int, predicted: frozenset[BitSeq],
@@ -178,14 +180,12 @@ def _compare_level(level: WeightSlice, predicted_w: int, predicted: frozenset[Bi
     bad_status = "conjecture-refuted" if conjecture else "fail"
     observed_w, observed = level.weight, frozenset(level.members)
     if observed_w != predicted_w:
-        pick = sorted(observed, key=str)
-        witness = Witness(pick[0], observed_w, predicted_w) if pick else \
-            _set_witness(observed_w, observed, predicted_w, predicted)
-        return bad_status, f"weight {observed_w} observed, {predicted_w} predicted", witness
+        return (bad_status, f"weight {observed_w} observed, {predicted_w} predicted",
+                _witness(observed or predicted, predicted_w))
     if observed != predicted or level.count != len(predicted):
         return (bad_status, f"member set mismatch at weight {predicted_w}: "
                 f"{level.count} observed vs {len(predicted)} predicted",
-                _set_witness(observed_w, observed, predicted_w, predicted))
+                _witness(observed ^ predicted or observed, predicted_w))
     return ok_status, f"weight {predicted_w}, {len(predicted)} generators"
 
 
@@ -205,10 +205,8 @@ def verify_level(n: int, level, *, data: LadderEnds | None = None) -> tuple:
     end, offset = {"1": (data.low, 1), "2": (data.low, 2), "3": (data.low, 3),
                    "m": (data.high, 0), "m-1": (data.high, 1)}[token]
     if offset >= len(end):  # only the bottom end runs short: then it holds the whole ladder
-        top = end[-1]
-        pick = sorted(top.members, key=str)[0]
         return ("fail", f"ladder has levels 0..{len(end) - 1}, level {token} undefined",
-                Witness(pick, top.weight, prediction.value))
+                _witness(end[-1].members, prediction.value))
     return _compare_level(end[offset], prediction.value, prediction.member_set,
                           conjecture=prediction.status == "conjecture")
 
@@ -225,8 +223,7 @@ def _small_n_ladder(n: int, data: LadderEnds) -> tuple:
     elif ladder[0].count != 1:
         bad = f"{ladder[0].count} generators of weight 0"
     if bad is not None:
-        pick = sorted(ladder[-1].members, key=str)[0]  # a generator of W_m
-        return "fail", bad, Witness(pick, triangle_weight(pick), -1)
+        return "fail", bad, _witness(ladder[-1].members, -1)  # a generator of W_m
     for index, level in enumerate(ladder[1:], 1):
         outcome = _compare_level(level, *expected[str(index)])
         if outcome[0] != "pass":
@@ -306,11 +303,11 @@ def verify_ek(n: int, *, words: list[_FamilyRow] | None = None) -> tuple:
         expected = table.get((n, k))
         if expected is not None and w != expected:
             return ("fail", f"e{k}: weight {w} observed, table says {expected}",
-                    Witness(BitSeq(n, bits), w, expected))
+                    _witness([BitSeq(n, bits)], expected))
         if w < bound or (n % 2 == 0 and w == bound):
             strict = " (strict)" if n % 2 == 0 else ""
             return ("fail", f"e{k}: weight {w} violates bound {bound}{strict}",
-                    Witness(BitSeq(n, bits), w, bound))
+                    _witness([BitSeq(n, bits)], bound))
     return "pass", f"{len(central)} unit vectors satisfy the bound"
 
 
@@ -328,10 +325,8 @@ def verify_family_weights(n: int, *, words: list[_FamilyRow] | None = None) -> t
             continue
         if w != predicted:
             return ("fail", f"{f}: weight {w} observed, formula gives {predicted}",
-                    Witness(BitSeq(n, bits), w, predicted))
+                    _witness([BitSeq(n, bits)], predicted))
         checked += 1
-    if not checked:
-        return "skipped", "no closed forms at this length"
     return "pass", f"{checked} closed forms match"
 
 
@@ -349,14 +344,14 @@ def verify_s3(n: int, *, three_rows: list[dict[int, int]] | None = None) -> tupl
     best = max((three_rows or _three_row_pass(n))[n - 1].values())
     bound = 2 * n - 2
     if best > bound:
-        return ("fail", f"max three-row weight {best} exceeds {bound}",
-                Witness(BitSeq(n, three_row_max(n, force=True)[1][0]), best, bound))
+        x = BitSeq(n, three_row_max(n, force=True)[1][0])
+        return "fail", f"max three-row weight {best} exceeds {bound}", Witness(x, s3(x), bound)
     detail = f"max three-row weight {best} <= {bound}"
     if n in _S3_EQUALITY:
         expected = frozenset(BitSeq.from_string(s) for s in _S3_EQUALITY[n])
         observed = frozenset(BitSeq(n, v) for v in three_row_max(n, force=True)[1])
         if best != bound or observed != expected:
-            diff = sorted(observed ^ expected, key=str)[0]
+            diff = min(observed ^ expected, key=str)
             return ("fail", f"equality set mismatch: {len(observed)} at {best} observed, "
                     f"{len(expected)} at {bound} expected", Witness(diff, s3(diff), bound))
         detail += f"; equality set of size {len(expected)} matches"
@@ -393,7 +388,7 @@ def _golden_weight_slice(n: int, data: LadderEnds) -> tuple:
     observed = frozenset(got.members)
     if observed != set_exp or got.count != len(set_exp):
         return ("fail", f"{got.count} generators at weight {w} observed, "
-                f"{len(set_exp)} expected", _set_witness(w, observed, w, set_exp))
+                f"{len(set_exp)} expected", _witness(observed ^ set_exp or observed, w))
     return "pass", f"{got.count} generators at weight {w}"
 
 
@@ -403,9 +398,8 @@ def _golden_top(n: int, data: LadderEnds, m: int) -> tuple:
     second = data.high[1]
     observed_triple = (m, second.weight, second.count)
     if observed_triple != (m_exp, w_exp, count_exp):
-        pick = sorted(second.members, key=str)[0]
         return ("fail", f"(m, w, count) = {observed_triple} observed, "
-                f"({m_exp}, {w_exp}, {count_exp}) expected", Witness(pick, second.weight, w_exp))
+                f"({m_exp}, {w_exp}, {count_exp}) expected", _witness(second.members, w_exp))
     return "pass", f"(m, w, count) = {observed_triple}"
 
 
@@ -417,10 +411,9 @@ def _golden_second_members(n: int, data: LadderEnds) -> tuple:
     observed = frozenset(second.members)
     missing = set_exp - observed
     if missing or second.count != count_exp:
-        witness_seq = sorted(missing or observed ^ set_exp or observed, key=str)[0]
         return ("fail", f"{second.count} members observed, {count_exp} expected; "
                 f"{len(missing)} listed members missing",
-                Witness(witness_seq, triangle_weight(witness_seq), second.weight))
+                _witness(missing or observed ^ set_exp or observed, second.weight))
     extras = " ".join(map(str, sorted(observed - set_exp, key=str)))
     note = f"; enumeration found members beyond the stored list: {extras}" if extras else ""
     return "pass", f"all {len(set_exp)} listed members present{note}"
@@ -441,14 +434,13 @@ def _weight_2n3(n: int, data: LadderEnds) -> tuple:
         observed = frozenset(got.members)
         if got.count != 6 or observed != expected:
             return ("fail", f"{got.count} generators at weight {w} observed, "
-                    "the known orbit of 6 expected", _set_witness(w, observed, w, expected))
+                    "the known orbit of 6 expected", _witness(observed ^ expected or observed, w))
         if frozenset(orbit(got.members[0]).members) != expected:
-            return ("fail", "the six generators do not form a single orbit",
-                    Witness(got.members[0], w, w))
+            return "fail", "the six generators do not form a single orbit", _witness(observed, w)
         return "pass", f"exactly 6 generators at weight {w}, one orbit"
     if got.count != 0:
         return ("fail", f"{got.count} generators at weight {w} observed, 0 expected",
-                Witness(got.members[0], w, w))
+                _witness(got.members, w))
     return "pass", f"no generator has weight {w}"
 
 

@@ -20,7 +20,7 @@ from steinhaus import (
 )
 from steinhaus import families as families_mod
 from steinhaus.bitseq import MAX_LEN
-from steinhaus.families import family_weights
+from steinhaus.families import family_words
 
 
 def seq(tag, n):
@@ -274,10 +274,10 @@ class TestPredictedTriangleWeight:
 
     def test_family_weights_none_exactly_without_a_closed_form(self):
         for n in range(1, 65):
-            rows = family_weights(n)
+            rows = family_words(n)
             assert [f for f, _, _ in rows] == all_families(n)
-            for f, x, predicted in rows:
-                assert x == family_seq(f, n)
+            for f, bits, predicted in rows:
+                assert BitSeq(n, bits) == family_seq(f, n)
                 try:
                     expected = predicted_triangle_weight(f, n)
                 except ValueError:
@@ -296,7 +296,7 @@ class TestPredictedTriangleWeight:
         monkeypatch.setattr(families_mod, "_bits", counted)
         for n in (4, 12, 24):
             built.clear()
-            tags = [str(f) for f, _, _ in family_weights(n)]
+            tags = [str(f) for f, _, _ in family_words(n)]
             assert built == tags, n
 
     def test_central_unit_vector_bound(self):

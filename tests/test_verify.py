@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import time
 from collections import Counter
@@ -9,12 +10,15 @@ from steinhaus import (
     CeilingExceeded,
     CheckRecord,
     FamilyName,
+    LadderEnds,
     VerificationReport,
+    WeightSlice,
     Witness,
     check_conjecture,
     ladder_ends,
     level_sets,
     s3,
+    three_row_max,
     triangle_weight,
     verify_all,
     verify_ek,
@@ -27,6 +31,7 @@ from steinhaus import cli
 from steinhaus import families as families_mod
 from steinhaus import spectrum as spectrum_mod
 from steinhaus import verify as verify_mod
+from steinhaus.bitseq import MAX_LEN
 from steinhaus.families import LevelPrediction
 from steinhaus.verify import PER_N_CHECKS
 
@@ -156,6 +161,11 @@ class TestFamilyPass:
             assert check(n).status == "pass"
             assert calls == [len(families_mod.family_words(n))], check
 
+    def test_every_size_has_a_closed_form(self):
+        # so family-weights always has a form to check: e0 weighs n at every n
+        for n in range(1, MAX_LEN + 1):
+            assert any(w is not None for _, _, w in families_mod.family_words(n)), n
+
     @pytest.mark.parametrize("check", [verify_family_weights, verify_ek])
     def test_a_lone_check_past_the_engine_limit_raises(self, check):
         assert check(64).status == "pass"
@@ -251,6 +261,167 @@ class TestConjecture:
         assert record.status == "conjecture-refuted"
         assert record.witness is not None
         assert triangle_weight(record.witness.sequence) == record.witness.observed
+
+
+def seqs(*texts):
+    return [BitSeq.from_string(t) for t in texts]
+
+
+def assert_witness(record, status, detail, at_fault, predicted):
+    """The record fails with ``detail``, and its witness is the least of the
+    generators ``at_fault`` by text, re-weighed by ``triangle_weight``."""
+    assert (record.status, record.detail) == (status, detail)
+    x = record.witness.sequence
+    assert x in at_fault and x == min(at_fault, key=str)
+    assert record.witness == Witness(x, triangle_weight(x), predicted)
+
+
+class TestFailureWitnesses:
+    """Every failure branch of verify, forced. Crafted data gives members a
+    weight other than the one the check reads, so a witness that copies the
+    engine's or a pass's number instead of re-weighing fails here."""
+
+    @staticmethod
+    def small_n(monkeypatch, edit):
+        real = verify_mod._level_fixture
+
+        def edited(name):
+            rows = dict(real(name))
+            if name == "small_n_levels.txt":
+                edit(rows)
+            return rows
+
+        monkeypatch.setattr(verify_mod, "_level_fixture", edited)
+        return verify_small_n()[3]  # n = 4
+
+    def test_small_n_ladder_height(self, monkeypatch):
+        record = self.small_n(monkeypatch, lambda rows: rows.pop((4, "4")))
+        assert_witness(record, "fail", "ladder height 4 observed, 3 expected",
+                       seqs("1011", "1101"), -1)
+
+    def test_small_n_ladder_level_weight(self, monkeypatch):
+        def heavier(rows):
+            rows[4, "2"] = (6, rows[4, "2"][1])
+
+        record = self.small_n(monkeypatch, heavier)
+        assert_witness(record, "fail", "weight 5 observed, 6 predicted",
+                       seqs("0010", "0011", "0100", "0101", "1010", "1100"), 6)
+
+    def test_small_n_ladder_weight_zero(self):
+        data = ladder_ends(4, 10, 0)  # the whole ladder
+        low = [dataclasses.replace(data.low[0], count=2), *data.low[1:-1],
+               dataclasses.replace(data.low[-1], weight=99)]
+        record = verify_mod._small_n_ladder(4, data._replace(low=low))
+        assert_witness(record, "fail", "2 generators of weight 0", seqs("1011", "1101"), -1)
+
+    @pytest.mark.parametrize("members,witness", [
+        (None, "00000001"),  # the level's own members, at a weight that is not theirs
+        ((), "00000001"),  # no member kept: the predicted set's least
+    ])
+    def test_level_weight(self, members, witness):
+        data = ladder_ends(8, 3, 2)
+        level = dataclasses.replace(data.low[1], weight=9)
+        if members is not None:
+            level = dataclasses.replace(level, members=members, truncated=True)
+        record = verify_level(8, 1, data=data._replace(low=[data.low[0], level, *data.low[2:]]))
+        assert_witness(record, "fail", "weight 9 observed, 8 predicted",
+                       seqs("00000001", "10000000", "11111111"), 8)
+        assert str(record.witness.sequence) == witness
+
+    def test_level_beyond_a_short_ladder(self):
+        data = ladder_ends(2, 3, 2)
+        record = verify_level(8, 3, data=data._replace(
+            low=[data.low[0], dataclasses.replace(data.low[1], weight=99)]))
+        assert_witness(record, "fail", "ladder has levels 0..1, level 3 undefined",
+                       seqs("01", "10", "11"), 13)
+
+    @pytest.mark.parametrize("n,row,detail,predicted", [
+        (12, (FamilyName("e", 5), 1 << 5, None, 99), "e5: weight 99 observed, table says 23", 23),
+        (16, (FamilyName("e", 4), 1 << 4, None, 14),
+         "e4: weight 14 violates bound 29 (strict)", 29),
+    ])
+    def test_unit_vector(self, n, row, detail, predicted):
+        record = verify_ek(n, words=[(FamilyName("e", 0), 1, n, n), row])
+        assert_witness(record, "fail", detail, [BitSeq(n, row[1])], predicted)
+
+    def test_family_weight(self):
+        record = verify_family_weights(13, words=[(FamilyName("e", 0), 1, 13, 99)])
+        assert_witness(record, "fail", "e0: weight 99 observed, formula gives 13",
+                       [BitSeq(13, 1)], 13)
+
+    def test_s3_max(self):
+        record = verify_s3(4, three_rows=[{}, {}, {}, {0: 99}])
+        assert (record.status, record.detail) == ("fail", "max three-row weight 99 exceeds 6")
+        x = record.witness.sequence
+        assert x in {BitSeq(4, v) for v in three_row_max(4)[1]}
+        assert record.witness == Witness(x, s3(x), 6) and s3(x) == 6
+
+    def test_golden_weight_slice(self, monkeypatch):
+        w, members = verify_mod._golden_slice(5)
+        monkeypatch.setattr(verify_mod, "_golden_slice",
+                            lambda n: (w, members | {BitSeq.from_string("00000")}))
+        record = verify_mod._golden_weight_slice(5, ladder_ends(5, 3, 2, weights=[w]))
+        assert_witness(record, "fail", "6 generators at weight 7 observed, 7 expected",
+                       seqs("00000"), 7)
+
+    def test_golden_top(self):
+        data = ladder_ends(6, 3, 2)
+        second = dataclasses.replace(data.high[1], weight=13)
+        record = verify_mod._golden_top(6, data._replace(high=[data.high[0], second]), 5)
+        assert_witness(record, "fail", "(m, w, count) = (5, 13, 30) observed, "
+                       "(5, 12, 30) expected", second.members, 12)
+
+    @pytest.mark.parametrize("extra,count,detail,witness", [
+        ("000000", 30, "30 members observed, 30 expected; 1 listed members missing", "000000"),
+        (None, 31, "30 members observed, 31 expected; 0 listed members missing", "001001"),
+    ])
+    def test_golden_second_members(self, monkeypatch, extra, count, detail, witness):
+        rows, summary = verify_mod._level_fixture, verify_mod._top_summary_fixture
+
+        def listed(name):
+            table = dict(rows(name))
+            if extra is not None and name == "second_largest_members.txt":
+                table[6, "m-1"] = (12, table[6, "m-1"][1] | set(seqs(extra)))
+            return table
+
+        monkeypatch.setattr(verify_mod, "_level_fixture", listed)
+        monkeypatch.setattr(verify_mod, "_top_summary_fixture",
+                            lambda: {**summary(), 6: (5, 12, count)})
+        data = ladder_ends(6, 3, 2)
+        at_fault = seqs(extra) if extra else data.high[1].members
+        record = verify_mod._golden_second_members(6, data)
+        assert_witness(record, "fail", detail, at_fault, 12)
+        assert str(record.witness.sequence) == witness
+
+    def test_weight_2n3_set_at_10(self, monkeypatch):
+        stored = ("0000000000", *verify_mod._WEIGHT17_AT_10[1:])
+        monkeypatch.setattr(verify_mod, "_WEIGHT17_AT_10", stored)
+        record = verify_mod._weight_2n3(10, ladder_ends(10, 3, 2, weights=[17]))
+        assert_witness(record, "fail", "6 generators at weight 17 observed, "
+                       "the known orbit of 6 expected",
+                       seqs("0000000000", verify_mod._WEIGHT17_AT_10[0]), 17)
+        assert record.witness.observed == 0
+
+    def test_weight_2n3_orbit_at_10(self, monkeypatch):
+        fake = ("0000000000", "0000000001", "0000000011",
+                "0000000111", "0000001111", "0000011111")  # not one orbit
+        monkeypatch.setattr(verify_mod, "_WEIGHT17_AT_10", fake)
+        members = tuple(sorted(seqs(*fake), key=str))
+        data = LadderEnds([], [], {17: WeightSlice(10, 17, members, 6, False)}, (0, 0))
+        record = verify_mod._weight_2n3(10, data)
+        assert_witness(record, "fail", "the six generators do not form a single orbit",
+                       members, 17)
+
+    def test_weight_2n3_at_14(self):
+        x = BitSeq(14, 1)
+        data = LadderEnds([], [], {25: WeightSlice(14, 25, (x,), 1, False)}, (0, 0))
+        record = verify_mod._weight_2n3(14, data)
+        assert_witness(record, "fail", "1 generators at weight 25 observed, 0 expected", [x], 25)
+        assert record.witness.observed == 14
+
+    def test_sizes_start_at_one(self):
+        with pytest.raises(ValueError, match="sizes start at 1"):
+            verify_all(0, 4)
 
 
 class TestVerifyAll:
