@@ -27,7 +27,6 @@ from .spectrum import (
     level_sets,
     symmetry_reduced_spectrum,
 )
-from .symmetry import orbit
 
 SCHEMA_VERSION = 1
 
@@ -128,6 +127,8 @@ def cmd_levels(ns: argparse.Namespace) -> int:
 
 
 def cmd_orbit(ns: argparse.Namespace) -> int:
+    from .symmetry import orbit
+
     x = BitSeq.from_string(ns.sequence)
     orb = orbit(x)
     if ns.format == "json":

@@ -111,23 +111,18 @@ _GROUP_TAGS = {g: tuple(FamilyName(g, i) for i in range(1, len(members) + 1))
 _UNIT_TAGS = tuple(FamilyName("e", k) for k in range(MAX_LEN))
 
 
-def _group_range_error(g: str, n: int) -> str | None:
-    """Why group ``g`` (a to v) is not defined at length n, or None where it is."""
-    least, residue, _ = _GROUPS[g]
-    if residue is not None and n % 3 != residue:
-        return f"{g} family requires n == {residue} (mod 3)"
-    if n < least:
-        return f"{g} family requires n >= {least}"
-    return None
-
-
 def _range_error(f: FamilyName, n: int) -> str | None:
     """Why family ``f`` is not defined at length n, or None where it is."""
     if n > MAX_LEN:
         return f"families are defined for n <= {MAX_LEN}"
     if f.group == "e":
         return f"e{f.index} requires n >= {f.index + 1}" if f.index > n - 1 else None
-    return _group_range_error(f.group, n)
+    least, residue, _ = _GROUPS[f.group]
+    if residue is not None and n % 3 != residue:
+        return f"{f.group} family requires n == {residue} (mod 3)"
+    if n < least:
+        return f"{f.group} family requires n >= {least}"
+    return None
 
 
 def _bits(f: FamilyName, n: int) -> int:
@@ -211,7 +206,7 @@ def all_families(n: int) -> list[FamilyName]:
     """Every family tag constructible at length n, in stable display order."""
     if not 0 < n <= MAX_LEN:
         return []
-    return [f for g, tags in _GROUP_TAGS.items() if _group_range_error(g, n) is None
+    return [f for tags in _GROUP_TAGS.values() if _range_error(tags[0], n) is None
             for f in tags] + list(_UNIT_TAGS[:n])
 
 

@@ -78,7 +78,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import symmetry
 from .bitseq import BitSeq
 
 DEFAULT_CEILING = 30
@@ -390,8 +389,10 @@ class _Images:
     As in the kernel, only the lanes with x_0 = 0, j < 2^(k-1), are tabulated."""
 
     def __init__(self, n: int) -> None:
+        from .symmetry import images
+
         k = _block_width(n)
-        units = np.array([[y.bits for y in symmetry.images(BitSeq(n, 1 << j))]
+        units = np.array([[y.bits for y in images(BitSeq(n, 1 << j))]
                           for j in range(n)], dtype=np.uint64)  # row j: unit vector j
         self.table, self._high = _span(units[k - 1:0:-1]), units[k:]
         self.ones = np.bitwise_xor.reduce(units, axis=0)

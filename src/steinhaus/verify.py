@@ -16,24 +16,24 @@ by their offset from an end of the ladder: W_1..W_3 are ``data.low[1..3]``,
 and W_m and W_{m-1} are ``data.high[0]`` and ``data.high[1]``. Every size
 reads them, and its exact-weight slices, from one prefix search of all the
 sizes, ``ends.ladder_ends_batch``, which keeps a few thousand prefixes per
-size where a sweep weighs 2^n. The small-n ladder (n <= 4), against the
-bundled table that ``predicted_level`` serves there, reads whole ladders from
-the same batch. The other checks read the run's passes (``_passes``). The
-three-row bound reads the max from one forward pass of the window DP for the
-run, whose first n entries are the pass of size n, and its generators from
-``three_row_max`` only where it reads them (n = 4, 5 or a failure's
-witness). One ``triangle.row_steps`` call weighs ``family_words`` of every
-size, packed, of which each size gets its rows (closed-form families for
-``family-weights``, central unit vectors for ``unit-vector-bound``; a
-witness is rebuilt as a sequence only on failure), and all 2^n generators
-of each size n <= 9, whose distinct weights give the height m that the
-stored top-level summary needs (``golden-top-levels``). No check builds the
-sweep kernel: the tests check the search against the sweep. A check returns
-its outcome, ``(status, detail)`` or ``(status, detail, witness)``, and its
-``_timed`` decorator builds the one record from the check's name, the size,
-the outcome and the call's wall time. The search and the passes are one
-call each for every size, so their time, and the time spent between the
-checks, is added to one record, the first of the lowest size.
+size where a sweep weighs 2^n. The other checks read the run's passes
+(``_passes``). The three-row bound reads the max from one forward pass of the
+window DP for the run, whose first n entries are the pass of size n, and its
+generators from ``three_row_max`` only where it reads them (n = 4, 5 or a
+failure's witness). One ``triangle.row_steps`` call weighs ``family_words`` of
+every size, packed, of which each size gets its rows (closed-form families for
+``family-weights``, central unit vectors for ``unit-vector-bound``; a witness
+is rebuilt as a sequence only on failure), and all 2^n generators of n = 1..4
+and of each run size n <= 9. The small-n ladder groups those of n <= 4 into
+whole ladders, against the bundled table that ``predicted_level`` serves
+there; the distinct weights of n = 4..9 give the height m of the stored
+top-level summary (``golden-top-levels``). No check builds the sweep kernel:
+the tests check the search against the sweep. A check returns its outcome,
+``(status, detail)`` or ``(status, detail, witness)``, and its ``_timed``
+decorator builds the one record from the check's name, the size, the outcome
+and the call's wall time. The search and the passes are one call each for
+every size, so their time, and the time spent between the checks, is added to
+one record, the first of the lowest size.
 """
 
 from __future__ import annotations
@@ -211,19 +211,34 @@ def verify_level(n: int, level, *, data: LadderEnds | None = None) -> tuple:
                           conjecture=prediction.status == "conjecture")
 
 
+# a family word of a pass: tag, packed word, closed-form weight (None where
+# there is none) and the word's triangle weight
+_FamilyRow = tuple[FamilyName, int, int | None, int]
+
+_SMALL_N = (1, 2, 3, 4)  # of the stored whole ladders
+_TOP_SUMMARY_SIZES = range(4, 10)  # of the stored top-level summary, which reads m
+
+
 @_timed("small-n-ladder")
-def _small_n_ladder(n: int, data: LadderEnds) -> tuple:
+def _small_n_ladder(n: int, weights: list[int] | None = None) -> tuple:
+    """The ladder of size n, grouped from ``weights``, its 2^n generators'
+    weights in packed order (by default weighed here), against the stored one."""
+    if weights is None:
+        weights = _weighed([], [n])[1][n]
+    by_weight: dict[int, list[BitSeq]] = {}
+    for x, w in enumerate(weights):
+        by_weight.setdefault(w, []).append(BitSeq(n, x))
+    ladder = [WeightSlice(n, w, tuple(xs), len(xs), False) for w, xs in sorted(by_weight.items())]
     fixture = _level_fixture("small_n_levels.txt")
     expected = {lvl: row for (nn, lvl), row in fixture.items() if nn == n}
-    ladder = data.low  # the whole ladder, W_0 first
     m = len(ladder) - 1
-    bad = None
     if m != len(expected):
-        bad = f"ladder height {m} observed, {len(expected)} expected"
-    elif ladder[0].count != 1:
-        bad = f"{ladder[0].count} generators of weight 0"
-    if bad is not None:
-        return "fail", bad, _witness(ladder[-1].members, -1)  # a generator of W_m
+        return ("fail", f"ladder height {m} observed, {len(expected)} expected",
+                _witness(ladder[-1].members, max(w for w, _ in expected.values())))
+    zero = by_weight.get(0, ())
+    if len(zero) != 1:
+        return ("fail", f"{len(zero)} generators of weight 0",
+                _witness([x for x in zero if x.bits] or [BitSeq.zeros(n)], 0))
     for index, level in enumerate(ladder[1:], 1):
         outcome = _compare_level(level, *expected[str(index)])
         if outcome[0] != "pass":
@@ -231,57 +246,42 @@ def _small_n_ladder(n: int, data: LadderEnds) -> tuple:
     return "pass", f"all {m} levels match"
 
 
-# the whole ladder at each small n, W_0 first
-_SMALL_N_REQUESTS = [(n, n * (n + 1) // 2, 0, ()) for n in (1, 2, 3, 4)]
-
-
-def verify_small_n(ends: list[LadderEnds] | None = None) -> list[CheckRecord]:
+def verify_small_n(weights: dict[int, list[int]] | None = None) -> list[CheckRecord]:
     """Full-ladder equality for n in {1, 2, 3, 4} against the stored ladders,
-    read off ``ends``, those sizes' whole ladders (by default from one batch)."""
-    t0 = time.perf_counter()
-    if ends is None:
-        ends = ladder_ends_batch(_SMALL_N_REQUESTS)
-    searched = time.perf_counter() - t0
-    records = [_small_n_ladder(n, data) for (n, *_), data in zip(_SMALL_N_REQUESTS, ends)]
-    records[0] = dataclasses.replace(records[0], elapsed=records[0].elapsed + searched)
-    return records
-
-
-# a family word of a pass: tag, packed word, closed-form weight (None where
-# there is none) and the word's triangle weight
-_FamilyRow = tuple[FamilyName, int, int | None, int]
-
-_TOP_SUMMARY_SIZES = range(4, 10)  # of the stored top-level summary, which reads m
+    grouped from ``weights[n]`` (by default each check weighs its own size)."""
+    return [_small_n_ladder(n, None if weights is None else weights[n]) for n in _SMALL_N]
 
 
 class _Passes(NamedTuple):
     """The passes of a run over all its sizes: the three-row DP, whose first
     n entries are the pass of size n, the family words of each size and the
-    ladder height of each size in ``_TOP_SUMMARY_SIZES``."""
+    weights of all 2^n generators of each size n in ``_SMALL_N`` or in the
+    run's ``_TOP_SUMMARY_SIZES``."""
 
     three_rows: list[dict[int, int]]
     families: dict[int, list[_FamilyRow]]
-    heights: dict[int, int]
+    weights: dict[int, list[int]]
 
 
-def _weighed(sizes, tops) -> tuple[dict[int, list[_FamilyRow]], dict[int, int]]:
+def _weighed(sizes, whole) -> tuple[dict[int, list[_FamilyRow]], dict[int, list[int]]]:
     """``family_words(n)`` of every size n in ``sizes``, each row with its
-    word's weight appended, and the height of each size in ``tops``, from the
-    distinct weights of its 2^n generators: one ``row_steps`` call weighs all."""
-    _check_size(max(sizes), force=True, limit=SEARCH_LIMIT)  # the lengths ``row_steps`` takes
+    word's weight appended, and the weight of each of the 2^n generators of
+    every size in ``whole``, in packed order: one ``row_steps`` call weighs all."""
+    _check_size(max([*sizes, *whole]), force=True, limit=SEARCH_LIMIT)  # lengths row_steps takes
     words = {n: family_words(n) for n in sizes}
     values, lengths = zip(*[(bits, n) for n, rows in words.items() for _, bits, _ in rows],
-                          *[(x, n) for n in tops for x in range(1 << n)])
+                          *[(x, n) for n in whole for x in range(1 << n)])
     weights = iter(row_steps(values, lengths)[0].tolist())
     families = {n: [(*row, next(weights)) for row in rows] for n, rows in words.items()}
-    return families, {n: len({next(weights) for _ in range(1 << n)}) - 1 for n in tops}
+    return families, {n: [next(weights) for _ in range(1 << n)] for n in whole}
 
 
 def _passes(sizes) -> _Passes:
     """The passes of ``sizes``: the three-row DP up to the largest size (at
-    most ``S3_CEILING``), then ``_weighed`` of them and their top-summary sizes."""
-    return _Passes(_three_row_pass(min(max(sizes), S3_CEILING)),
-                   *_weighed(sizes, [n for n in sizes if n in _TOP_SUMMARY_SIZES]))
+    most ``S3_CEILING``), then ``_weighed`` of them, whole at ``_SMALL_N`` and
+    their top-summary sizes."""
+    whole = sorted({*_SMALL_N, *(n for n in sizes if n in _TOP_SUMMARY_SIZES)})
+    return _Passes(_three_row_pass(min(max(sizes), S3_CEILING)), *_weighed(sizes, whole))
 
 
 @_timed("unit-vector-bound")
@@ -340,8 +340,11 @@ def verify_s3(n: int, *, three_rows: list[dict[int, int]] | None = None) -> tupl
     """
     if not 4 <= n <= S3_CEILING:
         return "skipped", f"checked for 4 <= n <= {S3_CEILING}"
-    # the members are listed only where read
-    best = max((three_rows or _three_row_pass(n))[n - 1].values())
+    if three_rows is None:
+        three_rows = _three_row_pass(n)
+    elif len(three_rows) < n:
+        raise ValueError(f"three_rows has {len(three_rows)} entries, fewer than n = {n}")
+    best = max(three_rows[n - 1].values())  # the members are listed only where read
     bound = 2 * n - 2
     if best > bound:
         x = BitSeq(n, three_row_max(n, force=True)[1][0])
@@ -351,7 +354,7 @@ def verify_s3(n: int, *, three_rows: list[dict[int, int]] | None = None) -> tupl
         expected = frozenset(BitSeq.from_string(s) for s in _S3_EQUALITY[n])
         observed = frozenset(BitSeq(n, v) for v in three_row_max(n, force=True)[1])
         if best != bound or observed != expected:
-            diff = min(observed ^ expected, key=str)
+            diff = min(observed ^ expected or observed, key=str)
             return ("fail", f"equality set mismatch: {len(observed)} at {best} observed, "
                     f"{len(expected)} at {bound} expected", Witness(diff, s3(diff), bound))
         detail += f"; equality set of size {len(expected)} matches"
@@ -485,7 +488,7 @@ _CHECKS = (
     _Check("golden-weight-slice", lambda n: 4 <= n <= 8, "stored rows cover 4 <= n <= 8",
            lambda n, d, _: _golden_weight_slice(n, d), lambda n: _golden_slice(n)[0]),
     _Check("golden-top-levels", lambda n: n in _TOP_SUMMARY_SIZES, "stored rows cover 4 <= n <= 9",
-           lambda n, d, p: _golden_top(n, d, p.heights[n])),
+           lambda n, d, p: _golden_top(n, d, len(set(p.weights[n])) - 1)),
     _Check("golden-second-max-members", lambda n: n in _TOP_SUMMARY_SIZES,
            "stored rows cover 4 <= n <= 9", lambda n, d, _: _golden_second_members(n, d)),
     _Check("golden-second-max-sets", lambda n: n in (11, 12),
@@ -522,13 +525,11 @@ def verify_all(n_min: int, n_max: int, *, workers: int | None = None,
     _check_size(n_max, force=True, limit=SEARCH_LIMIT)  # before any search
     sizes = range(n_min, n_max + 1)
     t0 = time.perf_counter()
-    ends = ladder_ends_batch([*_SMALL_N_REQUESTS,
-                              *((n, 3, 2, [c.weight(n) for c in _CHECKS if c.weight and c.applies(n)])
-                                for n in sizes)], force=force)
+    ends = ladder_ends_batch([(n, 3, 2, [c.weight(n) for c in _CHECKS if c.weight and c.applies(n)])
+                              for n in sizes], force=force)
     passes = _passes(sizes)
-    records = verify_small_n(ends[:len(_SMALL_N_REQUESTS)])
-    checked = [r for n, data in zip(sizes, ends[len(_SMALL_N_REQUESTS):])
-               for r in _per_n_records(n, data, passes)]
+    records = verify_small_n(passes.weights)
+    checked = [r for n, data in zip(sizes, ends) for r in _per_n_records(n, data, passes)]
     # the search of all sizes, the run's passes and the time between the
     # checks are booked on one record
     rest = time.perf_counter() - t0 - sum(r.elapsed for r in records + checked)

@@ -13,6 +13,10 @@ class TestFromString:
         assert x.n == 7
         assert [x.bit(j) for j in range(7)] == [0, 0, 0, 1, 0, 0, 1]
 
+    def test_bit_out_of_range(self):
+        with pytest.raises(IndexError, match="bit index 2 out of range for length 2"):
+            BitSeq.from_string("01").bit(2)
+
     def test_empty(self):
         assert BitSeq.from_string("") == BitSeq(0, 0)
 
@@ -56,6 +60,10 @@ class TestFromPattern:
     def test_empty_pattern_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             BitSeq.from_pattern("", 3)
+
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            BitSeq.from_pattern("01", -1)
 
     def test_entries_follow_pattern_by_index(self):
         # direct index check, independent of concat
@@ -217,6 +225,11 @@ class TestValueSemantics:
 
     def test_hashable(self):
         assert len({BitSeq.from_string("01"), BitSeq.from_string("01")}) == 1
+
+    def test_repr_and_len(self):
+        x = BitSeq.from_string("0110")
+        assert repr(x) == "BitSeq('0110')" and len(x) == 4
+        assert repr(BitSeq(0, 0)) == "BitSeq('')" and len(BitSeq(0, 0)) == 0
 
     def test_normalization_enforced(self):
         with pytest.raises(ValueError):

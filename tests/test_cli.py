@@ -296,7 +296,7 @@ class TestColdStart:
     """A command imports only the modules it runs."""
 
     UNUSED = ("steinhaus.verify", "steinhaus.ends", "steinhaus.families",
-              "steinhaus.triangle", "concurrent.futures", "json")
+              "steinhaus.triangle", "steinhaus.symmetry", "concurrent.futures", "json")
 
     def test_levels_and_spectrum_load_no_other_module(self, capsys):
         script = ("import sys\n"

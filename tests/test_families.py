@@ -37,6 +37,10 @@ class TestFamilyName:
         with pytest.raises(ValueError):
             FamilyName.parse(bad)
 
+    def test_negative_unit_vector_index_rejected(self):
+        with pytest.raises(ValueError, match="unit-vector index must be nonnegative"):
+            FamilyName("e", -1)
+
 
 class TestFamilySeq:
     @pytest.mark.parametrize("tag,n,expected", [
@@ -263,6 +267,10 @@ class TestPredictedTriangleWeight:
         with pytest.raises(NoClosedFormError):
             predicted_triangle_weight(FamilyName.parse("c1"), 7)
 
+    def test_undefined_family_is_a_range_error(self):
+        with pytest.raises(FamilyRangeError, match="v family requires n == 2 \\(mod 3\\)"):
+            predicted_triangle_weight(FamilyName.parse("v1"), 12)
+
     def test_closed_forms_match_computation_up_to_64(self):
         for n in range(2, 65):
             for f in all_families(n):
@@ -435,6 +443,10 @@ class TestPredictedLevel:
     def test_bad_level_token(self):
         with pytest.raises(ValueError, match="expected 1, 2, 3, m or m-1"):
             predicted_level("m-2", 12)
+
+    def test_length_must_be_positive(self):
+        with pytest.raises(ValueError, match="length must be positive"):
+            predicted_level("1", 0)
 
     def test_members_are_distinct_and_sized(self):
         for level in (1, 2, 3, "m", "m-1"):

@@ -118,6 +118,10 @@ class TestMaps:
 
 
 class TestOrbit:
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="empty sequence has no orbit"):
+            orbit(BitSeq(0, 0))
+
     def test_all_ones_class(self):
         n = 6
         got = {str(m) for m in orbit(BitSeq.ones(n)).members}

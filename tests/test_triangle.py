@@ -27,6 +27,9 @@ class TestBuild:
     def test_single_bit(self):
         assert [str(r) for r in build(BitSeq.from_string("1")).rows] == ["1"]
 
+    def test_length(self):
+        assert build(BitSeq.from_string("0001001")).n == 7
+
     def test_two_zeros(self):
         assert [str(r) for r in build(BitSeq.from_string("00")).rows] == ["00", "0"]
 

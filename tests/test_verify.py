@@ -42,6 +42,11 @@ class TestSmallN:
         assert [r.n for r in records] == [1, 2, 3, 4]
         assert all(r.status == "pass" for r in records)
 
+    def test_a_pass_gives_the_records_of_lone_calls(self):
+        weights = verify_mod._passes(range(4, 5)).weights
+        assert [r.key() for r in verify_small_n(weights)] == \
+            [r.key() for r in verify_small_n()]
+
 
 class TestVerifyLevel:
     @pytest.mark.parametrize("n,level,weight", [
@@ -123,11 +128,14 @@ class TestFamilyPass:
                 [triangle_weight(BitSeq(n, bits)) for _, bits, _, _ in rows], n
 
     def test_heights_are_the_scalar_heights(self):
-        heights = verify_mod._passes(range(1, 12)).heights
-        assert list(heights) == list(verify_mod._TOP_SUMMARY_SIZES)
-        for n, m in heights.items():
-            assert type(m) is int  # a numpy integer would print as np.int64(m)
-            assert m == len({triangle_weight(BitSeq(n, x)) for x in range(1 << n)}) - 1
+        # every generator of the small-n sizes and of the top summary's, which
+        # read the whole ladder and the height m off these weights
+        weights = verify_mod._passes(range(1, 12)).weights
+        assert list(weights) == list(range(1, 10))
+        for n, ws in weights.items():
+            assert all(type(w) is int for w in ws)  # a numpy integer would print as np.int64(w)
+            assert ws == [triangle_weight(BitSeq(n, x)) for x in range(1 << n)], n
+        assert list(verify_mod._passes(range(10, 12)).weights) == list(verify_mod._SMALL_N)
 
     def test_one_row_steps_call_per_run(self, monkeypatch):
         calls = []
@@ -138,12 +146,14 @@ class TestFamilyPass:
             return real(x, n)
 
         monkeypatch.setattr(verify_mod, "row_steps", counted)
+        # the call also weighs all 2^n generators of n = 1..4, 30 in all,
+        # for the small-n ladder
         assert verify_all(10, 24).ok
-        assert calls == [sum(len(families_mod.family_words(n)) for n in range(10, 25))]
-        # from n = 4 the call also weighs all 2^n generators of n = 4..9
+        assert calls == [sum(len(families_mod.family_words(n)) for n in range(10, 25)) + 30]
+        # and from n = 4 those of n = 5..9 too, for the top summary
         calls.clear()
         assert verify_all(4, 24).ok
-        assert calls == [sum(len(families_mod.family_words(n)) for n in range(4, 25)) + 1008]
+        assert calls == [sum(len(families_mod.family_words(n)) for n in range(4, 25)) + 1022]
 
     def test_a_lone_check_weighs_only_its_own_words(self, monkeypatch):
         calls = []
@@ -295,9 +305,12 @@ class TestFailureWitnesses:
         return verify_small_n()[3]  # n = 4
 
     def test_small_n_ladder_height(self, monkeypatch):
+        # the witness is the least of the observed top level, against the
+        # stored ladder's top weight
         record = self.small_n(monkeypatch, lambda rows: rows.pop((4, "4")))
         assert_witness(record, "fail", "ladder height 4 observed, 3 expected",
-                       seqs("1011", "1101"), -1)
+                       seqs("1011", "1101"), 6)
+        assert record.witness == Witness(BitSeq.from_string("1011"), 7, 6)
 
     def test_small_n_ladder_level_weight(self, monkeypatch):
         def heavier(rows):
@@ -307,12 +320,25 @@ class TestFailureWitnesses:
         assert_witness(record, "fail", "weight 5 observed, 6 predicted",
                        seqs("0010", "0011", "0100", "0101", "1010", "1100"), 6)
 
+    @staticmethod
+    def small_n_weights(edits):
+        """The weights of the 2^4 generators of n = 4, those of ``edits`` replaced."""
+        weights = [triangle_weight(BitSeq(4, x)) for x in range(16)]
+        for text, w in edits.items():
+            weights[BitSeq.from_string(text).bits] = w
+        return weights
+
     def test_small_n_ladder_weight_zero(self):
-        data = ladder_ends(4, 10, 0)  # the whole ladder
-        low = [dataclasses.replace(data.low[0], count=2), *data.low[1:-1],
-               dataclasses.replace(data.low[-1], weight=99)]
-        record = verify_mod._small_n_ladder(4, data._replace(low=low))
-        assert_witness(record, "fail", "2 generators of weight 0", seqs("1011", "1101"), -1)
+        # one of W_m's two generators at weight 0 keeps the height
+        record = verify_mod._small_n_ladder(4, self.small_n_weights({"1011": 0}))
+        assert_witness(record, "fail", "2 generators of weight 0", seqs("1011"), 0)
+        assert record.witness.observed == 7
+
+    def test_small_n_ladder_no_weight_zero(self):
+        # the zero word weighed above the top keeps the height: it is the witness
+        record = verify_mod._small_n_ladder(4, self.small_n_weights({"0000": 99}))
+        assert_witness(record, "fail", "0 generators of weight 0", seqs("0000"), 0)
+        assert record.witness.observed == 0
 
     @pytest.mark.parametrize("members,witness", [
         (None, "00000001"),  # the level's own members, at a weight that is not theirs
@@ -348,6 +374,18 @@ class TestFailureWitnesses:
         record = verify_family_weights(13, words=[(FamilyName("e", 0), 1, 13, 99)])
         assert_witness(record, "fail", "e0: weight 99 observed, formula gives 13",
                        [BitSeq(13, 1)], 13)
+
+    def test_s3_equality_set_below_the_bound(self):
+        # the maximisers match the stored set, but the pass's max is 5: the
+        # witness is the least of the observed set
+        record = verify_s3(4, three_rows=[{}, {}, {}, {0: 5}])
+        assert (record.status, record.detail) == \
+            ("fail", "equality set mismatch: 4 at 5 observed, 4 at 6 expected")
+        assert record.witness == Witness(BitSeq.from_string("0110"), 6, 6)
+
+    def test_s3_pass_shorter_than_the_size(self):
+        with pytest.raises(ValueError, match="three_rows has 1 entries, fewer than n = 6"):
+            verify_s3(6, three_rows=[{0: 1}])
 
     def test_s3_max(self):
         record = verify_s3(4, three_rows=[{}, {}, {}, {0: 99}])
@@ -489,8 +527,8 @@ class TestVerifyAll:
 
     def test_one_enumeration_per_size(self, monkeypatch):
         # No size builds a sweep kernel: every check reads the ladder-end search,
-        # asked once for the shared levels of every size and the whole ladders
-        # of the small-n ladder, or the three-row DP.
+        # asked once for the shared levels of every size, the three-row DP or
+        # the weighing pass, which gives the small-n ladder its whole ladders.
         def no_kernel(*args, **kwargs):
             raise AssertionError("verify built a sweep kernel")
 
@@ -511,12 +549,8 @@ class TestVerifyAll:
         monkeypatch.setattr(verify_mod, "ladder_ends", counted)
         monkeypatch.setattr(verify_mod, "ladder_ends_batch", counted_batch)
         assert verify_all(1, 24, workers=3).ok
-        assert batches == [4 + 24]
-        assert {n: c for (n, low, high), c in searched.items() if (low, high) == (3, 2)} == \
-            {n: 1 for n in range(1, 25)}
-        whole = {n: c for (n, low, high), c in searched.items()
-                 if (low, high) == (n * (n + 1) // 2, 0)}
-        assert whole == Counter(range(1, 5))
+        assert batches == [24]
+        assert searched == {(n, 3, 2): 1 for n in range(1, 25)}
 
     def test_larger_sizes_read_the_search(self, monkeypatch):
         def no_kernel(*args, **kwargs):
@@ -591,9 +625,9 @@ class TestTimedChecks:
 
         monkeypatch.setattr(verify_mod, "CheckRecord", Counted)
         report = verify_all(4, 24)
-        # two records take on shared time, by a copy: the first small-n record
-        # and the first record of the lowest size
-        assert len(built) == len(report.records) + 2
+        # one record takes on shared time, by a copy: the first record of the
+        # lowest size
+        assert len(built) == len(report.records) + 1
         assert all(type(r) is Counted for r in report.records)
 
 
