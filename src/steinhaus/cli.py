@@ -31,14 +31,10 @@ from .spectrum import (
 SCHEMA_VERSION = 1
 
 
-def _document(command: str, args: dict, payload: dict) -> dict:
-    return {"schema": SCHEMA_VERSION, "command": command, "args": args,
-            "payload": payload}
-
-
-def _emit(doc: dict) -> None:
+def _emit(command: str, args: dict, payload: dict) -> None:
     import json
 
+    doc = {"schema": SCHEMA_VERSION, "command": command, "args": args, "payload": payload}
     print(json.dumps(doc, sort_keys=True, indent=2))
 
 
@@ -71,17 +67,15 @@ def cmd_triangle(ns: argparse.Namespace) -> int:
     from .triangle import render, s3, triangle_weight
 
     x = BitSeq.from_string(ns.sequence)
-    if x.n == 0:
-        raise ValueError("empty sequence generates no triangle")
+    tw = triangle_weight(x)  # first, so an empty sequence fails with its message, not build's
     art = render(x, zero="0" if ns.zeros else ".")
-    tw = triangle_weight(x)
     s3_value = s3(x) if x.n >= 3 else None
     if ns.format == "json":
         rows = [str(x.derivative_k(k)) for k in range(x.n)]
-        _emit(_document("triangle", {"sequence": str(x), "zeros": ns.zeros}, {
+        _emit("triangle", {"sequence": str(x), "zeros": ns.zeros}, {
             "sequence": str(x), "n": x.n, "ones": x.weight,
             "triangle_weight": tw, "s3": s3_value, "rows": rows,
-        }))
+        })
     else:
         print(art)
         tail = f"length {x.n}, ones {x.weight}, triangle weight {tw}"
@@ -100,8 +94,7 @@ def cmd_spectrum(ns: argparse.Namespace) -> int:
             if c:
                 print(f"{w},{c}")
     else:
-        _emit(_document("spectrum", {"n": ns.n, "reduced": ns.reduced},
-                        _spectrum_payload(spec)))
+        _emit("spectrum", {"n": ns.n, "reduced": ns.reduced}, _spectrum_payload(spec))
     return 0
 
 
@@ -116,8 +109,7 @@ def cmd_levels(ns: argparse.Namespace) -> int:
                "low": [_level_payload(ls) for ls in low],
                "high": [_level_payload(ls) for ls in high]}
     if ns.format == "json":
-        _emit(_document("levels", {"n": ns.n, "low": max(len(low) - 1, 0),
-                                   "high": len(high)}, payload))
+        _emit("levels", {"n": ns.n, "low": max(len(low) - 1, 0), "high": len(high)}, payload)
     else:
         for ls in low + high:
             mark = " (truncated)" if ls.truncated else ""
@@ -132,10 +124,10 @@ def cmd_orbit(ns: argparse.Namespace) -> int:
     x = BitSeq.from_string(ns.sequence)
     orb = orbit(x)
     if ns.format == "json":
-        _emit(_document("orbit", {"sequence": str(x)}, {
+        _emit("orbit", {"sequence": str(x)}, {
             "sequence": str(x), "canonical": str(orb.canonical),
             "size": orb.size, "members": _texts(orb.members),
-        }))
+        })
     else:
         print(f"orbit size {orb.size}, canonical {orb.canonical}")
         for member in orb.members:
@@ -157,7 +149,7 @@ def cmd_families(ns: argparse.Namespace) -> int:
                      "predicted": predicted, "actual": actual,
                      "match": None if predicted is None else predicted == actual})
     if ns.format == "json":
-        _emit(_document("families", {"n": ns.n}, {"n": ns.n, "rows": rows}))
+        _emit("families", {"n": ns.n}, {"n": ns.n, "rows": rows})
     else:
         width = max(len(r["sequence"]) for r in rows)
         print(f"{'family':<8}{'sequence':<{width + 2}}{'predicted':>10}{'actual':>8}  match")
@@ -185,7 +177,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     counts = {status: sum(r.status == status for r in report.records)
               for status in statuses}
     if ns.format == "json":
-        _emit(_document("verify", {"from": ns.start, "to": ns.end}, {
+        _emit("verify", {"from": ns.start, "to": ns.end}, {
             "from": ns.start, "to": ns.end,
             "exit_code": report.exit_code,
             "summary": counts,
@@ -194,7 +186,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
                 "detail": r.detail, "witness": _witness_payload(r),
                 "elapsed": round(r.elapsed, 6),
             } for r in report.records],
-        }))
+        })
     else:
         for r in report.records:
             line = f"[{r.status:>20}] n={r.n:<3} {r.check}: {r.detail}"
@@ -225,8 +217,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--reduced", action="store_true",
                    help="count each symmetry orbit once: a cross-check, not faster")
-    p.add_argument("--force", action="store_true",
-                   help="bypass the enumeration ceiling")
 
     p = sub.add_parser("levels", help="level sets from both ends of the ladder")
     p.add_argument("n", type=int)
@@ -236,8 +226,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="K levels down from W_m (0 to skip; default 2, clamped)")
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--force", action="store_true",
-                   help="bypass the enumeration ceiling")
 
     p = sub.add_parser("orbit", help="symmetry orbit and canonical representative")
     p.add_argument("sequence")
@@ -252,8 +240,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="end", type=int, default=12)
     p.add_argument("--workers", type=int, default=None, help="accepted but not used")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--force", action="store_true",
-                   help="bypass the enumeration ceiling")
+    for command in ("spectrum", "levels", "verify"):  # each help lists --force last
+        sub.choices[command].add_argument("--force", action="store_true",
+                                          help="bypass the enumeration ceiling")
     return parser
 
 

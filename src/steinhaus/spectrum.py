@@ -313,10 +313,6 @@ class _Kernel:
         or an array of one block per lane), as packed values."""
         return hi << self.k | _reversed(lanes, self.k)
 
-    def mirrored(self, hi, lanes):
-        """Reversals of the generators held by ``lanes`` of block ``hi``, as packed values."""
-        return lanes << (self.n - self.k) | _reversed(hi, self.n - self.k)
-
     def _blocks(self, pairs: np.ndarray):
         """(blocks, words, consts) of ``pairs``, a uint64 array of pairs hi'.
         Row r of blocks[i] is block hi' and, if l > 0, its partner
@@ -451,7 +447,7 @@ def _collect_range(kernel: _Kernel, pairs: list[int], wanted: np.ndarray,
         values, value_w = [z, z ^ full], [w[lane_keys], wc[lane_keys]]
         if a:  # and the reversals, which no block evaluates
             two = lanes < a
-            r = kernel.mirrored(blocks[two], lanes[two])
+            r = _reversed(z[two], kernel.n)
             values += [r, r ^ full]
             value_w += [value_w[0][two], value_w[1][two]]
         values, value_w = np.concatenate(values), np.concatenate(value_w)

@@ -2,7 +2,8 @@
 
 ``rot_r`` and ``rot_l`` are the 120- and 240-degree rotations of the triangle
 (read off the right side top-down, resp. the left side bottom-up), ``invert_i``
-the mirror reflection (sequence reversal). Triangle weight is invariant under
+the mirror reflection (sequence reversal). ``rot_r`` and ``invert_i`` generate
+the group: ``rot_l`` is ``rot_r`` twice. Triangle weight is invariant under
 all six compositions, which the enumeration engine exploits.
 """
 
@@ -28,17 +29,8 @@ def rot_r(x: BitSeq) -> BitSeq:
 
 
 def rot_l(x: BitSeq) -> BitSeq:
-    """Entry j is the first entry of row n-1-j; inverse of ``rot_r``."""
-    if x.n == 0:
-        raise ValueError("empty sequence has no rotation")
-    bits = x.bits
-    out = 0
-    m = x.n
-    for k in range(x.n):
-        out |= (bits & 1) << x.n - 1 - k
-        m -= 1
-        bits = (bits ^ bits >> 1) & (1 << m) - 1
-    return BitSeq(x.n, out)
+    """Entry j is the first entry of row n-1-j; inverse of ``rot_r``, which it applies twice."""
+    return rot_r(rot_r(x))
 
 
 def invert_i(x: BitSeq) -> BitSeq:
@@ -69,9 +61,11 @@ class Orbit:
 
 
 def images(x: BitSeq) -> tuple[BitSeq, ...]:
-    """x under the five symmetries other than the identity: r(x), l(x), i(x), r(i(x)), l(i(x))."""
-    ix = invert_i(x)
-    return rot_r(x), rot_l(x), ix, rot_r(ix), rot_l(ix)
+    """x under the five symmetries other than the identity: r(x), l(x), i(x), r(i(x)), l(i(x)),
+    read off r = ``rot_r`` and i = ``invert_i``, as l = r∘r, r∘i = i∘l and l∘i = i∘r."""
+    r = rot_r(x)
+    l = rot_r(r)
+    return r, l, invert_i(x), invert_i(l), invert_i(r)
 
 
 def orbit(x: BitSeq) -> Orbit:

@@ -42,8 +42,9 @@ import dataclasses
 import functools
 import inspect
 import time
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .bitseq import BitSeq
@@ -138,14 +139,16 @@ class VerificationReport:
 # ---------------------------------------------------------------------------
 # fixtures
 
-def _unit_vector_fixture() -> dict[tuple[int, int], int]:
-    return {(int(n), int(k)): int(w)
-            for n, k, w in _fixture_rows("unit_vector_weights.txt")}
+@functools.cache
+def _unit_vector_fixture() -> Mapping[tuple[int, int], int]:
+    return MappingProxyType({(int(n), int(k)): int(w)
+                             for n, k, w in _fixture_rows("unit_vector_weights.txt")})
 
 
-def _top_summary_fixture() -> dict[int, tuple[int, int, int]]:
-    return {int(n): (int(m), int(w), int(c))
-            for n, m, w, c in _fixture_rows("top_level_summary.txt")}
+@functools.cache
+def _top_summary_fixture() -> Mapping[int, tuple[int, int, int]]:
+    return MappingProxyType({int(n): (int(m), int(w), int(c))
+                             for n, m, w, c in _fixture_rows("top_level_summary.txt")})
 
 
 def _golden_slice(n: int) -> tuple[int, frozenset[BitSeq]]:
@@ -168,10 +171,10 @@ def _timed(name: str | Callable[..., str]):
     return decorate
 
 
-def _witness(seqs: Iterable[BitSeq], predicted: int) -> Witness:
-    """The least of ``seqs`` by text, its weight re-weighed by the scalar oracle."""
+def _witness(seqs: Iterable[BitSeq], predicted: int, oracle=triangle_weight) -> Witness:
+    """The least of ``seqs`` by text, its weight re-weighed by the scalar ``oracle``."""
     x = min(seqs, key=str)
-    return Witness(x, triangle_weight(x), predicted)
+    return Witness(x, oracle(x), predicted)
 
 
 def _compare_level(level: WeightSlice, predicted_w: int, predicted: frozenset[BitSeq],
@@ -347,16 +350,16 @@ def verify_s3(n: int, *, three_rows: list[dict[int, int]] | None = None) -> tupl
     best = max(three_rows[n - 1].values())  # the members are listed only where read
     bound = 2 * n - 2
     if best > bound:
-        x = BitSeq(n, three_row_max(n, force=True)[1][0])
-        return "fail", f"max three-row weight {best} exceeds {bound}", Witness(x, s3(x), bound)
+        return ("fail", f"max three-row weight {best} exceeds {bound}",
+                _witness([BitSeq(n, three_row_max(n, force=True)[1][0])], bound, s3))
     detail = f"max three-row weight {best} <= {bound}"
     if n in _S3_EQUALITY:
         expected = frozenset(BitSeq.from_string(s) for s in _S3_EQUALITY[n])
         observed = frozenset(BitSeq(n, v) for v in three_row_max(n, force=True)[1])
         if best != bound or observed != expected:
-            diff = min(observed ^ expected or observed, key=str)
             return ("fail", f"equality set mismatch: {len(observed)} at {best} observed, "
-                    f"{len(expected)} at {bound} expected", Witness(diff, s3(diff), bound))
+                    f"{len(expected)} at {bound} expected",
+                    _witness(observed ^ expected or observed, bound, s3))
         detail += f"; equality set of size {len(expected)} matches"
     return "pass", detail
 
@@ -379,9 +382,12 @@ def check_conjecture(n: int, *, data: LadderEnds | None = None) -> tuple:
 # ---------------------------------------------------------------------------
 # golden-table checks
 
-@_timed("golden-level-2")
-def _golden_level2(n: int, data: LadderEnds) -> tuple:
-    return _compare_level(data.low[2], *_level_fixture("second_level_sets.txt")[(n, "2")])
+@_timed(lambda n, data, token: "golden-level-2" if token == "2" else "golden-second-max-sets")
+def _golden_level(n: int, data: LadderEnds, token: str) -> tuple:
+    """Level 2 or m-1 against the row of size n in its bundled table."""
+    level, table = ((data.low[2], "second_level_sets.txt") if token == "2"
+                    else (data.high[1], "second_largest_sets_11_12.txt"))
+    return _compare_level(level, *_level_fixture(table)[(n, token)])
 
 
 @_timed("golden-weight-slice")
@@ -420,12 +426,6 @@ def _golden_second_members(n: int, data: LadderEnds) -> tuple:
     extras = " ".join(map(str, sorted(observed - set_exp, key=str)))
     note = f"; enumeration found members beyond the stored list: {extras}" if extras else ""
     return "pass", f"all {len(set_exp)} listed members present{note}"
-
-
-@_timed("golden-second-max-sets")
-def _golden_second_sets(n: int, data: LadderEnds) -> tuple:
-    return _compare_level(data.high[1],
-                          *_level_fixture("second_largest_sets_11_12.txt")[(n, "m-1")])
 
 
 @_timed("weight-2n-3")
@@ -484,7 +484,7 @@ _CHECKS = (
     _Check("unit-vector-bound", _every, "", lambda n, d, p: verify_ek(n, words=p.families[n])),
     _Check("s3-bound", _every, "", lambda n, d, p: verify_s3(n, three_rows=p.three_rows)),
     _Check("golden-level-2", lambda n: 4 <= n <= 8, "stored rows cover 4 <= n <= 8",
-           lambda n, d, _: _golden_level2(n, d)),
+           lambda n, d, _: _golden_level(n, d, "2")),
     _Check("golden-weight-slice", lambda n: 4 <= n <= 8, "stored rows cover 4 <= n <= 8",
            lambda n, d, _: _golden_weight_slice(n, d), lambda n: _golden_slice(n)[0]),
     _Check("golden-top-levels", lambda n: n in _TOP_SUMMARY_SIZES, "stored rows cover 4 <= n <= 9",
@@ -492,7 +492,7 @@ _CHECKS = (
     _Check("golden-second-max-members", lambda n: n in _TOP_SUMMARY_SIZES,
            "stored rows cover 4 <= n <= 9", lambda n, d, _: _golden_second_members(n, d)),
     _Check("golden-second-max-sets", lambda n: n in (11, 12),
-           "stored rows cover n in {11, 12}", lambda n, d, _: _golden_second_sets(n, d)),
+           "stored rows cover n in {11, 12}", lambda n, d, _: _golden_level(n, d, "m-1")),
     _Check("weight-2n-3", lambda n: n in (10, 14), "spot check defined for n in {10, 14}",
            lambda n, d, _: _weight_2n3(n, d), lambda n: 2 * n - 3),
 )

@@ -28,7 +28,7 @@ from steinhaus import (
     triangle_weight,
 )
 from steinhaus import spectrum as spectrum_mod
-from steinhaus.spectrum import _block_width, _cores, _Images, _Kernel, _plan
+from steinhaus.spectrum import _block_width, _cores, _Images, _Kernel, _plan, _reversed
 
 from conftest import all_seqs, rejection
 
@@ -289,8 +289,9 @@ class TestMirrorCover:
             lanes = np.arange(1 << kernel.k)
             for hi in range(1 << kernel.l):
                 want = [lane_value(kernel.k, hi, j) for j in lanes.tolist()]
-                assert kernel.packed(hi, lanes).tolist() == want
-                assert kernel.mirrored(hi, lanes).tolist() == [
+                packed = kernel.packed(hi, lanes)
+                assert packed.tolist() == want
+                assert _reversed(packed, n).tolist() == [
                     invert_i(BitSeq(n, x)).bits for x in want]
 
     @pytest.mark.parametrize("n", [24, 33])

@@ -9,6 +9,7 @@ from steinhaus import (
     rot_r,
     triangle_weight,
 )
+from steinhaus.symmetry import images
 
 from conftest import all_seqs, random_seq
 
@@ -81,6 +82,10 @@ class TestMaps:
                 assert rot_r(rot_l(x)) == x
                 assert invert_i(invert_i(x)) == x
                 assert rot_r(rot_r(rot_r(x))) == x
+                if n <= 10:  # spectrum._REVERSAL reads index 2: the order is r, l, i, r∘i, l∘i
+                    ix = BitSeq.from_string(str(x)[::-1])
+                    assert images(x) == (rot_r_by_formula(x), rot_l_by_formula(x), ix,
+                                         rot_r_by_formula(ix), rot_l_by_formula(ix))
 
     def test_rot_r_matches_binomial_formula(self):
         for n in range(1, 11):

@@ -201,7 +201,7 @@ class TestFamilyPass:
         real = verify_mod._unit_vector_fixture
 
         def wrong():
-            table = real()
+            table = dict(real())  # the cached table is read-only
             table[12, 5] += 1
             return table
 
