@@ -145,9 +145,7 @@ def family_seq(f: FamilyName, n: int) -> BitSeq:
 
 def predicted_triangle_weight(f: FamilyName, n: int) -> int:
     """Closed-form triangle weight of ``family_seq(f, n)`` where one exists."""
-    why = _range_error(f, n)
-    if why is not None:
-        raise FamilyRangeError(why)
+    family_seq(f, n)  # raises FamilyRangeError where f is undefined at length n
     w = _closed_form(f, n)
     if w is None:
         raise _no_closed_form(f, n)

@@ -60,12 +60,10 @@ from .families import (
     predicted_level,
 )
 from .spectrum import (
-    CeilingExceeded,
     WeightSlice,
     _check_size,
     _resolve_workers,
     _three_row_pass,
-    enumeration_ceiling,
     three_row_max,
 )
 from .symmetry import orbit
@@ -223,11 +221,9 @@ _TOP_SUMMARY_SIZES = range(4, 10)  # of the stored top-level summary, which read
 
 
 @_timed("small-n-ladder")
-def _small_n_ladder(n: int, weights: list[int] | None = None) -> tuple:
+def _small_n_ladder(n: int, weights: list[int]) -> tuple:
     """The ladder of size n, grouped from ``weights``, its 2^n generators'
-    weights in packed order (by default weighed here), against the stored one."""
-    if weights is None:
-        weights = _weighed([], [n])[1][n]
+    weights in packed order, against the stored one."""
     by_weight: dict[int, list[BitSeq]] = {}
     for x, w in enumerate(weights):
         by_weight.setdefault(w, []).append(BitSeq(n, x))
@@ -251,8 +247,10 @@ def _small_n_ladder(n: int, weights: list[int] | None = None) -> tuple:
 
 def verify_small_n(weights: dict[int, list[int]] | None = None) -> list[CheckRecord]:
     """Full-ladder equality for n in {1, 2, 3, 4} against the stored ladders,
-    grouped from ``weights[n]`` (by default each check weighs its own size)."""
-    return [_small_n_ladder(n, None if weights is None else weights[n]) for n in _SMALL_N]
+    grouped from ``weights[n]`` (by default weighed here, all four in one pass)."""
+    if weights is None:
+        weights = _weighed([], _SMALL_N)[1]
+    return [_small_n_ladder(n, weights[n]) for n in _SMALL_N]
 
 
 class _Passes(NamedTuple):
@@ -511,18 +509,16 @@ def verify_all(n_min: int, n_max: int, *, workers: int | None = None,
                force: bool = False) -> VerificationReport:
     """Run the small-n ladder once plus every applicable check for each n.
 
-    Sizes above the enumeration ceiling need ``force`` (CLI ``--force``).
-    ``workers`` is checked, but unused: no check sweeps all 2^n generators.
+    Sizes are refused by ``_check_size``, as in every command: past ``SEARCH_LIMIT``
+    first, then above the ceiling without ``force`` (CLI ``--force``). ``workers``
+    is checked, but unused: no check sweeps all 2^n generators.
     """
     _resolve_workers(workers)
     if n_min > n_max:
         raise ValueError("empty range")
     if n_min < 1:
         raise ValueError("sizes start at 1")
-    ceiling = enumeration_ceiling()
-    if n_max > ceiling and not force:
-        raise CeilingExceeded(f"n_max={n_max} exceeds the enumeration ceiling {ceiling}")
-    _check_size(n_max, force=True, limit=SEARCH_LIMIT)  # before any search
+    _check_size(n_max, force, limit=SEARCH_LIMIT)  # before any search
     sizes = range(n_min, n_max + 1)
     t0 = time.perf_counter()
     ends = ladder_ends_batch([(n, 3, 2, [c.weight(n) for c in _CHECKS if c.weight and c.applies(n)])

@@ -13,6 +13,11 @@ from steinhaus import BitSeq, CeilingExceeded, CheckRecord, VerificationReport, 
 from steinhaus import cli, verify_all
 
 
+# what every command prints, on stderr, refusing size n above the ceiling
+CEILING = ("error: n={} exceeds the enumeration ceiling of {}; "
+           "pass force=True (CLI --force) or raise STEINHAUS_MAX_N\n")
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -249,14 +254,26 @@ class TestVerify:
         monkeypatch.setenv("STEINHAUS_MAX_N", "8")
         with pytest.raises(CeilingExceeded):
             verify_all(4, 9)
-        code, _, err = run(capsys, "verify", "--from", "4", "--to", "9")
-        assert code == 2 and "exceeds the enumeration ceiling 8" in err
+        code, out, err = run(capsys, "verify", "--from", "4", "--to", "9")
+        assert (code, out, err) == (2, "", CEILING.format(9, 8))
 
     def test_default_ceiling_exit_2_without_force(self, capsys, monkeypatch):
         monkeypatch.delenv("STEINHAUS_MAX_N", raising=False)
         code, out, err = run(capsys, "verify", "--from", "31", "--to", "31")
-        assert code == 2 and out == ""
-        assert "n_max=31 exceeds the enumeration ceiling 30" in err
+        assert (code, out, err) == (2, "", CEILING.format(31, 30))
+
+    @pytest.mark.parametrize("argv,line", [
+        (("spectrum", "31"), CEILING.format(31, 30)),
+        (("levels", "31"), CEILING.format(31, 30)),
+        (("verify", "--from", "4", "--to", "31"), CEILING.format(31, 30)),
+        # the largest size asked for is named, as ``levels 33`` names 33
+        (("verify", "--from", "4", "--to", "33"), CEILING.format(33, 30)),
+        # --force cannot pass the engine limit, so it is named first
+        (("verify", "--from", "4", "--to", "70"), "error: n=70 exceeds the engine limit of 64\n"),
+    ], ids=["spectrum", "levels", "verify", "verify-largest-size", "verify-past-the-engine-limit"])
+    def test_every_command_refuses_a_size_with_one_message(self, capsys, monkeypatch, argv, line):
+        monkeypatch.delenv("STEINHAUS_MAX_N", raising=False)
+        assert run(capsys, *argv) == (2, "", line)
 
     def test_force_passes_the_ceiling(self, capsys, monkeypatch):
         monkeypatch.delenv("STEINHAUS_MAX_N", raising=False)

@@ -42,10 +42,19 @@ class TestSmallN:
         assert [r.n for r in records] == [1, 2, 3, 4]
         assert all(r.status == "pass" for r in records)
 
-    def test_a_pass_gives_the_records_of_lone_calls(self):
+    def test_a_pass_gives_the_records_of_lone_calls(self, monkeypatch):
         weights = verify_mod._passes(range(4, 5)).weights
-        assert [r.key() for r in verify_small_n(weights)] == \
-            [r.key() for r in verify_small_n()]
+        calls = []
+        real = verify_mod.row_steps
+
+        def counted(x, n):
+            calls.append(len(x))
+            return real(x, n)
+
+        monkeypatch.setattr(verify_mod, "row_steps", counted)
+        lone = verify_small_n()
+        assert calls == [2 + 4 + 8 + 16]  # one call weighs all four sizes
+        assert [r.key() for r in verify_small_n(weights)] == [r.key() for r in lone]
 
 
 class TestVerifyLevel:
