@@ -4,7 +4,7 @@ Commands: triangle, spectrum, levels, orbit, families, verify. Exit codes:
 0 success, 1 a verification check failed, 2 usage error (bad input or
 enumeration ceiling exceeded), 3 a conjecture check found a counterexample,
 141 stdout was closed early (as by ``| head``).
-JSON documents are stable-ordered (sorted keys, members sorted by text) so
+JSON documents are stable-ordered (sorted keys, members in text order) so
 saved outputs diff cleanly; worker count never changes the payload.
 A command imports the modules that only it uses when it runs, so no command
 loads another's modules at start-up. The parser is built once per process,
@@ -21,10 +21,10 @@ import sys
 
 from .bitseq import MAX_LEN, BitSeq
 from .spectrum import (
+    DEFAULT_MEMBER_CAP,
     LevelSet,
-    _check_levels,
+    _checked_sweep,
     full_spectrum,
-    level_sets,
     symmetry_reduced_spectrum,
 )
 
@@ -36,10 +36,6 @@ def _emit(command: str, args: dict, payload: dict) -> None:
 
     doc = {"schema": SCHEMA_VERSION, "command": command, "args": args, "payload": payload}
     print(json.dumps(doc, sort_keys=True, indent=2))
-
-
-def _texts(seqs) -> list[str]:
-    return sorted(str(x) for x in seqs)
 
 
 def _spectrum_payload(spec) -> dict:
@@ -60,7 +56,7 @@ def _spectrum_payload(spec) -> dict:
 
 def _level_payload(ls: LevelSet) -> dict:
     return {"index": ls.index, "weight": ls.weight, "count": ls.count,
-            "truncated": ls.truncated, "members": _texts(ls.members)}
+            "truncated": ls.truncated, "members": [str(m) for m in ls.members]}
 
 
 def cmd_triangle(ns: argparse.Namespace) -> int:
@@ -99,11 +95,7 @@ def cmd_spectrum(ns: argparse.Namespace) -> int:
 
 
 def cmd_levels(ns: argparse.Namespace) -> int:
-    if ns.low == ns.high == 0:  # checked before the sweep, which would print nothing
-        raise ValueError("need at least one level")
-    sweep = level_sets(ns.n, 3 if ns.low is None else ns.low,
-                       2 if ns.high is None else ns.high, workers=ns.workers, force=ns.force)
-    _check_levels(sweep.spectrum, ns.low or 0, ns.high or 0)  # the defaults clamp
+    sweep = _checked_sweep(ns.n, ns.low, ns.high, DEFAULT_MEMBER_CAP, ns.workers, ns.force)
     low, high = sweep.low, sweep.high
     payload = {"n": ns.n,
                "low": [_level_payload(ls) for ls in low],
@@ -114,7 +106,7 @@ def cmd_levels(ns: argparse.Namespace) -> int:
         for ls in low + high:
             mark = " (truncated)" if ls.truncated else ""
             print(f"W_{ls.index}: weight {ls.weight}, {ls.count} generators{mark}")
-            print("  " + " ".join(_texts(ls.members)))
+            print("  " + " ".join(map(str, ls.members)))
     return 0
 
 
@@ -126,7 +118,7 @@ def cmd_orbit(ns: argparse.Namespace) -> int:
     if ns.format == "json":
         _emit("orbit", {"sequence": str(x)}, {
             "sequence": str(x), "canonical": str(orb.canonical),
-            "size": orb.size, "members": _texts(orb.members),
+            "size": orb.size, "members": [str(m) for m in orb.members],
         })
     else:
         print(f"orbit size {orb.size}, canonical {orb.canonical}")

@@ -680,7 +680,7 @@ def level_sets(n: int, low: int, high: int, *, weights=(),
     ``low`` asks for W_0 .. W_low (none if 0), ``high`` for the ``high``
     levels from W_m down; both are clamped to the ladder, whose height is
     known only after the sweep. ``weights`` asks for the generators at each
-    of those exact weights. Members are the first ``cap`` in packed order.
+    of those exact weights. Members, in text order, are the ``cap`` least in packed order.
     """
     targets = _request(n, low, high, weights, cap, force)
     kernel, collect = _Kernel(n), bool(low or high or targets)
@@ -722,22 +722,19 @@ def _level(index: int, piece: WeightSlice) -> LevelSet:
     return LevelSet(index, piece.weight, piece.members, piece.count, piece.truncated)
 
 
-def _check_levels(spectrum: WeightSpectrum, low: int, high: int) -> None:
-    """Explicit level counts must fit the ladder; ``level_sets`` only clamps them."""
-    m = spectrum.m
-    if low > m:
-        raise ValueError(f"k={low} exceeds the top level m={m} for n={spectrum.n}")
-    if high > m + 1:
-        raise ValueError(f"k={high} exceeds the ladder height for n={spectrum.n}")
-
-
-def _checked_sweep(n: int, low: int, high: int, cap: int, workers: int | None,
-                   force: bool) -> LevelSweep:
-    """``level_sets`` with its level counts checked."""
-    if max(low, high) < 1:
+def _checked_sweep(n: int, low: int | None, high: int | None, cap: int,
+                   workers: int | None, force: bool) -> LevelSweep:
+    """``level_sets`` with its level counts checked: a count left None takes its
+    default (3 low, 2 high) and is clamped to the ladder; a given one must fit it."""
+    if low == high == 0:  # a negative count goes on to ``_request``'s sign check
         raise ValueError("need at least one level")
-    sweep = level_sets(n, low, high, cap=cap, workers=workers, force=force)
-    _check_levels(sweep.spectrum, low, high)
+    sweep = level_sets(n, 3 if low is None else low, 2 if high is None else high,
+                       cap=cap, workers=workers, force=force)
+    m = sweep.spectrum.m
+    if (low or 0) > m:
+        raise ValueError(f"k={low} exceeds the top level m={m} for n={n}")
+    if (high or 0) > m + 1:
+        raise ValueError(f"k={high} exceeds the ladder height for n={n}")
     return sweep
 
 

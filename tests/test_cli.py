@@ -10,7 +10,10 @@ import pytest
 
 import steinhaus
 from steinhaus import BitSeq, CeilingExceeded, CheckRecord, VerificationReport, Witness
-from steinhaus import cli, verify_all
+from steinhaus import cli, ladder_ends, level_sets, level_sets_high, level_sets_low, orbit
+from steinhaus import verify_all
+
+from conftest import all_seqs, rejection
 
 
 # what every command prints, on stderr, refusing size n above the ceiling
@@ -144,6 +147,46 @@ class TestLevels:
         assert code == 2 and "nonnegative" in err
         code, out, err = run(capsys, "levels", "4", "--low", "0", "--high", "0")
         assert code == 2 and out == "" and "need at least one level" in err
+
+    @pytest.mark.parametrize("low, high, message", [
+        (0, 0, "need at least one level"),
+        (-1, 0, "level counts must be nonnegative"),
+        (0, -1, "level counts must be nonnegative"),
+        (5, 0, "k=5 exceeds the top level m=4 for n=4"),
+        (0, 6, "k=6 exceeds the ladder height for n=4"),
+    ])
+    def test_library_and_cli_refuse_a_count_with_one_message(self, capsys, low, high, message):
+        calls = [lambda: level_sets_low(4, low)] if high == 0 else []
+        calls += [lambda: level_sets_high(4, high)] if low == 0 else []
+        for call in calls:
+            assert rejection(call) == (ValueError, message)
+        code, out, err = run(capsys, "levels", "4", "--low", str(low), "--high", str(high))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+class TestMemberOrder:
+    """The CLI prints members as the engines and ``orbit`` give them, in text order."""
+
+    @staticmethod
+    def assert_text_order(members):
+        texts = [str(x) for x in members]
+        assert texts == sorted(texts)
+
+    @pytest.mark.parametrize("capped", [True, False], ids=["capped", "uncapped"])
+    def test_level_members(self, capped):
+        for n in range(1, 13):
+            every = n * (n + 1) // 2 + 1  # more levels than the ladder has: both engines clamp
+            cap = 3 if capped else 1 << n
+            for found in (level_sets(n, every, every, cap=cap),
+                          ladder_ends(n, every, every, cap=cap)):
+                for ls in found.low + found.high:
+                    assert ls.truncated == (ls.count > cap)
+                    self.assert_text_order(ls.members)
+
+    def test_orbit_members(self):
+        for n in range(1, 11):
+            for x in all_seqs(n):
+                self.assert_text_order(orbit(x).members)
 
 
 class TestOrbit:
