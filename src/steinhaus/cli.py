@@ -64,7 +64,6 @@ def cmd_triangle(ns: argparse.Namespace) -> int:
 
     x = BitSeq.from_string(ns.sequence)
     tw = triangle_weight(x)  # first, so an empty sequence fails with its message, not build's
-    art = render(x, zero="0" if ns.zeros else ".")
     s3_value = s3(x) if x.n >= 3 else None
     if ns.format == "json":
         rows = [str(x.derivative_k(k)) for k in range(x.n)]
@@ -73,7 +72,7 @@ def cmd_triangle(ns: argparse.Namespace) -> int:
             "triangle_weight": tw, "s3": s3_value, "rows": rows,
         })
     else:
-        print(art)
+        print(render(x, zero="0" if ns.zeros else "."))
         tail = f"length {x.n}, ones {x.weight}, triangle weight {tw}"
         if s3_value is not None:
             tail += f", three-row weight {s3_value}"
@@ -97,11 +96,10 @@ def cmd_spectrum(ns: argparse.Namespace) -> int:
 def cmd_levels(ns: argparse.Namespace) -> int:
     sweep = _checked_sweep(ns.n, ns.low, ns.high, DEFAULT_MEMBER_CAP, ns.workers, ns.force)
     low, high = sweep.low, sweep.high
-    payload = {"n": ns.n,
-               "low": [_level_payload(ls) for ls in low],
-               "high": [_level_payload(ls) for ls in high]}
     if ns.format == "json":
-        _emit("levels", {"n": ns.n, "low": max(len(low) - 1, 0), "high": len(high)}, payload)
+        _emit("levels", {"n": ns.n, "low": max(len(low) - 1, 0), "high": len(high)},
+              {"n": ns.n, "low": [_level_payload(ls) for ls in low],
+               "high": [_level_payload(ls) for ls in high]})
     else:
         for ls in low + high:
             mark = " (truncated)" if ls.truncated else ""

@@ -446,3 +446,31 @@ class TestDocuments:
         assert doc["schema"] == 1
         assert doc["command"] == argv[0]
         assert json.loads(json.dumps(doc, sort_keys=True, indent=2)) == doc
+
+
+class TestEachFormatBuildsOnlyItsOutput:
+    """Text output builds no JSON document, and JSON output renders no art."""
+
+    @staticmethod
+    def counting(monkeypatch, target, name):
+        calls = []
+        real = getattr(target, name)
+        monkeypatch.setattr(target, name, lambda *a, **k: calls.append(a) or real(*a, **k))
+        return calls
+
+    def test_levels_builds_a_level_payload_only_for_json(self, capsys, monkeypatch):
+        calls = self.counting(monkeypatch, cli, "_level_payload")
+        code, out, _ = run(capsys, "levels", "8")
+        assert code == 0 and out.startswith("W_0: ") and calls == []
+        code, doc = run_json(capsys, "levels", "8", "--format", "json")
+        assert code == 0
+        assert len(calls) == len(doc["payload"]["low"]) + len(doc["payload"]["high"]) == 6
+
+    def test_triangle_renders_only_for_text(self, capsys, monkeypatch):
+        import steinhaus.triangle
+
+        calls = self.counting(monkeypatch, steinhaus.triangle, "render")
+        code, doc = run_json(capsys, "triangle", "1011", "--format", "json")
+        assert code == 0 and doc["payload"]["triangle_weight"] == 7 and calls == []
+        code, out, _ = run(capsys, "triangle", "1011")
+        assert code == 0 and out.startswith("1 . 1 1\n") and len(calls) == 1
