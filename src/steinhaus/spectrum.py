@@ -52,19 +52,20 @@ its lanes, each standing for two generator pairs {z, ~z}, and one
 are asked for, the sweep also keeps each pair's least and greatest weight,
 the least and greatest of the two weights of the keys it holds (a key's
 weight and its complement's). Pair hi' evaluates about hi' + 1 lanes' worth,
-so work splits into contiguous ranges of pairs of about equal work (one per
-worker, run on at most one thread per available core). Ranges merge by
-adding key counts and folding them into the weight histogram once, a key
-(w, p) adding its count at w and at w + n - 2p. The weights wanted are then
-read off that exact histogram once: the few smallest and largest, plus any
-fixed weights. The second pass keys again, in one call on the calling
-thread, the pairs whose weight range [least, greatest] spans a wanted weight,
-and scans them for its lanes. A lane gives its generator and its complement
-and, if it counts twice, the reversal and its complement, each to the weight
-it has; per weight the ``cap`` least packed values are kept to bound memory,
-so results are identical for any worker count or block width. Every sweep
-checks that the histogram totals 2^n, which also checks the multiplicities,
-and that the members scanned at each collected weight match its count.
+so work splits into contiguous ranges of pairs of about equal work, one per
+thread: ``workers`` caps the threads at the cores this process may use, and
+no count changes the output. Ranges merge by adding key counts and folding
+them into the weight histogram once, a key (w, p) adding its count at w and
+at w + n - 2p. The weights wanted are then read off that exact histogram
+once: the few smallest and largest, plus any fixed weights. The second pass
+keys again, in one call on the calling thread, the pairs whose weight range
+[least, greatest] spans a wanted weight, and scans them for its lanes. A lane
+gives its generator and its complement and, if it counts twice, the reversal
+and its complement, each to the weight it has; per weight the ``cap`` least
+packed values are kept to bound memory, so results are identical for any
+worker count or block width. Every sweep checks that the histogram totals
+2^n, which also checks the multiplicities, and that the members scanned at
+each collected weight match its count.
 ``three_row_max`` needs no sweep: it is a max-plus pass over the states
 (x_{i-1}, x_i) and a backtrack.
 """
@@ -508,30 +509,29 @@ def _resolve_workers(workers: int | None) -> int:
     return workers
 
 
-def _plan(pairs: int, workers: int | None) -> tuple[list[tuple[int, int]], int]:
-    """Contiguous ranges of block pairs of about equal work, one per worker,
-    and the threads that run them: one per range, but never more than the
-    cores this process may use, whatever ``workers`` asks for.
-    """
-    parts = max(1, min(_resolve_workers(workers), pairs))
+def _plan(pairs: int, workers: int | None) -> list[tuple[int, int]]:
+    """Contiguous ranges of block pairs of about equal work, one per thread:
+    ``workers`` of them, but no more than the pairs or the cores this process
+    may use."""
+    parts = max(1, min(_resolve_workers(workers), pairs, _cores()))
     # Pair hi' evaluates (hi' + 1) * 2^(2k-n) lanes per block (see ``_Kernel.cover``),
     # so pairs [0, e) hold work e^2 / 2: equal shares end at pairs * sqrt(i / parts).
     edges = [math.isqrt(pairs * pairs * i // parts) for i in range(parts + 1)]
-    return list(zip(edges, edges[1:])), min(parts, _cores())
+    return list(zip(edges, edges[1:]))
 
 
 def _run(kernel: _Kernel, workers: int | None, range_fn, *args) -> list:
     """range_fn(kernel, start, stop, *args) for every planned range, in range order."""
-    parts, threads = _plan(kernel.pairs, workers)
+    parts = _plan(kernel.pairs, workers)
 
     def task(part):
         return range_fn(kernel, *part, *args)
 
-    if threads == 1:
-        return [task(p) for p in parts]
+    if len(parts) == 1:
+        return [task(parts[0])]
     from concurrent.futures import ThreadPoolExecutor  # not loaded by serial runs
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=len(parts)) as pool:
         return list(pool.map(task, parts))
 
 

@@ -1,6 +1,7 @@
 import concurrent.futures
 import hashlib
 import threading
+import tracemalloc
 from collections import Counter
 from functools import cache
 
@@ -31,6 +32,7 @@ from steinhaus import spectrum as spectrum_mod
 from steinhaus.spectrum import _block_width, _cores, _Images, _Kernel, _plan, _reversed
 
 from conftest import all_seqs, rejection
+from weight_table import weight_histogram
 
 
 def lane_value(k, hi, j):
@@ -123,9 +125,11 @@ class TestFullSpectrum:
         assert {w: c for w, c in enumerate(spec.counts) if c} == expected
 
     def test_matches_pure_python_oracle(self):
-        for n in range(1, 11):
+        for n in range(1, 23):
             spec = full_spectrum(n)
-            assert {w: c for w, c in enumerate(spec.counts) if c} == brute_histogram(n)
+            assert spec.counts == tuple(weight_histogram(n).tolist()), n
+            if n <= 10:
+                assert {w: c for w, c in enumerate(spec.counts) if c} == brute_histogram(n)
 
     def test_global_invariants(self):
         for n in range(1, 15):
@@ -165,17 +169,22 @@ class TestFullSpectrum:
 
 class TestReducedSpectrum:
     def test_agrees_with_full(self):
-        for n in range(1, 13):
-            assert symmetry_reduced_spectrum(n) == full_spectrum(n)
+        for n in range(1, 21):
+            reduced = symmetry_reduced_spectrum(n)
+            assert reduced.counts == tuple(weight_histogram(n).tolist()), n
+            if n <= 12:
+                assert reduced == full_spectrum(n)
 
     def test_agrees_under_workers(self):
         assert symmetry_reduced_spectrum(10, workers=3) == full_spectrum(10)
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_agrees_across_blocks(self, monkeypatch, workers):
-        # 8-lane blocks: every image takes the XOR of the high columns set in hi.
+        # 8-lane blocks: every image takes the XOR of the high columns set in hi;
+        # four cores, so that three workers get three ranges
         expected = [full_spectrum(n) for n in range(1, 14)]
         monkeypatch.setattr(spectrum_mod, "_BLOCK_BITS", 3)
+        monkeypatch.setattr(spectrum_mod, "_cores", lambda: 4)
         for n, spec in enumerate(expected, start=1):
             assert symmetry_reduced_spectrum(n, workers=workers) == spec
 
@@ -770,7 +779,8 @@ class TestFoldedCounts:
         else:
             assert {b - a for a, b in covers} == {tie} and any(a for a, _ in covers)
         counts, bounds = self.expected(kernel)
-        for parts in ([(0, kernel.pairs)], _plan(kernel.pairs, 3)[0]):
+        monkeypatch.setattr(spectrum_mod, "_cores", lambda: 4)
+        for parts in ([(0, kernel.pairs)], _plan(kernel.pairs, 3)):
             got = [spectrum_mod._sweep_range(kernel, start, stop, True) for start, stop in parts]
             assert np.array_equal(sum(c for c, _ in got), counts)
             assert np.array_equal(np.concatenate([b for _, b in got], axis=1), bounds)
@@ -804,7 +814,9 @@ class TestRescanRuns:
         assert kernel.pairs == 16
         picked = [0, 1, 2, 5, 7, 8, 9, 10, 11, 12, 15]
         wanted = np.ones(kernel.bins, dtype=bool)
-        parts, _ = _plan(kernel.pairs, workers)
+        monkeypatch.setattr(spectrum_mod, "_cores", lambda: 4)
+        parts = _plan(kernel.pairs, workers)
+        assert len(parts) == workers
         assert all(any(start <= p < stop for p in picked) for start, stop in parts)
         keys, calls, keyed = _Kernel.keys, [], Counter()
 
@@ -875,7 +887,8 @@ class TestChunkEdges:
         a, b = kernel.cover(0)
         assert 2 * (b - a) * kernel.pairs == ties
         assert (ties > (n + 1) * kernel.bins) == (block_bits == 13)
-        parts = [(0, kernel.pairs)] + _plan(kernel.pairs, 3)[0]
+        monkeypatch.setattr(spectrum_mod, "_cores", lambda: 4)
+        parts = [(0, kernel.pairs)] + _plan(kernel.pairs, 3)
         assert any(start % natural for start, _ in parts)  # a range starts mid-chunk
         last = kernel.pairs - 1
         runs = [range(natural - 2, natural + 13), [0, 3, 4, 9, 10, 11, 40, last - 5, last],
@@ -977,24 +990,41 @@ class TestDeterminism:
         members = find_weight(9, 13)
         big = full_spectrum(14)
         monkeypatch.setattr(spectrum_mod, "_BLOCK_BITS", 3)
+        monkeypatch.setattr(spectrum_mod, "_cores", lambda: 4)
         for workers in (1, 3):  # 64 blocks of 8 lanes, ragged three-way split
             assert full_spectrum(9, workers=workers) == base
             assert find_weight(9, 13, workers=workers) == members
         assert full_spectrum(14, workers=3) == big  # threaded, 2048 blocks
 
-    def test_thread_plan_is_clamped(self):
+    def test_thread_plan_is_clamped(self, monkeypatch):
         assert _Kernel(26).pairs == 1 << 8  # the unit of work is a pair of blocks
-        parts, threads = _plan(1 << 10, 100000)
-        assert len(parts) == 1 << 10
-        assert parts[0] == (0, 32) and parts[-1] == (1023, 1024)
-        assert 1 <= threads <= _cores()
-        parts, threads = _plan(1 << 10, 3)
+        parts = _plan(1 << 10, 100000)
+        assert 1 <= len(parts) <= _cores()  # one range per thread
+        assert parts[0][0] == 0 and parts[-1][1] == 1 << 10
+        monkeypatch.setattr(spectrum_mod, "_cores", lambda: 4)
+        assert len(_plan(1 << 10, 100000)) == 4
+        parts = _plan(1 << 10, 3)
         # pair hi evaluates about hi + 1 lanes' worth: equal shares of 1024 * 1025 / 2
         assert parts == [(0, 591), (591, 836), (836, 1024)]
         work = [sum(hi + 1 for hi in range(*part)) for part in parts]
         assert max(work) - min(work) <= 1024
-        assert threads == min(3, _cores())
-        assert _plan(1, 100000) == ([(0, 1)], 1)
+        assert _plan(1, 100000) == [(0, 1)]
+
+    def test_worker_count_does_not_set_memory(self, monkeypatch):
+        # a range keeps a count array until the merge, so a count far past
+        # the cores must hold no more of them than one range per core
+        monkeypatch.setattr(spectrum_mod, "_cores", lambda: 2)
+        full_spectrum(26, workers=2)  # tables built outside the trace
+
+        def peak(workers):
+            tracemalloc.start()
+            try:
+                full_spectrum(26, workers=workers)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(10 ** 6) <= 1.5 * peak(2)
 
     def test_truncated_capture_deterministic(self):
         base = level_sets_low(9, 2, cap=3, workers=1)
