@@ -53,19 +53,20 @@ are asked for, the sweep also keeps each pair's least and greatest weight,
 the least and greatest of the two weights of the keys it holds (a key's
 weight and its complement's). Pair hi' evaluates about hi' + 1 lanes' worth,
 so work splits into contiguous ranges of pairs of about equal work, one per
-thread: ``workers`` caps the threads at the cores this process may use, and
-no count changes the output. Ranges merge by adding key counts and folding
-them into the weight histogram once, a key (w, p) adding its count at w and
-at w + n - 2p. The weights wanted are then read off that exact histogram
-once: the few smallest and largest, plus any fixed weights. The second pass
-keys again, in one call on the calling thread, the pairs whose weight range
-[least, greatest] spans a wanted weight, and scans them for its lanes. A lane
-gives its generator and its complement and, if it counts twice, the reversal
-and its complement, each to the weight it has; per weight the ``cap`` least
-packed values are kept to bound memory, so results are identical for any
-worker count or block width. Every sweep checks that the histogram totals
-2^n, which also checks the multiplicities, and that the members scanned at
-each collected weight match its count.
+thread: the calling thread sweeps the first and each other range starts a
+thread of its own, with no pool. ``workers`` caps the ranges at the cores
+this process may use, and no count changes the output. Ranges merge by adding
+key counts and folding them into the weight histogram once, a key (w, p)
+adding its count at w and at w + n - 2p. The weights wanted are then read off
+that exact histogram once: the few smallest and largest, plus any fixed
+weights. The second pass keys again, in one call on the calling thread, the
+pairs whose weight range [least, greatest] spans a wanted weight, and scans
+them for its lanes. A lane gives its generator and its complement and, if it
+counts twice, the reversal and its complement, each to the weight it has; per
+weight the ``cap`` least packed values are kept to bound memory, so results
+are identical for any worker count or block width. Every sweep checks that
+the histogram totals 2^n, which also checks the multiplicities, and that the
+members scanned at each collected weight match its count.
 ``three_row_max`` needs no sweep: it is a max-plus pass over the states
 (x_{i-1}, x_i) and a backtrack.
 """
@@ -75,6 +76,7 @@ import functools
 import math
 import operator
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -502,11 +504,9 @@ def _cores() -> int:
 
 
 def _resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        return _cores()
-    if workers < 1:
+    if workers is not None and workers < 1:
         raise ValueError("worker count must be positive")
-    return workers
+    return workers or _cores()
 
 
 def _plan(pairs: int, workers: int | None) -> list[tuple[int, int]]:
@@ -521,18 +521,28 @@ def _plan(pairs: int, workers: int | None) -> list[tuple[int, int]]:
 
 
 def _run(kernel: _Kernel, workers: int | None, range_fn, *args) -> list:
-    """range_fn(kernel, start, stop, *args) for every planned range, in range order."""
+    """range_fn(kernel, start, stop, *args) for every planned range, in range
+    order: the first on the calling thread, each other on a thread of its own.
+    Every thread is joined before the first exception, in range order, is raised."""
     parts = _plan(kernel.pairs, workers)
+    out: list = [None] * len(parts)  # each range's result, or what it raised
 
-    def task(part):
-        return range_fn(kernel, *part, *args)
+    def task(i):
+        try:
+            out[i] = range_fn(kernel, *parts[i], *args)
+        except BaseException as exc:
+            out[i] = exc
 
-    if len(parts) == 1:
-        return [task(parts[0])]
-    from concurrent.futures import ThreadPoolExecutor  # not loaded by serial runs
-
-    with ThreadPoolExecutor(max_workers=len(parts)) as pool:
-        return list(pool.map(task, parts))
+    threads = [threading.Thread(target=task, args=(i,)) for i in range(1, len(parts))]
+    for thread in threads:
+        thread.start()
+    task(0)
+    for thread in threads:
+        thread.join()
+    for result in out:
+        if isinstance(result, BaseException):
+            raise result
+    return out
 
 
 def _checked(n: int, hist: np.ndarray) -> np.ndarray:

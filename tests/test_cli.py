@@ -356,12 +356,18 @@ class TestColdStart:
     """A command imports only the modules it runs."""
 
     UNUSED = ("steinhaus.verify", "steinhaus.ends", "steinhaus.families",
-              "steinhaus.triangle", "steinhaus.symmetry", "concurrent.futures", "json")
+              "steinhaus.triangle", "steinhaus.symmetry", "concurrent.futures", "logging",
+              "json")
 
     def test_levels_and_spectrum_load_no_other_module(self, capsys):
+        # and a threaded sweep: 4 pairs at n = 20 in three ranges, two on threads
         script = ("import sys\n"
+                  "from steinhaus import spectrum\n"
                   "from steinhaus.cli import main\n"
                   "codes = [main(['levels', '4']), main(['spectrum', '4', '--format', 'csv'])]\n"
+                  "spectrum._cores = lambda: 4\n"
+                  "assert len(spectrum._plan(spectrum._Kernel(20).pairs, 3)) == 3\n"
+                  "spectrum.full_spectrum(20, workers=3)\n"
                   f"print(codes, [m for m in {self.UNUSED!r} if m in sys.modules])\n"
                   "sys.exit(main(['verify', '--from', '4', '--to', '4']))\n")
         env = dict(os.environ, PYTHONPATH=str(Path(steinhaus.__file__).parents[1]))

@@ -1,6 +1,6 @@
-import concurrent.futures
 import hashlib
 import threading
+import time
 import tracemalloc
 from collections import Counter
 from functools import cache
@@ -839,29 +839,71 @@ class TestRescanRuns:
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_member_pass_runs_on_the_calling_thread(self, monkeypatch, workers):
-        # 16 pairs at n = 10: two or three ranges, a thread each
+        # 16 pairs at n = 10: two or three ranges; the calling thread sweeps the
+        # first, a thread of its own each other one
         monkeypatch.setattr(spectrum_mod, "_BLOCK_BITS", 3)
         want = level_sets(10, 3, 2, workers=1)
         monkeypatch.setattr(spectrum_mod, "_cores", lambda: 4)
-        keys, pools, callers = _Kernel.keys, [], []
-
-        class Counted(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(self)
-                super().__init__(*args, **kwargs)
+        parts = [list(range(*part)) for part in _plan(16, workers)]
+        keys, calls = _Kernel.keys, []
 
         def recorded(self, pairs):
-            callers.append(threading.get_ident())
+            pairs = list(pairs)
+            # the thread object, not its ident, which a later thread may reuse
+            calls.append((threading.current_thread(), pairs))
             return keys(self, pairs)
 
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
         monkeypatch.setattr(_Kernel, "keys", recorded)
         got = level_sets(10, 3, 2, workers=workers)
-        assert len(pools) == 1  # the sweep's
-        *sweep, rescan = callers
-        assert len(sweep) == workers and threading.get_ident() not in sweep
-        assert rescan == threading.get_ident()
+        caller = threading.current_thread()
+        *sweep, (rescan, _) = calls  # a call per range, then the member pass
+        assert sorted(pairs for _, pairs in sweep) == parts
+        assert rescan is caller
+        assert [thread for thread, pairs in sweep if pairs == parts[0]] == [caller]
+        others = {thread for thread, pairs in sweep if pairs != parts[0]}
+        assert caller not in others and len(others) == workers - 1
         assert got == want
+
+
+class TestSweepFailure:
+    """A range that raises, on the calling thread or on a thread of its own,
+    makes the sweep raise the first such exception in range order, once every
+    other range has finished and its thread is joined. An exception left
+    unhandled in a thread fails the test too: pytest warns of it, and
+    ``filterwarnings = ["error"]`` makes the warning an error."""
+
+    @pytest.mark.parametrize("bad", [(0,), (2,), (1, 2)])
+    @pytest.mark.parametrize("reduced", [False, True])
+    def test_a_raising_range_raises_once_every_thread_is_joined(self, monkeypatch, bad,
+                                                                 reduced):
+        # 16 pairs at n = 10 in three ranges: range 0 on the calling thread
+        monkeypatch.setattr(spectrum_mod, "_BLOCK_BITS", 3)
+        monkeypatch.setattr(spectrum_mod, "_cores", lambda: 4)
+        parts = _plan(16, 3)
+        errors = {parts[i]: RuntimeError(f"range {i}") for i in bad}
+        finished = []
+
+        def failing(real):
+            def range_fn(kernel, start, stop, *args):
+                if (start, stop) in errors:
+                    raise errors[start, stop]
+                time.sleep(0.05)  # still running, unless the sweep waits for it
+                result = real(kernel, start, stop, *args)
+                finished.append((start, stop))
+                return result
+            return range_fn
+
+        for name in ("_sweep_range", "_reduced_hist_range"):
+            monkeypatch.setattr(spectrum_mod, name, failing(getattr(spectrum_mod, name)))
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as exc:
+            if reduced:
+                symmetry_reduced_spectrum(10, workers=3)
+            else:
+                level_sets(10, 3, 2, workers=3)
+        assert exc.value is errors[parts[bad[0]]]
+        assert threading.active_count() == before
+        assert sorted(finished) == [part for part in parts if part not in errors]
 
 
 class TestChunkEdges:
