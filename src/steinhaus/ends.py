@@ -73,6 +73,7 @@ SEARCH_LIMIT = 64  # the bits of a uint64 diagonal
 # verify_all(25, 64) took 0.40 s at 2^14, as halves shrank, 0.21 s at 2^16, and
 # 0.25 s at 2^17 but with a peak RSS of 45 MB, not 38.
 _BATCH_PREFIXES = 1 << 16
+_KEPT_GENERATORS = 1 << 20  # a request holding more raises: 1.8 million at n = 22, t = 126
 
 
 class LadderEnds(NamedTuple):
@@ -170,14 +171,17 @@ def _cut(n: int, t: int, top: bool, j: int) -> int:
 
 def _leave(reqs: list, d: np.ndarray, a: np.ndarray, sizes: list[int], j: int,
            out: list) -> tuple[list, np.ndarray, np.ndarray, list[int]]:
-    """Add to ``out`` a copy of the run of each request of size j or left empty;
-    return the other requests, the one slice that their runs make, and the runs' sizes."""
+    """Add to ``out`` a copy of the run of each request of size j or left empty (raising past
+    ``_KEPT_GENERATORS``); return the other requests, their runs' one slice, and the runs' sizes."""
     starts = [0, *itertools.accumulate(sizes)]
     runs = list(zip(reqs, starts, starts[1:]))
     stay = [(r, lo, hi) for r, lo, hi in runs if hi > lo and r[1] > j]
-    for (i, n, *_), lo, hi in runs:
+    for (i, n, t, top), lo, hi in runs:
         if hi == lo or n == j:
             out[i].append((d[lo:hi].copy(), a[lo:hi].copy()))
+            if sum(len(piece) for piece, _ in out[i]) > _KEPT_GENERATORS:
+                raise ValueError(f"ladder search at n={n}: the {'top' if top else 'bottom'} end at "
+                                 f"t={t} holds over {_KEPT_GENERATORS} generators; see find_weight")
     lo, hi = (stay[0][1], stay[-1][2]) if stay else (0, 0)
     return [r for r, *_ in stay], d[lo:hi], a[lo:hi], [hi - lo for _, lo, hi in stay]
 
@@ -310,7 +314,8 @@ def ladder_ends(n: int, low: int, high: int, *, weights=(), cap: int = DEFAULT_M
     the generators of each exact weight in ``weights``, as
     ``level_sets(n, low, high, weights=weights)`` gives them, clamped to the
     ladder, but from a search of each end rather than a sweep of all 2^n
-    generators. A weight costs what a bottom end reaching it costs.
+    generators. A weight costs what a bottom end reaching it costs, and an end
+    holding over 2^20 generators raises ValueError: ``find_weight`` sweeps for it.
 
     Members are the first ``cap`` in packed order. Sizes are checked against
     the enumeration ceiling as for a sweep, and against ``SEARCH_LIMIT``. This

@@ -12,7 +12,8 @@ their T(lo) part reads only x_c..x_{k-1}. Those of the first c* = 64 // l
 columns are tabulated for every low half in one uint64 word; the rest, the
 periodic bits, read only x_c*..x_{k-1}, which are the low t = k - c* bits of
 the lane index j (see below), so their weight is a function of j mod 2^t in
-each block. Tables are built from the unit-vector triangles by doubling XORs.
+each block. Each bit's class follows from r and c alone; the tables span the
+unit vectors' triangles, from the row recurrence, by doubling XORs.
 Generators come in blocks of lanes, one block per high half: the block's
 weights are the lo-only weights plus the hi-only weight plus one XOR and
 popcount of the lane's word against the matching word of T(hi << k), plus
@@ -74,7 +75,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -151,20 +151,15 @@ def _unit_triangle(n: int, j: int) -> int:
     return packed
 
 
-def _dense(values: list[int], positions: list[int], clear: int) -> np.ndarray:
-    """Row i: the bits of values[i] at ``positions``, packed densely into uint64
-    words; bit ``clear``, clear in every value, pads the last word."""
-    positions = positions + [clear] * (-len(positions) % 64)
+def _dense(values: list[int], classes: list[list[int]], clear: int) -> np.ndarray:
+    """Row i: the bits of values[i] at each class of positions in turn, packed densely
+    into uint64 words, each class padded to whole words with bit ``clear``, clear in all."""
+    positions = [p for cls in classes for p in cls + [clear] * (-len(cls) % 64)]
     size = max(positions, default=0) // 8 + 1
     raw = np.frombuffer(b"".join([v.to_bytes(size, "little") for v in values]), dtype=np.uint8)
     bits = np.unpackbits(raw.reshape(len(values), size), axis=1, bitorder="little")
     packed = np.packbits(bits.take(positions, axis=1), axis=1, bitorder="little")
     return packed.view("<u8").astype(np.uint64)
-
-
-def _set_bits(value: int) -> list[int]:
-    """Positions of the one bits of ``value``, ascending."""
-    return [i for i, bit in enumerate(bin(value)[:1:-1]) if bit == "1"]
 
 
 def _reversed(values, width: int):
@@ -197,26 +192,23 @@ def _tables(n: int, k: int):
     bits = n * (n + 1) // 2
     bins = bits + 1
     l = n - k
-    units = [_unit_triangle(n, j) for j in range(n)]
-    lo = functools.reduce(operator.or_, units[:k], 0)
-    hi = functools.reduce(operator.or_, units[k:], 0)
-    lo_only, mixed, hi_only = _set_bits(lo & ~hi), _set_bits(lo & hi), _set_bits(hi & ~lo)
-    # Each column c < k holds l mixed bits; those of the first c* columns fill
-    # one word per lane, and the rest read only x_c*..x_{k-1}.
+    # Entry (r, c) reads x_c..x_{c+r}: lo-only where c + r < k, hi-only where
+    # k <= c, mixed otherwise. Mixed bits in the first c* columns fill one word
+    # per lane; the rest, the periodic ones, read only x_c*..x_{k-1}.
     periodic_from = min(k, 64 // max(l, 1))
-    column = [c for r in range(n) for c in range(n - r)]  # of each packed bit
-    lane = [p for p in mixed if column[p] < periodic_from]
-    periodic = [p for p in mixed if column[p] >= periodic_from]
-    words = -(-len(periodic) // 64)
-    # One row per unit: the lo-only bits in the first words, padded with bit
-    # ``bits`` (always clear), then one word of the lane's mixed bits, then the
-    # periodic ones, then the hi-only ones. Lanes have x_0 = 0, so unit 0 needs
-    # no row: rows[j - 1] is unit j. High units have no lo-only bit, and low
-    # units no hi-only bit.
-    split = -(-len(lo_only) // 64)
-    rows = _dense(units[1:], lo_only + [bits] * (64 * split - len(lo_only))
-                  + lane + [bits] * (64 - len(lane))
-                  + periodic + [bits] * (64 * words - len(periodic)) + hi_only, bits)
+    lo_only, lane, periodic, hi_only = [], [], [], []
+    cells = ((r, c) for r in range(n) for c in range(n - r))  # of each packed bit
+    for p, (r, c) in enumerate(cells):
+        (lo_only if c + r < k else hi_only if k <= c else
+         lane if c < periodic_from else periodic).append(p)
+    split, words = -(-len(lo_only) // 64), -(-len(periodic) // 64)
+    # One row per unit: the lo-only words, the lane's one word (all padding
+    # for n <= k), the periodic words, the hi-only ones, padded with bit
+    # ``bits`` (always clear). Lanes have x_0 = 0, so unit 0 needs no row:
+    # rows[j - 1] is unit j. High units have no lo-only bit, and low units no
+    # hi-only bit.
+    rows = _dense([_unit_triangle(n, j) for j in range(1, n)],
+                  [lo_only, lane or [bits], periodic, hi_only], bits)
     spread = rows[:k - 1][::-1]  # row i: unit k - 1 - i, bit i of lane j
     # uint16 throughout: bitwise_count gives uint8, and bins * uint8 would wrap;
     # the lane indices themselves pass 2^16 from k = 18 on
@@ -260,10 +252,10 @@ class _Kernel:
     w, and its complement's, w + n - 2p. The tables are built, and those of
     the last size kept, by ``_tables``.
 
-    Each bit falls in one of four classes, read off the unit triangles and
-    the columns: set by some low unit only (lo-only), by some high unit only
-    (hi-only), or by both (mixed), and mixed bits in the first c* = 64 // l
-    columns or in the others (periodic). The lo-only weight plus bins * |lo|
+    Each bit (r, c) falls in one of four classes, read off r and c: lo-only
+    (c + r < k: set by low units only), hi-only (k <= c: by high units only),
+    or mixed, and mixed bits in the first c* = 64 // l columns or in the
+    others (periodic). The lo-only weight plus bins * |lo|
     of every lane is tabulated once in ``base``; the hi-only weight plus
     bins * |hi| is one number per block; the mixed bits of lane j's first c*
     columns are one uint64 word, ``table[j]``, and its periodic bits, which

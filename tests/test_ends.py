@@ -11,6 +11,7 @@ from steinhaus import (
     BitSeq,
     CeilingExceeded,
     LadderEnds,
+    find_weight,
     ladder_ends,
     level_sets,
     predicted_level,
@@ -37,16 +38,6 @@ def assert_same_ends(got: LadderEnds, sweep):
             [(s.weight, s.count, s.members, s.truncated) for s in exhaustive]
 
 
-def row_step_weights(values, n):
-    """Triangle weight of each packed generator of length n, by vectorised row steps."""
-    values = np.asarray(values, dtype=np.uint64)
-    w = np.zeros(len(values), dtype=np.int64)
-    for m in range(n, 0, -1):
-        w += np.bitwise_count(values)
-        values = (values ^ values >> np.uint64(1)) & np.uint64((1 << (m - 1)) - 1)
-    return w
-
-
 def mixed_max(k, l):
     """M(k, l) by brute force: the largest weight(x) - A[lo] - B[hi] over all
     generators x = hi << k | lo of length k + l, read off the weight table."""
@@ -59,8 +50,7 @@ def prefixes_passing(n, passes):
     shorter prefix of theirs, where A is the prefix's own triangle weight."""
     alive, total = np.ones(1, dtype=bool), 0
     for k in range(1, n + 1):
-        values = np.arange(1 << k, dtype=np.uint64)
-        alive = np.tile(alive, 2) & passes(k, row_step_weights(values, k))
+        alive = np.tile(alive, 2) & passes(k, weight_table(k).astype(np.int64))
         total += int(alive.sum())
     return total
 
@@ -171,7 +161,7 @@ class TestSearch:
         # at every t, not only those ladder_ends starts from: below n - 1 the
         # bottom bound must still keep 0...0, whose open entries are all zero
         values = np.arange(1 << n, dtype=np.uint64)
-        weights = row_step_weights(values, n)
+        weights = weight_table(n).astype(np.int64)
         for t in range(n * (n + 1) // 2 + 1):
             for top in (False, True):
                 d, a, _ = ends_mod._search([(n, t, top)])[0]
@@ -209,6 +199,22 @@ class TestSearch:
             tracemalloc.stop()
         assert (kept, len(d)) == (2_448_875, 251)
         assert peak < 16 << 20, peak
+
+    def test_an_end_past_the_generator_bound_raises_in_bounded_memory(self):
+        # The bottom end to weight 126 at n = 22 holds 1,847,851 generators,
+        # which traced 37.5 MB whole; it raises once it holds over 2^20.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"n=22: the bottom end at t=126 .* find_weight"):
+                ladder_ends(22, 0, 0, weights=[126])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 << 20, peak
+
+    def test_an_end_under_the_generator_bound_matches_the_sweep(self):
+        # the bottom end to weight 105 at n = 20 holds 490,743 generators
+        assert ladder_ends(20, 0, 0, weights=[105]).slices[105] == find_weight(20, 105)
 
 
 class TestPastTheSweep:
